@@ -107,7 +107,6 @@ class BenchmarkConfig:
     reference_order: int = 4
     regge: bool = True
     shear_reduction: bool = True
-    structured: bool = True
     base_refinement: int = None
     mesh_file: str = None
     measurement_point: tuple = None
@@ -159,8 +158,7 @@ def _benchmark_meshes(config):
         mesh = read_mesh(config.mesh_file)
         _, chart = make_benchmark_mesh(config.benchmark)
     else:
-        mesh, chart = make_benchmark_mesh(config.benchmark,
-                                          structured=config.structured)
+        mesh, chart = make_benchmark_mesh(config.benchmark)
     for _ in range(config.base_refinement):
         mesh = refine_uniform(mesh)
     return mesh, chart

@@ -5,6 +5,7 @@ import sys
 
 from .bench import BenchmarkConfig, emit_table, run_benchmark
 from .geometry import BENCHMARK_NAMES, ConfigurationError
+from .mesh import MeshError
 
 
 def build_parser():
@@ -60,7 +61,7 @@ def main(argv=None):
         table = run_benchmark(config)
         out = args.out or f"{args.benchmark}.{args.format}"
         emit_table(table, out, args.format)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(table.rows)} rows to {out}")

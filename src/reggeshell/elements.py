@@ -23,7 +23,6 @@ __all__ = [
     "voigt_to_matrix",
     "matrix_to_voigt",
     "covariant_pullback",
-    "dual_edge_pullback",
     "dual_volume_pullback",
     "pseudo_inverse",
 ]
@@ -272,11 +271,6 @@ def covariant_pullback(F, sigma_ref):
     Fd = pseudo_inverse(F)
     S = voigt_to_matrix(np.asarray(sigma_ref))
     return Fd.T @ S @ Fd
-
-
-def dual_edge_pullback(Jb, q_ref):
-    """Dual edge moment transformation q -> J_b * q."""
-    return Jb * q_ref
 
 
 def dual_volume_pullback(F, J, q_ref):

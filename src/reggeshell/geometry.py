@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import mesh as meshmod
-from .elements import GeometryError, edge_tangent, lagrange_basis, pseudo_inverse
+from .elements import GeometryError, edge_tangent, lagrange_basis
 
 __all__ = [
     "ChartGeometry",
@@ -23,6 +23,7 @@ __all__ = [
     "flat_chart",
     "flat3_chart",
     "make_benchmark_mesh",
+    "tangent_frame",
     "BENCHMARK_NAMES",
 ]
 
@@ -64,7 +65,8 @@ def flat3_chart():
 
 @dataclass
 class MapEvaluation:
-    """Geometry quantities of one element map at one reference point."""
+    """Geometry quantities of one element map at one reference point, or at
+    a batch of points with a leading point axis on every field."""
 
     F: np.ndarray        # (dim, 2) gradient w.r.t. reference coordinates
     Fdag: np.ndarray     # Moore-Penrose pseudo-inverse, (2, dim)
@@ -75,7 +77,7 @@ class MapEvaluation:
     def Jb(self, edge):
         """Boundary determinant ||F t|| of a local edge at this point."""
         t, _ = edge_tangent(edge)
-        return float(np.linalg.norm(self.F @ t))
+        return np.linalg.norm(self.F @ t, axis=-1)
 
 
 class ElementMap:
@@ -97,25 +99,50 @@ class ElementMap:
         pnodes = lam @ pverts
         self.control_points = np.array([geometry.phi(p) for p in pnodes])
 
-    def evaluate(self, point):
-        """Evaluate F, its pseudo-inverse, J, normal and projector."""
-        pt = np.atleast_2d(point)
-        grads = self._basis.grad(pt)[0]  # (nshapes, 2)
-        F = self.control_points.T @ grads  # (dim, 2)
-        G = F.T @ F
-        detG = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        if detG <= 1e-28:
+    def evaluate(self, points):
+        """Evaluate F, its pseudo-inverse, J, normal and projector.
+
+        A single point (2,) gives the fields of one point; a batch (n, 2)
+        gives every field with a leading axis of length n."""
+        pts = np.asarray(points, dtype=float)
+        grads = self._basis.grad(np.atleast_2d(pts))  # (n, nshapes, 2)
+        F = self.control_points.T @ grads  # (n, dim, 2)
+        G = np.swapaxes(F, 1, 2) @ F
+        detG = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        if np.any(detG <= 1e-28):
             raise GeometryError("degenerate element map (J <= 0)")
-        J = math.sqrt(detG)
-        Fdag = np.linalg.solve(G, F.T)
+        J = np.sqrt(detG)
+        Fdag = np.linalg.solve(G, np.swapaxes(F, 1, 2))
         nu = Ptau = None
         if self.ambient_dim == 3:
-            nu = np.cross(F[:, 0], F[:, 1])
-            nu = nu / np.linalg.norm(nu)
-            Ptau = np.eye(3) - np.outer(nu, nu)
-        elif np.linalg.det(F) <= 0:
+            nu = np.cross(F[:, :, 0], F[:, :, 1])
+            nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
+            Ptau = np.eye(3) - nu[:, :, None] * nu[:, None, :]
+        elif np.any(np.linalg.det(F) <= 0):
             raise GeometryError("flat element map with nonpositive Jacobian")
+        if pts.ndim == 1:
+            return MapEvaluation(F=F[0], Fdag=Fdag[0], J=float(J[0]),
+                                 nu=None if nu is None else nu[0],
+                                 Ptau=None if Ptau is None else Ptau[0])
         return MapEvaluation(F=F, Fdag=Fdag, J=J, nu=nu, Ptau=Ptau)
+
+
+def tangent_frame(F):
+    """Orthonormal tangent frame of surface gradients F (..., 3, 2).
+
+    Closed-form QR factorization F = Q R with positive diagonal R (Gram-
+    Schmidt on the two columns); returns Q (..., 3, 2) and R (..., 2, 2).
+    """
+    a, b = F[..., 0], F[..., 1]
+    r11 = np.linalg.norm(a, axis=-1)
+    q1 = a / r11[..., None]
+    r12 = np.einsum("...i,...i->...", q1, b)
+    w = b - r12[..., None] * q1
+    r22 = np.linalg.norm(w, axis=-1)
+    Q = np.stack([q1, w / r22[..., None]], axis=-1)
+    R = np.zeros(F.shape[:-2] + (2, 2))
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 1] = r11, r12, r22
+    return Q, R
 
 
 def element_map_at(mesh, geometry, triangle_id, geometry_order, point):
@@ -243,16 +270,11 @@ _BENCHMARKS = {
 }
 
 
-def make_benchmark_mesh(name, refinement_level=0, structured=True):
+def make_benchmark_mesh(name, refinement_level=0):
     """Structured mesh and chart of the computational subdomain of a benchmark."""
     if name not in _BENCHMARKS:
         raise ConfigurationError(
             f"unknown benchmark '{name}'; choose one of {BENCHMARK_NAMES}"
-        )
-    if not structured:
-        raise ConfigurationError(
-            "only structured meshes are generated; import unstructured meshes "
-            "through the plain-text mesh format"
         )
     spec = _BENCHMARKS[name]
     m = meshmod.rectangle_mesh(*spec["grid"], spec["xlim"], spec["ylim"], spec["sides"])

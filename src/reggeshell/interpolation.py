@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from .elements import (
-    EDGE_VERTS,
     edge_point,
     edge_tangent,
     regge_basis,
@@ -29,7 +28,6 @@ __all__ = [
     "InterpolationOperator",
     "reference_dual_mass",
     "assemble_dual_mass",
-    "interpolate_element",
     "three_field_blocks",
 ]
 
@@ -81,14 +79,26 @@ class DualMassMatrix:
         alpha_t = scipy.linalg.lu_solve(self._lu_TT, rhs)
         return np.concatenate([alpha_e, alpha_t])
 
+    def solve_transposed(self, g):
+        """Block back substitution for M^T lam = g."""
+        n_e = self.M_EE.shape[0]
+        g = np.asarray(g)
+        if not self.M_TT.size:
+            return scipy.linalg.lu_solve(self._lu_EE, g, trans=1)
+        lam_t = scipy.linalg.lu_solve(self._lu_TT, g[n_e:], trans=1)
+        rhs = g[:n_e] - self.M_TE.T @ lam_t
+        lam_e = scipy.linalg.lu_solve(self._lu_EE, rhs, trans=1)
+        return np.concatenate([lam_e, lam_t])
+
 
 class InterpolationOperator:
     """Interpolation of symmetric 2x2 fields into the order-k element space.
 
     All data lives on the reference element; fields to interpolate must be
-    supplied in reference (pulled back) coordinates.  A sampler is a
-    callable mapping reference points (n, 2) to Voigt values (n, 3) or to
-    dof-linear value tables (n, 3, m).
+    supplied in reference (pulled back) coordinates at ``points``: the
+    quadrature points of the three edges, then those of the interior.  A
+    sampler is a callable mapping reference points (n, 2) to Voigt values
+    (n, 3) or to value tables (n, 3, ...) that are linear in trailing axes.
     """
 
     def __init__(self, k, quad_degree=None):
@@ -120,6 +130,8 @@ class InterpolationOperator:
             mono = tri.points[:, 0] ** a * tri.points[:, 1] ** b
             self.vol_dual[i] = mono[:, None] * u[None, :]
 
+        self.points = np.vstack(self.edge_points + [self.vol_points])
+        self._splits = np.cumsum([len(p) for p in self.edge_points])
         self.dual_mass = reference_dual_mass(k, quad_degree)
 
     @property
@@ -127,26 +139,19 @@ class InterpolationOperator:
         return self.basis.num_shapes
 
     def functionals(self, sampler):
-        """Apply all dual functionals to a field given in reference form."""
+        """Apply all dual functionals to a field given in reference form.
+
+        ``sampler`` is called once on ``points``; the values at ``points``
+        may also be passed directly instead of a callable."""
+        vals = np.asarray(sampler(self.points) if callable(sampler) else sampler)
+        *edge_vals, vol_vals = np.split(vals, self._splits)
         parts = []
-        for e in range(3):
-            t = self.edge_tangents[e]
-            vals = np.asarray(sampler(self.edge_points[e]))
-            tt = (
-                t[0] * t[0] * vals[:, 0]
-                + t[1] * t[1] * vals[:, 1]
-                + 2.0 * t[0] * t[1] * vals[:, 2]
-            )
-            parts.append(np.tensordot(self.edge_weights[e], tt, axes=(1, 0)))
-        vol_vals = np.asarray(sampler(self.vol_points))
-        scale = np.array([1.0, 1.0, 2.0])
-        if vol_vals.ndim == 2:
-            sig_w = vol_vals * scale * self.vol_weights[:, None]
-            ft = np.einsum("iqc,qc->i", self.vol_dual, sig_w)
-        else:
-            sig_w = vol_vals * scale[None, :, None] * self.vol_weights[:, None, None]
-            ft = np.einsum("iqc,qcm->im", self.vol_dual, sig_w)
-        parts.append(ft)
+        for t, w, v in zip(self.edge_tangents, self.edge_weights, edge_vals):
+            tt = t[0] * t[0] * v[:, 0] + t[1] * t[1] * v[:, 1] + 2.0 * t[0] * t[1] * v[:, 2]
+            parts.append(np.tensordot(w, tt, axes=(1, 0)))
+        scale = self.vol_weights[:, None] * np.array([1.0, 1.0, 2.0])
+        sig_w = vol_vals * scale.reshape(scale.shape + (1,) * (vals.ndim - 2))
+        parts.append(np.tensordot(self.vol_dual, sig_w, axes=([1, 2], [0, 1])))
         return np.concatenate(parts)
 
     def interpolate(self, sampler):
@@ -270,11 +275,6 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
         M_TE=M_cell[:, :n_edge],
         M_TT=M_cell[:, n_edge:],
     )
-
-
-def interpolate_element(operator, sampler):
-    """Interpolate a reference-form field sampler, returning coefficients."""
-    return operator.interpolate(sampler)
 
 
 def three_field_blocks(operator, weights, frame_maps, material):

@@ -210,15 +210,36 @@ def read_mesh(path):
 
     Header line ``#V #T``, then #V vertex lines ``x y``, then #T triangle
     lines ``i j k`` (0-based), then optional lines ``edge i j name``.
+    Raises MeshError when the line counts disagree with the header, a vertex
+    index is out of range or a triangle is not positively oriented in the
+    parameter plane.
     """
     with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip()]
-    nv, nt = int(tokens[0][0]), int(tokens[0][1])
-    verts = [(float(t[0]), float(t[1])) for t in tokens[1 : 1 + nv]]
-    tris = [(int(t[0]), int(t[1]), int(t[2])) for t in tokens[1 + nv : 1 + nv + nt]]
-    markers = {}
-    for t in tokens[1 + nv + nt :]:
-        if t[0] != "edge":
-            raise MeshError(f"unexpected trailing line: {' '.join(t)}")
-        markers.setdefault(t[3], []).append((int(t[1]), int(t[2])))
-    return build_mesh(np.array(verts), np.array(tris, dtype=int), markers)
+        lines = [line.split() for line in fh if line.strip()]
+    try:
+        nv, nt = (int(v) for v in lines[0])
+        verts = [_fields(lines, 1 + i, 2, float) for i in range(nv)]
+        tris = [_fields(lines, 1 + nv + i, 3, int) for i in range(nt)]
+        markers = {}
+        for t in lines[1 + nv + nt:]:
+            if t[0] != "edge" or len(t) != 4:
+                raise MeshError(f"unexpected trailing line: {' '.join(t)}")
+            markers.setdefault(t[3], []).append((int(t[1]), int(t[2])))
+    except (IndexError, ValueError) as exc:
+        raise MeshError(f"malformed mesh file {path}: {exc}") from exc
+    verts = np.array(verts, dtype=float).reshape(-1, 2)
+    tris = np.array(tris, dtype=int).reshape(-1, 3)
+    if tris.size and (tris.min() < 0 or tris.max() >= nv):
+        raise MeshError(f"triangle vertex index outside [0, {nv})")
+    d1, d2 = verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]]
+    bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
+    if bad.size:
+        raise MeshError(f"triangle {bad[0]} is not positively oriented")
+    return build_mesh(verts, tris, markers)
+
+
+def _fields(lines, i, count, kind):
+    """The ``count`` values of line ``i``, which must have exactly that many."""
+    if len(lines[i]) != count:
+        raise MeshError(f"expected {count} values, got line: {' '.join(lines[i])}")
+    return [kind(v) for v in lines[i]]

@@ -12,9 +12,15 @@ The membrane strain may be interpolated element-wise into the symmetric
 tensor element space of order k-1, which removes membrane locking; the
 shear strain may analogously be interpolated into a tangential-continuous
 edge element space.
+
+Element data are arrays shaped (element, point, ...): geometry tables at the
+energy quadrature points and at the sampling points of the two
+interpolations, and the strain-displacement maps built from them.  Because
+the dual mass matrix is geometry free, the Regge strain maps of all elements
+come from one dual-mass solve whose right-hand side has one column per
+(element, dof) pair; the shear projection is batched the same way.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,7 +36,7 @@ from .elements import (
     edge_tangent,
     lagrange_basis,
 )
-from .geometry import ElementMap
+from .geometry import ElementMap, tangent_frame
 from .interpolation import get_operator
 from .quadrature import segment_rule, triangle_rule
 
@@ -114,7 +120,7 @@ class LoadSpec:
 
 
 class ShellState:
-    """Global coefficient vector with displacement / rotation views."""
+    """Global coefficient vector with a displacement view."""
 
     def __init__(self, model, vector=None):
         self.model = model
@@ -124,50 +130,54 @@ class ShellState:
     def displacement(self):
         return self.vector[: 3 * self.model.num_scalar_dofs].reshape(3, -1)
 
-    @property
-    def rotation(self):
-        return self.vector[3 * self.model.num_scalar_dofs:].reshape(2, -1)
-
-    @property
-    def constrained(self):
-        return ~self.model.free
-
     def copy(self):
         return ShellState(self.model, self.vector.copy())
 
 
-def _frame_transform(G):
-    """Voigt map of sigma -> G^T sigma G for a 2x2 matrix G."""
-    return np.array([
-        [G[0, 0] ** 2, G[1, 0] ** 2, 2.0 * G[0, 0] * G[1, 0]],
-        [G[0, 1] ** 2, G[1, 1] ** 2, 2.0 * G[0, 1] * G[1, 1]],
-        [G[0, 0] * G[0, 1], G[1, 0] * G[1, 1],
-         G[0, 0] * G[1, 1] + G[1, 0] * G[0, 1]],
-    ])
-
-
-def _qr_frame(F):
-    """Orthonormal tangent frame: F = Q R with positive diagonal R."""
-    Q, R = np.linalg.qr(F)
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return Q * d, d[:, None] * R
+def _frame_maps(R):
+    """Voigt map of sigma -> G^T sigma G, and G^T, for G = R^{-1} of the
+    upper triangular frame factor R (..., 2, 2)."""
+    g00, g11 = 1.0 / R[..., 0, 0], 1.0 / R[..., 1, 1]
+    g01 = -R[..., 0, 1] * g00 * g11
+    z = np.zeros_like(g00)
+    T = np.stack([g00 * g00, z, z,
+                  g01 * g01, g11 * g11, 2.0 * g01 * g11,
+                  g00 * g01, z, g00 * g11], axis=-1)
+    Gt = np.stack([g00, z, g01, g11], axis=-1)
+    return T.reshape(R.shape[:-2] + (3, 3)), Gt.reshape(R.shape)
 
 
 def _strain_B(F, dN):
-    """Covariant linearized membrane strain per displacement dof.
+    """Covariant strain sym(F^T grad u) per dof of a vector field u.
 
-    Returns (3, 3*n) with Voigt rows for dofs ordered (component, shape).
+    F (..., d, 2) and shape gradients dN (..., n, 2) broadcast over the
+    leading axes; returns (..., 3, d*n), Voigt rows and dofs ordered
+    (component, shape).
     """
-    n = dN.shape[0]
-    B = np.zeros((3, 3 * n))
-    for c in range(3):
-        fc = F[c]
-        cols = slice(c * n, (c + 1) * n)
-        B[0, cols] = fc[0] * dN[:, 0]
-        B[1, cols] = fc[1] * dN[:, 1]
-        B[2, cols] = 0.5 * (fc[0] * dN[:, 1] + fc[1] * dN[:, 0])
-    return B
+    a = F[..., :, None, :]
+    b = dN[..., None, :, :]
+    B = np.stack([a[..., 0] * b[..., 0], a[..., 1] * b[..., 1],
+                  0.5 * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])], axis=-3)
+    return B.reshape(B.shape[:-2] + (-1,))
+
+
+def _shear_B(nu, A, N, dN):
+    """Reference-covariant shear strain per dof, (element, point, 2, 5n).
+
+    gamma_xi = nu . grad_xi u - A^T theta with chart-covariant theta.
+    """
+    Bu = np.einsum("tpc,psd->tpdcs", nu, dN)
+    Bt = -np.einsum("tbd,ps->tpdbs", A, N)
+    B = np.concatenate([Bu, Bt], axis=-2)
+    return B.reshape(B.shape[:-2] + (-1,))
+
+
+def _gram(wJ, G, D=None):
+    """Element matrices sum_q wJ G^T D G of point maps G (nT, nq, r, m)."""
+    DG = G if D is None else D @ G
+    nT, m = G.shape[0], G.shape[-1]
+    rows = (wJ[:, :, None, None] * DG).reshape(nT, -1, m)
+    return np.swapaxes(G.reshape(nT, -1, m), 1, 2) @ rows
 
 
 class _ShearSpace:
@@ -195,6 +205,7 @@ class _ShearSpace:
         tri = triangle_rule(quad_degree)
         self.vol_points = tri.points
         self.vol_weights = tri.weights
+        self.points = np.vstack(self.edge_points + [self.vol_points])
 
         if p == 0:
             self.num_shapes = 3
@@ -304,16 +315,16 @@ class ShellModel:
         else:
             self.shear_space = None
 
-        self._precompute_elements()
+        self._build_element_arrays()
         self._apply_boundary_conditions()
-        self._stiffness_cache = {}
-        self._strain_map_cache = {}
 
     # ------------------------------------------------------------------
     # dof management
     # ------------------------------------------------------------------
 
     def _build_dof_map(self):
+        """Scalar dofs per element (nT, n) and field dofs (nT, 5n) ordered
+        (u_x, u_y, u_z, th_1, th_2)."""
         mesh, k = self.mesh, self.config.order
         n_edge_nodes = k - 1
         n_int = (k - 1) * (k - 2) // 2
@@ -321,26 +332,14 @@ class ShellModel:
         self.num_scalar_dofs = nV + nE * n_edge_nodes + nT * n_int
         self.num_dofs = 5 * self.num_scalar_dofs
 
-        self.element_scalar_dofs = []
-        for t in range(nT):
-            tri = mesh.triangles[t]
-            dofs = list(tri)
-            for le in range(3):
-                e = mesh.tri_edges[t, le]
-                base = nV + e * n_edge_nodes
-                idx = list(range(base, base + n_edge_nodes))
-                if mesh.tri_edge_signs[t, le] < 0:
-                    idx = idx[::-1]
-                dofs.extend(idx)
-            base = nV + nE * n_edge_nodes + t * n_int
-            dofs.extend(range(base, base + n_int))
-            self.element_scalar_dofs.append(np.array(dofs, dtype=int))
-
-    def element_dofs(self, t):
-        """Global dof indices of one element: (u_x, u_y, u_z, th_1, th_2)."""
-        s = self.element_scalar_dofs[t]
+        edge = nV + mesh.tri_edges[:, :, None] * n_edge_nodes + np.arange(n_edge_nodes)
+        flip = mesh.tri_edge_signs < 0
+        edge[flip] = edge[flip][:, ::-1]
+        interior = nV + nE * n_edge_nodes + np.arange(nT)[:, None] * n_int + np.arange(n_int)
+        self.element_scalar_dofs = np.hstack(
+            [mesh.triangles, edge.reshape(nT, -1), interior]).astype(int)
         ns = self.num_scalar_dofs
-        return np.concatenate([f * ns + s for f in range(5)])
+        self.element_dofs = np.hstack([f * ns + self.element_scalar_dofs for f in range(5)])
 
     def _scalar_dofs_of_edge(self, e):
         mesh, k = self.mesh, self.config.order
@@ -378,274 +377,124 @@ class ShellModel:
         self.free = free
 
     # ------------------------------------------------------------------
-    # element tables
+    # element arrays: geometry, strain maps and forms
     # ------------------------------------------------------------------
 
-    def _tables_at(self, emap, points):
-        """Geometry and basis tables at a batch of reference points."""
-        pts = np.atleast_2d(points)
-        N = self.basis.eval(pts)
-        dN = self.basis.grad(pts)
-        data = []
-        for q, xi in enumerate(pts):
-            ev = emap.evaluate(xi)
-            Q, R = _qr_frame(ev.F)
-            G = np.linalg.inv(R)
-            data.append({
-                "F": ev.F, "J": ev.J, "nu": ev.nu,
-                "T": _frame_transform(G), "Gt": G.T,
-                "N": N[q], "dN": dN[q],
-            })
-        return data
+    def _build_element_arrays(self):
+        """Tables shaped (element, point, ...) and the element forms.
 
-    def _precompute_elements(self):
-        mesh, chart = self.mesh, self.chart
+        Each element map is evaluated once, on the energy quadrature points
+        followed by the sampling points of the membrane and the shear
+        interpolation.  The strain maps hold, per energy point, the
+        frame strain of every element dof: Gm (nT, nq, 3, 3n) on the
+        displacements, Gb (nT, nq, 3, 2n) on the rotations and Gs
+        (nT, nq, 2, 5n) on the full element vector.  Energies are evaluated
+        point-wise from these maps so that states in the strain kernel give
+        energies at squared round-off level.  The forms Am, Ab, As are the
+        quadratic membrane, bending and shear element matrices without
+        thickness factors.
+        """
+        mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
         g = self.config.geometry_order
-        self.elements = []
-        geo_basis = lagrange_basis(g)
-        for t in range(mesh.num_triangles):
-            emap = ElementMap(mesh, chart, t, g)
-            el = {"map": emap}
-            # affine reference -> chart-parameter Jacobian; rotation dofs are
-            # chart-covariant, strains are formed in reference coordinates
-            el["A"] = mesh.vertices[mesh.triangles[t]].T @ BARY_GRADS
-            verts = mesh.vertices[mesh.triangles[t]]
-            el["h2"] = max(
-                float((verts[i] - verts[j]) @ (verts[i] - verts[j]))
-                for i in range(3) for j in range(i)
-            )
-            el["vol"] = self._tables_at(emap, self._rule.points)
-            el["w"] = self._rule.weights
-            # physical positions for load evaluation
-            geo_vals = geo_basis.eval(self._rule.points)
-            el["X"] = geo_vals @ emap.control_points
-            if self.operator is not None:
-                op = self.operator
-                el["op_edges"] = [self._tables_at(emap, op.edge_points[e])
-                                  for e in range(3)]
-                el["op_vol"] = self._tables_at(emap, op.vol_points)
-                el["S"] = op.basis.eval(self._rule.points)
-            if self.shear_space is not None:
-                ss = self.shear_space
-                el["sh_edges"] = [self._tables_at(emap, ss.edge_points[e])
-                                  for e in range(3)]
-                el["sh_vol"] = self._tables_at(emap, ss.vol_points)
-                el["sh_shapes"] = ss.shapes(self._rule.points)
-            self.elements.append(el)
+        nT = mesh.num_triangles
+        groups = [rule.points] + [np.empty((0, 2)) if space is None else space.points
+                                  for space in (op, ss)]
+        points = np.vstack(groups)
+        cuts = np.cumsum([len(p) for p in groups])[:-1]
+        self.maps = [ElementMap(mesh, self.chart, t, g) for t in range(nT)]
+        evals = [emap.evaluate(points) for emap in self.maps]
+        F_vol, F_op, _ = np.split(np.stack([ev.F for ev in evals]), cuts, axis=1)
+        nu_vol, _, nu_sh = np.split(np.stack([ev.nu for ev in evals]), cuts, axis=1)
+        J_vol = np.stack([ev.J[: len(rule.points)] for ev in evals])
+        N_vol, _, N_sh = np.split(self.basis.eval(points), cuts)
+        dN_vol, dN_op, dN_sh = np.split(self.basis.grad(points), cuts)
 
-    # ------------------------------------------------------------------
-    # strain evaluation
-    # ------------------------------------------------------------------
+        self._wJ = rule.weights * J_vol
+        self._N, self._nu = N_vol, nu_vol
+        control = np.stack([emap.control_points for emap in self.maps])
+        self._X = lagrange_basis(g).eval(rule.points) @ control
+        self._T, Gt = _frame_maps(tangent_frame(F_vol)[1])
+        verts = mesh.vertices[mesh.triangles]
+        # affine reference -> chart-parameter Jacobian; rotation dofs are
+        # chart-covariant, strains are formed in reference coordinates
+        A = np.swapaxes(verts, 1, 2) @ BARY_GRADS
+        sides = verts[:, [1, 2, 2]] - verts[:, [0, 0, 1]]
+        self.h2 = np.max(np.sum(sides * sides, axis=-1), axis=1)
 
-    def green_strain(self, t, u_local, tab):
-        """Covariant Green strain at one tabulated point, Voigt form."""
-        F = tab["F"]
-        Gu = u_local @ tab["dN"]  # (3, 2) reference displacement gradient
-        Fd = F + Gu
-        C = Fd.T @ Fd - F.T @ F
-        return 0.5 * np.array([C[0, 0], C[1, 1], C[0, 1]])
-
-    def linearized_membrane_strain(self, t, u_local, tab):
-        """Covariant linearized membrane strain at one tabulated point."""
-        F = tab["F"]
-        Gu = u_local @ tab["dN"]
-        S = 0.5 * (F.T @ Gu + Gu.T @ F)
-        return np.array([S[0, 0], S[1, 1], S[0, 1]])
-
-    def _membrane_B(self, tab):
-        return _strain_B(tab["F"], tab["dN"])
-
-    def _bending_B(self, tab, A):
-        """Reference-covariant bending strain per rotation dof, (3, 2n).
-
-        Rotations are chart-covariant; the per-element affine Jacobian A
-        pulls their gradient into reference form, sym(A^T grad_xi theta).
-        """
-        n = len(tab["N"])
-        dN = tab["dN"]
-        B = np.zeros((3, 2 * n))
-        for beta in range(2):
-            cols = slice(beta * n, (beta + 1) * n)
-            B[0, cols] = A[beta, 0] * dN[:, 0]
-            B[1, cols] = A[beta, 1] * dN[:, 1]
-            B[2, cols] = 0.5 * (A[beta, 0] * dN[:, 1] + A[beta, 1] * dN[:, 0])
-        return B
-
-    def _shear_B(self, tab, A):
-        """Reference-covariant shear strain per dof, (2, 5n).
-
-        gamma_xi = nu . grad_xi u - A^T theta with chart-covariant theta.
-        """
-        n = len(tab["N"])
-        nu, dN, N = tab["nu"], tab["dN"], tab["N"]
-        B = np.zeros((2, 5 * n))
-        for c in range(3):
-            B[0, c * n:(c + 1) * n] = nu[c] * dN[:, 0]
-            B[1, c * n:(c + 1) * n] = nu[c] * dN[:, 1]
-        for beta in range(2):
-            cols = slice((3 + beta) * n, (4 + beta) * n)
-            B[0, cols] = -A[beta, 0] * N
-            B[1, cols] = -A[beta, 1] * N
-        return B
-
-    # ------------------------------------------------------------------
-    # element stiffness (quadratic energy forms, thickness not included)
-    # ------------------------------------------------------------------
-
-    def _strain_maps(self, t):
-        """Per-quadrature-point strain-displacement maps in the frame.
-
-        Returns (wJ, Gm, Gb, Gs): weights including the surface determinant,
-        the membrane map (nq, 3, 3n) acting on the displacement block, the
-        bending map (nq, 3, 2n) acting on the rotation block and the shear
-        map (nq, 2, 5n) acting on the full element vector.  Energies are
-        evaluated point-wise from these maps so that states in the strain
-        kernel give energies at squared round-off level.
-        """
-        if t in self._strain_map_cache:
-            return self._strain_map_cache[t]
-        el = self.elements[t]
-        wJ = np.array([el["w"][q] * tab["J"] for q, tab in enumerate(el["vol"])])
-        if self.operator is None:
-            Gm = np.stack([tab["T"] @ self._membrane_B(tab) for tab in el["vol"]])
+        if op is None:
+            self._green_tables = (F_vol, dN_vol)
+            self._Gm = self._T @ _strain_B(F_vol, dN_vol)
         else:
-            P = self._membrane_functional_matrix(t, linearized=True)
-            coeff = self.operator.dual_mass.solve(P)  # (n_regge, 3n)
-            Gm = np.stack([
-                tab["T"] @ (el["S"][q].T @ coeff)
-                for q, tab in enumerate(el["vol"])
-            ])
-        A = el["A"]
-        Gb = np.stack([tab["T"] @ self._bending_B(tab, A) for tab in el["vol"]])
-        if self.shear_space is None:
-            Gs = np.stack([tab["Gt"] @ self._shear_B(tab, A) for tab in el["vol"]])
+            self._green_tables = (F_op, dN_op)
+            self._S = op.basis.eval(rule.points)
+            coeff = self._regge_coefficients(_strain_B(F_op, dN_op))
+            self._Gm = self._T @ np.einsum("qrc,rtj->tqcj", self._S, coeff)
+        self._Gb = self._T @ _strain_B(A[:, None], dN_vol)
+        if ss is None:
+            self._Gs = Gt @ _shear_B(nu_vol, A, N_vol, dN_vol)
         else:
-            ss = self.shear_space
-            edge_B = [np.stack([self._shear_B(tab, A) for tab in el["sh_edges"][e]])
-                      for e in range(3)]
-            vol_B = np.stack([self._shear_B(tab, A) for tab in el["sh_vol"]])
-            coeff = ss.project_matrix(edge_B, vol_B)  # (ns, 5n)
-            Gs = np.stack([
-                tab["Gt"] @ (el["sh_shapes"][q].T @ coeff)
-                for q, tab in enumerate(el["vol"])
-            ])
-        self._strain_map_cache[t] = (wJ, Gm, Gb, Gs)
-        return self._strain_map_cache[t]
+            Bs = np.moveaxis(_shear_B(nu_sh, A, N_sh, dN_sh), 0, 2)
+            *edge_B, vol_B = np.split(Bs.reshape(len(ss.points), 2, -1),
+                                      np.cumsum([len(p) for p in ss.edge_points]))
+            coeff = ss.project_matrix(edge_B, vol_B).reshape(ss.num_shapes, nT, -1)
+            self._Gs = Gt @ np.einsum("qsd,ste->tqde", ss.shapes(rule.points), coeff)
 
-    def _membrane_functional_matrix(self, t, linearized=True, u_local=None):
-        """Dual functionals of the (dof-linear) covariant strain rows.
+        self._Am = _gram(self._wJ, self._Gm, self.D)
+        self._Ab = _gram(self._wJ, self._Gb, self.D)
+        self._As = self.Gshear * _gram(self._wJ, self._Gs)
 
-        For the full Green model the linearization point enters through the
-        deformed gradient in the strain derivative."""
-        el = self.elements[t]
+    def _regge_coefficients(self, vals):
+        """Regge interpolation of element tables (nT, P, 3, ...) given at the
+        operator's points: coefficients (n_regge, nT, ...) from one solve."""
         op = self.operator
-
-        def B_at(tab):
-            F = tab["F"]
-            if not linearized:
-                F = F + u_local @ tab["dN"]
-            return _strain_B(F, tab["dN"])  # (3, 3 nloc)
-
-        # feed precomputed value tables through the operator's functional
-        # machinery, keyed by the operator's own point arrays
-        tables = {}
-        for e in range(3):
-            tables[id(op.edge_points[e])] = np.stack(
-                [B_at(tab) for tab in el["op_edges"][e]]
-            )
-        tables[id(op.vol_points)] = np.stack([B_at(tab) for tab in el["op_vol"]])
-        return op.functionals(lambda pts: tables[id(pts)])
-
-    def _element_forms(self, t):
-        if t not in self._stiffness_cache:
-            nloc = self.basis.num_shapes
-            n_el = 5 * nloc
-            wJ, Gm, Gb, Gs = self._strain_maps(t)
-            Am = np.zeros((n_el, n_el))
-            Am[: 3 * nloc, : 3 * nloc] = np.einsum(
-                "q,qai,ab,qbj->ij", wJ, Gm, self.D, Gm
-            )
-            Ab = np.zeros((n_el, n_el))
-            Ab[3 * nloc:, 3 * nloc:] = np.einsum(
-                "q,qai,ab,qbj->ij", wJ, Gb, self.D, Gb
-            )
-            As = self.Gshear * np.einsum("q,qai,qaj->ij", wJ, Gs, Gs)
-            self._stiffness_cache[t] = (Am, Ab, As)
-        return self._stiffness_cache[t]
+        f = op.functionals(np.moveaxis(vals, 0, 2))
+        return op.dual_mass.solve(f.reshape(len(f), -1)).reshape(f.shape)
 
     # ------------------------------------------------------------------
     # energies
     # ------------------------------------------------------------------
 
-    def _local_vector(self, x, t):
-        return x[self.element_dofs(t)]
+    def _local(self, x):
+        """Element vectors (nT, 5n) of a global coefficient vector."""
+        return np.asarray(x)[self.element_dofs]
 
-    def _u_local(self, x, t):
-        nloc = self.basis.num_shapes
-        xe = self._local_vector(x, t)
-        return xe[: 3 * nloc].reshape(3, nloc)
+    def _integrals(self, e, De):
+        """Per-element integrals of e . De over the energy quadrature."""
+        return np.einsum("tq,tqa,tqa->t", self._wJ, e, De)
+
+    def _green_strain(self, U):
+        """Frame Green membrane strain at the energy points, (nT, nq, 3).
+
+        U (nT, 3n) are element displacements.  Also returns the deformed
+        gradient at the points where the strain is sampled: the operator's
+        points with the Regge reduction, the energy points without.
+        """
+        F, dN = self._green_tables
+        Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
+        C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
+        E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
+        if self.operator is not None:
+            E = np.einsum("qrc,rt->tqc", self._S, self._regge_coefficients(E))
+        return np.einsum("tqab,tqb->tqa", self._T, E), Fd
 
     def membrane_energy(self, x):
         """(t/2) E_mem at a coefficient vector."""
-        tfac = 0.5 * self.config.thickness
-        nloc = self.basis.num_shapes
+        m = 3 * self.basis.num_shapes
+        U = self._local(x)[:, :m]
         if self.config.model == "linearized_membrane":
-            total = 0.0
-            for t in range(self.mesh.num_triangles):
-                xe = self._local_vector(x, t)
-                wJ, Gm, _, _ = self._strain_maps(t)
-                e = Gm @ xe[: 3 * nloc]  # (nq, 3)
-                total += wJ @ np.einsum("qa,ab,qb->q", e, self.D, e)
-            return tfac * total
-        return tfac * sum(self._membrane_energy_green(x, t)
-                          for t in range(self.mesh.num_triangles))
-
-    def _membrane_energy_green(self, x, t):
-        el = self.elements[t]
-        u_local = self._u_local(x, t)
-        if self.operator is None:
-            total = 0.0
-            for q, tab in enumerate(el["vol"]):
-                e = tab["T"] @ self.green_strain(t, u_local, tab)
-                total += el["w"][q] * tab["J"] * (e @ self.D @ e)
-            return total
-        alpha = self._green_coefficients(x, t)
-        total = 0.0
-        for q, tab in enumerate(el["vol"]):
-            e = tab["T"] @ (el["S"][q].T @ alpha)
-            total += el["w"][q] * tab["J"] * (e @ self.D @ e)
-        return total
-
-    def _green_coefficients(self, x, t):
-        el = self.elements[t]
-        op = self.operator
-        u_local = self._u_local(x, t)
-
-        tables = {}
-        for e in range(3):
-            tables[id(op.edge_points[e])] = np.stack([
-                self.green_strain(t, u_local, tab) for tab in el["op_edges"][e]
-            ])
-        tables[id(op.vol_points)] = np.stack([
-            self.green_strain(t, u_local, tab) for tab in el["op_vol"]
-        ])
-        f = op.functionals(lambda pts: tables[id(pts)])
-        return op.dual_mass.solve(f)
+            e = np.einsum("tqai,ti->tqa", self._Gm, U)
+        else:
+            e, _ = self._green_strain(U)
+        return 0.5 * self.config.thickness * self._integrals(e, e @ self.D).sum()
 
     def bending_energy(self, x):
         """(t^3/2) E_bend at a coefficient vector."""
-        tfac = 0.5 * self.config.thickness ** 3
-        nloc = self.basis.num_shapes
-        total = 0.0
-        for t in range(self.mesh.num_triangles):
-            xe = self._local_vector(x, t)
-            wJ, _, Gb, _ = self._strain_maps(t)
-            e = Gb @ xe[3 * nloc:]
-            total += wJ @ np.einsum("qa,ab,qb->q", e, self.D, e)
-        return tfac * total
+        m = 3 * self.basis.num_shapes
+        e = np.einsum("tqai,ti->tqa", self._Gb, self._local(x)[:, m:])
+        return 0.5 * self.config.thickness ** 3 * self._integrals(e, e @ self.D).sum()
 
-    def _shear_weight(self, t):
-        """Thickness weight of the element shear energy.
+    def _shear_weights(self):
+        """Thickness weights of the element shear energies, (nT,).
 
         With the edge-tangential reduction the weight is the stabilized
         t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
@@ -654,20 +503,13 @@ class ShellModel:
         plain Naghdi weight t is kept."""
         thick = self.config.thickness
         if self.shear_space is None:
-            return thick
-        h2 = self.elements[t]["h2"]
-        return thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * h2)
+            return np.full(len(self.h2), thick)
+        return thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2)
 
     def shear_energy(self, x):
         """Weighted shear energy at a coefficient vector."""
-        total = 0.0
-        for t in range(self.mesh.num_triangles):
-            xe = self._local_vector(x, t)
-            wJ, _, _, Gs = self._strain_maps(t)
-            g = Gs @ xe
-            total += (0.5 * self._shear_weight(t) * self.Gshear
-                      * (wJ @ np.einsum("qa,qa->q", g, g)))
-        return total
+        g = np.einsum("tqai,ti->tqa", self._Gs, self._local(x))
+        return 0.5 * self.Gshear * (self._shear_weights() @ self._integrals(g, g))
 
     def total_energy(self, x, load_vector=None):
         W = self.membrane_energy(x) + self.bending_energy(x) + self.shear_energy(x)
@@ -679,47 +521,29 @@ class ShellModel:
     # derivatives
     # ------------------------------------------------------------------
 
-    def _element_gradient(self, x, t):
-        thick = self.config.thickness
-        Am, Ab, As = self._element_forms(t)
-        xe = self._local_vector(x, t)
-        grad = thick ** 3 * (Ab @ xe) + self._shear_weight(t) * (As @ xe)
-        if self.config.model == "linearized_membrane":
-            grad += thick * (Am @ xe)
-        else:
-            grad[: 3 * self.basis.num_shapes] += thick * self._membrane_gradient_green(x, t)
-        return grad
-
-    def _membrane_gradient_green(self, x, t):
-        el = self.elements[t]
-        u_local = self._u_local(x, t)
-        nloc = self.basis.num_shapes
-        if self.operator is None:
-            grad = np.zeros(3 * nloc)
-            for q, tab in enumerate(el["vol"]):
-                F = tab["F"] + u_local @ tab["dN"]
-                B = _strain_B(F, tab["dN"])
-                e = tab["T"] @ self.green_strain(t, u_local, tab)
-                grad += el["w"][q] * tab["J"] * (B.T @ (tab["T"].T @ (self.D @ e)))
-            return grad
+    def _green_gradient(self, U):
+        """Gradient of the Green membrane integral per element, (nT, 3n)."""
+        e, Fd = self._green_strain(U)
+        B = _strain_B(Fd, self._green_tables[1])
+        s = np.einsum("tq,tqac,tqa->tqc", self._wJ, self._T, e @ self.D)
         op = self.operator
-        alpha = self._green_coefficients(x, t)
-        g = np.zeros(op.num_dofs)
-        for q, tab in enumerate(el["vol"]):
-            e = tab["T"] @ (el["S"][q].T @ alpha)
-            g += el["w"][q] * tab["J"] * (el["S"][q] @ (tab["T"].T @ (self.D @ e)))
-        P = self._membrane_functional_matrix(t, linearized=False, u_local=u_local)
-        lam = self._dual_mass_transpose_solve(g)
-        return P.T @ lam
-
-    def _dual_mass_transpose_solve(self, g):
-        M = self.operator.dual_mass.full
-        return np.linalg.solve(M.T, g)
+        if op is None:
+            return np.einsum("tqci,tqc->ti", B, s)
+        lam = op.dual_mass.solve_transposed(np.einsum("qrc,tqc->rt", self._S, s))
+        P = op.functionals(np.moveaxis(B, 0, 2))  # (n_regge, nT, 3n)
+        return np.einsum("rtj,rt->tj", P, lam)
 
     def gradient(self, x, load_vector=None):
-        grad = np.zeros(self.num_dofs)
-        for t in range(self.mesh.num_triangles):
-            np.add.at(grad, self.element_dofs(t), self._element_gradient(x, t))
+        thick = self.config.thickness
+        m = 3 * self.basis.num_shapes
+        X = self._local(x)
+        g = self._shear_weights()[:, None] * np.einsum("tij,tj->ti", self._As, X)
+        g[:, m:] += thick ** 3 * np.einsum("tij,tj->ti", self._Ab, X[:, m:])
+        if self.config.model == "linearized_membrane":
+            g[:, :m] += thick * np.einsum("tij,tj->ti", self._Am, X[:, :m])
+        else:
+            g[:, :m] += thick * self._green_gradient(X[:, :m])
+        grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
         if load_vector is not None:
             grad -= load_vector
         return grad
@@ -727,37 +551,29 @@ class ShellModel:
     def hessian(self, x):
         """Assembled tangent as a sparse matrix with constrained dofs masked."""
         thick = self.config.thickness
+        m = 3 * self.basis.num_shapes
+        H = self._shear_weights()[:, None, None] * self._As
+        H[:, m:, m:] += thick ** 3 * self._Ab
+        if self.config.model == "linearized_membrane":
+            H[:, :m, :m] += thick * self._Am
+        else:
+            H[:, :m, :m] += self._green_hessian_fd(self._local(x))
+        return assemble(self.num_dofs, zip(self.element_dofs, H), free=self.free)
 
-        def contributions():
-            for t in range(self.mesh.num_triangles):
-                Am, Ab, As = self._element_forms(t)
-                H = thick ** 3 * Ab + self._shear_weight(t) * As
-                if self.config.model == "linearized_membrane":
-                    H = H + thick * Am
-                else:
-                    H = H + self._green_hessian_fd(x, t)
-                yield self.element_dofs(t), H
-
-        return assemble(self.num_dofs, contributions(), free=self.free)
-
-    def _green_hessian_fd(self, x, t):
-        """Directional finite differences of the analytic membrane gradient."""
+    def _green_hessian_fd(self, X):
+        """Directional finite differences of the analytic membrane gradient,
+        one local displacement dof of every element at a time."""
         thick = self.config.thickness
-        dofs = self.element_dofs(t)
-        nloc = self.basis.num_shapes
-        n_u = 3 * nloc
-        h = 1e-6 * max(1.0, np.linalg.norm(x[dofs]))
-        H = np.zeros((5 * nloc, 5 * nloc))
-        xp = x.copy()
-        for j in range(n_u):
-            d = dofs[j]
-            xp[d] = x[d] + h
-            gp = self._membrane_gradient_green(xp, t)
-            xp[d] = x[d] - h
-            gm = self._membrane_gradient_green(xp, t)
-            xp[d] = x[d]
-            H[:n_u, j] = thick * (gp - gm) / (2.0 * h)
-        return 0.5 * (H + H.T)
+        m = 3 * self.basis.num_shapes
+        h = 1e-6 * np.maximum(1.0, np.linalg.norm(X, axis=1))
+        H = np.zeros((len(X), m, m))
+        for j in range(m):
+            Up, Um = X[:, :m].copy(), X[:, :m].copy()
+            Up[:, j] += h
+            Um[:, j] -= h
+            diff = self._green_gradient(Up) - self._green_gradient(Um)
+            H[:, :, j] = thick * diff / (2.0 * h[:, None])
+        return 0.5 * (H + np.swapaxes(H, 1, 2))
 
     # ------------------------------------------------------------------
     # loads and solve
@@ -766,49 +582,30 @@ class ShellModel:
     def load_vector(self, loads):
         """Assemble the external work functional f(u) of a load spec."""
         f = np.zeros(self.num_dofs)
-        nloc = self.basis.num_shapes
         if loads.volume is not None:
-            for t in range(self.mesh.num_triangles):
-                el = self.elements[t]
-                fe = np.zeros(5 * nloc)
-                for q, tab in enumerate(el["vol"]):
-                    P = np.asarray(loads.volume(el["X"][q], tab["nu"]))
-                    wJ = el["w"][q] * tab["J"]
-                    for c in range(3):
-                        fe[c * nloc:(c + 1) * nloc] += wJ * P[c] * tab["N"]
-                np.add.at(f, self.element_dofs(t), fe)
+            P = np.array([[loads.volume(X, nu) for X, nu in zip(Xt, nut)]
+                          for Xt, nut in zip(self._X, self._nu)], dtype=float)
+            fe = np.einsum("tq,tqc,qs->tcs", self._wJ, P, self._N)
+            m = 3 * self.basis.num_shapes
+            f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),
+                             minlength=self.num_dofs)
         for marker, moment in loads.edge_moments.items():
             self._add_edge_moments(f, marker, moment)
         return f
 
     def _add_edge_moments(self, f, marker, moment):
-        mesh = self.mesh
-        nloc = self.basis.num_shapes
+        m = 3 * self.basis.num_shapes
         seg = segment_rule(self.deg_dual)
-        marked = set(mesh.edges_with_marker(marker).tolist())
-        g = self.config.geometry_order
-        geo_basis = lagrange_basis(g)
-        for t in range(mesh.num_triangles):
-            locals_ = [le for le in range(3) if mesh.tri_edges[t, le] in marked]
-            if not locals_:
-                continue
-            el = self.elements[t]
-            emap = el["map"]
-            fe = np.zeros(5 * nloc)
-            for le in locals_:
-                that, length = edge_tangent(le)
-                pts = edge_point(le, seg.points)
-                N = self.basis.eval(pts)
-                geo_vals = geo_basis.eval(pts)
-                X = geo_vals @ emap.control_points
-                for q, xi in enumerate(pts):
-                    ev = emap.evaluate(xi)
-                    jb = ev.Jb(le)
-                    m = np.asarray(moment(X[q]))
-                    w = seg.weights[q] * (length / 2.0) * jb
-                    fe[3 * nloc:4 * nloc] += w * m[0] * N[q]
-                    fe[4 * nloc:] += w * m[1] * N[q]
-            np.add.at(f, self.element_dofs(t), fe)
+        geo_basis = lagrange_basis(self.config.geometry_order)
+        marked = np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker))
+        for t, le in zip(*np.nonzero(marked)):
+            emap = self.maps[t]
+            _, length = edge_tangent(le)
+            pts = edge_point(le, seg.points)
+            w = seg.weights * (length / 2.0) * emap.evaluate(pts).Jb(le)
+            M = np.array([moment(X) for X in geo_basis.eval(pts) @ emap.control_points])
+            fe = np.einsum("q,qb,qs->bs", w, M, self.basis.eval(pts))
+            f[self.element_dofs[t, m:]] += fe.ravel()
         return f
 
     def solve(self, loads=None, x0=None):
@@ -868,4 +665,5 @@ class ShellModel:
         """Displacement vector of a state at a parameter-space point."""
         t, xi = self.locate(param_point)
         N = self.basis.eval(np.atleast_2d(xi))[0]
-        return self._u_local(np.asarray(x), t) @ N
+        u = np.asarray(x)[self.element_dofs[t, : 3 * len(N)]]
+        return u.reshape(3, -1) @ N

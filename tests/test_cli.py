@@ -44,3 +44,11 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("benchmark,t,level")
+
+    def test_malformed_mesh_file_reports_error(self, tmp_path, capsys):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text("3 1\n0 0\n1 0\n0 1\n0 2 1\n")
+        code = main(["--benchmark", "cylinder", "--mesh", str(mesh), "--levels", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "not positively oriented" in capsys.readouterr().err

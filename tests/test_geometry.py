@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from reggeshell.elements import GeometryError
+from reggeshell.elements import GeometryError, lagrange_basis
 from reggeshell.geometry import (
     ConfigurationError,
     ElementMap,
     element_map_at,
     flat_chart,
     make_benchmark_mesh,
+    tangent_frame,
 )
 from reggeshell.mesh import LOCAL_EDGES, build_mesh, count_entities, refine_uniform
+from reggeshell.quadrature import triangle_rule
 
 INTERIOR_POINTS = [(-0.2, 0.3), (0.1, 0.1), (0.4, 0.25)]
 
@@ -69,6 +71,41 @@ class TestSurfaceMaps:
             assert ev.Jb(e) == pytest.approx(np.linalg.norm(ev.F @ t), rel=1e-14)
 
 
+def per_point_reference(emap, xi):
+    """F, J, normal and sign-fixed QR frame of one point, one at a time."""
+    grads = lagrange_basis(emap.geometry_order).grad(np.atleast_2d(xi))[0]
+    F = emap.control_points.T @ grads
+    J = math.sqrt(np.linalg.det(F.T @ F))
+    nu = np.cross(F[:, 0], F[:, 1])
+    Q, R = np.linalg.qr(F)
+    d = np.sign(np.diag(R))
+    return F, J, nu / np.linalg.norm(nu), Q * d, d[:, None] * R
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_batched_evaluate_and_frame_match_per_point_loop(self, order):
+        mesh, chart = make_benchmark_mesh("hyperboloid", 1)
+        points = triangle_rule(10).points
+        for tri in (0, 7, 21):
+            emap = ElementMap(mesh, chart, tri, geometry_order=order)
+            ev = emap.evaluate(points)
+            Q, R = tangent_frame(ev.F)
+            batched = (ev.F, ev.J, ev.nu, Q, R)
+            refs = [per_point_reference(emap, xi) for xi in points]
+            for got, ref in zip(batched, zip(*refs)):
+                ref = np.array(ref)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_single_point_keeps_unbatched_shapes(self):
+        mesh, chart = make_benchmark_mesh("hyperboloid")
+        ev = ElementMap(mesh, chart, 1, geometry_order=2).evaluate((0.1, 0.2))
+        assert ev.F.shape == (3, 2) and ev.Fdag.shape == (2, 3)
+        assert isinstance(ev.J, float)
+        assert ev.nu.shape == (3,) and ev.Ptau.shape == (3, 3)
+
+
 class TestBenchmarkMeshes:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
@@ -117,10 +154,6 @@ class TestBenchmarkMeshes:
             dp[d] = h
             fd = (chart.phi(p + dp) - chart.phi(p - dp)) / (2 * h)
             assert np.allclose(chart.dphi(p)[:, d], fd, atol=1e-8)
-
-    def test_unstructured_flag_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_benchmark_mesh("cylinder", structured=False)
 
 
 class TestTangentConvention:

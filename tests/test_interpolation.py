@@ -6,7 +6,6 @@ from reggeshell.geometry import ElementMap, flat_chart, make_benchmark_mesh
 from reggeshell.interpolation import (
     assemble_dual_mass,
     get_operator,
-    interpolate_element,
     reference_dual_mass,
 )
 from reggeshell.mesh import build_mesh, rectangle_mesh
@@ -71,6 +70,17 @@ class TestDualMassStructure:
             phys = assemble_dual_mass(emap, k).full
             assert np.max(np.abs(phys - ref)) < 1e-12 * scale
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_transposed_solve_matches_dense(self, k):
+        dm = reference_dual_mass(k)
+        rng = np.random.default_rng(300 + k)
+        for g in (rng.standard_normal(len(dm.full)),
+                  rng.standard_normal((len(dm.full), 7))):
+            ref = np.linalg.solve(dm.full.T, g)
+            lam = dm.solve_transposed(g)
+            assert lam.shape == ref.shape
+            assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_edge_coupling_on_physical_elements(self):
         emap = random_affine_element(RNG)
         dm = assemble_dual_mass(emap, 2)
@@ -82,7 +92,7 @@ class TestInterpolation:
     @pytest.mark.parametrize("k", range(5))
     def test_constant_identity_reproduced(self, k):
         op = get_operator(k)
-        alpha = interpolate_element(op, lambda pts: np.tile([1.0, 1.0, 0.0], (len(pts), 1)))
+        alpha = op.interpolate(lambda pts: np.tile([1.0, 1.0, 0.0], (len(pts), 1)))
         pts = np.array([[0.0, 0.3], [-0.4, 0.2], [0.5, 0.1]])
         vals = op.evaluate(alpha, pts)
         assert np.allclose(vals, [1.0, 1.0, 0.0], atol=1e-12)

@@ -97,3 +97,17 @@ class TestImport:
         assert m.num_triangles == 2
         assert m.num_edges == 5
         assert len(m.edges_with_marker("clamped")) == 1
+
+    @pytest.mark.parametrize("text", [
+        # vertex index -1 would wrap to the last vertex, a valid triangle
+        "4 1\n0 0\n1 0\n1 1\n0 1\n0 2 -1\n",
+        # header promises 4 vertices, the file has 3
+        "4 2\n0 0\n1 0\n1 1\n0 1 2\n0 2 3\n",
+        # clockwise triangle
+        "3 1\n0 0\n1 0\n0 1\n0 2 1\n",
+    ], ids=["negative_index", "short_vertex_block", "clockwise"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError):
+            read_mesh(path)

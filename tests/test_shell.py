@@ -103,9 +103,8 @@ class TestKernelAndScaling:
             model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=t, order=2))
             if x is None:
                 x = random_state(model, 0.1, seed=5)
-                h2 = model.elements[0]["h2"]
-                assert all(el["h2"] == pytest.approx(h2, rel=1e-12)
-                           for el in model.elements)
+                h2 = model.h2[0]
+                assert all(h == pytest.approx(h2, rel=1e-12) for h in model.h2)
             vals[t] = model.shear_energy(x)
 
         def weight(t):
