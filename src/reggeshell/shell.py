@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import SolverError, assemble, factor_solve
+from .assembly import SolverError, SparsityPattern, assemble, factor_solve
 from .elements import (
     BARY_GRADS,
     EDGE_VERTS,
@@ -317,6 +317,9 @@ class ShellModel:
 
         self._build_element_arrays()
         self._apply_boundary_conditions()
+        # the dof map and the constraints do not depend on the thickness or
+        # the state, so every tangent of this model has the same sparsity
+        self._pattern = SparsityPattern(self.num_dofs, self.element_dofs, self.free)
 
     # ------------------------------------------------------------------
     # dof management
@@ -558,7 +561,8 @@ class ShellModel:
             H[:, :m, :m] += thick * self._Am
         else:
             H[:, :m, :m] += self._green_hessian_fd(self._local(x))
-        return assemble(self.num_dofs, zip(self.element_dofs, H), free=self.free)
+        return assemble(self.num_dofs, zip(self.element_dofs, H), free=self.free,
+                        pattern=self._pattern)
 
     def _green_hessian_fd(self, X):
         """Directional finite differences of the analytic membrane gradient,
@@ -646,20 +650,21 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def locate(self, param_point):
-        """Triangle index and reference coordinates of a parameter point."""
+        """Triangle index and reference coordinates of a parameter point.
+
+        The point belongs to the triangle whose smallest barycentric
+        coordinate is largest (the first such triangle at a tie)."""
         p = np.asarray(param_point, dtype=float)
-        best = None
-        for t in range(self.mesh.num_triangles):
-            verts = self.mesh.vertices[self.mesh.triangles[t]]
-            Amat = np.vstack([verts.T, np.ones(3)])
-            lam = np.linalg.solve(Amat, np.append(p, 1.0))
-            margin = lam.min()
-            if best is None or margin > best[0]:
-                best = (margin, t, lam)
-        margin, t, lam = best
-        if margin < -1e-8:
+        verts = self.mesh.vertices[self.mesh.triangles]
+        Amat = np.concatenate([np.swapaxes(verts, 1, 2),
+                               np.ones((len(verts), 1, 3))], axis=1)
+        rhs = np.broadcast_to(np.append(p, 1.0), (len(verts), 3))
+        lam = np.linalg.solve(Amat, rhs[..., None])[..., 0]
+        margin = lam.min(axis=1)
+        t = int(np.argmax(margin))
+        if margin[t] < -1e-8:
             raise ValueError(f"parameter point {p} outside the mesh")
-        return t, lam @ REF_VERTICES
+        return t, lam[t] @ REF_VERTICES
 
     def evaluate_displacement(self, x, param_point):
         """Displacement vector of a state at a parameter-space point."""

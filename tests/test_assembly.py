@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from reggeshell.assembly import SolverError, assemble, factor_solve
+from reggeshell.assembly import SolverError, SparsityPattern, assemble, factor_solve
 
 
 def laplace_1d(n):
@@ -33,6 +33,54 @@ class TestAssemble:
         assert mat.matrix.nnz == 0
 
 
+def random_blocks(n_dofs=30, n_elements=12, m=6, seed=3):
+    """Random symmetric element blocks on random dof sets, some dofs constrained."""
+    rng = np.random.default_rng(seed)
+    dofs = np.array([rng.choice(n_dofs, m, replace=False) for _ in range(n_elements)])
+    local = rng.standard_normal((n_elements, m, m))
+    local = local + np.swapaxes(local, 1, 2)
+    free = rng.random(n_dofs) > 0.3
+    return dofs, local, free
+
+
+class TestSparsityPattern:
+    def test_pattern_assembly_bit_identical(self):
+        dofs, local, free = random_blocks()
+        pattern = SparsityPattern(30, dofs, free)
+        plain = assemble(30, zip(dofs, local), free=free)
+        cached = assemble(30, zip(dofs, local), free=free, pattern=pattern)
+        for a, b in ((plain.matrix, cached.matrix), (plain.reduced()[0], cached.reduced()[0])):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+        dense = np.zeros((30, 30))
+        for d, k in zip(dofs, local):
+            dense[np.ix_(d, d)] += k
+        assert np.allclose(cached.matrix.toarray(), dense, rtol=0, atol=1e-14)
+
+    def test_reduced_matches_fancy_indexing(self):
+        dofs, local, free = random_blocks(seed=5)
+        mat = assemble(30, zip(dofs, local), free=free)
+        block, idx = mat.reduced()
+        assert np.array_equal(idx, np.flatnonzero(free))
+        oracle = mat.matrix[np.ix_(idx, idx)]
+        assert np.array_equal(block.toarray(), oracle.toarray())
+
+    def test_out_of_range_dof_rejected(self):
+        with pytest.raises(IndexError):
+            SparsityPattern(3, [[0, 5]])
+        with pytest.raises(IndexError):
+            SparsityPattern(3, [[-1, 2]])
+
+    def test_mismatched_pattern_rejected(self):
+        dofs, local, free = random_blocks()
+        pattern = SparsityPattern(30, dofs, free)
+        with pytest.raises(ValueError):
+            assemble(30, zip(dofs[::-1], local), free=free, pattern=pattern)
+        with pytest.raises(ValueError):
+            assemble(30, zip(dofs, local), free=~free, pattern=pattern)
+
+
 class TestFactorSolve:
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -54,6 +102,21 @@ class TestFactorSolve:
         full = mat.matrix.toarray()
         res = full[1:-1] @ x - b[1:-1]
         assert np.max(np.abs(res)) < 1e-10
+
+    def test_saddle_point_pivoting(self):
+        # [[A, B^T], [B, eps I]] has a nearly zero diagonal in its lower
+        # block: taking those diagonal pivots would amplify rounding errors
+        # by 1/eps, so the symmetric mode must still pivot off the diagonal
+        rng = np.random.default_rng(11)
+        n, k, eps = 20, 5, 1e-14
+        A = rng.standard_normal((n, n))
+        A = A @ A.T + n * np.eye(n)
+        B = rng.standard_normal((k, n))
+        K = np.block([[A, B.T], [B, eps * np.eye(k)]])
+        b = rng.standard_normal(n + k)
+        x = factor_solve(scipy.sparse.csr_matrix(K), b)
+        ref = np.linalg.solve(K, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_singular_matrix_raises(self):
         # pure Neumann Laplacian without constraints is singular

@@ -5,6 +5,7 @@ from reggeshell.elements import barycentric
 from reggeshell.geometry import flat3_chart, make_benchmark_mesh
 from reggeshell.mesh import rectangle_mesh
 from reggeshell.shell import (
+    REF_VERTICES,
     SHEAR_STABILIZATION,
     LoadSpec,
     MaterialParams,
@@ -314,6 +315,37 @@ class TestEvaluation:
         p = model.mesh.vertices[4]
         u = model.evaluate_displacement(state.vector, p)
         assert u.shape == (3,)
+
+    def test_locate_matches_per_triangle_loop(self):
+        mesh, chart = make_benchmark_mesh("hyperboloid", 2)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        x = random_state(model, 1.0, seed=4)
+
+        def locate_loop(p):
+            best = None
+            for t in range(mesh.num_triangles):
+                verts = mesh.vertices[mesh.triangles[t]]
+                lam = np.linalg.solve(np.vstack([verts.T, np.ones(3)]), np.append(p, 1.0))
+                if best is None or lam.min() > best[0]:
+                    best = (lam.min(), t, lam)
+            return best[1], best[2] @ REF_VERTICES
+
+        rng = np.random.default_rng(2)
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        edges = mesh.vertices[mesh.triangles[:, [0, 1, 2]]] + mesh.vertices[
+            mesh.triangles[:, [1, 2, 0]]]
+        points = np.vstack([lo + (hi - lo) * rng.random((40, 2)), mesh.vertices,
+                            0.5 * edges.reshape(-1, 2)])
+        for p in points:
+            t, xi = model.locate(p)
+            t_ref, xi_ref = locate_loop(p)
+            if t == t_ref:
+                assert np.array_equal(xi, xi_ref)
+            else:   # a tie on a shared vertex or edge
+                u = model.evaluate_displacement(x, p)
+                N = model.basis.eval(np.atleast_2d(xi_ref))[0]
+                u_ref = x[model.element_dofs[t_ref, :3 * len(N)]].reshape(3, -1) @ N
+                assert np.max(np.abs(u - u_ref)) <= 1e-14 * max(1.0, np.abs(u_ref).max())
 
     def test_point_outside_mesh_rejected(self):
         model = cylinder_model()
