@@ -113,7 +113,7 @@ class BenchmarkConfig:
     model: str = "linearized_membrane"
 
     def __post_init__(self):
-        if self.benchmark not in _RUNS:
+        if self.benchmark not in BENCHMARK_NAMES:
             raise ConfigurationError(
                 f"unknown benchmark '{self.benchmark}'; choose one of {BENCHMARK_NAMES}"
             )

@@ -13,13 +13,12 @@ from typing import Callable
 import numpy as np
 
 from . import mesh as meshmod
-from .elements import GeometryError, edge_tangent, lagrange_basis
+from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis
 
 __all__ = [
     "ChartGeometry",
     "ElementMap",
     "MapEvaluation",
-    "element_map_at",
     "flat_chart",
     "flat3_chart",
     "make_benchmark_mesh",
@@ -65,14 +64,27 @@ def flat3_chart():
 
 @dataclass
 class MapEvaluation:
-    """Geometry quantities of one element map at one reference point, or at
-    a batch of points with a leading point axis on every field."""
+    """Geometry quantities of an element map at reference points.
 
-    F: np.ndarray        # (dim, 2) gradient w.r.t. reference coordinates
-    Fdag: np.ndarray     # Moore-Penrose pseudo-inverse, (2, dim)
-    J: float             # surface determinant sqrt(det(F^T F))
-    nu: np.ndarray       # unit normal (surface case) or None
-    Ptau: np.ndarray     # tangent-plane projector (surface case) or None
+    The fields carry the leading axes of the evaluation: an element axis for
+    a map of several triangles, then a point axis for a batch of points."""
+
+    F: np.ndarray        # (..., dim, 2) gradient w.r.t. reference coordinates
+    J: np.ndarray        # (...,) surface determinant sqrt(det(F^T F))
+    nu: np.ndarray       # (..., 3) unit normal (surface case) or None
+
+    @property
+    def Fdag(self):
+        """Moore-Penrose pseudo-inverse of F, (..., 2, dim)."""
+        Ft = np.swapaxes(self.F, -1, -2)
+        return np.linalg.solve(Ft @ self.F, Ft)
+
+    @property
+    def Ptau(self):
+        """Tangent-plane projector (..., 3, 3) (surface case) or None."""
+        if self.nu is None:
+            return None
+        return np.eye(3) - self.nu[..., :, None] * self.nu[..., None, :]
 
     def Jb(self, edge):
         """Boundary determinant ||F t|| of a local edge at this point."""
@@ -81,50 +93,45 @@ class MapEvaluation:
 
 
 class ElementMap:
-    """Degree-g isoparametric map of one (possibly curved) triangle."""
+    """Degree-g isoparametric map of one (possibly curved) triangle, or of
+    several at once when ``triangle_id`` is an index array: the control
+    points and every evaluated field then have a leading element axis."""
 
     def __init__(self, mesh, geometry, triangle_id, geometry_order=1):
         if geometry_order < 1:
             raise ValueError("geometry order must be >= 1")
         self.geometry_order = geometry_order
         self.ambient_dim = geometry.ambient_dim
-        basis = lagrange_basis(geometry_order)
-        self._basis = basis
-        tri = mesh.triangles[triangle_id]
-        pverts = mesh.vertices[tri]  # parameter-space corners
-        # affine map of the reference nodes into the parameter triangle
-        from .elements import barycentric
-
-        lam = barycentric(basis.nodes)
-        pnodes = lam @ pverts
-        self.control_points = np.array([geometry.phi(p) for p in pnodes])
+        self._basis = lagrange_basis(geometry_order)
+        # affine map of the reference nodes into the parameter triangles
+        pnodes = barycentric(self._basis.nodes) @ mesh.vertices[mesh.triangles[triangle_id]]
+        control = [geometry.phi(p) for p in pnodes.reshape(-1, 2)]
+        self.control_points = np.reshape(control, pnodes.shape[:-1] + (-1,))
 
     def evaluate(self, points):
-        """Evaluate F, its pseudo-inverse, J, normal and projector.
+        """Evaluate F, J and the normal.
 
         A single point (2,) gives the fields of one point; a batch (n, 2)
-        gives every field with a leading axis of length n."""
+        adds a point axis of length n after the element axis, if any."""
         pts = np.asarray(points, dtype=float)
         grads = self._basis.grad(np.atleast_2d(pts))  # (n, nshapes, 2)
-        F = self.control_points.T @ grads  # (n, dim, 2)
-        G = np.swapaxes(F, 1, 2) @ F
-        detG = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        F = np.swapaxes(self.control_points, -1, -2)[..., None, :, :] @ grads
+        G = np.swapaxes(F, -1, -2) @ F
+        detG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
         if np.any(detG <= 1e-28):
             raise GeometryError("degenerate element map (J <= 0)")
         J = np.sqrt(detG)
-        Fdag = np.linalg.solve(G, np.swapaxes(F, 1, 2))
-        nu = Ptau = None
+        nu = None
         if self.ambient_dim == 3:
-            nu = np.cross(F[:, :, 0], F[:, :, 1])
-            nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
-            Ptau = np.eye(3) - nu[:, :, None] * nu[:, None, :]
+            nu = np.cross(F[..., 0], F[..., 1])
+            nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
         elif np.any(np.linalg.det(F) <= 0):
             raise GeometryError("flat element map with nonpositive Jacobian")
         if pts.ndim == 1:
-            return MapEvaluation(F=F[0], Fdag=Fdag[0], J=float(J[0]),
-                                 nu=None if nu is None else nu[0],
-                                 Ptau=None if Ptau is None else Ptau[0])
-        return MapEvaluation(F=F, Fdag=Fdag, J=J, nu=nu, Ptau=Ptau)
+            return MapEvaluation(F=F[..., 0, :, :],
+                                 J=float(J[0]) if J.ndim == 1 else J[..., 0],
+                                 nu=None if nu is None else nu[..., 0, :])
+        return MapEvaluation(F=F, J=J, nu=nu)
 
 
 def tangent_frame(F):
@@ -145,21 +152,7 @@ def tangent_frame(F):
     return Q, R
 
 
-def element_map_at(mesh, geometry, triangle_id, geometry_order, point):
-    """One-shot evaluation of the element map of a triangle."""
-    return ElementMap(mesh, geometry, triangle_id, geometry_order).evaluate(point)
-
-
 # --- benchmark geometries -------------------------------------------------
-
-BENCHMARK_NAMES = (
-    "cylinder",
-    "hyperboloid",
-    "unibend_cylinder",
-    "hyperbolic_paraboloid",
-    "hemisphere",
-)
-
 
 def _cylinder_chart(R):
     def phi(p):
@@ -268,6 +261,9 @@ _BENCHMARKS = {
         sides={"left": "sym:y", "right": "sym:x", "bottom": "clamped", "top": "clamped"},
     ),
 }
+
+
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
 
 
 def make_benchmark_mesh(name, refinement_level=0):

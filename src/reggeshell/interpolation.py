@@ -39,11 +39,6 @@ def _interior_dual_basis(k):
     return [(a, b, u) for (a, b) in exps for u in units]
 
 
-def _frob(a, b):
-    # Frobenius product of Voigt triples, trailing axis
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + 2.0 * a[..., 2] * b[..., 2]
-
-
 @dataclass
 class DualMassMatrix:
     """Block lower triangular pairing of shapes with dual functionals."""
@@ -132,7 +127,11 @@ class InterpolationOperator:
 
         self.points = np.vstack(self.edge_points + [self.vol_points])
         self._splits = np.cumsum([len(p) for p in self.edge_points])
-        self.dual_mass = reference_dual_mass(k, quad_degree)
+        # the duals applied to the shapes: M[i, j] = q_i(phi_j)
+        M = self.functionals(np.moveaxis(self.basis.eval(self.points), 1, 2))
+        n_edge = self.basis.num_edge_shapes
+        self.dual_mass = DualMassMatrix(k=k, M_EE=M[:n_edge, :n_edge],
+                                        M_TE=M[n_edge:, :n_edge], M_TT=M[n_edge:, n_edge:])
 
     @property
     def num_dofs(self):
@@ -175,48 +174,9 @@ def get_operator(k, quad_degree=None):
     return _cached_operator(k, quad_degree)
 
 
-@lru_cache(maxsize=None)
 def reference_dual_mass(k, quad_degree=None):
     """Dual mass matrix of the reference element (shared by all elements)."""
-    if quad_degree is None:
-        quad_degree = 2 * k + 2
-    basis = regge_basis(k)
-    n_edge = basis.num_edge_shapes
-    n_cell = basis.num_cell_shapes
-    n = basis.num_shapes
-
-    seg = segment_rule(quad_degree)
-    M_edge = np.zeros((n_edge, n))
-    row = 0
-    for e in range(3):
-        t, length = edge_tangent(e)
-        pts = edge_point(e, seg.points)
-        vals = basis.eval(pts)  # (nq, n, 3)
-        tt = (
-            t[0] * t[0] * vals[..., 0]
-            + t[1] * t[1] * vals[..., 1]
-            + 2.0 * t[0] * t[1] * vals[..., 2]
-        )
-        for l in range(k + 1):
-            leg = eval_legendre(l, seg.points)
-            M_edge[row] = (seg.weights * leg * (length / 2.0)) @ tt
-            row += 1
-
-    tri = triangle_rule(quad_degree)
-    vals = basis.eval(tri.points)
-    duals = _interior_dual_basis(k)
-    M_cell = np.zeros((n_cell, n))
-    for i, (a, b, u) in enumerate(duals):
-        mono = tri.points[:, 0] ** a * tri.points[:, 1] ** b
-        q = mono[:, None] * u[None, :]
-        M_cell[i] = tri.weights @ _frob(vals, q[:, None, :])
-
-    return DualMassMatrix(
-        k=k,
-        M_EE=M_edge[:, :n_edge],
-        M_TE=M_cell[:, :n_edge],
-        M_TT=M_cell[:, n_edge:],
-    )
+    return get_operator(k, quad_degree).dual_mass
 
 
 def assemble_dual_mass(element_map, k, quad_degree=None):

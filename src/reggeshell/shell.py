@@ -15,7 +15,8 @@ edge element space.
 
 Element data are arrays shaped (element, point, ...): geometry tables at the
 energy quadrature points and at the sampling points of the two
-interpolations, and the strain-displacement maps built from them.  Because
+interpolations, and the strain-displacement maps built from them.  One
+element map covers the whole mesh and is evaluated once per model.  Because
 the dual mass matrix is geometry free, the Regge strain maps of all elements
 come from one dual-mass solve whose right-hand side has one column per
 (element, dof) pair; the shear projection is batched the same way.
@@ -335,7 +336,10 @@ class ShellModel:
         self.num_scalar_dofs = nV + nE * n_edge_nodes + nT * n_int
         self.num_dofs = 5 * self.num_scalar_dofs
 
-        edge = nV + mesh.tri_edges[:, :, None] * n_edge_nodes + np.arange(n_edge_nodes)
+        edge_nodes = nV + np.arange(nE)[:, None] * n_edge_nodes + np.arange(n_edge_nodes)
+        # scalar dofs of every mesh edge (nE, k+1): end vertices, then nodes
+        self._edge_scalar_dofs = np.hstack([mesh.edges, edge_nodes])
+        edge = edge_nodes[mesh.tri_edges]
         flip = mesh.tri_edge_signs < 0
         edge[flip] = edge[flip][:, ::-1]
         interior = nV + nE * n_edge_nodes + np.arange(nT)[:, None] * n_int + np.arange(n_int)
@@ -344,40 +348,25 @@ class ShellModel:
         ns = self.num_scalar_dofs
         self.element_dofs = np.hstack([f * ns + self.element_scalar_dofs for f in range(5)])
 
-    def _scalar_dofs_of_edge(self, e):
-        mesh, k = self.mesh, self.config.order
-        n_edge_nodes = k - 1
-        dofs = list(mesh.edges[e])
-        base = mesh.num_vertices + e * n_edge_nodes
-        dofs.extend(range(base, base + n_edge_nodes))
-        return dofs
-
     def _apply_boundary_conditions(self):
-        ns = self.num_scalar_dofs
-        free = np.ones(self.num_dofs, dtype=bool)
-        axes = {"x": 0, "y": 1, "z": 2}
-        for name, eids in self.mesh.boundary_markers.items():
+        mesh = self.mesh
+        fixed = np.zeros((5, self.num_scalar_dofs), dtype=bool)  # (field, scalar dof)
+        for name in mesh.boundary_markers:
+            eids = mesh.edges_with_marker(name)
+            dofs = self._edge_scalar_dofs[eids]
             if name == "clamped":
-                for e in eids:
-                    for s in self._scalar_dofs_of_edge(e):
-                        for f in range(5):
-                            free[f * ns + s] = False
+                fixed[:, dofs] = True
             elif name.startswith("sym:"):
-                axis = axes[name.split(":")[1]]
-                nhat = np.zeros(3)
-                nhat[axis] = 1.0
-                for e in eids:
-                    mid = 0.5 * (self.mesh.vertices[self.mesh.edges[e][0]]
-                                 + self.mesh.vertices[self.mesh.edges[e][1]])
-                    F = self.chart.dphi(mid)
-                    Fdag = np.linalg.solve(F.T @ F, F.T)
-                    # rotation component whose contravariant direction
-                    # crosses the symmetry plane
-                    alpha = int(np.argmax(np.abs(Fdag @ nhat)))
-                    for s in self._scalar_dofs_of_edge(e):
-                        free[axis * ns + s] = False
-                        free[(3 + alpha) * ns + s] = False
-        self.free = free
+                axis = "xyz".index(name.split(":")[1])
+                mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
+                F = np.array([self.chart.dphi(p) for p in mid]).reshape(-1, 3, 2)
+                Fdag = np.linalg.solve(np.swapaxes(F, 1, 2) @ F, np.swapaxes(F, 1, 2))
+                # rotation component whose contravariant direction crosses
+                # the symmetry plane
+                alpha = np.argmax(np.abs(Fdag[:, :, axis]), axis=1)
+                fixed[axis, dofs] = True
+                fixed[3 + alpha[:, None], dofs] = True
+        self.free = ~fixed.ravel()
 
     # ------------------------------------------------------------------
     # element arrays: geometry, strain maps and forms
@@ -386,9 +375,9 @@ class ShellModel:
     def _build_element_arrays(self):
         """Tables shaped (element, point, ...) and the element forms.
 
-        Each element map is evaluated once, on the energy quadrature points
-        followed by the sampling points of the membrane and the shear
-        interpolation.  The strain maps hold, per energy point, the
+        The element map of the whole mesh is evaluated once, on the energy
+        quadrature points followed by the sampling points of the membrane
+        and the shear interpolation.  The strain maps hold, per energy point, the
         frame strain of every element dof: Gm (nT, nq, 3, 3n) on the
         displacements, Gb (nT, nq, 3, 2n) on the rotations and Gs
         (nT, nq, 2, 5n) on the full element vector.  Energies are evaluated
@@ -404,18 +393,17 @@ class ShellModel:
                                   for space in (op, ss)]
         points = np.vstack(groups)
         cuts = np.cumsum([len(p) for p in groups])[:-1]
-        self.maps = [ElementMap(mesh, self.chart, t, g) for t in range(nT)]
-        evals = [emap.evaluate(points) for emap in self.maps]
-        F_vol, F_op, _ = np.split(np.stack([ev.F for ev in evals]), cuts, axis=1)
-        nu_vol, _, nu_sh = np.split(np.stack([ev.nu for ev in evals]), cuts, axis=1)
-        J_vol = np.stack([ev.J[: len(rule.points)] for ev in evals])
+        self.map = ElementMap(mesh, self.chart, np.arange(nT), g)
+        ev = self.map.evaluate(points)
+        F_vol, F_op, _ = np.split(ev.F, cuts, axis=1)
+        nu_vol, _, nu_sh = np.split(ev.nu, cuts, axis=1)
+        J_vol = ev.J[:, : len(rule.points)]
         N_vol, _, N_sh = np.split(self.basis.eval(points), cuts)
         dN_vol, dN_op, dN_sh = np.split(self.basis.grad(points), cuts)
 
         self._wJ = rule.weights * J_vol
         self._N, self._nu = N_vol, nu_vol
-        control = np.stack([emap.control_points for emap in self.maps])
-        self._X = lagrange_basis(g).eval(rule.points) @ control
+        self._X = lagrange_basis(g).eval(rule.points) @ self.map.control_points
         self._T, Gt = _frame_maps(tangent_frame(F_vol)[1])
         verts = mesh.vertices[mesh.triangles]
         # affine reference -> chart-parameter Jacobian; rotation dofs are
@@ -598,18 +586,23 @@ class ShellModel:
         return f
 
     def _add_edge_moments(self, f, marker, moment):
+        """Add the work of an edge moment density on the marked edges,
+        batched over the marked (triangle, local edge) pairs."""
         m = 3 * self.basis.num_shapes
         seg = segment_rule(self.deg_dual)
-        geo_basis = lagrange_basis(self.config.geometry_order)
-        marked = np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker))
-        for t, le in zip(*np.nonzero(marked)):
-            emap = self.maps[t]
-            _, length = edge_tangent(le)
-            pts = edge_point(le, seg.points)
-            w = seg.weights * (length / 2.0) * emap.evaluate(pts).Jb(le)
-            M = np.array([moment(X) for X in geo_basis.eval(pts) @ emap.control_points])
-            fe = np.einsum("q,qb,qs->bs", w, M, self.basis.eval(pts))
-            f[self.element_dofs[t, m:]] += fe.ravel()
+        nq = len(seg.points)
+        t, le = np.nonzero(np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker)))
+        tangents, lengths = map(np.array, zip(*[edge_tangent(e) for e in range(3)]))
+        pts = np.vstack([edge_point(e, seg.points) for e in range(3)])
+        rows = le[:, None] * nq + np.arange(nq)  # rows of pts on each pair's edge
+        F = self.map.evaluate(pts).F[t[:, None], rows]  # (pair, nq, 3, 2)
+        Jb = np.linalg.norm((F @ tangents[le, None, :, None])[..., 0], axis=-1)
+        w = seg.weights * (lengths[le, None] / 2.0) * Jb
+        geo = lagrange_basis(self.config.geometry_order).eval(pts)
+        X = geo[rows] @ self.map.control_points[t]
+        M = np.array([moment(x) for x in X.reshape(-1, 3)]).reshape(len(t), nq, 2)
+        fe = np.einsum("pq,pqb,pqs->pbs", w, M, self.basis.eval(pts)[rows])
+        np.add.at(f, self.element_dofs[t, m:], fe.reshape(len(t), -1))
         return f
 
     def solve(self, loads=None, x0=None):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reggeshell import bench
 from reggeshell.bench import (
     CSV_COLUMNS,
     BenchmarkConfig,
@@ -12,7 +13,7 @@ from reggeshell.bench import (
     emit_table,
     run_benchmark,
 )
-from reggeshell.geometry import ConfigurationError
+from reggeshell.geometry import BENCHMARK_NAMES, ConfigurationError
 
 
 def sample_row(**overrides):
@@ -94,6 +95,9 @@ class TestConfig:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("moebius_strip")
+
+    def test_every_benchmark_has_one_run(self):
+        assert set(bench._RUNS) == set(BENCHMARK_NAMES)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,6 @@ from reggeshell.elements import GeometryError, lagrange_basis
 from reggeshell.geometry import (
     ConfigurationError,
     ElementMap,
-    element_map_at,
     flat_chart,
     make_benchmark_mesh,
     tangent_frame,
@@ -21,20 +20,20 @@ INTERIOR_POINTS = [(-0.2, 0.3), (0.1, 0.1), (0.4, 0.25)]
 class TestFlatMaps:
     def test_identity_chart_affine(self):
         m = build_mesh([(-1, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-        ev = element_map_at(m, flat_chart(), 0, 1, (0.0, 0.3))
+        ev = ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.3))
         assert np.allclose(ev.F, np.eye(2), atol=1e-14)
         assert ev.J == pytest.approx(1.0, abs=1e-14)
 
     def test_scaled_triangle_jacobian(self):
         m = build_mesh([(-2, 0), (2, 0), (0, 2)], [(0, 1, 2)])
-        ev = element_map_at(m, flat_chart(), 0, 1, (0.0, 0.2))
+        ev = ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.2))
         assert ev.J == pytest.approx(4.0, abs=1e-13)
         assert np.allclose(ev.Fdag, np.linalg.inv(ev.F), atol=1e-13)
 
     def test_degenerate_triangle_raises(self):
         m = build_mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
         with pytest.raises(GeometryError):
-            element_map_at(m, flat_chart(), 0, 1, (0.0, 0.2))
+            ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.2))
 
 
 class TestSurfaceMaps:
@@ -97,6 +96,28 @@ class TestBatchedKernel:
                 ref = np.array(ref)
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_whole_mesh_map_matches_per_triangle_maps(self, order):
+        mesh, chart = make_benchmark_mesh("hyperboloid", 1)
+        points = triangle_rule(6).points
+        whole = ElementMap(mesh, chart, np.arange(mesh.num_triangles), order)
+        ev = whole.evaluate(points)
+        maps = [ElementMap(mesh, chart, t, order) for t in range(mesh.num_triangles)]
+        evals = [emap.evaluate(points) for emap in maps]
+        assert np.array_equal(whole.control_points,
+                              np.stack([emap.control_points for emap in maps]))
+        for name in ("F", "J", "nu"):
+            assert np.array_equal(getattr(ev, name),
+                                  np.stack([getattr(e, name) for e in evals]))
+
+    def test_whole_mesh_map_at_one_point(self):
+        mesh, chart = make_benchmark_mesh("hyperboloid")
+        nT = mesh.num_triangles
+        ev = ElementMap(mesh, chart, np.arange(nT), 2).evaluate((0.1, 0.2))
+        assert ev.F.shape == (nT, 3, 2) and ev.Fdag.shape == (nT, 2, 3)
+        assert ev.J.shape == (nT,)
+        assert ev.nu.shape == (nT, 3) and ev.Ptau.shape == (nT, 3, 3)
 
     def test_single_point_keeps_unbatched_shapes(self):
         mesh, chart = make_benchmark_mesh("hyperboloid")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from reggeshell.elements import barycentric
-from reggeshell.geometry import flat3_chart, make_benchmark_mesh
+from reggeshell.elements import barycentric, edge_point, edge_tangent, lagrange_basis
+from reggeshell.geometry import ElementMap, flat3_chart, make_benchmark_mesh
 from reggeshell.mesh import rectangle_mesh
+from reggeshell.quadrature import segment_rule
 from reggeshell.shell import (
     REF_VERTICES,
     SHEAR_STABILIZATION,
@@ -229,7 +230,7 @@ class TestBoundaryConditions:
         clamped = mesh.edges_with_marker("clamped")
         assert len(clamped) > 0
         for e in clamped:
-            for s in model._scalar_dofs_of_edge(e):
+            for s in model._edge_scalar_dofs[e]:
                 for f in range(5):
                     assert not model.free[f * ns + s]
 
@@ -239,7 +240,7 @@ class TestBoundaryConditions:
         ns = model.num_scalar_dofs
         for e in mesh.edges_with_marker("sym:x"):
             # skip the endpoint vertices, which may sit on other marked edges
-            for s in model._scalar_dofs_of_edge(e)[2:]:
+            for s in model._edge_scalar_dofs[e][2:]:
                 assert not model.free[0 * ns + s]   # u_x fixed
                 assert model.free[1 * ns + s]       # u_y free
                 assert model.free[2 * ns + s]       # u_z free
@@ -247,19 +248,14 @@ class TestBoundaryConditions:
     def test_free_edges_unconstrained(self):
         model = cylinder_model()
         mesh = model.mesh
-        ns = model.num_scalar_dofs
-        sym_or_clamped = set()
-        for name, eids in mesh.boundary_markers.items():
+        constrained = set()
+        for name in mesh.boundary_markers:
             if name != "free":
-                sym_or_clamped.update(eids)
-        for e in mesh.edges_with_marker("free"):
-            if e in sym_or_clamped:
-                continue
-            for s in model._scalar_dofs_of_edge(e):
-                # a node can still be shared with a constrained edge corner
-                pass
-        # at least some dofs remain free overall
-        assert model.free.sum() > 0
+                constrained.update(model._edge_scalar_dofs[mesh.edges_with_marker(name)].flat)
+        # a free edge's corner can still sit on a constrained edge
+        dofs = set(model._edge_scalar_dofs[mesh.edges_with_marker("free")].flat) - constrained
+        assert len(dofs) > 0
+        assert model.free.reshape(5, -1)[:, sorted(dofs)].all()
 
 
 class TestSolve:
@@ -351,3 +347,47 @@ class TestEvaluation:
         model = cylinder_model()
         with pytest.raises(ValueError):
             model.locate((100.0, 100.0))
+
+
+class TestWholeMeshMap:
+    def test_model_evaluates_its_element_map_once(self, monkeypatch):
+        # a guard against per-element geometry loops in the model set-up
+        calls = []
+        evaluate = ElementMap.evaluate
+
+        def counted(emap, points):
+            calls.append(points)
+            return evaluate(emap, points)
+
+        monkeypatch.setattr(ElementMap, "evaluate", counted)
+        mesh, chart = make_benchmark_mesh("hyperboloid", 2)
+        ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2,
+                                                 membrane_reduction="regge"))
+        assert len(calls) == 1
+
+    def test_edge_moments_match_per_element_loop(self):
+        mesh, chart = make_benchmark_mesh("hemisphere", 1)
+        model = ShellModel(mesh, chart, MAT,
+                           ShellConfig(thickness=0.1, order=3, geometry_order=2))
+
+        def moment(X):
+            return np.array([X[0] + X[2] ** 2, np.sin(X[1])])
+
+        f = model.load_vector(LoadSpec(edge_moments={"clamped": moment}))
+        # the same load, one marked (triangle, local edge) pair at a time
+        ref = np.zeros(model.num_dofs)
+        seg = segment_rule(model.deg_dual)
+        m = 3 * model.basis.num_shapes
+        marked = np.isin(mesh.tri_edges, mesh.edges_with_marker("clamped"))
+        assert set(np.nonzero(marked)[1]) == {0, 2}
+        for t, le in zip(*np.nonzero(marked)):
+            emap = ElementMap(mesh, chart, t, 2)
+            _, length = edge_tangent(le)
+            pts = edge_point(le, seg.points)
+            w = seg.weights * (length / 2.0) * emap.evaluate(pts).Jb(le)
+            X = lagrange_basis(2).eval(pts) @ emap.control_points
+            M = np.array([moment(x) for x in X])
+            fe = np.einsum("q,qb,qs->bs", w, M, model.basis.eval(pts))
+            ref[model.element_dofs[t, m:]] += fe.ravel()
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
