@@ -5,7 +5,6 @@ Reference triangle: V1 = (-1, 0), V2 = (1, 0), V3 = (0, 1).  Symmetric
 Frobenius product of two such triples is a11*b11 + a22*b22 + 2*a12*b12.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +14,6 @@ from .polynomials import eval_dubiner, eval_integrated_jacobi_scaled
 __all__ = [
     "REF_VERTICES",
     "BARY_GRADS",
-    "SymMatrix2",
     "LagrangeBasis",
     "ReggeBasis",
     "barycentric",
@@ -34,25 +32,6 @@ BARY_GRADS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.0, 1.0]])
 
 # local edges as vertex index pairs, matching mesh.LOCAL_EDGES
 EDGE_VERTS = ((0, 1), (0, 2), (1, 2))
-
-
-@dataclass(frozen=True)
-class SymMatrix2:
-    """Pointwise value of a symmetric 2x2 tensor field."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    def as_matrix(self):
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    def as_voigt(self):
-        return np.array([self.a11, self.a22, self.a12])
-
-    @staticmethod
-    def from_voigt(v):
-        return SymMatrix2(float(v[0]), float(v[2]), float(v[1]))
 
 
 def barycentric(points):
@@ -160,11 +139,6 @@ def lagrange_basis(k):
     return LagrangeBasis(k)
 
 
-def lagrange_shapes_eval(k, point):
-    """Nodal basis values at one reference point."""
-    return lagrange_basis(k).eval(np.atleast_2d(point))[0]
-
-
 class ReggeBasis:
     """Edge and cell shape functions of the order-k symmetric tensor element.
 
@@ -218,12 +192,6 @@ def regge_basis(k):
     return ReggeBasis(k)
 
 
-def regge_shapes_eval(k, point):
-    """Values of all order-k shapes at one reference point as SymMatrix2."""
-    vals = regge_basis(k).eval(np.atleast_2d(point))[0]
-    return [SymMatrix2.from_voigt(v) for v in vals]
-
-
 # --- edge parametrizations of the reference triangle ----------------------
 
 def edge_point(edge, t):
@@ -251,13 +219,14 @@ class GeometryError(Exception):
 
 
 def pseudo_inverse(F):
-    """Moore-Penrose pseudo-inverse of a rank-2 gradient (2x2 or dx2)."""
+    """Moore-Penrose pseudo-inverse (..., 2, d) of rank-2 gradients F (..., d, 2)."""
     F = np.asarray(F, dtype=float)
-    G = F.T @ F
-    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-    if det <= 1e-28:
+    Ft = np.swapaxes(F, -1, -2)
+    G = Ft @ F
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+    if np.any(det <= 1e-28):
         raise GeometryError("rank-deficient element gradient")
-    return np.linalg.solve(G, F.T)
+    return np.linalg.solve(G, Ft)
 
 
 def covariant_pullback(F, sigma_ref):

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import mesh as meshmod
-from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis
+from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis, pseudo_inverse
 
 __all__ = [
     "ChartGeometry",
@@ -76,8 +76,7 @@ class MapEvaluation:
     @property
     def Fdag(self):
         """Moore-Penrose pseudo-inverse of F, (..., 2, dim)."""
-        Ft = np.swapaxes(self.F, -1, -2)
-        return np.linalg.solve(Ft @ self.F, Ft)
+        return pseudo_inverse(self.F)
 
     @property
     def Ptau(self):

@@ -14,32 +14,26 @@ shear strain may analogously be interpolated into a tangential-continuous
 edge element space.
 
 Element data are arrays shaped (element, point, ...): geometry tables at the
-energy quadrature points and at the sampling points of the two
-interpolations, and the strain-displacement maps built from them.  One
-element map covers the whole mesh and is evaluated once per model.  Because
-the dual mass matrix is geometry free, the Regge strain maps of all elements
-come from one dual-mass solve whose right-hand side has one column per
-(element, dof) pair; the shear projection is batched the same way.
+energy quadrature points and at the sampling points of the interpolations,
+and the strain-displacement maps built from them.  One element map covers
+the whole mesh and is evaluated once per model.  Both interpolations, and
+the edge load, sample on the same reference moment rule
+(``interpolation.moment_rule``), so one set of sampling points serves both
+reductions.  Because the dual mass matrix is geometry free, the Regge strain
+maps of all elements come from one ``interpolate`` call whose dual-mass
+solve has one column per (element, dof) pair; the shear projection is
+batched the same way.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .assembly import SolverError, SparsityPattern, assemble, factor_solve
-from .elements import (
-    BARY_GRADS,
-    EDGE_VERTS,
-    REF_VERTICES,
-    barycentric,
-    edge_point,
-    edge_tangent,
-    lagrange_basis,
-)
+from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
 from .geometry import ElementMap, tangent_frame
-from .interpolation import get_operator
-from .quadrature import segment_rule, triangle_rule
+from .interpolation import get_operator, get_shear_space, moment_rule
+from .quadrature import triangle_rule
 
 __all__ = [
     "MaterialParams",
@@ -121,18 +115,11 @@ class LoadSpec:
 
 
 class ShellState:
-    """Global coefficient vector with a displacement view."""
+    """Global coefficient vector of a model."""
 
     def __init__(self, model, vector=None):
         self.model = model
         self.vector = np.zeros(model.num_dofs) if vector is None else np.asarray(vector, float)
-
-    @property
-    def displacement(self):
-        return self.vector[: 3 * self.model.num_scalar_dofs].reshape(3, -1)
-
-    def copy(self):
-        return ShellState(self.model, self.vector.copy())
 
 
 def _frame_maps(R):
@@ -181,107 +168,12 @@ def _gram(wJ, G, D=None):
     return np.swapaxes(G.reshape(nT, -1, m), 1, 2) @ rows
 
 
-class _ShearSpace:
-    """Tangential-continuous edge element space of order p = k - 1 used for
-    the shear reduction, with edge-moment matched projection.
-
-    For p = 0 the lowest-order rotated Whitney space is used (three shapes,
-    one tangential moment per edge).  For p >= 1 the local space is the full
-    vector polynomial space of degree p; the 3(p+1) edge moments are matched
-    exactly and the remaining freedom is fixed by least squares in L2."""
-
-    def __init__(self, p, quad_degree):
-        from .polynomials import eval_legendre
-
-        self.p = p
-        seg = segment_rule(quad_degree)
-        self.edge_points = [edge_point(e, seg.points) for e in range(3)]
-        self.edge_tangents = [edge_tangent(e)[0] for e in range(3)]
-        n_mom = max(p, 0) + 1 if p >= 1 else 1
-        self.edge_weights = []
-        for e in range(3):
-            _, length = edge_tangent(e)
-            leg = np.array([eval_legendre(l, seg.points) for l in range(n_mom)])
-            self.edge_weights.append(leg * seg.weights * (length / 2.0))
-        tri = triangle_rule(quad_degree)
-        self.vol_points = tri.points
-        self.vol_weights = tri.weights
-        self.points = np.vstack(self.edge_points + [self.vol_points])
-
-        if p == 0:
-            self.num_shapes = 3
-        else:
-            self.exps = [(a, b) for tot in range(p + 1)
-                         for a in range(tot, -1, -1) for b in (tot - a,)]
-            self.num_shapes = 2 * len(self.exps)
-
-        E = self._edge_moments_of_shapes()
-        if p == 0 or E.shape[0] == E.shape[1]:
-            self._proj_edge = np.linalg.inv(E)
-            self._proj_vol = None
-        else:
-            # KKT system of the constrained L2 fit
-            phi = self.shapes(self.vol_points)  # (nq, ns, 2)
-            M = np.einsum("q,qsd,qtd->st", self.vol_weights, phi, phi)
-            ns, nc = E.shape[1], E.shape[0]
-            KKT = np.zeros((ns + nc, ns + nc))
-            KKT[:ns, :ns] = M
-            KKT[:ns, ns:] = E.T
-            KKT[ns:, :ns] = E
-            inv = np.linalg.inv(KKT)
-            self._proj_vol = inv[:ns, :ns]   # applied to the L2 load vector
-            self._proj_edge = inv[:ns, ns:]  # applied to the edge moments
-
-    def shapes(self, points):
-        pts = np.atleast_2d(points)
-        if self.p == 0:
-            lam = barycentric(pts)
-            out = np.zeros((len(pts), 3, 2))
-            for s, (i, j) in enumerate(EDGE_VERTS):
-                out[:, s, :] = (
-                    lam[:, i, None] * BARY_GRADS[j][None, :]
-                    - lam[:, j, None] * BARY_GRADS[i][None, :]
-                )
-            return out
-        out = np.zeros((len(pts), self.num_shapes, 2))
-        for m, (a, b) in enumerate(self.exps):
-            mono = pts[:, 0] ** a * pts[:, 1] ** b
-            out[:, 2 * m, 0] = mono
-            out[:, 2 * m + 1, 1] = mono
-        return out
-
-    def _edge_moments_of_shapes(self):
-        rows = []
-        for e in range(3):
-            t = self.edge_tangents[e]
-            vals = self.shapes(self.edge_points[e])  # (nq, ns, 2)
-            tang = vals @ t
-            rows.append(self.edge_weights[e] @ tang)
-        return np.vstack(rows)
-
-    def project_matrix(self, edge_B, vol_B):
-        """Projection of a dof-linear field given by its value tables.
-
-        edge_B[e]: (nq_e, 2, n) covariant values at the edge points;
-        vol_B: (nq_v, 2, n) values at the volume points.
-        Returns coefficients (num_shapes, n).
-        """
-        moments = []
-        for e in range(3):
-            tang = np.einsum("d,qdn->qn", self.edge_tangents[e], edge_B[e])
-            moments.append(self.edge_weights[e] @ tang)
-        f = np.vstack(moments)
-        coeff = self._proj_edge @ f
-        if self._proj_vol is not None:
-            phi = self.shapes(self.vol_points)
-            b = np.einsum("q,qsd,qdn->sn", self.vol_weights, phi, vol_B)
-            coeff = coeff + self._proj_vol @ b
-        return coeff
-
-
-@lru_cache(maxsize=None)
-def _shear_space(p, quad_degree):
-    return _ShearSpace(p, quad_degree)
+def _reduced_map(space, shapes, B):
+    """Interpolate point maps B (nT, P, c, m) given at ``space.points`` and
+    evaluate the result with the space's shape values (nq, n, c') at the
+    energy points: (nT, nq, c', m)."""
+    coeff = space.interpolate(np.moveaxis(B, 0, 2))
+    return np.einsum("qrc,rtj->tqcj", shapes, coeff)
 
 
 class ShellModel:
@@ -307,12 +199,14 @@ class ShellModel:
         self.deg_energy = 4 * k + 2 * (g - 1)
         self.deg_dual = 2 * k + 2 * (g - 1) + 2
         self._rule = triangle_rule(self.deg_energy)
+        # sampling points of both reductions and of the edge load
+        self._moments = moment_rule(k, self.deg_dual)
         if config.membrane_reduction == "regge":
             self.operator = get_operator(k - 1, self.deg_dual)
         else:
             self.operator = None
         if config.shear_reduction == "edge_tangential":
-            self.shear_space = _shear_space(k - 1, self.deg_dual)
+            self.shear_space = get_shear_space(k - 1, self.deg_dual)
         else:
             self.shear_space = None
 
@@ -360,7 +254,7 @@ class ShellModel:
                 axis = "xyz".index(name.split(":")[1])
                 mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
                 F = np.array([self.chart.dphi(p) for p in mid]).reshape(-1, 3, 2)
-                Fdag = np.linalg.solve(np.swapaxes(F, 1, 2) @ F, np.swapaxes(F, 1, 2))
+                Fdag = pseudo_inverse(F)
                 # rotation component whose contravariant direction crosses
                 # the symmetry plane
                 alpha = np.argmax(np.abs(Fdag[:, :, axis]), axis=1)
@@ -376,35 +270,30 @@ class ShellModel:
         """Tables shaped (element, point, ...) and the element forms.
 
         The element map of the whole mesh is evaluated once, on the energy
-        quadrature points followed by the sampling points of the membrane
-        and the shear interpolation.  The strain maps hold, per energy point, the
-        frame strain of every element dof: Gm (nT, nq, 3, 3n) on the
-        displacements, Gb (nT, nq, 3, 2n) on the rotations and Gs
-        (nT, nq, 2, 5n) on the full element vector.  Energies are evaluated
-        point-wise from these maps so that states in the strain kernel give
-        energies at squared round-off level.  The forms Am, Ab, As are the
-        quadratic membrane, bending and shear element matrices without
-        thickness factors.
+        quadrature points followed, if either reduction is on, by the points
+        of the moment rule that both interpolations sample.  The strain maps
+        hold, per energy point, the frame strain of every element dof: Gm
+        (nT, nq, 3, 3n) on the displacements, Gb (nT, nq, 3, 2n) on the
+        rotations and Gs (nT, nq, 2, 5n) on the full element vector.
+        Energies are evaluated point-wise from these maps so that states in
+        the strain kernel give energies at squared round-off level.  The
+        forms Am, Ab, As are the quadratic membrane, bending and shear
+        element matrices without thickness factors.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
         g = self.config.geometry_order
-        nT = mesh.num_triangles
-        groups = [rule.points] + [np.empty((0, 2)) if space is None else space.points
-                                  for space in (op, ss)]
-        points = np.vstack(groups)
-        cuts = np.cumsum([len(p) for p in groups])[:-1]
+        nT, nq = mesh.num_triangles, len(rule.points)
+        points = rule.points
+        if op is not None or ss is not None:
+            points = np.vstack([points, self._moments.points])
         self.map = ElementMap(mesh, self.chart, np.arange(nT), g)
         ev = self.map.evaluate(points)
-        F_vol, F_op, _ = np.split(ev.F, cuts, axis=1)
-        nu_vol, _, nu_sh = np.split(ev.nu, cuts, axis=1)
-        J_vol = ev.J[:, : len(rule.points)]
-        N_vol, _, N_sh = np.split(self.basis.eval(points), cuts)
-        dN_vol, dN_op, dN_sh = np.split(self.basis.grad(points), cuts)
+        F, nu, N, dN = ev.F, ev.nu, self.basis.eval(points), self.basis.grad(points)
 
-        self._wJ = rule.weights * J_vol
-        self._N, self._nu = N_vol, nu_vol
+        self._wJ = rule.weights * ev.J[:, :nq]
+        self._N, self._nu = N[:nq], nu[:, :nq]
         self._X = lagrange_basis(g).eval(rule.points) @ self.map.control_points
-        self._T, Gt = _frame_maps(tangent_frame(F_vol)[1])
+        self._T, Gt = _frame_maps(tangent_frame(F[:, :nq])[1])
         verts = mesh.vertices[mesh.triangles]
         # affine reference -> chart-parameter Jacobian; rotation dofs are
         # chart-covariant, strains are formed in reference coordinates
@@ -412,34 +301,24 @@ class ShellModel:
         sides = verts[:, [1, 2, 2]] - verts[:, [0, 0, 1]]
         self.h2 = np.max(np.sum(sides * sides, axis=-1), axis=1)
 
+        # a reduced strain is sampled at the moment rule, then interpolated
         if op is None:
-            self._green_tables = (F_vol, dN_vol)
-            self._Gm = self._T @ _strain_B(F_vol, dN_vol)
+            self._green_tables = (F[:, :nq], dN[:nq])
+            self._Gm = self._T @ _strain_B(*self._green_tables)
         else:
-            self._green_tables = (F_op, dN_op)
+            self._green_tables = (F[:, nq:], dN[nq:])
             self._S = op.basis.eval(rule.points)
-            coeff = self._regge_coefficients(_strain_B(F_op, dN_op))
-            self._Gm = self._T @ np.einsum("qrc,rtj->tqcj", self._S, coeff)
-        self._Gb = self._T @ _strain_B(A[:, None], dN_vol)
+            self._Gm = self._T @ _reduced_map(op, self._S, _strain_B(*self._green_tables))
+        self._Gb = self._T @ _strain_B(A[:, None], dN[:nq])
         if ss is None:
-            self._Gs = Gt @ _shear_B(nu_vol, A, N_vol, dN_vol)
+            self._Gs = Gt @ _shear_B(nu[:, :nq], A, N[:nq], dN[:nq])
         else:
-            Bs = np.moveaxis(_shear_B(nu_sh, A, N_sh, dN_sh), 0, 2)
-            *edge_B, vol_B = np.split(Bs.reshape(len(ss.points), 2, -1),
-                                      np.cumsum([len(p) for p in ss.edge_points]))
-            coeff = ss.project_matrix(edge_B, vol_B).reshape(ss.num_shapes, nT, -1)
-            self._Gs = Gt @ np.einsum("qsd,ste->tqde", ss.shapes(rule.points), coeff)
+            Bs = _shear_B(nu[:, nq:], A, N[nq:], dN[nq:])
+            self._Gs = Gt @ _reduced_map(ss, ss.shapes(rule.points), Bs)
 
         self._Am = _gram(self._wJ, self._Gm, self.D)
         self._Ab = _gram(self._wJ, self._Gb, self.D)
         self._As = self.Gshear * _gram(self._wJ, self._Gs)
-
-    def _regge_coefficients(self, vals):
-        """Regge interpolation of element tables (nT, P, 3, ...) given at the
-        operator's points: coefficients (n_regge, nT, ...) from one solve."""
-        op = self.operator
-        f = op.functionals(np.moveaxis(vals, 0, 2))
-        return op.dual_mass.solve(f.reshape(len(f), -1)).reshape(f.shape)
 
     # ------------------------------------------------------------------
     # energies
@@ -465,7 +344,8 @@ class ShellModel:
         C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
         E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
         if self.operator is not None:
-            E = np.einsum("qrc,rt->tqc", self._S, self._regge_coefficients(E))
+            coeff = self.operator.interpolate(np.moveaxis(E, 0, 2))
+            E = np.einsum("qrc,rt->tqc", self._S, coeff)
         return np.einsum("tqab,tqb->tqa", self._T, E), Fd
 
     def membrane_energy(self, x):
@@ -589,15 +469,15 @@ class ShellModel:
         """Add the work of an edge moment density on the marked edges,
         batched over the marked (triangle, local edge) pairs."""
         m = 3 * self.basis.num_shapes
-        seg = segment_rule(self.deg_dual)
-        nq = len(seg.points)
+        mr = self._moments
+        nq = mr.edge_points.shape[1]
         t, le = np.nonzero(np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker)))
-        tangents, lengths = map(np.array, zip(*[edge_tangent(e) for e in range(3)]))
-        pts = np.vstack([edge_point(e, seg.points) for e in range(3)])
+        pts = mr.edge_points.reshape(-1, 2)
         rows = le[:, None] * nq + np.arange(nq)  # rows of pts on each pair's edge
         F = self.map.evaluate(pts).F[t[:, None], rows]  # (pair, nq, 3, 2)
-        Jb = np.linalg.norm((F @ tangents[le, None, :, None])[..., 0], axis=-1)
-        w = seg.weights * (lengths[le, None] / 2.0) * Jb
+        Jb = np.linalg.norm((F @ mr.tangents[le, None, :, None])[..., 0], axis=-1)
+        # the Legendre moment of degree 0 is the plain edge quadrature
+        w = mr.edge_weights[le, 0] * Jb
         geo = lagrange_basis(self.config.geometry_order).eval(pts)
         X = geo[rows] @ self.map.control_points[t]
         M = np.array([moment(x) for x in X.reshape(-1, 3)]).reshape(len(t), nq, 2)

@@ -353,3 +353,46 @@ class TestDeterminism:
             return run_benchmark(config).to_csv().encode()
 
         assert one_run() == one_run()
+
+
+@lru_cache(maxsize=None)
+def membrane_rank(name, level, k, regge):
+    """Rank of the linearized membrane form on the displacement block, with
+    no boundary conditions; also returns the entity counts (nE, nT, ns)."""
+    mesh, chart = make_benchmark_mesh(name, level)
+    cfg = ShellConfig(thickness=0.1, order=k, shear_reduction="none",
+                      membrane_reduction="regge" if regge else "none")
+    model = ShellModel(mesh, chart, MAT, cfg)
+    n = 3 * model.num_scalar_dofs
+    dofs = model.element_dofs[:, : 3 * model.basis.num_shapes]
+    K = np.zeros((n, n))
+    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), model._Am)
+    s = np.linalg.svd(K, compute_uv=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return rank, (mesh.num_edges, mesh.num_triangles, model.num_scalar_dofs)
+
+
+class TestMembraneConstraintCount:
+    # the paper's claim: Regge interpolation weakens the membrane constraints
+    # to the dimension of the tangential-continuous Regge space of order k-1
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["hyperboloid", "hemisphere", "cylinder"])
+    def test_regge_rank_is_regge_space_dimension(self, name, level, k):
+        rank, (nE, nT, _) = membrane_rank(name, level, k, True)
+        assert rank == k * nE + 3 * k * (k - 1) // 2 * nT
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["hyperboloid", "hemisphere"])
+    def test_unreduced_rank_leaves_only_rigid_kernel(self, name, level, k):
+        rank, (_, _, ns) = membrane_rank(name, level, k, False)
+        assert rank == 3 * ns - 6
+
+    # at k = 1 the unreduced form already has the rank of the Regge space
+    # of order 0 (one constraint per edge), not the dof count minus six
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["hyperboloid", "hemisphere", "cylinder"])
+    def test_lowest_order_ranks_agree(self, name, level):
+        unreduced, _ = membrane_rank(name, level, 1, False)
+        assert unreduced == membrane_rank(name, level, 1, True)[0]

@@ -5,15 +5,14 @@ from reggeshell.elements import (
     BARY_GRADS,
     GeometryError,
     LagrangeBasis,
-    SymMatrix2,
     barycentric,
     covariant_pullback,
     dual_volume_pullback,
     edge_point,
     edge_tangent,
-    lagrange_shapes_eval,
+    lagrange_basis,
+    pseudo_inverse,
     regge_basis,
-    regge_shapes_eval,
     sym_dyad,
     voigt_to_matrix,
 )
@@ -29,7 +28,7 @@ def tt_trace_on_edge(shape_voigt, edge):
 
 class TestLagrange:
     def test_kronecker_at_vertices(self):
-        vals = lagrange_shapes_eval(1, (1.0, 0.0))
+        vals = lagrange_basis(1).eval(np.atleast_2d((1.0, 0.0)))[0]
         assert np.allclose(vals, [0, 1, 0], atol=1e-14)
 
     def test_partition_of_unity(self):
@@ -60,10 +59,10 @@ class TestLagrange:
 
 class TestReggeShapes:
     def test_lowest_order_constant_shape(self):
-        shapes = regge_shapes_eval(0, (0.05, 0.2))
+        shapes = regge_basis(0).eval(np.atleast_2d((0.05, 0.2)))[0]
         assert len(shapes) == 3
         # E12 shape is the constant diag(-1/4, 1/4)
-        assert np.allclose(shapes[0].as_matrix(), np.diag([-0.25, 0.25]), atol=1e-14)
+        assert np.allclose(voigt_to_matrix(shapes[0]), np.diag([-0.25, 0.25]), atol=1e-14)
 
     def test_dimension_formula(self):
         for k in range(5):
@@ -130,6 +129,16 @@ class TestPullbacks:
         with pytest.raises(GeometryError):
             covariant_pullback(F, np.array([1.0, 0.0, 0.0]))
 
+    def test_batched_pseudo_inverse(self):
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((4, 5, 3, 2))
+        Fd = pseudo_inverse(F)
+        assert Fd.shape == (4, 5, 2, 3)
+        assert np.allclose(Fd @ F, np.eye(2), atol=1e-12)
+        F[2, 1] = [[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]
+        with pytest.raises(GeometryError):
+            pseudo_inverse(F)
+
     def test_result_symmetric_on_surface(self):
         mesh, chart = make_benchmark_mesh("cylinder")
         ev = ElementMap(mesh, chart, 0, 2).evaluate((0.1, 0.2))
@@ -186,9 +195,3 @@ def voigt_to_matrix_3(v):
 def matrix_to_voigt2(m):
     return np.array([m[0, 0], m[1, 1], m[0, 1]])
 
-
-class TestSymMatrix2:
-    def test_roundtrip(self):
-        s = SymMatrix2(1.0, 0.5, 2.0)
-        assert SymMatrix2.from_voigt(s.as_voigt()) == s
-        assert np.allclose(s.as_matrix(), s.as_matrix().T)

@@ -200,8 +200,8 @@ class TestThreeField:
 
         k = 2
         op = get_operator(k)
-        nq = len(op.vol_points)
-        weights = op.vol_weights.copy()
+        nq = len(op.rule.vol_points)
+        weights = op.rule.vol_weights.copy()
         frames = np.tile(np.eye(3), (nq, 1, 1))
         material = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.4]])
 
@@ -213,7 +213,7 @@ class TestThreeField:
         e_condensed = condensed_membrane_energy(A, op.dual_mass, f)
 
         alpha = op.interpolate(field)
-        vals = op.evaluate(alpha, op.vol_points)
+        vals = op.evaluate(alpha, op.rule.vol_points)
         # the material matrix encodes the full Voigt inner product used in A
         direct = sum(weights[q] * vals[q] @ material @ vals[q] for q in range(nq))
         assert e_condensed == pytest.approx(direct, rel=1e-10)
@@ -222,8 +222,8 @@ class TestThreeField:
         from reggeshell.interpolation import condensed_membrane_energy, three_field_blocks
 
         op = get_operator(1)
-        nq = len(op.vol_points)
-        A, M = three_field_blocks(op, op.vol_weights, np.tile(np.eye(3), (nq, 1, 1)),
+        nq = len(op.rule.vol_points)
+        A, M = three_field_blocks(op, op.rule.vol_weights, np.tile(np.eye(3), (nq, 1, 1)),
                                   np.eye(3))
         f = np.zeros(op.num_dofs)
         assert condensed_membrane_energy(A, op.dual_mass, f) == 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from reggeshell.elements import barycentric, edge_point, edge_tangent, lagrange_basis
 from reggeshell.geometry import ElementMap, flat3_chart, make_benchmark_mesh
+from reggeshell.interpolation import ShearSpace
 from reggeshell.mesh import rectangle_mesh
 from reggeshell.quadrature import segment_rule
 from reggeshell.shell import (
@@ -12,7 +13,6 @@ from reggeshell.shell import (
     MaterialParams,
     ShellConfig,
     ShellModel,
-    _ShearSpace,
     material_norm_sq,
 )
 
@@ -214,11 +214,8 @@ def scalar_node_positions(model):
 class TestShearSpace:
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_projection_reproduces_own_shapes(self, p):
-        ss = _ShearSpace(p, 10)
-        edge_B = [np.transpose(ss.shapes(ss.edge_points[e]), (0, 2, 1))
-                  for e in range(3)]
-        vol_B = np.transpose(ss.shapes(ss.vol_points), (0, 2, 1))
-        coeff = ss.project_matrix(edge_B, vol_B)
+        ss = ShearSpace(p, 10)
+        coeff = ss.interpolate(np.moveaxis(ss.shapes(ss.points), 1, 2))
         assert np.allclose(coeff, np.eye(ss.num_shapes), atol=1e-10)
 
 
