@@ -84,7 +84,6 @@ class SparseSymMatrix:
 
     def __init__(self, pattern, data):
         self.pattern = pattern
-        self.free = pattern.free
         n = pattern.n_dofs
         self.matrix = scipy.sparse.csr_matrix(
             (data, pattern.indices, pattern.indptr), shape=(n, n))

@@ -78,13 +78,6 @@ class MapEvaluation:
         """Moore-Penrose pseudo-inverse of F, (..., 2, dim)."""
         return pseudo_inverse(self.F)
 
-    @property
-    def Ptau(self):
-        """Tangent-plane projector (..., 3, 3) (surface case) or None."""
-        if self.nu is None:
-            return None
-        return np.eye(3) - self.nu[..., :, None] * self.nu[..., None, :]
-
     def Jb(self, edge):
         """Boundary determinant ||F t|| of a local edge at this point."""
         t, _ = edge_tangent(edge)

@@ -25,10 +25,11 @@ from .elements import (
     EDGE_VERTS,
     _monomial_exponents,
     barycentric,
+    covariant_pullback,
+    dual_volume_pullback,
     edge_point,
     edge_tangent,
     regge_basis,
-    voigt_to_matrix,
 )
 from .polynomials import eval_legendre
 from .quadrature import segment_rule, triangle_rule
@@ -126,17 +127,6 @@ class DualMassMatrix:
         rhs = f[n_e:] - self.M_TE @ alpha_e
         alpha_t = scipy.linalg.lu_solve(self._lu_TT, rhs)
         return np.concatenate([alpha_e, alpha_t])
-
-    def solve_transposed(self, g):
-        """Block back substitution for M^T lam = g."""
-        n_e = self.M_EE.shape[0]
-        g = np.asarray(g)
-        if not self.M_TT.size:
-            return scipy.linalg.lu_solve(self._lu_EE, g, trans=1)
-        lam_t = scipy.linalg.lu_solve(self._lu_TT, g[n_e:], trans=1)
-        rhs = g[:n_e] - self.M_TE.T @ lam_t
-        lam_e = scipy.linalg.lu_solve(self._lu_EE, rhs, trans=1)
-        return np.concatenate([lam_e, lam_t])
 
 
 class InterpolationOperator:
@@ -305,7 +295,6 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     basis = regge_basis(k)
     n_edge = basis.num_edge_shapes
     n = basis.num_shapes
-    dim = element_map.ambient_dim
 
     seg = segment_rule(quad_degree)
     M_edge = np.zeros((n_edge, n))
@@ -320,9 +309,7 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
             ev = element_map.evaluate(xi)
             jb[q] = ev.Jb(e)
             t_phys = (ev.F @ that) / jb[q]
-            for s in range(n):
-                sig = ev.Fdag.T @ voigt_to_matrix(shape_vals[q, s]) @ ev.Fdag
-                tt_phys[q, s] = t_phys @ sig @ t_phys
+            tt_phys[q] = covariant_pullback(ev.F, shape_vals[q]) @ t_phys @ t_phys
         for l in range(k + 1):
             leg = eval_legendre(l, seg.points)
             # q_E pulled back with J_b, arclength measure contributes J_b again
@@ -335,12 +322,9 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     M_cell = np.zeros((len(duals), n))
     for q, xi in enumerate(tri.points):
         ev = element_map.evaluate(xi)
-        sig_phys = np.array([
-            ev.Fdag.T @ voigt_to_matrix(shape_vals[q, s]) @ ev.Fdag for s in range(n)
-        ])
+        sig_phys = covariant_pullback(ev.F, shape_vals[q])
         for i, (a, b, u) in enumerate(duals):
-            mono = xi[0] ** a * xi[1] ** b
-            q_phys = (ev.F @ voigt_to_matrix(mono * u) @ ev.F.T) / ev.J
+            q_phys = dual_volume_pullback(ev.F, ev.J, xi[0] ** a * xi[1] ** b * u)
             M_cell[i] += tri.weights[q] * ev.J * np.einsum("sij,ij->s", sig_phys, q_phys)
 
     return DualMassMatrix(

@@ -22,7 +22,9 @@ the edge load, sample on the same reference moment rule
 reductions.  Because the dual mass matrix is geometry free, the Regge strain
 maps of all elements come from one ``interpolate`` call whose dual-mass
 solve has one column per (element, dof) pair; the shear projection is
-batched the same way.
+batched the same way.  The interpolation is linear, so for the Green
+membrane one reduction of the sampled strain and of its derivative serves
+the energy, the gradient and the exact tangent.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +43,6 @@ __all__ = [
     "ShellState",
     "LoadSpec",
     "ShellModel",
-    "material_norm_sq",
 ]
 
 NEWTON_MAX_ITER = 20
@@ -72,13 +73,6 @@ class MaterialParams:
             [nu, 1.0, 0.0],
             [0.0, 0.0, 2.0 * (1.0 - nu)],
         ])
-
-
-def material_norm_sq(material, sym_voigt):
-    """Squared material norm of a symmetric tensor in an orthonormal frame."""
-    v = np.asarray(sym_voigt, dtype=float)
-    D = material.norm_matrix
-    return float(v @ D @ v)
 
 
 @dataclass
@@ -304,11 +298,15 @@ class ShellModel:
         # a reduced strain is sampled at the moment rule, then interpolated
         if op is None:
             self._green_tables = (F[:, :nq], dN[:nq])
-            self._Gm = self._T @ _strain_B(*self._green_tables)
         else:
             self._green_tables = (F[:, nq:], dN[nq:])
             self._S = op.basis.eval(rule.points)
-            self._Gm = self._T @ _reduced_map(op, self._S, _strain_B(*self._green_tables))
+        self._Gm = self._T @ self._reduce(_strain_B(*self._green_tables))
+        if self.config.model == "full_green":
+            # second derivative of the Green strain, sym(grad N_i^T grad N_j)
+            # per pair of shapes; it does not depend on the element or state
+            dNs, n = self._green_tables[1], self.basis.num_shapes
+            self._K = self._reduce(_strain_B(dNs, dNs)[None])[0].reshape(-1, 3, n, n)
         self._Gb = self._T @ _strain_B(A[:, None], dN[:nq])
         if ss is None:
             self._Gs = Gt @ _shear_B(nu[:, :nq], A, N[:nq], dN[:nq])
@@ -332,21 +330,24 @@ class ShellModel:
         """Per-element integrals of e . De over the energy quadrature."""
         return np.einsum("tq,tqa,tqa->t", self._wJ, e, De)
 
-    def _green_strain(self, U):
-        """Frame Green membrane strain at the energy points, (nT, nq, 3).
+    def _reduce(self, B):
+        """Regge interpolant at the energy points of point maps B
+        (nT, P, 3, m) sampled at the moment rule; B itself without Regge."""
+        if self.operator is None:
+            return B
+        return _reduced_map(self.operator, self._S, B)
 
-        U (nT, 3n) are element displacements.  Also returns the deformed
-        gradient at the points where the strain is sampled: the operator's
-        points with the Regge reduction, the energy points without.
-        """
+    def _green_membrane(self, U):
+        """Frame Green membrane strain e (nT, nq, 3) at the energy points and
+        its derivative G (nT, nq, 3, 3n) in the element displacements U
+        (nT, 3n).  The reduction is linear, so one interpolation of the
+        strain and of its derivative at the sampling points serves both."""
         F, dN = self._green_tables
         Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
         C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
         E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
-        if self.operator is not None:
-            coeff = self.operator.interpolate(np.moveaxis(E, 0, 2))
-            E = np.einsum("qrc,rt->tqc", self._S, coeff)
-        return np.einsum("tqab,tqb->tqa", self._T, E), Fd
+        eG = self._T @ self._reduce(np.concatenate([E[..., None], _strain_B(Fd, dN)], axis=-1))
+        return eG[..., 0], eG[..., 1:]
 
     def membrane_energy(self, x):
         """(t/2) E_mem at a coefficient vector."""
@@ -355,7 +356,7 @@ class ShellModel:
         if self.config.model == "linearized_membrane":
             e = np.einsum("tqai,ti->tqa", self._Gm, U)
         else:
-            e, _ = self._green_strain(U)
+            e, _ = self._green_membrane(U)
         return 0.5 * self.config.thickness * self._integrals(e, e @ self.D).sum()
 
     def bending_energy(self, x):
@@ -392,18 +393,6 @@ class ShellModel:
     # derivatives
     # ------------------------------------------------------------------
 
-    def _green_gradient(self, U):
-        """Gradient of the Green membrane integral per element, (nT, 3n)."""
-        e, Fd = self._green_strain(U)
-        B = _strain_B(Fd, self._green_tables[1])
-        s = np.einsum("tq,tqac,tqa->tqc", self._wJ, self._T, e @ self.D)
-        op = self.operator
-        if op is None:
-            return np.einsum("tqci,tqc->ti", B, s)
-        lam = op.dual_mass.solve_transposed(np.einsum("qrc,tqc->rt", self._S, s))
-        P = op.functionals(np.moveaxis(B, 0, 2))  # (n_regge, nT, 3n)
-        return np.einsum("rtj,rt->tj", P, lam)
-
     def gradient(self, x, load_vector=None):
         thick = self.config.thickness
         m = 3 * self.basis.num_shapes
@@ -413,7 +402,8 @@ class ShellModel:
         if self.config.model == "linearized_membrane":
             g[:, :m] += thick * np.einsum("tij,tj->ti", self._Am, X[:, :m])
         else:
-            g[:, :m] += thick * self._green_gradient(X[:, :m])
+            e, G = self._green_membrane(X[:, :m])
+            g[:, :m] += thick * np.einsum("tq,tqci,tqc->ti", self._wJ, G, e @ self.D)
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
         if load_vector is not None:
             grad -= load_vector
@@ -428,24 +418,15 @@ class ShellModel:
         if self.config.model == "linearized_membrane":
             H[:, :m, :m] += thick * self._Am
         else:
-            H[:, :m, :m] += self._green_hessian_fd(self._local(x))
+            # material term G^T D G plus the geometric term: the membrane
+            # stress against the second derivative K of the strain, which is
+            # the same for the three displacement components
+            e, G = self._green_membrane(self._local(x)[:, :m])
+            sigma = np.einsum("tq,tqa,tqab->tqb", self._wJ, e @ self.D, self._T)
+            Hg = np.einsum("tqa,qaij->tij", sigma, self._K)
+            H[:, :m, :m] += thick * (_gram(self._wJ, G, self.D) + np.kron(np.eye(3), Hg))
         return assemble(self.num_dofs, zip(self.element_dofs, H), free=self.free,
                         pattern=self._pattern)
-
-    def _green_hessian_fd(self, X):
-        """Directional finite differences of the analytic membrane gradient,
-        one local displacement dof of every element at a time."""
-        thick = self.config.thickness
-        m = 3 * self.basis.num_shapes
-        h = 1e-6 * np.maximum(1.0, np.linalg.norm(X, axis=1))
-        H = np.zeros((len(X), m, m))
-        for j in range(m):
-            Up, Um = X[:, :m].copy(), X[:, :m].copy()
-            Up[:, j] += h
-            Um[:, j] -= h
-            diff = self._green_gradient(Up) - self._green_gradient(Um)
-            H[:, :, j] = thick * diff / (2.0 * h[:, None])
-        return 0.5 * (H + np.swapaxes(H, 1, 2))
 
     # ------------------------------------------------------------------
     # loads and solve

@@ -11,6 +11,7 @@ from reggeshell.elements import (
     edge_point,
     edge_tangent,
     lagrange_basis,
+    matrix_to_voigt,
     pseudo_inverse,
     regge_basis,
     sym_dyad,
@@ -176,7 +177,7 @@ class TestPullbacks:
                 tphys = ev.F @ that / np.linalg.norm(ev.F @ that)
                 # reference tensor obtained by pulling the global field back
                 sig_ref = ev.F.T @ voigt_to_matrix_3(sig_global(xi)) @ ev.F
-                sig_phys = covariant_pullback(ev.F, matrix_to_voigt2(sig_ref))
+                sig_phys = covariant_pullback(ev.F, matrix_to_voigt(sig_ref))
                 svals.append(tphys @ sig_phys @ tphys)
             traces.append(svals)
         assert np.allclose(traces[0], traces[1], atol=1e-12)
@@ -190,8 +191,4 @@ def voigt_to_matrix_3(v):
     m[0, 0], m[1, 1] = v[0], v[1]
     m[0, 1] = m[1, 0] = v[2]
     return m
-
-
-def matrix_to_voigt2(m):
-    return np.array([m[0, 0], m[1, 1], m[0, 1]])
 

@@ -55,10 +55,8 @@ class TestSurfaceMaps:
         for tri in range(min(4, mesh.num_triangles)):
             ev = ElementMap(mesh, chart, tri, geometry_order=2).evaluate((0.0, 0.3))
             assert abs(np.linalg.norm(ev.nu) - 1.0) < 1e-14
-            assert np.linalg.norm(ev.Ptau @ ev.Ptau - ev.Ptau) < 1e-12
-            assert np.trace(ev.Ptau) == pytest.approx(2.0, abs=1e-12)
             # normal orthogonal to the tangent plane
-            assert np.linalg.norm(ev.Ptau @ ev.F - ev.F) < 1e-12
+            assert np.linalg.norm(ev.nu @ ev.F) < 1e-12
 
     def test_boundary_determinant(self):
         mesh, chart = make_benchmark_mesh("cylinder")
@@ -117,14 +115,14 @@ class TestBatchedKernel:
         ev = ElementMap(mesh, chart, np.arange(nT), 2).evaluate((0.1, 0.2))
         assert ev.F.shape == (nT, 3, 2) and ev.Fdag.shape == (nT, 2, 3)
         assert ev.J.shape == (nT,)
-        assert ev.nu.shape == (nT, 3) and ev.Ptau.shape == (nT, 3, 3)
+        assert ev.nu.shape == (nT, 3)
 
     def test_single_point_keeps_unbatched_shapes(self):
         mesh, chart = make_benchmark_mesh("hyperboloid")
         ev = ElementMap(mesh, chart, 1, geometry_order=2).evaluate((0.1, 0.2))
         assert ev.F.shape == (3, 2) and ev.Fdag.shape == (2, 3)
         assert isinstance(ev.J, float)
-        assert ev.nu.shape == (3,) and ev.Ptau.shape == (3, 3)
+        assert ev.nu.shape == (3,)
 
 
 class TestBenchmarkMeshes:

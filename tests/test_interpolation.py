@@ -70,17 +70,6 @@ class TestDualMassStructure:
             phys = assemble_dual_mass(emap, k).full
             assert np.max(np.abs(phys - ref)) < 1e-12 * scale
 
-    @pytest.mark.parametrize("k", range(4))
-    def test_transposed_solve_matches_dense(self, k):
-        dm = reference_dual_mass(k)
-        rng = np.random.default_rng(300 + k)
-        for g in (rng.standard_normal(len(dm.full)),
-                  rng.standard_normal((len(dm.full), 7))):
-            ref = np.linalg.solve(dm.full.T, g)
-            lam = dm.solve_transposed(g)
-            assert lam.shape == ref.shape
-            assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
-
     def test_edge_coupling_on_physical_elements(self):
         emap = random_affine_element(RNG)
         dm = assemble_dual_mass(emap, 2)

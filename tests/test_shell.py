@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from reggeshell.elements import barycentric, edge_point, edge_tangent, lagrange_basis
-from reggeshell.geometry import ElementMap, flat3_chart, make_benchmark_mesh
-from reggeshell.interpolation import ShearSpace
+from reggeshell.geometry import BENCHMARK_NAMES, ElementMap, flat3_chart, make_benchmark_mesh
+from reggeshell.interpolation import InterpolationOperator, ShearSpace
 from reggeshell.mesh import rectangle_mesh
 from reggeshell.quadrature import segment_rule
 from reggeshell.shell import (
@@ -13,7 +13,6 @@ from reggeshell.shell import (
     MaterialParams,
     ShellConfig,
     ShellModel,
-    material_norm_sq,
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
@@ -43,7 +42,8 @@ class TestMaterial:
 
     def test_norm_of_identity_strain(self):
         E, nu = MAT.youngs_modulus, MAT.poisson_ratio
-        val = material_norm_sq(MAT, [1.0, 1.0, 0.0])
+        v = np.array([1.0, 1.0, 0.0])
+        val = v @ MAT.norm_matrix @ v
         assert val == pytest.approx(2 * E / (1 - nu), rel=1e-14)
 
     def test_invalid_parameters_rejected(self):
@@ -156,6 +156,78 @@ class TestDerivatives:
         fd = (model.gradient(x + h * d) - model.gradient(x - h * d)) / (2 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(H @ d - fd)) < 1e-4 * scale
+
+
+def unibend_green_model():
+    """The order-2 Regge unibend cylinder of the Green-strain roll-up."""
+    mesh, chart = make_benchmark_mesh("unibend_cylinder")
+    return ShellModel(mesh, chart, MaterialParams(2.0e5, 0.0), ShellConfig(
+        thickness=0.01, order=2, membrane_reduction="regge", model="full_green"))
+
+
+class TestGreenTangent:
+    @pytest.mark.parametrize("reduction", ["none", "regge"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_tangent_at_rest_is_linearized_tangent(self, name, reduction):
+        mesh, chart = make_benchmark_mesh(name)
+        cfg = dict(thickness=0.1, order=2, membrane_reduction=reduction)
+        green = ShellModel(mesh, chart, MAT, ShellConfig(model="full_green", **cfg))
+        linear = ShellModel(mesh, chart, MAT, ShellConfig(**cfg))
+        x = np.zeros(green.num_dofs)
+        H = green.hessian(x).matrix
+        assert np.array_equal(H.toarray(), linear.hessian(x).matrix.toarray())
+
+    @pytest.mark.parametrize("reduction", ["none", "regge"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_hessian_matches_gradient_differences(self, name, reduction):
+        mesh, chart = make_benchmark_mesh(name)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(
+            thickness=0.1, order=2, membrane_reduction=reduction, model="full_green"))
+        x = random_state(model, 0.05, seed=8)
+        d = np.random.default_rng(9).standard_normal(model.num_dofs)
+        d /= np.linalg.norm(d)
+        h = 1e-6
+        fd = (model.gradient(x + h * d) - model.gradient(x - h * d)) / (2 * h)
+        Hd = model.hessian(x).matrix @ d
+        assert np.max(np.abs(Hd - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_newton_roll_up_converges_quadratically(self):
+        model = unibend_green_model()
+        norms = []
+        gradient = model.gradient
+
+        def recorded(x, load_vector=None):
+            g = gradient(x, load_vector)
+            norms.append(np.linalg.norm(g[model.free]))
+            return g
+
+        model.gradient = recorded
+        x = None
+        for M, max_steps in ((1.0, 4), (2.0, 4), (5.0, 5), (10.0, 7)):
+            norms.clear()
+            loads = LoadSpec(edge_moments={"loaded": lambda X, M=M: np.array([M, 0.0])})
+            state, steps = model.solve(loads, x0=x)
+            x = state.vector
+            r = np.array(norms) / norms[0]
+            assert steps <= max_steps
+            assert r[-1] <= 1e-10
+            assert r[-1] <= 10.0 * r[-2] ** 2
+
+    def test_hessian_interpolates_once(self, monkeypatch):
+        # a guard against finite-difference tangents, which interpolate the
+        # strain once per perturbed gradient
+        model = unibend_green_model()
+        x = random_state(model, 0.01, seed=10)
+        calls = []
+        functionals = InterpolationOperator.functionals
+
+        def counted(op, sampler):
+            calls.append(op)
+            return functionals(op, sampler)
+
+        monkeypatch.setattr(InterpolationOperator, "functionals", counted)
+        model.hessian(x)
+        assert len(calls) == 1
 
 
 class TestFrameInvariance:
