@@ -102,24 +102,12 @@ class SparseSymMatrix:
         return block, p.free_idx
 
 
-def assemble(n_dofs, element_contributions, free=None, pattern=None):
-    """Sum local matrices into a global sparse symmetric matrix.
-
-    ``element_contributions`` yields pairs (dofs, local_matrix), all of one
-    size m.  Rows and columns of constrained dofs stay in the matrix but are
-    masked out for the solve, which keeps dof numbering stable.  ``pattern``
-    is the ``SparsityPattern`` of these dofs and ``free``; passing it skips
-    rebuilding the structure and does not change the result.
-    """
-    pairs = list(element_contributions)
-    m = len(pairs[0][0]) if pairs else 0
-    dofs = np.array([d for d, _ in pairs], dtype=int).reshape(len(pairs), m)
-    values = np.array([v for _, v in pairs], dtype=float).reshape(len(pairs), m, m)
-    if pattern is None:
-        pattern = SparsityPattern(n_dofs, dofs, free)
-    elif (pattern.n_dofs != n_dofs or not np.array_equal(pattern.element_dofs, dofs)
-          or (free is not None and not np.array_equal(pattern.free, free))):
-        raise ValueError("sparsity pattern does not match the element dofs")
+def assemble(pattern, element_matrices):
+    """Sum the element matrices (nT, m, m) of the pattern's element dofs into
+    a global sparse symmetric matrix.  Rows and columns of constrained dofs
+    stay in the matrix but are masked out for the solve, which keeps dof
+    numbering stable."""
+    values = np.asarray(element_matrices, dtype=float)
     data = np.bincount(pattern.slot, values.ravel(), minlength=pattern.nnz)
     return SparseSymMatrix(pattern, data)
 

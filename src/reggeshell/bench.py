@@ -109,8 +109,6 @@ class BenchmarkConfig:
     shear_reduction: bool = True
     base_refinement: int = None
     mesh_file: str = None
-    measurement_point: tuple = None
-    model: str = "linearized_membrane"
 
     def __post_init__(self):
         if self.benchmark not in BENCHMARK_NAMES:
@@ -129,18 +127,17 @@ class BenchmarkConfig:
 
 @dataclass
 class ResultTable:
-    columns: tuple = CSV_COLUMNS
     rows: list = field(default_factory=list)
 
     def add(self, **kwargs):
-        self.rows.append({c: kwargs[c] for c in self.columns})
+        self.rows.append({c: kwargs[c] for c in CSV_COLUMNS})
 
     def to_csv(self):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
+        writer.writerow(CSV_COLUMNS)
         for row in self.rows:
-            writer.writerow([_format_cell(c, row[c]) for c in self.columns])
+            writer.writerow([_format_cell(c, row[c]) for c in CSV_COLUMNS])
         return buf.getvalue()
 
 
@@ -172,25 +169,23 @@ def _make_model(mesh, chart, material, config, order, regge):
         geometry_order=geom,
         membrane_reduction="regge" if regge else "none",
         shear_reduction="edge_tangential" if config.shear_reduction else "none",
-        model=config.model,
     )
     return ShellModel(mesh, chart, material, shell_cfg)
 
 
-def _measure(model, state, config, run):
-    point = config.measurement_point or run["point"]
-    u = model.evaluate_displacement(state.vector, point)
-    X = model.chart.phi(np.asarray(point, dtype=float))
+def _measure(model, state, run):
+    u = model.evaluate_displacement(state.vector, run["point"])
+    X = model.chart.phi(np.asarray(run["point"], dtype=float))
     return float(u @ np.asarray(run["direction"](X), dtype=float))
 
 
-def _solve_and_measure(model, t, config, run):
+def _solve_and_measure(model, t, run):
     model.config.thickness = t
     try:
         state, iters = model.solve(run["load"](t))
     except SolverError:
         return math.nan, 0
-    return _measure(model, state, config, run), iters
+    return _measure(model, state, run), iters
 
 
 def compute_references(config):
@@ -203,7 +198,7 @@ def compute_references(config):
                         config.reference_order, regge=True)
     refs = {}
     for t in config.thicknesses:
-        refs[t], _ = _solve_and_measure(model, t, config, run)
+        refs[t], _ = _solve_and_measure(model, t, run)
     return refs
 
 
@@ -224,7 +219,7 @@ def run_benchmark(config, references=None):
         model = _make_model(mesh, chart, run["material"], config,
                             config.order, regge=config.regge)
         for t in config.thicknesses:
-            value, iters = _solve_and_measure(model, t, config, run)
+            value, iters = _solve_and_measure(model, t, run)
             ref = references[t]
             rel = abs(value - ref) / abs(ref) if ref == ref and ref != 0 else math.nan
             table.add(

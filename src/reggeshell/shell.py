@@ -18,13 +18,14 @@ energy quadrature points and at the sampling points of the interpolations,
 and the strain-displacement maps built from them.  One element map covers
 the whole mesh and is evaluated once per model.  Both interpolations, and
 the edge load, sample on the same reference moment rule
-(``interpolation.moment_rule``), so one set of sampling points serves both
-reductions.  Because the dual mass matrix is geometry free, the Regge strain
-maps of all elements come from one ``interpolate`` call whose dual-mass
-solve has one column per (element, dof) pair; the shear projection is
-batched the same way.  The interpolation is linear, so for the Green
-membrane one reduction of the sampled strain and of its derivative serves
-the energy, the gradient and the exact tangent.
+(``interpolation.moment_rule``).  Because the dual mass matrix is geometry
+free, an interpolation followed by evaluation at the energy points is the
+same linear map on every element: each strain has one matrix R, built once
+per model from a single ``interpolate`` of the identity, and is the
+identity on values sampled at the energy points when its reduction is off.
+Every reduced point map is one product with R, so the linearized membrane
+map is the Green one at rest, and energies, gradients and tangents make no
+interpolation call.
 """
 
 from dataclasses import dataclass, field
@@ -162,12 +163,22 @@ def _gram(wJ, G, D=None):
     return np.swapaxes(G.reshape(nT, -1, m), 1, 2) @ rows
 
 
-def _reduced_map(space, shapes, B):
-    """Interpolate point maps B (nT, P, c, m) given at ``space.points`` and
-    evaluate the result with the space's shape values (nq, n, c') at the
-    energy points: (nT, nq, c', m)."""
-    coeff = space.interpolate(np.moveaxis(B, 0, 2))
-    return np.einsum("qrc,rtj->tqcj", shapes, coeff)
+def _reduction(space, shapes):
+    """Matrix R (nq*c, P*c) taking c-component values at the P points
+    ``space.points`` to the space's interpolant at the nq points where its
+    shape values ``shapes`` (nq, n, c) were taken; one interpolation of the
+    identity."""
+    nq, n, c = shapes.shape
+    P = len(space.points)
+    coeff = space.interpolate(np.eye(P * c).reshape(P, c, P * c))
+    return np.swapaxes(shapes, 1, 2).reshape(nq * c, n) @ coeff
+
+
+def _reduced(R, B):
+    """Point maps B (nT, P, c, m) at the sampling points taken to the energy
+    points by R (nq*c, P*c): (nT, nq, c, m)."""
+    nT, _, c, m = B.shape
+    return (R @ B.reshape(nT, -1, m)).reshape(nT, -1, c, m)
 
 
 class ShellModel:
@@ -264,22 +275,22 @@ class ShellModel:
         """Tables shaped (element, point, ...) and the element forms.
 
         The element map of the whole mesh is evaluated once, on the energy
-        quadrature points followed, if either reduction is on, by the points
-        of the moment rule that both interpolations sample.  The strain maps
-        hold, per energy point, the frame strain of every element dof: Gm
-        (nT, nq, 3, 3n) on the displacements, Gb (nT, nq, 3, 2n) on the
-        rotations and Gs (nT, nq, 2, 5n) on the full element vector.
-        Energies are evaluated point-wise from these maps so that states in
-        the strain kernel give energies at squared round-off level.  The
-        forms Am, Ab, As are the quadratic membrane, bending and shear
-        element matrices without thickness factors.
+        quadrature points followed by the points of the moment rule that
+        both interpolations sample.  Each strain is sampled at one of these
+        two sets and taken to the energy points by its matrix R (see
+        ``_reduction``).  The strain maps hold, per energy point, the frame
+        strain of every element dof: Gm (nT, nq, 3, 3n) on the
+        displacements, Gb (nT, nq, 3, 2n) on the rotations and Gs
+        (nT, nq, 2, 5n) on the full element vector.  Energies are evaluated
+        point-wise from these maps so that states in the strain kernel give
+        energies at squared round-off level.  The forms Am, Ab, As are the
+        quadratic membrane, bending and shear element matrices without
+        thickness factors.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
         g = self.config.geometry_order
         nT, nq = mesh.num_triangles, len(rule.points)
-        points = rule.points
-        if op is not None or ss is not None:
-            points = np.vstack([points, self._moments.points])
+        points = np.vstack([rule.points, self._moments.points])
         self.map = ElementMap(mesh, self.chart, np.arange(nT), g)
         ev = self.map.evaluate(points)
         F, nu, N, dN = ev.F, ev.nu, self.basis.eval(points), self.basis.grad(points)
@@ -295,24 +306,26 @@ class ShellModel:
         sides = verts[:, [1, 2, 2]] - verts[:, [0, 0, 1]]
         self.h2 = np.max(np.sum(sides * sides, axis=-1), axis=1)
 
-        # a reduced strain is sampled at the moment rule, then interpolated
+        # a reduced strain is sampled at the moment rule, an unreduced one
+        # at the energy points
         if op is None:
-            self._green_tables = (F[:, :nq], dN[:nq])
+            sm, self._Rm = slice(nq), np.eye(3 * nq)
         else:
-            self._green_tables = (F[:, nq:], dN[nq:])
-            self._S = op.basis.eval(rule.points)
-        self._Gm = self._T @ self._reduce(_strain_B(*self._green_tables))
+            sm, self._Rm = slice(nq, None), _reduction(op, op.basis.eval(rule.points))
+        self._green_tables = (F[:, sm], dN[sm])
+        # the linearized membrane map is the Green strain derivative at rest
+        self._Gm = self._green_membrane(np.zeros((nT, 3 * self.basis.num_shapes)))[1]
         if self.config.model == "full_green":
             # second derivative of the Green strain, sym(grad N_i^T grad N_j)
             # per pair of shapes; it does not depend on the element or state
-            dNs, n = self._green_tables[1], self.basis.num_shapes
-            self._K = self._reduce(_strain_B(dNs, dNs)[None])[0].reshape(-1, 3, n, n)
+            dNs, n = dN[sm], self.basis.num_shapes
+            self._K = _reduced(self._Rm, _strain_B(dNs, dNs)[None])[0].reshape(-1, 3, n, n)
         self._Gb = self._T @ _strain_B(A[:, None], dN[:nq])
         if ss is None:
-            self._Gs = Gt @ _shear_B(nu[:, :nq], A, N[:nq], dN[:nq])
+            sg, Rs = slice(nq), np.eye(2 * nq)
         else:
-            Bs = _shear_B(nu[:, nq:], A, N[nq:], dN[nq:])
-            self._Gs = Gt @ _reduced_map(ss, ss.shapes(rule.points), Bs)
+            sg, Rs = slice(nq, None), _reduction(ss, ss.shapes(rule.points))
+        self._Gs = Gt @ _reduced(Rs, _shear_B(nu[:, sg], A, N[sg], dN[sg]))
 
         self._Am = _gram(self._wJ, self._Gm, self.D)
         self._Ab = _gram(self._wJ, self._Gb, self.D)
@@ -330,23 +343,16 @@ class ShellModel:
         """Per-element integrals of e . De over the energy quadrature."""
         return np.einsum("tq,tqa,tqa->t", self._wJ, e, De)
 
-    def _reduce(self, B):
-        """Regge interpolant at the energy points of point maps B
-        (nT, P, 3, m) sampled at the moment rule; B itself without Regge."""
-        if self.operator is None:
-            return B
-        return _reduced_map(self.operator, self._S, B)
-
     def _green_membrane(self, U):
         """Frame Green membrane strain e (nT, nq, 3) at the energy points and
         its derivative G (nT, nq, 3, 3n) in the element displacements U
-        (nT, 3n).  The reduction is linear, so one interpolation of the
-        strain and of its derivative at the sampling points serves both."""
+        (nT, 3n).  One product with the reduction matrix takes the strain and
+        its derivative from the sampling points to the energy points."""
         F, dN = self._green_tables
         Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
         C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
         E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
-        eG = self._T @ self._reduce(np.concatenate([E[..., None], _strain_B(Fd, dN)], axis=-1))
+        eG = self._T @ _reduced(self._Rm, np.concatenate([E[..., None], _strain_B(Fd, dN)], -1))
         return eG[..., 0], eG[..., 1:]
 
     def membrane_energy(self, x):
@@ -425,8 +431,7 @@ class ShellModel:
             sigma = np.einsum("tq,tqa,tqab->tqb", self._wJ, e @ self.D, self._T)
             Hg = np.einsum("tqa,qaij->tij", sigma, self._K)
             H[:, :m, :m] += thick * (_gram(self._wJ, G, self.D) + np.kron(np.eye(3), Hg))
-        return assemble(self.num_dofs, zip(self.element_dofs, H), free=self.free,
-                        pattern=self._pattern)
+        return assemble(self._pattern, H)
 
     # ------------------------------------------------------------------
     # loads and solve

@@ -263,7 +263,7 @@ class TestEnergyDerivatives:
                            ShellConfig(thickness=0.05, order=2))
         rng = np.random.default_rng(sum(name.encode()))
         terms = (model.membrane_energy, model.bending_energy, model.shear_energy)
-        h = 1e-6
+        h = 1e-3
         for _ in range(20):
             x = rng.standard_normal(model.num_dofs)
             d = rng.standard_normal(model.num_dofs)

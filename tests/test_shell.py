@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from reggeshell.elements import barycentric, edge_point, edge_tangent, lagrange_basis
-from reggeshell.geometry import BENCHMARK_NAMES, ElementMap, flat3_chart, make_benchmark_mesh
-from reggeshell.interpolation import InterpolationOperator, ShearSpace
+from reggeshell.elements import (
+    BARY_GRADS,
+    barycentric,
+    edge_point,
+    edge_tangent,
+    lagrange_basis,
+)
+from reggeshell.geometry import (
+    BENCHMARK_NAMES,
+    ElementMap,
+    flat3_chart,
+    make_benchmark_mesh,
+    tangent_frame,
+)
+from reggeshell.interpolation import DualMassMatrix, InterpolationOperator, ShearSpace
 from reggeshell.mesh import rectangle_mesh
-from reggeshell.quadrature import segment_rule
+from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
     REF_VERTICES,
     SHEAR_STABILIZATION,
@@ -13,6 +25,10 @@ from reggeshell.shell import (
     MaterialParams,
     ShellConfig,
     ShellModel,
+    _frame_maps,
+    _reduction,
+    _shear_B,
+    _strain_B,
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
@@ -213,21 +229,57 @@ class TestGreenTangent:
             assert r[-1] <= 1e-10
             assert r[-1] <= 10.0 * r[-2] ** 2
 
-    def test_hessian_interpolates_once(self, monkeypatch):
-        # a guard against finite-difference tangents, which interpolate the
-        # strain once per perturbed gradient
+    def test_derivatives_make_no_interpolation_call(self, monkeypatch):
+        # the reductions are matrices built with the model, so a Newton step
+        # interpolates nothing; finite-difference tangents would interpolate
+        # once per perturbed gradient
         model = unibend_green_model()
         x = random_state(model, 0.01, seed=10)
         calls = []
-        functionals = InterpolationOperator.functionals
 
-        def counted(op, sampler):
-            calls.append(op)
-            return functionals(op, sampler)
+        def counted(method):
+            def wrapper(*args):
+                calls.append(method)
+                return method(*args)
+            return wrapper
 
-        monkeypatch.setattr(InterpolationOperator, "functionals", counted)
+        for cls, name in ((InterpolationOperator, "functionals"), (DualMassMatrix, "solve")):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
         model.hessian(x)
-        assert len(calls) == 1
+        model.gradient(x)
+        assert calls == []
+
+
+class TestReductionMatrices:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_regge_matrix_is_interpolant_at_points(self, k):
+        op = InterpolationOperator(k)
+        points = triangle_rule(2 * k + 4).points
+        R = _reduction(op, op.basis.eval(points))
+        V = np.random.default_rng(k).standard_normal((len(op.points), 3))
+        ref = op.evaluate(op.interpolate(V), points)
+        assert np.max(np.abs(R @ V.ravel() - ref.ravel())) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_shear_matrix_is_projection_at_points(self, p):
+        ss = ShearSpace(p, 2 * p + 4)
+        points = triangle_rule(2 * p + 4).points
+        S = ss.shapes(points)
+        R = _reduction(ss, S)
+        V = np.random.default_rng(p).standard_normal((len(ss.points), 2))
+        ref = np.einsum("qnc,n->qc", S, ss.interpolate(V))
+        assert np.max(np.abs(R @ V.ravel() - ref.ravel())) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_unreduced_maps_are_sampled_at_energy_points(self):
+        model = cylinder_model(membrane_reduction="none", shear_reduction="none")
+        points = model._rule.points
+        ev = model.map.evaluate(points)
+        T, Gt = _frame_maps(tangent_frame(ev.F)[1])
+        verts = model.mesh.vertices[model.mesh.triangles]
+        A = np.swapaxes(verts, 1, 2) @ BARY_GRADS
+        N, dN = model.basis.eval(points), model.basis.grad(points)
+        assert np.array_equal(model._Gm, T @ _strain_B(ev.F, dN))
+        assert np.array_equal(model._Gs, Gt @ _shear_B(ev.nu, A, N, dN))
 
 
 class TestFrameInvariance:
