@@ -23,9 +23,20 @@ free, an interpolation followed by evaluation at the energy points is the
 same linear map on every element: each strain has one matrix R, built once
 per model from a single ``interpolate`` of the identity, and is the
 identity on values sampled at the energy points when its reduction is off.
-Every reduced point map is one product with R, so the linearized membrane
-map is the Green one at rest, and energies, gradients and tangents make no
-interpolation call.
+Every reduced point map is one product with R, so energies, gradients and
+tangents make no interpolation call.
+
+The Green strain E(u) = B(F)u + sym(grad u^T grad u)/2 is quadratic in the
+displacements and R is linear, so the derivative of the reduced Green strain
+has a closed form in two stored maps: G(U) = Gm + T (K U), where Gm is the
+linearized membrane map (the Green one at rest), K the reduced second
+derivative and T the frame map.  The strain itself, (Gm + G(U)) U / 2 in
+exact arithmetic, is sampled as sym((F + grad u/2)^T grad u) and reduced as
+one vector per element: summed after the reduction, its two parts would
+cancel on rigid motions only to the rounding of the reduced maps, up to
+about 40 times that of the sampled form.  A Newton iterate evaluates (e, G)
+once and forms from it both its residual and, when another step is needed,
+its tangent.
 """
 
 from dataclasses import dataclass, field
@@ -110,11 +121,14 @@ class LoadSpec:
 
 
 class ShellState:
-    """Global coefficient vector of a model."""
+    """Global coefficient vector of a model.  A state returned by ``solve``
+    also holds the free-dof residual norm of every Newton iterate, the first
+    at the initial guess."""
 
-    def __init__(self, model, vector=None):
+    def __init__(self, model, vector=None, residual_history=()):
         self.model = model
         self.vector = np.zeros(model.num_dofs) if vector is None else np.asarray(vector, float)
+        self.residual_history = np.array(residual_history, dtype=float)
 
 
 def _frame_maps(R):
@@ -179,6 +193,18 @@ def _reduced(R, B):
     points by R (nq*c, P*c): (nT, nq, c, m)."""
     nT, _, c, m = B.shape
     return (R @ B.reshape(nT, -1, m)).reshape(nT, -1, c, m)
+
+
+def _newton_converged(history):
+    """Whether Newton accepts its last iterate, given the free residual
+    norms of all iterates, the first at the initial guess."""
+    r0, rnorm = history[0], history[-1]
+    if rnorm <= NEWTON_ABS_TOL or (r0 > 0 and rnorm <= NEWTON_REL_TOL * r0):
+        return True
+    # severely ill conditioned thin cases bottom out at the floating point
+    # noise floor of the gradient before reaching the relative tolerance;
+    # accept stagnation at a small residual
+    return len(history) > 2 and rnorm > 0.5 * history[-2] and rnorm <= 1e-6 * r0
 
 
 class ShellModel:
@@ -309,17 +335,17 @@ class ShellModel:
         # a reduced strain is sampled at the moment rule, an unreduced one
         # at the energy points
         if op is None:
-            sm, self._Rm = slice(nq), np.eye(3 * nq)
+            sm, Rm = slice(nq), np.eye(3 * nq)
         else:
-            sm, self._Rm = slice(nq, None), _reduction(op, op.basis.eval(rule.points))
-        self._green_tables = (F[:, sm], dN[sm])
+            sm, Rm = slice(nq, None), _reduction(op, op.basis.eval(rule.points))
         # the linearized membrane map is the Green strain derivative at rest
-        self._Gm = self._green_membrane(np.zeros((nT, 3 * self.basis.num_shapes)))[1]
+        self._Gm = self._T @ _reduced(Rm, _strain_B(F[:, sm], dN[sm]))
         if self.config.model == "full_green":
             # second derivative of the Green strain, sym(grad N_i^T grad N_j)
             # per pair of shapes; it does not depend on the element or state
             dNs, n = dN[sm], self.basis.num_shapes
-            self._K = _reduced(self._Rm, _strain_B(dNs, dNs)[None])[0].reshape(-1, 3, n, n)
+            self._K = _reduced(Rm, _strain_B(dNs, dNs)[None])[0].reshape(-1, 3, n, n)
+            self._green_tables, self._Rm = (F[:, sm], dNs), Rm
         self._Gb = self._T @ _strain_B(A[:, None], dN[:nq])
         if ss is None:
             sg, Rs = slice(nq), np.eye(2 * nq)
@@ -330,6 +356,13 @@ class ShellModel:
         self._Am = _gram(self._wJ, self._Gm, self.D)
         self._Ab = _gram(self._wJ, self._Gb, self.D)
         self._As = self.Gshear * _gram(self._wJ, self._Gs)
+
+        # edge Jacobians of the edge load: the edge points of the moment
+        # rule are its first rows, one block per local edge
+        mr = self._moments
+        ne = mr.edge_points.shape[1]
+        Fe = F[:, nq:nq + 3 * ne].reshape(nT, 3, ne, 3, 2)
+        self._edge_Jb = np.linalg.norm((Fe @ mr.tangents[:, None, :, None])[..., 0], axis=-1)
 
     # ------------------------------------------------------------------
     # energies
@@ -343,17 +376,29 @@ class ShellModel:
         """Per-element integrals of e . De over the energy quadrature."""
         return np.einsum("tq,tqa,tqa->t", self._wJ, e, De)
 
+    def _green_strain(self, U):
+        """Frame Green membrane strain (nT, nq, 3) at the energy points of the
+        element displacements U (nT, 3n).  The strain is sampled in the
+        factored form sym((F + grad u / 2)^T grad u), so that rigid motions
+        cancel before the reduction, and one product with R takes it to the
+        energy points."""
+        F, dN = self._green_tables
+        nT = len(U)
+        gu = U.reshape(nT, 1, 3, -1) @ dN
+        A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
+        E = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
+        return (self._T @ (E.reshape(nT, -1) @ self._Rm.T).reshape(nT, -1, 3, 1))[..., 0]
+
     def _green_membrane(self, U):
         """Frame Green membrane strain e (nT, nq, 3) at the energy points and
         its derivative G (nT, nq, 3, 3n) in the element displacements U
-        (nT, 3n).  One product with the reduction matrix takes the strain and
-        its derivative from the sampling points to the energy points."""
-        F, dN = self._green_tables
-        Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
-        C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
-        E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
-        eG = self._T @ _reduced(self._Rm, np.concatenate([E[..., None], _strain_B(Fd, dN)], -1))
-        return eG[..., 0], eG[..., 1:]
+        (nT, 3n).  G = Gm + T (K U) in closed form, with K U one product of
+        U against K, which is symmetric in its two shapes."""
+        nT, m = U.shape
+        n = m // 3
+        KU = (U.reshape(-1, n) @ self._K.reshape(-1, n).T).reshape(nT, 3, -1, 3, n)
+        G = self._Gm + self._T @ np.moveaxis(KU, 1, 3).reshape(self._Gm.shape)
+        return self._green_strain(U), G
 
     def membrane_energy(self, x):
         """(t/2) E_mem at a coefficient vector."""
@@ -362,7 +407,7 @@ class ShellModel:
         if self.config.model == "linearized_membrane":
             e = np.einsum("tqai,ti->tqa", self._Gm, U)
         else:
-            e, _ = self._green_membrane(U)
+            e = self._green_strain(U)
         return 0.5 * self.config.thickness * self._integrals(e, e @ self.D).sum()
 
     def bending_energy(self, x):
@@ -399,38 +444,62 @@ class ShellModel:
     # derivatives
     # ------------------------------------------------------------------
 
-    def gradient(self, x, load_vector=None):
+    def _membrane_state(self, X):
+        """Green membrane (e, G) at element vectors X (nT, 5n), or None for
+        the linearized model, whose membrane forms are stored."""
+        if self.config.model == "linearized_membrane":
+            return None
+        return self._green_membrane(X[:, :3 * self.basis.num_shapes])
+
+    def _stress(self, e):
+        """Membrane stress D e weighted by the energy quadrature, (nT, nq, 3)."""
+        return self._wJ[..., None] * (e @ self.D)
+
+    def gradient(self, x, load_vector=None, *, membrane=None):
+        """Energy gradient at x, less the load vector if one is given.
+        ``membrane`` is ``_membrane_state`` at x when the caller has it."""
         thick = self.config.thickness
         m = 3 * self.basis.num_shapes
         X = self._local(x)
+        if membrane is None:
+            membrane = self._membrane_state(X)
         g = self._shear_weights()[:, None] * np.einsum("tij,tj->ti", self._As, X)
         g[:, m:] += thick ** 3 * np.einsum("tij,tj->ti", self._Ab, X[:, m:])
-        if self.config.model == "linearized_membrane":
+        if membrane is None:
             g[:, :m] += thick * np.einsum("tij,tj->ti", self._Am, X[:, :m])
         else:
-            e, G = self._green_membrane(X[:, :m])
-            g[:, :m] += thick * np.einsum("tq,tqci,tqc->ti", self._wJ, G, e @ self.D)
+            e, G = membrane
+            nT = len(X)
+            g[:, :m] += thick * (self._stress(e).reshape(nT, 1, -1)
+                                 @ G.reshape(nT, -1, m))[:, 0]
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
         if load_vector is not None:
             grad -= load_vector
         return grad
 
-    def hessian(self, x):
-        """Assembled tangent as a sparse matrix with constrained dofs masked."""
+    def hessian(self, x, *, membrane=None):
+        """Assembled tangent as a sparse matrix with constrained dofs masked.
+        ``membrane`` is ``_membrane_state`` at x when the caller has it."""
         thick = self.config.thickness
-        m = 3 * self.basis.num_shapes
+        n = self.basis.num_shapes
+        m = 3 * n
+        if membrane is None:
+            membrane = self._membrane_state(self._local(x))
         H = self._shear_weights()[:, None, None] * self._As
         H[:, m:, m:] += thick ** 3 * self._Ab
-        if self.config.model == "linearized_membrane":
+        if membrane is None:
             H[:, :m, :m] += thick * self._Am
         else:
             # material term G^T D G plus the geometric term: the membrane
             # stress against the second derivative K of the strain, which is
             # the same for the three displacement components
-            e, G = self._green_membrane(self._local(x)[:, :m])
-            sigma = np.einsum("tq,tqa,tqab->tqb", self._wJ, e @ self.D, self._T)
-            Hg = np.einsum("tqa,qaij->tij", sigma, self._K)
-            H[:, :m, :m] += thick * (_gram(self._wJ, G, self.D) + np.kron(np.eye(3), Hg))
+            e, G = membrane
+            sigma = self._stress(e)[..., None, :] @ self._T
+            Hg = (sigma.reshape(len(G), -1) @ self._K.reshape(-1, n * n)).reshape(-1, n, n)
+            Hm = _gram(self._wJ, G, self.D)
+            for c in range(0, m, n):
+                Hm[:, c:c + n, c:c + n] += Hg
+            H[:, :m, :m] += thick * Hm
         return assemble(self._pattern, H)
 
     # ------------------------------------------------------------------
@@ -460,10 +529,8 @@ class ShellModel:
         t, le = np.nonzero(np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker)))
         pts = mr.edge_points.reshape(-1, 2)
         rows = le[:, None] * nq + np.arange(nq)  # rows of pts on each pair's edge
-        F = self.map.evaluate(pts).F[t[:, None], rows]  # (pair, nq, 3, 2)
-        Jb = np.linalg.norm((F @ mr.tangents[le, None, :, None])[..., 0], axis=-1)
         # the Legendre moment of degree 0 is the plain edge quadrature
-        w = mr.edge_weights[le, 0] * Jb
+        w = mr.edge_weights[le, 0] * self._edge_Jb[t, le]
         geo = lagrange_basis(self.config.geometry_order).eval(pts)
         X = geo[rows] @ self.map.control_points[t]
         M = np.array([moment(x) for x in X.reshape(-1, 3)]).reshape(len(t), nq, 2)
@@ -474,34 +541,25 @@ class ShellModel:
     def solve(self, loads=None, x0=None):
         """Newton iteration on the energy gradient.
 
-        Returns (state, iterations).  For the quadratic linearized model the
-        first step is exact."""
+        Returns (state, iterations); the state holds the residual history.
+        For the quadratic linearized model the first step is exact."""
         f = self.load_vector(loads) if loads is not None else np.zeros(self.num_dofs)
         x = np.zeros(self.num_dofs) if x0 is None else np.asarray(x0, float).copy()
         x[~self.free] = 0.0
-        r = self.gradient(x, f)
-        r0_norm = np.linalg.norm(r[self.free])
-        iterations = 0
-        prev_norm = None
-        for _ in range(NEWTON_MAX_ITER):
-            H = self.hessian(x)
-            dx = factor_solve(H, -r)
-            x = x + dx
-            iterations += 1
-            r = self.gradient(x, f)
-            rnorm = np.linalg.norm(r[self.free])
-            if rnorm <= NEWTON_ABS_TOL or (r0_norm > 0 and rnorm <= NEWTON_REL_TOL * r0_norm):
-                return ShellState(self, x), iterations
-            # severely ill conditioned thin cases bottom out at the floating
-            # point noise floor of the gradient before reaching the relative
-            # tolerance; accept stagnation at a small residual
-            if (prev_norm is not None and rnorm > 0.5 * prev_norm
-                    and rnorm <= 1e-6 * r0_norm):
-                return ShellState(self, x), iterations
-            prev_norm = rnorm
+        history = []
+        for iterations in range(NEWTON_MAX_ITER + 1):
+            # one membrane evaluation per iterate serves the residual and the
+            # tangent
+            membrane = self._membrane_state(self._local(x))
+            r = self.gradient(x, f, membrane=membrane)
+            history.append(np.linalg.norm(r[self.free]))
+            if iterations > 0 and _newton_converged(history):
+                return ShellState(self, x, history), iterations
+            if iterations < NEWTON_MAX_ITER:
+                x = x + factor_solve(self.hessian(x, membrane=membrane), -r)
         raise SolverError(
             f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-            f"(last residual {rnorm:.3e}, initial {r0_norm:.3e})"
+            f"(last residual {history[-1]:.3e}, initial {history[0]:.3e})"
         )
 
     # ------------------------------------------------------------------

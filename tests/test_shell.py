@@ -26,6 +26,7 @@ from reggeshell.shell import (
     ShellConfig,
     ShellModel,
     _frame_maps,
+    _reduced,
     _reduction,
     _shear_B,
     _strain_B,
@@ -209,22 +210,13 @@ class TestGreenTangent:
 
     def test_newton_roll_up_converges_quadratically(self):
         model = unibend_green_model()
-        norms = []
-        gradient = model.gradient
-
-        def recorded(x, load_vector=None):
-            g = gradient(x, load_vector)
-            norms.append(np.linalg.norm(g[model.free]))
-            return g
-
-        model.gradient = recorded
         x = None
         for M, max_steps in ((1.0, 4), (2.0, 4), (5.0, 5), (10.0, 7)):
-            norms.clear()
             loads = LoadSpec(edge_moments={"loaded": lambda X, M=M: np.array([M, 0.0])})
             state, steps = model.solve(loads, x0=x)
             x = state.vector
-            r = np.array(norms) / norms[0]
+            norms = state.residual_history
+            r = norms / norms[0]
             assert steps <= max_steps
             assert r[-1] <= 1e-10
             assert r[-1] <= 10.0 * r[-2] ** 2
@@ -248,6 +240,66 @@ class TestGreenTangent:
         model.hessian(x)
         model.gradient(x)
         assert calls == []
+
+    def test_solve_evaluates_the_membrane_once_per_iterate(self, monkeypatch):
+        # the residual and the tangent of an iterate share one evaluation,
+        # which solve hands to the public gradient and hessian
+        calls = {"_green_membrane": 0, "gradient": 0, "hessian": 0}
+
+        def counted(name):
+            method = getattr(ShellModel, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ShellModel, name, counted(name))
+        model = unibend_green_model()
+        loads = LoadSpec(edge_moments={"loaded": lambda X: np.array([2.0, 0.0])})
+        state, iterations = model.solve(loads)
+        assert iterations > 1
+        assert calls == {"_green_membrane": iterations + 1,
+                         "gradient": iterations + 1, "hessian": iterations}
+        assert len(state.residual_history) == iterations + 1
+
+
+def sampled_green_membrane(model, U):
+    """The Green membrane (e, G) formed at the sampling points of the
+    membrane reduction and taken to the energy points by R: the deformed
+    gradient F_d, the strain (F_d^T F_d - F^T F) / 2 and its derivative
+    sym(F_d^T grad du), which the closed form has to reproduce."""
+    rule, op = model._rule, model.operator
+    if op is None:
+        points, R = rule.points, np.eye(3 * len(rule.points))
+    else:
+        points, R = model._moments.points, _reduction(op, op.basis.eval(rule.points))
+    F, dN = model.map.evaluate(points).F, model.basis.grad(points)
+    Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
+    C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
+    E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
+    eG = model._T @ _reduced(R, np.concatenate([E[..., None], _strain_B(Fd, dN)], -1))
+    return eG[..., 0], eG[..., 1:]
+
+
+class TestGreenClosedForm:
+    @pytest.mark.parametrize("reduction", ["none", "regge"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_matches_sampled_green_membrane(self, name, reduction):
+        mesh, chart = make_benchmark_mesh(name)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(
+            thickness=0.1, order=2, membrane_reduction=reduction, model="full_green"))
+        x = random_state(model, 0.05, seed=12)
+        U = model._local(x)[:, :3 * model.basis.num_shapes]
+        ref = sampled_green_membrane(model, U)
+        for got, want in zip(model._green_membrane(U), ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the energy evaluates the strain without its derivative
+        energy = 0.5 * model.config.thickness * np.einsum(
+            "tq,tqa,tqa->", model._wJ, ref[0], ref[0] @ model.D)
+        assert model.membrane_energy(x) == pytest.approx(energy, rel=1e-12)
 
 
 class TestReductionMatrices:
@@ -485,6 +537,24 @@ class TestWholeMeshMap:
         ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2,
                                                  membrane_reduction="regge"))
         assert len(calls) == 1
+
+    def test_load_vector_evaluates_no_element_map(self, monkeypatch):
+        # the edge load reuses the geometry evaluated with the model
+        mesh, chart = make_benchmark_mesh("hemisphere", 1)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        calls = []
+        evaluate = ElementMap.evaluate
+
+        def counted(emap, points):
+            calls.append(points)
+            return evaluate(emap, points)
+
+        monkeypatch.setattr(ElementMap, "evaluate", counted)
+        f = model.load_vector(LoadSpec(
+            volume=lambda X, nu: nu,
+            edge_moments={"clamped": lambda X: np.array([X[0], X[2]])}))
+        assert np.max(np.abs(f)) > 0
+        assert calls == []
 
     def test_edge_moments_match_per_element_loop(self):
         mesh, chart = make_benchmark_mesh("hemisphere", 1)
