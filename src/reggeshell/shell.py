@@ -510,9 +510,10 @@ class ShellModel:
         """Assemble the external work functional f(u) of a load spec."""
         f = np.zeros(self.num_dofs)
         if loads.volume is not None:
-            P = np.array([[loads.volume(X, nu) for X, nu in zip(Xt, nut)]
-                          for Xt, nut in zip(self._X, self._nu)], dtype=float)
-            fe = np.einsum("tq,tqc,qs->tcs", self._wJ, P, self._N)
+            P = np.array([loads.volume(X, nu) for X, nu in
+                          zip(self._X.reshape(-1, 3), self._nu.reshape(-1, 3))],
+                         dtype=float).reshape(self._X.shape)
+            fe = np.swapaxes(self._wJ[..., None] * P, 1, 2) @ self._N
             m = 3 * self.basis.num_shapes
             f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),
                              minlength=self.num_dofs)

@@ -1,8 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
-from reggeshell.assembly import SolverError, SparsityPattern, assemble, factor_solve
+from reggeshell.assembly import (
+    DIAG_PIVOT_THRESH,
+    SUPERLU_OPTIONS,
+    SolverError,
+    SparsityPattern,
+    assemble,
+    factor_solve,
+    free_block,
+)
+from reggeshell.geometry import make_benchmark_mesh
+from reggeshell.shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
 
 
 def laplace_1d(n, free=None):
@@ -48,6 +61,43 @@ def random_blocks(n_dofs=30, n_elements=12, m=6, seed=3):
     return dofs, local, free
 
 
+def dense_matrix(A):
+    """A dense symmetric matrix as assembled from one element holding every dof."""
+    n = len(A)
+    return assemble(SparsityPattern(n, np.arange(n)[None]), A[None])
+
+
+def hyperboloid_model(level, order):
+    mesh, chart = make_benchmark_mesh("hyperboloid", level)
+    return ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3),
+                      ShellConfig(thickness=0.1, order=order, membrane_reduction="regge"))
+
+
+def scaled_oracle(mat):
+    """P (S A S) P^T of the free block by fancy indexing, as CSC."""
+    reduced, idx = mat.reduced()
+    diag = np.abs(reduced.diagonal())
+    diag[diag == 0] = 1.0
+    s = 1.0 / np.sqrt(diag)
+    row = np.repeat(np.arange(len(s)), np.diff(reduced.indptr))
+    sas = scipy.sparse.csr_matrix(
+        (reduced.data * s[row] * s[reduced.indices], reduced.indices, reduced.indptr),
+        shape=reduced.shape)
+    perm = np.searchsorted(idx, mat.pattern.order)
+    oracle = sas[perm][:, perm].tocsc()
+    oracle.sort_indices()
+    return oracle
+
+
+def element_sets(pattern):
+    """The sorted element set of every free dof, by brute force."""
+    sets = [[] for _ in range(pattern.n_dofs)]
+    for t, dofs in enumerate(pattern.element_dofs):
+        for d in dofs:
+            sets[d].append(t)
+    return [tuple(sets[d]) for d in pattern.free_idx]
+
+
 class TestSparsityPattern:
     def test_random_blocks_match_dense_sum(self):
         dofs, local, free = random_blocks()
@@ -61,6 +111,42 @@ class TestSparsityPattern:
         assert np.array_equal(idx, np.flatnonzero(free))
         oracle = mat.matrix[np.ix_(idx, idx)]
         assert np.array_equal(block.toarray(), oracle.toarray())
+
+    @pytest.mark.parametrize("source", ["random_blocks", "shell"])
+    def test_stored_layout_reproduces_scaled_free_block(self, source):
+        if source == "random_blocks":
+            dofs, local, free = random_blocks(seed=5)
+            mat = assemble(SparsityPattern(30, dofs, free), local)
+        else:
+            model = hyperboloid_model(1, 3)
+            mat = model.hessian(np.zeros(model.num_dofs))
+        _, scaled, _ = free_block(mat)
+        oracle = scaled_oracle(mat)
+        assert np.array_equal(scaled.indptr, oracle.indptr)
+        assert np.array_equal(scaled.indices, oracle.indices)
+        assert np.array_equal(scaled.data, oracle.data)
+
+    def test_supervariables_have_equal_element_sets(self):
+        model = hyperboloid_model(1, 3)
+        p = model._pattern
+        sets = element_sets(p)
+        group_of_set = {}
+        for g, s in zip(p.supervariable, sets):
+            assert group_of_set.setdefault(s, g) == g
+        # one group per distinct element set
+        assert len(group_of_set) == len(np.unique(p.supervariable))
+        # the free fields of each scalar dof share one group
+        ns = model.num_scalar_dofs
+        group = np.full(p.n_dofs, -1)
+        group[p.free_idx] = p.supervariable
+        fields = group.reshape(5, ns)
+        for node in range(ns):
+            assert len(np.unique(fields[fields[:, node] >= 0, node])) <= 1
+        # an element's interior node and its boundary edge nodes form one group
+        assert np.bincount(p.supervariable).max() > 5
+        # the factorization order keeps every group contiguous
+        runs = np.count_nonzero(np.diff(group[p.order])) + 1
+        assert runs == len(group_of_set)
 
     def test_out_of_range_dof_rejected(self):
         with pytest.raises(IndexError):
@@ -76,7 +162,7 @@ class TestFactorSolve:
         A = rng.standard_normal((n, n))
         A = A @ A.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x = factor_solve(scipy.sparse.csr_matrix(A), b)
+        x = factor_solve(dense_matrix(A), b)
         assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
     def test_constrained_dofs_stay_zero(self):
@@ -101,7 +187,7 @@ class TestFactorSolve:
         B = rng.standard_normal((k, n))
         K = np.block([[A, B.T], [B, eps * np.eye(k)]])
         b = rng.standard_normal(n + k)
-        x = factor_solve(scipy.sparse.csr_matrix(K), b)
+        x = factor_solve(dense_matrix(K), b)
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -110,3 +196,74 @@ class TestFactorSolve:
         mat = assemble(*laplace_1d(4))
         with pytest.raises(SolverError):
             factor_solve(mat, np.ones(5))
+
+
+class CountingSplu:
+    """Wraps ``splu``: records the fill of every factor and counts solves."""
+
+    def __init__(self):
+        self.fill, self.solves = [], 0
+        self._splu = scipy.sparse.linalg.splu
+
+    def __call__(self, *args, **kwargs):
+        lu = self._splu(*args, **kwargs)
+        self.fill.append(lu.L.nnz + lu.U.nnz)
+        counter = self
+
+        class Counted:
+            def solve(self, rhs):
+                counter.solves += 1
+                return lu.solve(rhs)
+
+        return Counted()
+
+
+@pytest.fixture(scope="module")
+def hyperboloid():
+    return hyperboloid_model(3, 2)
+
+
+def hyperboloid_system(model, t):
+    model.config.thickness = t
+
+    def volume(X, nu):
+        r = math.hypot(X[0], X[1])
+        return t ** 3 / r * math.cos(2.0 * math.atan2(X[1], X[0])) * np.array(
+            [X[0], X[1], 0.0])
+
+    return model.hessian(np.zeros(model.num_dofs)), model.load_vector(LoadSpec(volume=volume))
+
+
+class TestStoredOrdering:
+    @pytest.mark.parametrize("t", [0.1, 0.01])
+    def test_matches_minimum_degree_solve(self, hyperboloid, t, monkeypatch):
+        H, _ = hyperboloid_system(hyperboloid, t)
+        b = np.random.default_rng(0).standard_normal(hyperboloid.num_dofs)
+        counting = CountingSplu()
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        x = factor_solve(H, b)
+        monkeypatch.undo()
+        # one solve, no refinement, so both sides make the same arithmetic
+        assert counting.solves == 1
+        # the same scaled block, factored in its global numbering with
+        # SuperLU's own minimum degree ordering
+        reduced, idx = H.reduced()
+        s = 1.0 / np.sqrt(np.abs(reduced.diagonal()))
+        scaled = scipy.sparse.diags(s) @ reduced @ scipy.sparse.diags(s)
+        lu = scipy.sparse.linalg.splu(scaled.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                      options=SUPERLU_OPTIONS)
+        ref = s * lu.solve(s * b[idx])
+        # in the energy norm: the plain norm of the difference of two
+        # backward-stable solves follows the condition number
+        e = x[idx] - ref
+        assert e @ (reduced @ e) <= 1e-24 * (ref @ (reduced @ ref))
+        assert counting.fill[0] <= lu.L.nnz + lu.U.nnz
+
+    def test_thin_solve_refines_at_most_once(self, hyperboloid, monkeypatch):
+        H, f = hyperboloid_system(hyperboloid, 1e-4)
+        counting = CountingSplu()
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        factor_solve(H, f)
+        assert len(counting.fill) == 1
+        assert counting.solves <= 3
