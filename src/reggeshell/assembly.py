@@ -4,7 +4,10 @@ The sparsity of an assembled matrix depends only on the element dof sets and
 the constrained dofs, not on any value, so a ``SparsityPattern`` is built once
 per dof map: the CSR structure, the CSR position of every element-matrix
 entry, and the fill-reducing layout of the free-by-free block.  Each assembly
-then only sums the element values into the stored positions.
+then only sums the element values into the stored positions.  Every field
+has a dof at each node, so the pattern is built on the scalar node graph,
+which has fields^2 times fewer entries, and the full structure follows by
+index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
 
 Problems stay at desk scale, so a direct sparse LU is used; the residual of
 every solve is checked against the tolerance the Newton loop relies on.  The
@@ -16,14 +19,17 @@ t = 1e-4, U then has 1.6 M nonzeros against 0.5 M in symmetric mode, with no
 better residual.
 
 The column ordering is a property of the pattern, so it is computed once,
-when the pattern is built.  Free dofs that lie in the same elements have the
-same graph neighbours (the five fields of a node, or the nodes inside one
-element or on one boundary edge); they form one supervariable.  SuperLU's
-minimum degree ordering of A + A^T runs on the small quotient graph of the
-supervariables, and each supervariable is expanded into a contiguous run of
-dofs.  The pattern stores the map that gathers assembled values straight
-into the permuted CSC layout of the free block, so every factorization only
-gathers, scales and calls SuperLU with its natural ordering.
+when the pattern is built.  Nodes that lie in the same elements have the
+same graph neighbours (the nodes inside one element or on one boundary
+edge); the free ones and their free fields form one supervariable.
+SuperLU's minimum degree ordering of A + A^T runs on the small quotient
+graph of the supervariables, and each supervariable is expanded into a
+contiguous run of dofs.  The CSC layout of the free block comes from the
+same graph: a column lists the runs of the supervariables adjacent to its
+own, in order, so nothing of the size of the matrix is sorted.  The pattern
+stores the map that gathers assembled values straight into that layout, so
+every factorization only gathers, scales and calls SuperLU with its natural
+ordering.
 """
 
 from functools import cached_property
@@ -53,85 +59,164 @@ class SolverError(Exception):
 class SparsityPattern:
     """CSR structure of the matrices assembled from fixed element dof sets.
 
-    ``element_dofs`` is an (nT, m) array of global dofs; ``free`` masks the
-    dofs kept in the reduced (free-by-free) system.  ``supervariable`` numbers
-    the free dofs' groups of equal element sets, and ``order`` lists the free
-    dofs in factorization order; ``gather``, ``block_indices`` and
-    ``block_indptr`` give the CSC layout of the free block in that order, and
-    ``diag`` the positions of its diagonal in the gathered values.
+    ``element_dofs`` is an (nT, n) array of scalar dofs (nodes) out of
+    ``n_scalar``.  Each of ``fields`` fields has a dof at every node: dof
+    f * n_scalar + a is field f at node a, and the element matrices are
+    ordered (field, node) like the attribute ``element_dofs`` (nT, fields * n).
+    ``free`` masks the dofs kept in the reduced (free-by-free) system.
+    ``supervariable`` numbers the free dofs' groups of equal element sets,
+    and ``order`` lists the free dofs in factorization order; ``gather``,
+    ``block_indices`` and ``block_indptr`` give the CSC layout of the free
+    block in that order, and ``diag`` the positions of its diagonal in the
+    gathered values.
     """
 
-    def __init__(self, n_dofs, element_dofs, free=None):
-        dofs = np.asarray(element_dofs, dtype=int)
-        if dofs.ndim != 2:
+    def __init__(self, n_scalar, element_dofs, free=None, fields=1):
+        nodes = np.asarray(element_dofs, dtype=int)
+        if nodes.ndim != 2:
             raise ValueError("element dofs must be an (elements, dofs) array")
-        if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dofs):
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_scalar):
             raise IndexError("element dof index out of range")
-        self.n_dofs = n_dofs
-        self.element_dofs = dofs
-        self.free = np.ones(n_dofs, dtype=bool) if free is None else np.array(free, bool)
+        nT, n = nodes.shape
+        ns, nf = n_scalar, fields
+        self.n_dofs = nf * ns
+        self.element_dofs = np.hstack([f * ns + nodes for f in range(nf)])
+        self.free = np.ones(self.n_dofs, dtype=bool) if free is None else np.array(free, bool)
         self.free_idx = np.flatnonzero(self.free)
-        self.supervariable, perm = _supervariable_order(n_dofs, dofs, self.free_idx)
-        self.order = self.free_idx[perm]
-        m = dofs.shape[1]
-        # keys sorted row-major are the canonical CSR order; slot[k] is the
-        # CSR position of the k-th entry of the stacked element matrices
-        keys, self.slot = np.unique(
-            np.repeat(dofs, m, axis=1).ravel() * n_dofs + np.tile(dofs, (1, m)).ravel(),
+
+        # scalar pattern: its keys sorted row-major are its CSR order, and
+        # sslot is the CSR position of every entry of the node blocks
+        keys, sslot = np.unique(
+            np.repeat(nodes, n, axis=1).ravel() * ns + np.tile(nodes, (1, n)).ravel(),
             return_inverse=True)
-        row, col = np.divmod(keys, n_dofs)
-        self.nnz = len(keys)
-        self.indptr = _indptr(row, n_dofs)
-        self.indices = col
-        del keys
-        # CSC layout of the free block under the factorization order: its
-        # entries sorted by (column, row) position.  The nnz-sized temporaries
-        # go as soon as they are used, since this sets the peak memory of a
-        # model build
-        position = np.full(n_dofs, -1, dtype=np.intc)
-        position[self.order] = np.arange(len(self.order))
-        in_block = np.flatnonzero(self.free[row] & self.free[col])
-        pr, pc = position[row[in_block]], position[col[in_block]]
-        del row
-        csc = np.argsort(pc.astype(int) * len(self.order) + pr)
-        self.gather = in_block[csc]
-        self.block_indices = pr[csc]
-        pc = pc[csc]
-        self.block_indptr = _indptr(pc, len(self.order)).astype(np.intc)
-        self.diag = np.flatnonzero(self.block_indices == pc)
+        row, col = np.divmod(keys, ns)
+        sptr = _indptr(row, ns)
+        deg = np.diff(sptr)
+        snnz = len(keys)
+        # row (f, a) lists the field blocks g * ns + nbr(a): it starts at
+        # f * nf * snnz + nf * sptr[a], and column g * ns + b is its entry
+        # g * deg(a) + rank_a(b)
+        self.nnz = nf * nf * snnz
+        self.indptr = np.append(
+            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(), self.nnz)
+        g = np.arange(nf)[:, None]
+        rows = np.empty(nf * snnz, dtype=int)   # field 0; the other fields repeat it
+        rows[nf * sptr[row] + g * deg[row] + np.arange(snnz) - sptr[row]] = g * ns + col
+        self.indices = np.tile(rows, nf)
+        # slot[k] is the CSR position of the k-th entry of the stacked
+        # element matrices, (element, field, node, field, node)
+        rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
+        in_row = deg[nodes][..., None, None] * g + rank
+        self.slot = (self.indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
+                     + in_row[:, None]).ravel()
+        del rank, in_row
+
+        free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
+        group, position, edges = _supervariable_order(nodes, free_nodes, sptr, col)
+        node_group = np.full(ns, -1)
+        node_group[free_nodes] = group
+        self.supervariable = node_group[self.free_idx % ns]
+        # each supervariable's free dofs stay contiguous, in dof order
+        perm = np.argsort(position[self.supervariable], kind="stable")
+        self.order = self.free_idx[perm]
+        self.gather, self.block_indices, self.block_indptr, self.diag = _block_layout(
+            self, sptr, col, position[self.supervariable[perm]], edges, position)
 
 
-def _supervariable_order(n_dofs, element_dofs, free_idx):
-    """Supervariable of every free dof and a fill-reducing order of the free
-    dofs, both indexed like ``free_idx``.
+def _supervariable_order(element_nodes, free_nodes, sptr, col):
+    """Supervariables of the free nodes, their order and their graph.
 
-    Free dofs with the same element set are one supervariable; the minimum
-    degree ordering of the supervariable graph is expanded so that each
-    supervariable's dofs stay contiguous, in increasing dof order."""
-    nT, m = element_dofs.shape
-    incidence = scipy.sparse.csr_matrix(
-        (np.ones(nT * m), (element_dofs.ravel(), np.repeat(np.arange(nT), m))),
-        shape=(n_dofs, nT))
-    # the element set of every free dof, padded with -1 (the CSR rows keep
-    # the elements in increasing order)
-    sub = incidence[free_idx]
-    count = np.diff(sub.indptr)
-    sets = np.full((len(free_idx), max(count.max(initial=0), 1)), -1)
-    sets[np.arange(len(free_idx)).repeat(count),
-         np.arange(sub.nnz) - sub.indptr[:-1].repeat(count)] = sub.indices
-    _, first, group = np.unique(sets, axis=0, return_index=True, return_inverse=True)
+    Free nodes with the same element set are one supervariable.  Returns the
+    supervariable of every free node, the position of every supervariable in
+    the minimum degree ordering of the supervariable graph, and the edges of
+    that graph: the pairs (s, t) of supervariables sharing an element.  They
+    are read off the scalar pattern (``sptr``, ``col``): the row of the
+    first node of s holds the first node x of t at its entry k, and each
+    edge comes with x and k."""
+    ns = len(sptr) - 1
+    # the element set of every node in increasing order, padded with -1
+    flat = element_nodes.ravel()
+    entries = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=ns)
+    sets = np.full((ns, max(count.max(initial=0), 1)), -1)
+    sets[flat[entries], np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)] = (
+        entries // element_nodes.shape[1])
+    _, first, group = np.unique(sets[free_nodes], axis=0, return_index=True,
+                                return_inverse=True)
     group = group.ravel()
-    # quotient graph: supervariables sharing an element are adjacent; a
-    # diagonally dominant value set lets SuperLU factor it without pivoting
-    members = incidence[free_idx[first]]
-    graph = (members @ members.T + scipy.sparse.identity(len(first))).tocsc()
-    graph.data[:] = -1.0
-    graph.setdiag(np.diff(graph.indptr))
+    nsv = len(first)
+    rep = free_nodes[first]
+    rep_group = np.full(ns, -1)
+    rep_group[rep] = np.arange(nsv)
+    entry = _runs(sptr[rep], np.diff(sptr)[rep])
+    nbr = rep_group[col[entry]]
+    edge = nbr >= 0
+    source = np.repeat(np.arange(nsv), np.diff(sptr)[rep])[edge]
+    edges = source, nbr[edge], col[entry[edge]], entry[edge] - sptr[rep[source]]
+    # the graph with every diagonal entry and a diagonally dominant value
+    # set, which SuperLU factors without pivoting
+    keys = np.sort(np.append(edges[0] * nsv + edges[1], np.arange(nsv) * (nsv + 1)))
+    row, other = np.divmod(keys[np.diff(keys, prepend=-1) > 0], nsv)
+    indptr = _indptr(row, nsv)
+    graph = scipy.sparse.csc_matrix(
+        (np.where(row == other, np.diff(indptr)[row], -1.0), other, indptr),
+        shape=(nsv, nsv))
     lu = scipy.sparse.linalg.splu(graph, permc_spec=PERMC_SPEC,
                                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                   options=SUPERLU_OPTIONS)
     # perm_c maps a supervariable to its position in the ordering
-    return group, np.argsort(lu.perm_c[group], kind="stable")
+    return group, lu.perm_c, edges
+
+
+def _block_layout(pattern, sptr, col, column_sv, edges, position):
+    """CSC layout of the free block: the gather map, row indices, column
+    pointers and diagonal positions.
+
+    Supervariables are numbered by their ``position`` in the ordering, and
+    ``column_sv`` is that number for every column.  The column of free dof
+    (g, b) in supervariable s holds the rows of every supervariable t
+    adjacent to s, in order, each as one contiguous run.  Its entry in the
+    row of dof (f, a) is CSR entry indptr[f * ns + a] + g * deg(a) +
+    rank_a(b) in the scalar pattern (``sptr``, ``col``).  The nodes of one
+    supervariable have the same neighbours, so a may be replaced by the node
+    x of the edge (s, t), and b's row, like that of s's first node, holds x
+    at entry k: rank_x(b) is the place of the transpose of b's entry k in
+    the row of x."""
+    p = pattern
+    ns = len(sptr) - 1
+    nfree, nsv = len(p.order), len(position)
+    size = np.bincount(column_sv, minlength=nsv)
+    start = np.cumsum(size) - size
+    # the edges sorted by the ordering positions of s, then t
+    source, target, x, k = edges
+    sort = np.argsort(position[source] * nsv + position[target])
+    qcol, x, k = position[target][sort], x[sort], k[sort]
+    qptr = _indptr(position[source], nsv)
+    qdeg = np.diff(qptr)
+    transpose = np.empty(len(col), dtype=int)
+    transpose[np.argsort(col, kind="stable")] = np.arange(len(col))
+    # one run of rows per (column, adjacent supervariable)
+    column = np.repeat(np.arange(nfree), qdeg[column_sv])
+    e = _runs(qptr[column_sv], qdeg[column_sv])
+    sv = qcol[e]
+    g, b = np.divmod(p.order[column], ns)
+    in_row = g * np.diff(sptr)[x[e]] + transpose[sptr[b] + k[e]] - sptr[x[e]]
+    run_start = np.cumsum(size[sv]) - size[sv]
+    block_indices = _runs(start[sv], size[sv])
+    gather = p.indptr[p.order][block_indices] + np.repeat(in_row, size[sv])
+    # a column of s has the dofs of every t adjacent to s as its rows
+    adjacent = np.append(0, np.cumsum(size[qcol]))
+    block_indptr = np.zeros(nfree + 1, dtype=np.intc)
+    np.cumsum((adjacent[qptr[1:]] - adjacent[qptr[:-1]])[column_sv], out=block_indptr[1:])
+    own = np.flatnonzero(sv == column_sv[column])
+    diag = run_start[own] + column[own] - start[sv[own]]
+    return gather, block_indices.astype(np.intc), block_indptr, diag
+
+
+def _runs(starts, lengths):
+    """The ranges arange(s, s + l) of all starts s and lengths l, joined."""
+    offset = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offset, lengths)
 
 
 def _indptr(row, n):

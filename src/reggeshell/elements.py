@@ -19,7 +19,6 @@ __all__ = [
     "barycentric",
     "sym_dyad",
     "voigt_to_matrix",
-    "matrix_to_voigt",
     "covariant_pullback",
     "dual_volume_pullback",
     "pseudo_inverse",
@@ -53,11 +52,6 @@ def voigt_to_matrix(v):
     m[..., 1, 1] = v[..., 1]
     m[..., 0, 1] = m[..., 1, 0] = v[..., 2]
     return m
-
-
-def matrix_to_voigt(m):
-    m = np.asarray(m)
-    return np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]], axis=-1)
 
 
 def _monomial_exponents(k):

@@ -33,7 +33,10 @@ class ConfigurationError(Exception):
 
 @dataclass
 class ChartGeometry:
-    """Smooth embedding of a parameter rectangle with analytic derivatives."""
+    """Smooth embedding of a parameter rectangle with analytic derivatives.
+
+    ``phi`` maps parameter points (..., 2) to (..., ambient_dim) and ``dphi``
+    to (..., ambient_dim, 2), so one call evaluates a whole batch."""
 
     name: str
     ambient_dim: int
@@ -42,13 +45,31 @@ class ChartGeometry:
     params: dict = field(default_factory=dict)
 
 
+def _coordinates(p):
+    """The two coordinates of parameter points (..., 2)."""
+    p = np.asarray(p, dtype=float)
+    return p[..., 0], p[..., 1]
+
+
+def _stack(components, shape):
+    """Array (..., *shape) of components that broadcast against each other,
+    listed in row-major order."""
+    parts = np.broadcast_arrays(*components)
+    return np.stack(parts, axis=-1).reshape(parts[0].shape + shape)
+
+
+def _constant(matrix):
+    """Derivative of an affine chart: ``matrix`` at every point (..., 2)."""
+    return lambda p: np.zeros(np.shape(p)[:-1] + matrix.shape) + matrix
+
+
 def flat_chart():
     """Identity chart for flat 2D tests."""
     return ChartGeometry(
         name="flat",
         ambient_dim=2,
         phi=lambda p: np.asarray(p, dtype=float),
-        dphi=lambda p: np.eye(2),
+        dphi=_constant(np.eye(2)),
     )
 
 
@@ -57,8 +78,8 @@ def flat3_chart():
     return ChartGeometry(
         name="flat3",
         ambient_dim=3,
-        phi=lambda p: np.array([p[0], p[1], 0.0]),
-        dphi=lambda p: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        phi=lambda p: _stack(_coordinates(p) + (0.0,), (3,)),
+        dphi=_constant(np.eye(3, 2)),
     )
 
 
@@ -97,8 +118,7 @@ class ElementMap:
         self._basis = lagrange_basis(geometry_order)
         # affine map of the reference nodes into the parameter triangles
         pnodes = barycentric(self._basis.nodes) @ mesh.vertices[mesh.triangles[triangle_id]]
-        control = [geometry.phi(p) for p in pnodes.reshape(-1, 2)]
-        self.control_points = np.reshape(control, pnodes.shape[:-1] + (-1,))
+        self.control_points = geometry.phi(pnodes)
 
     def evaluate(self, points):
         """Evaluate F, J and the normal.
@@ -148,57 +168,57 @@ def tangent_frame(F):
 
 def _cylinder_chart(R):
     def phi(p):
-        th, z = p
-        return np.array([R * math.cos(th), R * math.sin(th), z])
+        th, z = _coordinates(p)
+        return _stack([R * np.cos(th), R * np.sin(th), z], (3,))
 
     def dphi(p):
-        th, z = p
-        return np.array([[-R * math.sin(th), 0.0], [R * math.cos(th), 0.0], [0.0, 1.0]])
+        th, z = _coordinates(p)
+        return _stack([-R * np.sin(th), 0.0, R * np.cos(th), 0.0, 0.0, 1.0], (3, 2))
 
     return ChartGeometry("cylinder", 3, phi, dphi, {"R": R})
 
 
 def _hyperboloid_chart(R):
     def r(z):
-        return math.sqrt(R * R + z * z)
+        return np.sqrt(R * R + z * z)
 
     def phi(p):
-        th, z = p
-        return np.array([r(z) * math.cos(th), r(z) * math.sin(th), z])
+        th, z = _coordinates(p)
+        return _stack([r(z) * np.cos(th), r(z) * np.sin(th), z], (3,))
 
     def dphi(p):
-        th, z = p
+        th, z = _coordinates(p)
         rz = r(z)
         dr = z / rz
-        return np.array([
-            [-rz * math.sin(th), dr * math.cos(th)],
-            [rz * math.cos(th), dr * math.sin(th)],
-            [0.0, 1.0],
-        ])
+        return _stack([
+            -rz * np.sin(th), dr * np.cos(th),
+            rz * np.cos(th), dr * np.sin(th),
+            0.0, 1.0,
+        ], (3, 2))
 
     return ChartGeometry("hyperboloid", 3, phi, dphi, {"R": R})
 
 
 def _unibend_chart(R):
     def phi(p):
-        th, y = p
-        return np.array([R * math.sin(th), y, R * math.cos(th)])
+        th, y = _coordinates(p)
+        return _stack([R * np.sin(th), y, R * np.cos(th)], (3,))
 
     def dphi(p):
-        th, y = p
-        return np.array([[R * math.cos(th), 0.0], [0.0, 1.0], [-R * math.sin(th), 0.0]])
+        th, y = _coordinates(p)
+        return _stack([R * np.cos(th), 0.0, 0.0, 1.0, -R * np.sin(th), 0.0], (3, 2))
 
     return ChartGeometry("unibend_cylinder", 3, phi, dphi, {"R": R})
 
 
 def _hyppar_chart(alpha):
     def phi(p):
-        x, y = p
-        return np.array([x, y, alpha * (y * y - x * x)])
+        x, y = _coordinates(p)
+        return _stack([x, y, alpha * (y * y - x * x)], (3,))
 
     def dphi(p):
-        x, y = p
-        return np.array([[1.0, 0.0], [0.0, 1.0], [-2.0 * alpha * x, 2.0 * alpha * y]])
+        x, y = _coordinates(p)
+        return _stack([1.0, 0.0, 0.0, 1.0, -2.0 * alpha * x, 2.0 * alpha * y], (3, 2))
 
     return ChartGeometry("hyperbolic_paraboloid", 3, phi, dphi, {"alpha": alpha})
 
@@ -206,20 +226,20 @@ def _hyppar_chart(alpha):
 def _hemisphere_chart(R):
     # parameters: azimuth phi_a, polar angle theta_p measured from the pole
     def phi(p):
-        pa, tp = p
-        return R * np.array([
-            math.sin(tp) * math.cos(pa),
-            math.sin(tp) * math.sin(pa),
-            math.cos(tp),
-        ])
+        pa, tp = _coordinates(p)
+        return R * _stack([
+            np.sin(tp) * np.cos(pa),
+            np.sin(tp) * np.sin(pa),
+            np.cos(tp),
+        ], (3,))
 
     def dphi(p):
-        pa, tp = p
-        return R * np.array([
-            [-math.sin(tp) * math.sin(pa), math.cos(tp) * math.cos(pa)],
-            [math.sin(tp) * math.cos(pa), math.cos(tp) * math.sin(pa)],
-            [0.0, -math.sin(tp)],
-        ])
+        pa, tp = _coordinates(p)
+        return R * _stack([
+            -np.sin(tp) * np.sin(pa), np.cos(tp) * np.cos(pa),
+            np.sin(tp) * np.cos(pa), np.cos(tp) * np.sin(pa),
+            0.0, -np.sin(tp),
+        ], (3, 2))
 
     return ChartGeometry("hemisphere", 3, phi, dphi, {"R": R})
 

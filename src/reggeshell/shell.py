@@ -20,11 +20,11 @@ the whole mesh and is evaluated once per model.  Both interpolations, and
 the edge load, sample on the same reference moment rule
 (``interpolation.moment_rule``).  Because the dual mass matrix is geometry
 free, an interpolation followed by evaluation at the energy points is the
-same linear map on every element: each strain has one matrix R, built once
-per model from a single ``interpolate`` of the identity, and is the
-identity on values sampled at the energy points when its reduction is off.
-Every reduced point map is one product with R, so energies, gradients and
-tangents make no interpolation call.
+same linear map on every element: each reduced strain has one matrix R,
+built once per model from a single ``interpolate`` of the identity.  Every
+reduced point map is one product with R, so energies, gradients and tangents
+make no interpolation call; a strain whose reduction is off is sampled at
+the energy points and has no R.
 
 The Green strain E(u) = B(F)u + sym(grad u^T grad u)/2 is quadratic in the
 displacements and R is linear, so the derivative of the reduced Green strain
@@ -163,10 +163,15 @@ def _shear_B(nu, A, N, dN):
 
     gamma_xi = nu . grad_xi u - A^T theta with chart-covariant theta.
     """
-    Bu = np.einsum("tpc,psd->tpdcs", nu, dN)
-    Bt = -np.einsum("tbd,ps->tpdbs", A, N)
-    B = np.concatenate([Bu, Bt], axis=-2)
-    return B.reshape(B.shape[:-2] + (-1,))
+    nT, P, n = len(nu), len(N), N.shape[-1]
+    # (element, point, xi, field, shape): nu_c dN_s/dxi on the displacements,
+    # -A_b,xi N_s on the rotations
+    B = np.empty((nT, P, 2, 5, n))
+    np.multiply(nu[:, :, None, :, None], np.swapaxes(dN, 1, 2)[None, :, :, None],
+                out=B[..., :3, :])
+    np.multiply(np.swapaxes(A, 1, 2)[:, None, ..., None], -N[:, None, None],
+                out=B[..., 3:, :])
+    return B.reshape(nT, P, 2, -1)
 
 
 def _gram(wJ, G, D=None):
@@ -190,7 +195,10 @@ def _reduction(space, shapes):
 
 def _reduced(R, B):
     """Point maps B (nT, P, c, m) at the sampling points taken to the energy
-    points by R (nq*c, P*c): (nT, nq, c, m)."""
+    points by R (nq*c, P*c): (nT, nq, c, m).  R is None when the strain is
+    not reduced and B was sampled at the energy points."""
+    if R is None:
+        return B
     nT, _, c, m = B.shape
     return (R @ B.reshape(nT, -1, m)).reshape(nT, -1, c, m)
 
@@ -245,15 +253,19 @@ class ShellModel:
         self._apply_boundary_conditions()
         # the dof map and the constraints do not depend on the thickness or
         # the state, so every tangent of this model has the same sparsity
-        self._pattern = SparsityPattern(self.num_dofs, self.element_dofs, self.free)
+        self._pattern = SparsityPattern(self.num_scalar_dofs, self.element_scalar_dofs,
+                                        self.free, fields=5)
+        self.element_dofs = self._pattern.element_dofs
 
     # ------------------------------------------------------------------
     # dof management
     # ------------------------------------------------------------------
 
     def _build_dof_map(self):
-        """Scalar dofs per element (nT, n) and field dofs (nT, 5n) ordered
-        (u_x, u_y, u_z, th_1, th_2)."""
+        """Scalar dofs per element (nT, n).  Each of the five fields
+        (u_x, u_y, u_z, th_1, th_2) has a dof at every scalar dof: field f of
+        scalar dof a is dof f * num_scalar_dofs + a, and the pattern's
+        ``element_dofs`` (nT, 5n) list them field by field."""
         mesh, k = self.mesh, self.config.order
         n_edge_nodes = k - 1
         n_int = (k - 1) * (k - 2) // 2
@@ -270,8 +282,6 @@ class ShellModel:
         interior = nV + nE * n_edge_nodes + np.arange(nT)[:, None] * n_int + np.arange(n_int)
         self.element_scalar_dofs = np.hstack(
             [mesh.triangles, edge.reshape(nT, -1), interior]).astype(int)
-        ns = self.num_scalar_dofs
-        self.element_dofs = np.hstack([f * ns + self.element_scalar_dofs for f in range(5)])
 
     def _apply_boundary_conditions(self):
         mesh = self.mesh
@@ -284,8 +294,7 @@ class ShellModel:
             elif name.startswith("sym:"):
                 axis = "xyz".index(name.split(":")[1])
                 mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
-                F = np.array([self.chart.dphi(p) for p in mid]).reshape(-1, 3, 2)
-                Fdag = pseudo_inverse(F)
+                Fdag = pseudo_inverse(self.chart.dphi(mid))
                 # rotation component whose contravariant direction crosses
                 # the symmetry plane
                 alpha = np.argmax(np.abs(Fdag[:, :, axis]), axis=1)
@@ -303,9 +312,9 @@ class ShellModel:
         The element map of the whole mesh is evaluated once, on the energy
         quadrature points followed by the points of the moment rule that
         both interpolations sample.  Each strain is sampled at one of these
-        two sets and taken to the energy points by its matrix R (see
-        ``_reduction``).  The strain maps hold, per energy point, the frame
-        strain of every element dof: Gm (nT, nq, 3, 3n) on the
+        two sets; a reduced one is taken to the energy points by its matrix
+        R (see ``_reduction``).  The strain maps hold, per energy point, the
+        frame strain of every element dof: Gm (nT, nq, 3, 3n) on the
         displacements, Gb (nT, nq, 3, 2n) on the rotations and Gs
         (nT, nq, 2, 5n) on the full element vector.  Energies are evaluated
         point-wise from these maps so that states in the strain kernel give
@@ -335,7 +344,7 @@ class ShellModel:
         # a reduced strain is sampled at the moment rule, an unreduced one
         # at the energy points
         if op is None:
-            sm, Rm = slice(nq), np.eye(3 * nq)
+            sm, Rm = slice(nq), None
         else:
             sm, Rm = slice(nq, None), _reduction(op, op.basis.eval(rule.points))
         # the linearized membrane map is the Green strain derivative at rest
@@ -348,7 +357,7 @@ class ShellModel:
             self._green_tables, self._Rm = (F[:, sm], dNs), Rm
         self._Gb = self._T @ _strain_B(A[:, None], dN[:nq])
         if ss is None:
-            sg, Rs = slice(nq), np.eye(2 * nq)
+            sg, Rs = slice(nq), None
         else:
             sg, Rs = slice(nq, None), _reduction(ss, ss.shapes(rule.points))
         self._Gs = Gt @ _reduced(Rs, _shear_B(nu[:, sg], A, N[sg], dN[sg]))
@@ -387,7 +396,9 @@ class ShellModel:
         gu = U.reshape(nT, 1, 3, -1) @ dN
         A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
         E = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
-        return (self._T @ (E.reshape(nT, -1) @ self._Rm.T).reshape(nT, -1, 3, 1))[..., 0]
+        if self._Rm is not None:
+            E = (E.reshape(nT, -1) @ self._Rm.T).reshape(nT, -1, 3)
+        return (self._T @ E[..., None])[..., 0]
 
     def _green_membrane(self, U):
         """Frame Green membrane strain e (nT, nq, 3) at the energy points and

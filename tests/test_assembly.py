@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 
 from reggeshell.assembly import (
     DIAG_PIVOT_THRESH,
+    PERMC_SPEC,
     SUPERLU_OPTIONS,
     SolverError,
     SparsityPattern,
@@ -153,6 +154,86 @@ class TestSparsityPattern:
             SparsityPattern(3, [[0, 5]])
         with pytest.raises(IndexError):
             SparsityPattern(3, [[-1, 2]])
+
+
+def csr_indptr(row, n):
+    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+
+
+def sort_based_pattern(n_dofs, dofs, free):
+    """Every pattern array built by sorting the element-entry keys of all
+    dofs, with supervariables from the dof-by-element incidence."""
+    free_idx = np.flatnonzero(free)
+    nT, m = dofs.shape
+    incidence = scipy.sparse.csr_matrix(
+        (np.ones(nT * m), (dofs.ravel(), np.repeat(np.arange(nT), m))), shape=(n_dofs, nT))
+    sub = incidence[free_idx]
+    count = np.diff(sub.indptr)
+    sets = np.full((len(free_idx), max(count.max(initial=0), 1)), -1)
+    sets[np.arange(len(free_idx)).repeat(count),
+         np.arange(sub.nnz) - sub.indptr[:-1].repeat(count)] = sub.indices
+    _, first, group = np.unique(sets, axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()
+    members = incidence[free_idx[first]]
+    graph = (members @ members.T + scipy.sparse.identity(len(first))).tocsc()
+    graph.data[:] = -1.0
+    graph.setdiag(np.diff(graph.indptr))
+    lu = scipy.sparse.linalg.splu(graph, permc_spec=PERMC_SPEC,
+                                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                  options=SUPERLU_OPTIONS)
+    order = free_idx[np.argsort(lu.perm_c[group], kind="stable")]
+    keys, slot = np.unique(
+        np.repeat(dofs, m, axis=1).ravel() * n_dofs + np.tile(dofs, (1, m)).ravel(),
+        return_inverse=True)
+    row, col = np.divmod(keys, n_dofs)
+    position = np.full(n_dofs, -1)
+    position[order] = np.arange(len(order))
+    in_block = np.flatnonzero(free[row] & free[col])
+    pr, pc = position[row[in_block]], position[col[in_block]]
+    csc = np.argsort(pc * len(order) + pr)
+    return dict(slot=slot, indptr=csr_indptr(row, n_dofs), indices=col,
+                supervariable=group, order=order, gather=in_block[csc],
+                block_indices=pr[csc], block_indptr=csr_indptr(pc[csc], len(order)),
+                diag=np.flatnonzero(pr[csc] == pc[csc]))
+
+
+def assert_matches_sort_based(pattern, n_dofs, dofs, free):
+    oracle = sort_based_pattern(n_dofs, dofs, free)
+    assert pattern.nnz == len(oracle["indices"])
+    for name, expected in oracle.items():
+        assert np.array_equal(getattr(pattern, name), expected), name
+
+
+class TestScalarNodePattern:
+    """The pattern derived from the scalar node pattern equals the one
+    sorted from the entries of every dof, array for array."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["cylinder", "hemisphere", "unibend_cylinder"])
+    def test_shell_models(self, name, order):
+        mesh, chart = make_benchmark_mesh(name)
+        model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3),
+                           ShellConfig(thickness=0.1, order=order))
+        fixed = ~model.free.reshape(5, -1)
+        # symmetry markers fix some fields of a node, clamped edges all
+        partly = fixed.any(axis=0) & ~fixed.all(axis=0)
+        assert partly.any() == (name != "unibend_cylinder")
+        assert fixed.all(axis=0).any() == (name != "cylinder")
+        assert_matches_sort_based(model._pattern, model.num_dofs, model.element_dofs,
+                                  model.free)
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_random_blocks(self, seed):
+        dofs, _, free = random_blocks(seed=seed)
+        assert_matches_sort_based(SparsityPattern(30, dofs, free), 30, dofs, free)
+
+    def test_fields_share_the_scalar_dofs(self):
+        dofs, _, _ = random_blocks(n_dofs=10, seed=6)
+        free = np.random.default_rng(6).random(30) > 0.3
+        pattern = SparsityPattern(10, dofs, free, fields=3)
+        full = np.hstack([f * 10 + dofs for f in range(3)])
+        assert np.array_equal(pattern.element_dofs, full)
+        assert_matches_sort_based(pattern, 30, full, free)
 
 
 class TestFactorSolve:

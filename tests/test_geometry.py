@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reggeshell.elements import GeometryError, lagrange_basis
+from reggeshell.elements import GeometryError, barycentric, lagrange_basis
 from reggeshell.geometry import (
+    BENCHMARK_NAMES,
     ConfigurationError,
     ElementMap,
+    flat3_chart,
     flat_chart,
     make_benchmark_mesh,
     tangent_frame,
@@ -173,6 +175,33 @@ class TestBenchmarkMeshes:
             dp[d] = h
             fd = (chart.phi(p + dp) - chart.phi(p - dp)) / (2 * h)
             assert np.allclose(chart.dphi(p)[:, d], fd, atol=1e-8)
+
+
+def all_charts():
+    return [make_benchmark_mesh(name)[1] for name in BENCHMARK_NAMES] + [
+        flat_chart(), flat3_chart()]
+
+
+class TestChartBatches:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_control_points_equal_per_point_evaluation(self, name, order):
+        mesh, chart = make_benchmark_mesh(name, 1)
+        emap = ElementMap(mesh, chart, np.arange(mesh.num_triangles), order)
+        nodes = barycentric(lagrange_basis(order).nodes) @ mesh.vertices[mesh.triangles]
+        per_point = np.array([[chart.phi(p) for p in tri] for tri in nodes])
+        assert np.array_equal(emap.control_points, per_point)
+
+    @pytest.mark.parametrize("chart", all_charts(), ids=lambda c: c.name)
+    def test_batches_equal_per_point_evaluation(self, chart):
+        points = np.random.default_rng(4).uniform(0.1, 1.4, (4, 5, 2))
+        d = chart.ambient_dim
+        X, F = chart.phi(points), chart.dphi(points)
+        assert X.shape == (4, 5, d) and F.shape == (4, 5, d, 2)
+        for i, j in np.ndindex(4, 5):
+            assert chart.phi(points[i, j]).shape == (d,)
+            assert np.array_equal(X[i, j], chart.phi(points[i, j]))
+            assert np.array_equal(F[i, j], chart.dphi(points[i, j]))
 
 
 class TestTangentConvention:
