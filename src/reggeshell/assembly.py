@@ -240,10 +240,6 @@ class SparseSymMatrix:
         return scipy.sparse.csr_matrix((self.data, p.indices, p.indptr),
                                        shape=(p.n_dofs, p.n_dofs))
 
-    @property
-    def dimension(self):
-        return self.pattern.n_dofs
-
     def reduced(self):
         """Free-by-free block as CSR and the global indices of its dofs."""
         idx = self.pattern.free_idx
@@ -330,6 +326,6 @@ def factor_solve(matrix, rhs):
                 f"solve residual {res / bnorm:.2e} above tolerance "
                 f"(backward error {backward:.2e})"
             )
-    x = np.zeros(matrix.dimension)
+    x = np.zeros(p.n_dofs)
     x[p.order] = y
     return x

@@ -115,8 +115,8 @@ class BenchmarkConfig:
             raise ConfigurationError(
                 f"unknown benchmark '{self.benchmark}'; choose one of {BENCHMARK_NAMES}"
             )
-        if any(t <= 0 for t in self.thicknesses):
-            raise ConfigurationError("thickness values must be positive")
+        if not all(0.0 < t < math.inf for t in self.thicknesses):
+            raise ConfigurationError("thickness values must be positive and finite")
         if self.order < 1 or self.reference_order < 1:
             raise ConfigurationError("element orders must be >= 1")
         if self.levels < 1:

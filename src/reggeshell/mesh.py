@@ -5,9 +5,13 @@ from the lower to the higher global vertex index, which removes every sign
 ambiguity for degrees of freedom shared between elements.  Local edges of a
 triangle (v0, v1, v2) are (v0,v1), (v0,v2), (v1,v2), matching the edge
 ordering of the reference element.
+
+``build_mesh`` finds the edges with one ``np.unique`` of the keys min·nV + max
+and numbers them in the order the triangles first reach them; that numbering
+fixes the dof numbering, and with it the round-off of every solve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +33,7 @@ class MeshError(Exception):
     """Raised for structurally invalid (e.g. non-manifold) input."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Immutable triangulation of a 2D parameter domain.
 
@@ -46,10 +50,10 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    edges: np.ndarray = field(default=None)
-    tri_edges: np.ndarray = field(default=None)
-    tri_edge_signs: np.ndarray = field(default=None)
-    boundary_markers: dict = field(default_factory=dict)
+    edges: np.ndarray
+    tri_edges: np.ndarray
+    tri_edge_signs: np.ndarray
+    boundary_markers: dict
 
     @property
     def num_vertices(self):
@@ -63,65 +67,50 @@ class Mesh:
     def num_edges(self):
         return len(self.edges)
 
-    def boundary_edges(self):
-        """Indices of edges adjacent to exactly one triangle."""
-        counts = np.zeros(self.num_edges, dtype=int)
-        for te in self.tri_edges:
-            counts[te] += 1
-        return np.flatnonzero(counts == 1)
-
     def edges_with_marker(self, name):
         return np.asarray(self.boundary_markers.get(name, ()), dtype=int)
 
 
-def build_edges(mesh):
-    """Populate the global edge list and triangle-edge incidence of a mesh."""
-    tris = mesh.triangles
-    edge_index = {}
-    edges = []
-    tri_edges = np.zeros((len(tris), 3), dtype=int)
-    signs = np.zeros((len(tris), 3), dtype=int)
-    adjacency = []
-    for t, tri in enumerate(tris):
-        for le, (a, b) in enumerate(LOCAL_EDGES):
-            va, vb = int(tri[a]), int(tri[b])
-            key = (min(va, vb), max(va, vb))
-            if key not in edge_index:
-                edge_index[key] = len(edges)
-                edges.append(key)
-                adjacency.append(0)
-            e = edge_index[key]
-            adjacency[e] += 1
-            if adjacency[e] > 2:
-                raise MeshError(f"edge {key} shared by more than two triangles")
-            tri_edges[t, le] = e
-            signs[t, le] = 1 if va < vb else -1
-    mesh.edges = np.array(edges, dtype=int)
-    mesh.tri_edges = tri_edges
-    mesh.tri_edge_signs = signs
-    return mesh
-
-
 def build_mesh(vertices, triangles, boundary_markers=None):
-    """Create a mesh from raw arrays and build its edge connectivity."""
-    mesh = Mesh(
-        vertices=np.asarray(vertices, dtype=float),
-        triangles=np.asarray(triangles, dtype=int),
+    """Create a mesh from raw arrays and build its edge connectivity;
+    ``boundary_markers`` maps a name to vertex pairs that must be edges."""
+    vertices = np.asarray(vertices, dtype=float)
+    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    nv = len(vertices)
+    pairs = {name: np.asarray(p, dtype=int).reshape(-1, 2)
+             for name, p in (boundary_markers or {}).items()}
+    # outside [0, nv) the keys min·nv + max alias valid edges
+    if any(np.any((v < 0) | (v >= nv)) for v in (tris, *pairs.values())):
+        raise MeshError(f"triangle or marker vertex index outside [0, {nv})")
+    a, b = np.moveaxis(tris[:, LOCAL_EDGES], -1, 0)
+    keys, first, inverse, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                             return_index=True, return_inverse=True,
+                                             return_counts=True)
+    if np.any(counts > 2):
+        edge = divmod(int(keys[counts > 2][0]), nv)
+        raise MeshError(f"edge {edge} shared by more than two triangles")
+    # number the edges by first appearance, not by key
+    order = np.argsort(first)
+    rank = np.argsort(order)
+
+    markers = {}
+    for name, p in pairs.items():
+        pk = p.min(axis=1) * nv + p.max(axis=1)
+        pos = np.searchsorted(keys, pk)
+        unknown = pk[np.append(keys, -1)[pos] != pk]  # -1 is no key
+        if unknown.size:
+            raise MeshError(f"marker '{name}' references unknown edge "
+                            f"{divmod(int(unknown[0]), nv)}")
+        markers[name] = tuple(np.sort(rank[pos]).tolist())
+
+    return Mesh(
+        vertices=vertices,
+        triangles=tris,
+        edges=np.column_stack(divmod(keys[order], nv)),
+        tri_edges=rank[inverse].reshape(-1, 3),
+        tri_edge_signs=np.where(a < b, 1, -1),
+        boundary_markers=markers,
     )
-    build_edges(mesh)
-    if boundary_markers:
-        edge_ids = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
-        markers = {}
-        for name, pairs in boundary_markers.items():
-            ids = []
-            for a, b in pairs:
-                key = (min(a, b), max(a, b))
-                if key not in edge_ids:
-                    raise MeshError(f"marker '{name}' references unknown edge {key}")
-                ids.append(edge_ids[key])
-            markers[name] = tuple(sorted(ids))
-        mesh.boundary_markers = markers
-    return mesh
 
 
 def refine_uniform(mesh):
@@ -130,39 +119,24 @@ def refine_uniform(mesh):
     Boundary markers are inherited by both halves of a split marked edge.
     """
     nv = mesh.num_vertices
-    mid = nv + np.arange(mesh.num_edges)
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    v0, v1, v2 = mesh.triangles.T
+    m01, m02, m12 = (nv + mesh.tri_edges).T
+    tris = np.stack([v0, m01, m02, m01, v1, m12, m02, m12, v2, m01, m12, m02],
+                    axis=1).reshape(-1, 3)
 
-    tris = []
-    for t, (v0, v1, v2) in enumerate(mesh.triangles):
-        m01 = mid[mesh.tri_edges[t, 0]]
-        m02 = mid[mesh.tri_edges[t, 1]]
-        m12 = mid[mesh.tri_edges[t, 2]]
-        tris.extend([
-            (v0, m01, m02),
-            (m01, v1, m12),
-            (m02, m12, v2),
-            (m01, m12, m02),
-        ])
-
-    marker_pairs = {}
-    for name, eids in mesh.boundary_markers.items():
-        pairs = []
-        for e in eids:
-            a, b = mesh.edges[e]
-            pairs.extend([(int(a), int(mid[e])), (int(mid[e]), int(b))])
-        marker_pairs[name] = pairs
-    return build_mesh(vertices, np.array(tris, dtype=int), marker_pairs)
+    # the two halves of each edge e = (a, b): (a, nv + e) and (nv + e, b)
+    mid = nv + np.arange(mesh.num_edges)
+    halves = np.stack([mesh.edges[:, 0], mid, mid, mesh.edges[:, 1]], axis=1).reshape(-1, 2, 2)
+    marker_pairs = {name: halves[mesh.edges_with_marker(name)].reshape(-1, 2)
+                    for name in mesh.boundary_markers}
+    return build_mesh(np.vstack([mesh.vertices, midpoints]), tris, marker_pairs)
 
 
 def count_entities(mesh):
     """Entity counts (#T, #E, #V, #V_B, #V_I) of a chart mesh."""
-    boundary = mesh.boundary_edges()
-    bverts = set()
-    for e in boundary:
-        bverts.update(mesh.edges[e].tolist())
-    nvb = len(bverts)
+    boundary = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges) == 1
+    nvb = len(np.unique(mesh.edges[boundary]))
     return (
         mesh.num_triangles,
         mesh.num_edges,
@@ -180,29 +154,18 @@ def rectangle_mesh(nx, ny, xlim, ylim, side_markers=None):
     'left', 'right', 'bottom', 'top' to boundary-marker names; several sides
     may share a marker.
     """
-    x = np.linspace(xlim[0], xlim[1], nx + 1)
-    y = np.linspace(ylim[0], ylim[1], ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    verts = [(xi, yj) for yj in y for xi in x]
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+    X, Y = np.meshgrid(np.linspace(*xlim, nx + 1), np.linspace(*ylim, ny + 1))
+    # vid[j, i] is the vertex at (X[j, i], Y[j, i])
+    vid = np.arange(X.size).reshape(X.shape)
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
+    sides = {"bottom": vid[0], "top": vid[ny], "left": vid[:, 0], "right": vid[:, nx]}
     markers = {}
-    if side_markers:
-        side_pairs = {
-            "bottom": [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)],
-            "top": [(vid(i, ny), vid(i + 1, ny)) for i in range(nx)],
-            "left": [(vid(0, j), vid(0, j + 1)) for j in range(ny)],
-            "right": [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)],
-        }
-        for side, name in side_markers.items():
-            markers.setdefault(name, []).extend(side_pairs[side])
-    return build_mesh(np.array(verts), np.array(tris, dtype=int), markers)
+    for side, name in (side_markers or {}).items():
+        pairs = np.column_stack([sides[side][:-1], sides[side][1:]])
+        markers[name] = np.vstack([markers.get(name, np.empty((0, 2), int)), pairs])
+    return build_mesh(np.column_stack([X.ravel(), Y.ravel()]), tris, markers)
 
 
 def read_mesh(path):
@@ -210,36 +173,38 @@ def read_mesh(path):
 
     Header line ``#V #T``, then #V vertex lines ``x y``, then #T triangle
     lines ``i j k`` (0-based), then optional lines ``edge i j name``.
-    Raises MeshError when the line counts disagree with the header, a vertex
-    index is out of range or a triangle is not positively oriented in the
-    parameter plane.
+    Raises MeshError when the line counts disagree with the header, a
+    coordinate is not finite, a vertex index is out of range, a marked pair
+    is not an edge or a triangle is not positively oriented in the parameter
+    plane.
     """
     with open(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
     try:
         nv, nt = (int(v) for v in lines[0])
-        verts = [_fields(lines, 1 + i, 2, float) for i in range(nv)]
-        tris = [_fields(lines, 1 + nv + i, 3, int) for i in range(nt)]
-        markers = {}
-        for t in lines[1 + nv + nt:]:
-            if t[0] != "edge" or len(t) != 4:
-                raise MeshError(f"unexpected trailing line: {' '.join(t)}")
-            markers.setdefault(t[3], []).append((int(t[1]), int(t[2])))
+        verts = _block(lines[1:1 + nv], nv, 2, float)
+        tris = _block(lines[1 + nv:1 + nv + nt], nt, 3, int)
+        marks = _block(lines[1 + nv + nt:], len(lines) - 1 - nv - nt, 4, str)
+        pairs = marks[:, 1:3].astype(int)
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
-    verts = np.array(verts, dtype=float).reshape(-1, 2)
-    tris = np.array(tris, dtype=int).reshape(-1, 3)
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
-        raise MeshError(f"triangle vertex index outside [0, {nv})")
+    if np.any(marks[:, 0] != "edge"):
+        raise MeshError("trailing lines must read 'edge i j name'")
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("vertex coordinates must be finite")
+    names = marks[:, 3]
+    mesh = build_mesh(verts, tris, {name: pairs[names == name]
+                                    for name in dict.fromkeys(names.tolist())})
     d1, d2 = verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]]
     bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
     if bad.size:
         raise MeshError(f"triangle {bad[0]} is not positively oriented")
-    return build_mesh(verts, tris, markers)
+    return mesh
 
 
-def _fields(lines, i, count, kind):
-    """The ``count`` values of line ``i``, which must have exactly that many."""
-    if len(lines[i]) != count:
-        raise MeshError(f"expected {count} values, got line: {' '.join(lines[i])}")
-    return [kind(v) for v in lines[i]]
+def _block(lines, count, width, kind):
+    """``count`` lines of exactly ``width`` values each as a (count, width) array."""
+    block = np.array(lines, dtype=kind).reshape(-1, width)
+    if len(lines) != count or len(block) != count:
+        raise MeshError(f"expected {count} lines of {width} values")
+    return block

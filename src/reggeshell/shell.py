@@ -70,8 +70,8 @@ class MaterialParams:
     poisson_ratio: float
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError("Young's modulus must be positive")
+        if not 0.0 < self.youngs_modulus < np.inf:
+            raise ValueError("Young's modulus must be positive and finite")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
 
@@ -97,8 +97,8 @@ class ShellConfig:
     model: str = "linearized_membrane"    # linearized_membrane | full_green
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0.0 < self.thickness < np.inf:
+            raise ValueError("thickness must be positive and finite")
         if self.order < 1:
             raise ValueError("displacement order must be >= 1")
         if self.geometry_order is None:

@@ -100,8 +100,9 @@ class TestConfig:
         assert set(bench._RUNS) == set(BENCHMARK_NAMES)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BenchmarkConfig("cylinder", thicknesses=(0.1, -0.5))
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                BenchmarkConfig("cylinder", thicknesses=(0.1, bad))
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("cylinder", levels=0)
         with pytest.raises(ConfigurationError):

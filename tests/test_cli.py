@@ -33,6 +33,14 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_thickness_returns_2(self, tmp_path, capsys):
+        out = tmp_path / "uni.csv"
+        code = main(["--benchmark", "unibend_cylinder", "--levels", "1", "--order", "1",
+                     "--thickness", "nan", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "uni.csv"
         code = main([

@@ -68,6 +68,9 @@ class TestMaterial:
             MaterialParams(-1.0, 0.3)
         with pytest.raises(ValueError):
             MaterialParams(1.0, 0.5)
+        for youngs_modulus in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                MaterialParams(youngs_modulus, 0.3)
 
 
 class TestConfig:
@@ -77,8 +80,9 @@ class TestConfig:
         assert c.shear_reduction == "edge_tangential"
 
     def test_invalid_choices_rejected(self):
-        with pytest.raises(ValueError):
-            ShellConfig(thickness=0.0)
+        for thickness in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ShellConfig(thickness=thickness)
         with pytest.raises(ValueError):
             ShellConfig(thickness=0.1, membrane_reduction="bogus")
         with pytest.raises(ValueError):
