@@ -35,7 +35,8 @@ class MeshError(Exception):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation of a 2D parameter domain.
+    """Immutable triangulation of a 2D parameter domain; ``build_mesh`` copies
+    its input arrays and makes every array read-only.
 
     Attributes
     ----------
@@ -74,8 +75,9 @@ class Mesh:
 def build_mesh(vertices, triangles, boundary_markers=None):
     """Create a mesh from raw arrays and build its edge connectivity;
     ``boundary_markers`` maps a name to vertex pairs that must be edges."""
-    vertices = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    # copies, so that the caller's arrays cannot change the mesh afterwards
+    vertices = np.array(vertices, dtype=float)
+    tris = np.array(triangles, dtype=int).reshape(-1, 3)
     nv = len(vertices)
     pairs = {name: np.asarray(p, dtype=int).reshape(-1, 2)
              for name, p in (boundary_markers or {}).items()}
@@ -103,14 +105,16 @@ def build_mesh(vertices, triangles, boundary_markers=None):
                             f"{divmod(int(unknown[0]), nv)}")
         markers[name] = tuple(np.sort(rank[pos]).tolist())
 
-    return Mesh(
+    arrays = dict(
         vertices=vertices,
         triangles=tris,
         edges=np.column_stack(divmod(keys[order], nv)),
         tri_edges=rank[inverse].reshape(-1, 3),
         tri_edge_signs=np.where(a < b, 1, -1),
-        boundary_markers=markers,
     )
+    for array in arrays.values():
+        array.flags.writeable = False
+    return Mesh(boundary_markers=markers, **arrays)
 
 
 def refine_uniform(mesh):

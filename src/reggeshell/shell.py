@@ -553,9 +553,18 @@ class ShellModel:
     def solve(self, loads=None, x0=None):
         """Newton iteration on the energy gradient.
 
-        Returns (state, iterations); the state holds the residual history.
-        For the quadratic linearized model the first step is exact."""
-        f = self.load_vector(loads) if loads is not None else np.zeros(self.num_dofs)
+        ``loads`` is a ``LoadSpec`` or an assembled load vector.  Returns
+        (state, iterations); the state holds the residual history.  For the
+        quadratic linearized model the first step is exact."""
+        if loads is None:
+            f = np.zeros(self.num_dofs)
+        elif isinstance(loads, LoadSpec):
+            f = self.load_vector(loads)
+        else:
+            f = np.asarray(loads, dtype=float)
+            if f.shape != (self.num_dofs,):
+                raise ValueError(f"load vector of shape {f.shape}, "
+                                 f"expected ({self.num_dofs},)")
         x = np.zeros(self.num_dofs) if x0 is None else np.asarray(x0, float).copy()
         x[~self.free] = 0.0
         history = []

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from reggeshell import bench
@@ -14,6 +15,30 @@ from reggeshell.bench import (
     run_benchmark,
 )
 from reggeshell.geometry import BENCHMARK_NAMES, ConfigurationError
+from reggeshell.shell import LoadSpec
+
+
+def _azimuth(X):
+    return math.atan2(X[1], X[0])
+
+
+# The benchmark loads as one closure per thickness, as the sweep built them
+# before each became a thickness-free load times a thickness factor: the
+# oracle of TestThicknessFactors.
+PER_THICKNESS_LOADS = {
+    "cylinder": lambda t: LoadSpec(
+        volume=lambda X, nu: t ** 3 * math.cos(2.0 * _azimuth(X)) * nu),
+    "hyperboloid": lambda t: LoadSpec(
+        volume=lambda X, nu: (t ** 3 / math.hypot(X[0], X[1])
+                              * math.cos(2.0 * _azimuth(X))
+                              * np.array([X[0], X[1], 0.0]))),
+    "unibend_cylinder": lambda t: LoadSpec(
+        edge_moments={"loaded": lambda X: np.array([(t / 0.1) ** 3, 0.0])}),
+    "hyperbolic_paraboloid": lambda t: LoadSpec(
+        volume=lambda X, nu: 8.0 * t ** 3 * nu),
+    "hemisphere": lambda t: LoadSpec(
+        volume=lambda X, nu: (t / 10.0) * math.cos(2.0 * _azimuth(X)) * nu),
+}
 
 
 def sample_row(**overrides):
@@ -127,3 +152,55 @@ class TestRun:
             assert row["reduction"] == "on"
             assert row["n_elements"] == 16
             assert row["rel_error"] < 0.3
+
+
+class TestThicknessFactors:
+    @pytest.mark.parametrize("t", [0.1, 1e-4])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_scaled_load_matches_per_thickness_load(self, name, t):
+        run = bench._RUNS[name]
+        config = BenchmarkConfig(name, levels=1)
+        model = bench._make_model(*bench._benchmark_meshes(config), run["material"],
+                                  config, 2, regge=False)
+        scaled = run["scale"](t) * model.load_vector(run["load"])
+        reference = model.load_vector(PER_THICKNESS_LOADS[name](t))
+        size = np.max(np.abs(reference))
+        assert size > 0.0
+        assert np.max(np.abs(scaled - reference)) <= 1e-14 * size
+
+
+class TestLoadAssembledOncePerModel:
+    def count_load_points(self, monkeypatch, thicknesses):
+        """Calls of the hyperboloid's volume load in compute_references and in
+        run_benchmark, and the energy points of the models each built."""
+        run = bench._RUNS["hyperboloid"]
+        volume = run["load"].volume
+        calls = [0]
+
+        def counted(X, nu):
+            calls[0] += 1
+            return volume(X, nu)
+
+        models, build = [], bench._make_model
+
+        def make_model(*args, **kwargs):
+            models.append(build(*args, **kwargs))
+            return models[-1]
+
+        config = BenchmarkConfig("hyperboloid", thicknesses=thicknesses, levels=2,
+                                 order=1, reference_order=2)
+        with monkeypatch.context() as patch:
+            patch.setitem(run, "load", LoadSpec(volume=counted))
+            patch.setattr(bench, "_make_model", make_model)
+            refs = bench.compute_references(config)
+            reference_calls = calls[0]
+            run_benchmark(config, refs)
+        points = [m._X.shape[0] * m._X.shape[1] for m in models]
+        return (reference_calls, calls[0] - reference_calls), (points[0], sum(points[1:]))
+
+    def test_volume_load_evaluated_once_per_model_point(self, monkeypatch):
+        one = self.count_load_points(monkeypatch, (0.01,))
+        four = self.count_load_points(monkeypatch, bench.DEFAULT_THICKNESSES)
+        assert one == four
+        calls, points = four
+        assert calls == points

@@ -134,6 +134,18 @@ class TestBuildEdges:
         m = crossed_square()
         with pytest.raises(FrozenInstanceError):
             m.edges = m.edges[:1]
+        # the arrays are copies of the input and cannot be written in place
+        v = np.array(CROSSED_VERTICES, dtype=float)
+        t = np.array(CROSSED_TRIANGLES)
+        m = build_mesh(v, t)
+        v[0] = [9.0, 9.0]
+        t[1] = [1, 2, 3]
+        assert np.array_equal(m.vertices, CROSSED_VERTICES)
+        assert np.array_equal(m.triangles, CROSSED_TRIANGLES)
+        for name in ("vertices", "triangles", "edges", "tri_edges", "tri_edge_signs"):
+            array = getattr(m, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
 
 class TestLoopOracle:

@@ -456,6 +456,25 @@ class TestSolve:
         state, _ = model.solve(load)
         assert model.total_energy(state.vector, f) < 0.0
 
+    @pytest.mark.parametrize("make_model, load", [
+        (cylinder_model, LoadSpec(volume=lambda X, nu: 1e-3 * nu)),
+        (unibend_green_model,
+         LoadSpec(edge_moments={"loaded": lambda X: np.array([1.0, 0.0])})),
+    ], ids=["linearized", "full_green"])
+    def test_assembled_load_vector_solves_bit_identically(self, make_model, load):
+        model = make_model()
+        from_spec, spec_iters = model.solve(load)
+        from_vector, vector_iters = model.solve(model.load_vector(load))
+        assert vector_iters == spec_iters
+        assert np.array_equal(from_vector.vector, from_spec.vector)
+        assert np.array_equal(from_vector.residual_history, from_spec.residual_history)
+
+    def test_load_vector_of_wrong_length_rejected(self):
+        model = cylinder_model()
+        for n in (model.num_dofs - 1, model.num_dofs + 1):
+            with pytest.raises(ValueError, match="load vector"):
+                model.solve(np.zeros(n))
+
     def test_full_green_matches_linearized_for_small_data(self):
         mesh, chart = make_benchmark_mesh("cylinder")
         cfg = dict(thickness=0.1, order=1, membrane_reduction="regge")

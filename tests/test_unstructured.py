@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reggeshell.bench import BenchmarkConfig, run_benchmark
 from reggeshell.geometry import make_benchmark_mesh
 from reggeshell.mesh import read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
@@ -21,13 +22,13 @@ from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 MAT = MaterialParams(2.85e4, 0.3)
 MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "tri_edge_signs")
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=5)
+FEW_EXAMPLES = settings(EXAMPLES, max_examples=3)
 
 
 @st.composite
-def perturbed_meshes(draw):
-    """A perturbed level-1 hyperboloid, hemisphere or cylinder mesh and its chart."""
-    mesh, chart = make_benchmark_mesh(
-        draw(st.sampled_from(("hyperboloid", "hemisphere", "cylinder"))), 1)
+def perturbed_meshes(draw, names=("hyperboloid", "hemisphere", "cylinder")):
+    """A perturbed level-1 mesh of one of the named benchmarks, and its chart."""
+    mesh, chart = make_benchmark_mesh(draw(st.sampled_from(names)), 1)
     v = mesh.vertices
     h_min = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1).min()
     boundary = mesh.edges[np.bincount(mesh.tri_edges.ravel()) == 1]
@@ -39,8 +40,8 @@ def perturbed_meshes(draw):
     return dataclasses.replace(mesh, vertices=vertices), chart
 
 
-def through_file(mesh, directory):
-    """Write a mesh and its markers in the ``read_mesh`` format and read it back."""
+def write_mesh(mesh, directory):
+    """Write a mesh and its markers in the ``read_mesh`` format; the file path."""
     lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
     lines += [f"{x!r} {y!r}" for x, y in mesh.vertices.tolist()]
     lines += ["{} {} {}".format(*t) for t in mesh.triangles.tolist()]
@@ -49,7 +50,12 @@ def through_file(mesh, directory):
                   for a, b in mesh.edges[mesh.edges_with_marker(name)].tolist()]
     path = directory / "mesh.txt"
     path.write_text("\n".join(lines) + "\n")
-    return read_mesh(path)
+    return path
+
+
+def through_file(mesh, directory):
+    """Write a mesh in the ``read_mesh`` format and read it back."""
+    return read_mesh(write_mesh(mesh, directory))
 
 
 @EXAMPLES
@@ -86,3 +92,15 @@ def test_regge_rank_is_regge_space_dimension(tmp_path_factory, case, k):
     # (at least 3.4e-7 and at most 2.8e-16 relative on such meshes)
     assert s[rank - 1] > 1e-8 * s[0]
     assert s[rank] < 1e-13 * s[0]
+
+
+@FEW_EXAMPLES
+@given(case=perturbed_meshes(names=("hyperboloid",)))
+def test_repeat_runs_are_byte_identical(tmp_path_factory, case):
+    mesh, _ = case
+    path = write_mesh(mesh, tmp_path_factory.mktemp("mesh"))
+    config = BenchmarkConfig("hyperboloid", mesh_file=str(path), levels=1,
+                             thicknesses=(0.01, 0.001), reference_order=2)
+    first = run_benchmark(config).to_csv()
+    assert "nan" not in first
+    assert run_benchmark(config).to_csv() == first
