@@ -23,13 +23,14 @@ when the pattern is built.  Nodes that lie in the same elements have the
 same graph neighbours (the nodes inside one element or on one boundary
 edge); the free ones and their free fields form one supervariable.
 SuperLU's minimum degree ordering of A + A^T runs on the small quotient
-graph of the supervariables, and each supervariable is expanded into a
-contiguous run of dofs.  The CSC layout of the free block comes from the
-same graph: a column lists the runs of the supervariables adjacent to its
-own, in order, so nothing of the size of the matrix is sorted.  The pattern
-stores the map that gathers assembled values straight into that layout, so
-every factorization only gathers, scales and calls SuperLU with its natural
-ordering.
+graph of the supervariables, the scalar pattern restricted to one
+representative node of each, and each supervariable is expanded into a
+contiguous run of dofs.  The CSC layout of the free block is read off the
+matrix whose values are their own CSR positions: permuted into that order
+by scipy's sparse indexing, its free block has the layout as its structure
+and, as its values, the map that gathers assembled values straight into
+that layout.  The pattern stores the map, so every factorization only
+gathers, scales and calls SuperLU with its natural ordering.
 """
 
 from functools import cached_property
@@ -65,10 +66,13 @@ class SparsityPattern:
     ordered (field, node) like the attribute ``element_dofs`` (nT, fields * n).
     ``free`` masks the dofs kept in the reduced (free-by-free) system.
     ``supervariable`` numbers the free dofs' groups of equal element sets,
-    and ``order`` lists the free dofs in factorization order; ``gather``,
+    and ``order`` lists the free dofs in factorization order, the minimum
+    degree ordering of the graph of one representative node per group.
     ``block_indices`` and ``block_indptr`` give the CSC layout of the free
-    block in that order, and ``diag`` the positions of its diagonal in the
-    gathered values.
+    block in that order and ``gather`` the CSR position of each of its
+    entries: they are the arrays of the permuted free block of the matrix
+    whose values are their own CSR positions.  ``diag`` holds the positions
+    of the block's diagonal in the gathered values.
     """
 
     def __init__(self, n_scalar, element_dofs, free=None, fields=1):
@@ -112,28 +116,33 @@ class SparsityPattern:
         del rank, in_row
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
-        group, position, edges = _supervariable_order(nodes, free_nodes, sptr, col)
+        scalar = scipy.sparse.csr_matrix((np.ones(snnz), col, sptr), shape=(ns, ns))
+        group, position = _supervariable_order(nodes, free_nodes, scalar)
         node_group = np.full(ns, -1)
         node_group[free_nodes] = group
         self.supervariable = node_group[self.free_idx % ns]
         # each supervariable's free dofs stay contiguous, in dof order
-        perm = np.argsort(position[self.supervariable], kind="stable")
-        self.order = self.free_idx[perm]
-        self.gather, self.block_indices, self.block_indptr, self.diag = _block_layout(
-            self, sptr, col, position[self.supervariable[perm]], edges, position)
+        self.order = self.free_idx[np.argsort(position[self.supervariable], kind="stable")]
+        # the permuted free block of the matrix whose values are their own
+        # CSR positions holds the gather map; tocsc sorts the rows of every
+        # column, and selecting whole columns keeps them sorted
+        positions = scipy.sparse.csr_matrix(
+            (np.arange(self.nnz), self.indices, self.indptr), shape=(self.n_dofs,) * 2)
+        block = positions[self.order].tocsc()[:, self.order]
+        self.gather, self.block_indices, self.block_indptr = (
+            block.data, block.indices, block.indptr)
+        column = np.repeat(np.arange(len(self.order)), np.diff(block.indptr))
+        self.diag = np.flatnonzero(block.indices == column)
 
 
-def _supervariable_order(element_nodes, free_nodes, sptr, col):
-    """Supervariables of the free nodes, their order and their graph.
+def _supervariable_order(element_nodes, free_nodes, scalar):
+    """Supervariables of the free nodes and their order.
 
     Free nodes with the same element set are one supervariable.  Returns the
-    supervariable of every free node, the position of every supervariable in
-    the minimum degree ordering of the supervariable graph, and the edges of
-    that graph: the pairs (s, t) of supervariables sharing an element.  They
-    are read off the scalar pattern (``sptr``, ``col``): the row of the
-    first node of s holds the first node x of t at its entry k, and each
-    edge comes with x and k."""
-    ns = len(sptr) - 1
+    supervariable of every free node and the position of every supervariable
+    in the minimum degree ordering of the supervariable graph: the scalar
+    pattern restricted to one representative node per supervariable."""
+    ns = scalar.shape[0]
     # the element set of every node in increasing order, padded with -1
     flat = element_nodes.ravel()
     entries = np.argsort(flat, kind="stable")
@@ -143,80 +152,17 @@ def _supervariable_order(element_nodes, free_nodes, sptr, col):
         entries // element_nodes.shape[1])
     _, first, group = np.unique(sets[free_nodes], axis=0, return_index=True,
                                 return_inverse=True)
-    group = group.ravel()
-    nsv = len(first)
     rep = free_nodes[first]
-    rep_group = np.full(ns, -1)
-    rep_group[rep] = np.arange(nsv)
-    entry = _runs(sptr[rep], np.diff(sptr)[rep])
-    nbr = rep_group[col[entry]]
-    edge = nbr >= 0
-    source = np.repeat(np.arange(nsv), np.diff(sptr)[rep])[edge]
-    edges = source, nbr[edge], col[entry[edge]], entry[edge] - sptr[rep[source]]
     # the graph with every diagonal entry and a diagonally dominant value
     # set, which SuperLU factors without pivoting
-    keys = np.sort(np.append(edges[0] * nsv + edges[1], np.arange(nsv) * (nsv + 1)))
-    row, other = np.divmod(keys[np.diff(keys, prepend=-1) > 0], nsv)
-    indptr = _indptr(row, nsv)
-    graph = scipy.sparse.csc_matrix(
-        (np.where(row == other, np.diff(indptr)[row], -1.0), other, indptr),
-        shape=(nsv, nsv))
+    graph = scalar[rep].tocsc()[:, rep] + scipy.sparse.identity(len(rep), format="csc")
+    graph.data[:] = -1.0
+    graph.setdiag(np.diff(graph.indptr))
     lu = scipy.sparse.linalg.splu(graph, permc_spec=PERMC_SPEC,
                                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                   options=SUPERLU_OPTIONS)
     # perm_c maps a supervariable to its position in the ordering
-    return group, lu.perm_c, edges
-
-
-def _block_layout(pattern, sptr, col, column_sv, edges, position):
-    """CSC layout of the free block: the gather map, row indices, column
-    pointers and diagonal positions.
-
-    Supervariables are numbered by their ``position`` in the ordering, and
-    ``column_sv`` is that number for every column.  The column of free dof
-    (g, b) in supervariable s holds the rows of every supervariable t
-    adjacent to s, in order, each as one contiguous run.  Its entry in the
-    row of dof (f, a) is CSR entry indptr[f * ns + a] + g * deg(a) +
-    rank_a(b) in the scalar pattern (``sptr``, ``col``).  The nodes of one
-    supervariable have the same neighbours, so a may be replaced by the node
-    x of the edge (s, t), and b's row, like that of s's first node, holds x
-    at entry k: rank_x(b) is the place of the transpose of b's entry k in
-    the row of x."""
-    p = pattern
-    ns = len(sptr) - 1
-    nfree, nsv = len(p.order), len(position)
-    size = np.bincount(column_sv, minlength=nsv)
-    start = np.cumsum(size) - size
-    # the edges sorted by the ordering positions of s, then t
-    source, target, x, k = edges
-    sort = np.argsort(position[source] * nsv + position[target])
-    qcol, x, k = position[target][sort], x[sort], k[sort]
-    qptr = _indptr(position[source], nsv)
-    qdeg = np.diff(qptr)
-    transpose = np.empty(len(col), dtype=int)
-    transpose[np.argsort(col, kind="stable")] = np.arange(len(col))
-    # one run of rows per (column, adjacent supervariable)
-    column = np.repeat(np.arange(nfree), qdeg[column_sv])
-    e = _runs(qptr[column_sv], qdeg[column_sv])
-    sv = qcol[e]
-    g, b = np.divmod(p.order[column], ns)
-    in_row = g * np.diff(sptr)[x[e]] + transpose[sptr[b] + k[e]] - sptr[x[e]]
-    run_start = np.cumsum(size[sv]) - size[sv]
-    block_indices = _runs(start[sv], size[sv])
-    gather = p.indptr[p.order][block_indices] + np.repeat(in_row, size[sv])
-    # a column of s has the dofs of every t adjacent to s as its rows
-    adjacent = np.append(0, np.cumsum(size[qcol]))
-    block_indptr = np.zeros(nfree + 1, dtype=np.intc)
-    np.cumsum((adjacent[qptr[1:]] - adjacent[qptr[:-1]])[column_sv], out=block_indptr[1:])
-    own = np.flatnonzero(sv == column_sv[column])
-    diag = run_start[own] + column[own] - start[sv[own]]
-    return gather, block_indices.astype(np.intc), block_indptr, diag
-
-
-def _runs(starts, lengths):
-    """The ranges arange(s, s + l) of all starts s and lengths l, joined."""
-    offset = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum()) + np.repeat(starts - offset, lengths)
+    return group.ravel(), lu.perm_c
 
 
 def _indptr(row, n):

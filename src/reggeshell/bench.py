@@ -125,7 +125,10 @@ class BenchmarkConfig:
         if self.levels < 1:
             raise ConfigurationError("need at least one refinement level")
         if self.base_refinement is None:
-            self.base_refinement = _RUNS[self.benchmark].get("base_refinement", 0)
+            # an imported mesh is level 0 as given; the refinement of the
+            # structured grid is no property of it
+            self.base_refinement = (0 if self.mesh_file is not None
+                                    else _RUNS[self.benchmark].get("base_refinement", 0))
 
 
 @dataclass

@@ -235,6 +235,25 @@ class TestScalarNodePattern:
         assert np.array_equal(pattern.element_dofs, full)
         assert_matches_sort_based(pattern, 30, full, free)
 
+    @pytest.mark.parametrize("free_node", [None, 0, 2])
+    def test_no_or_one_free_dof(self, free_node):
+        # with node 0 free alone, the one gathered position is CSR position
+        # 0, an explicit zero of the index-valued matrix that must be kept
+        n = 4
+        free = np.zeros(n + 1, dtype=bool)
+        if free_node is not None:
+            free[free_node] = True
+        pattern, local = laplace_1d(n, free)
+        dofs = pattern.element_dofs
+        assert_matches_sort_based(pattern, n + 1, dofs, free)
+        assert len(pattern.order) == len(pattern.gather) == len(pattern.diag) == free.sum()
+        rhs = np.arange(1.0, n + 2)
+        expected = np.zeros(n + 1)
+        expected[free] = rhs[free] / np.diag(dense_sum(n + 1, dofs, local))[free]
+        # atol=0: the constrained dofs are exact zeros
+        np.testing.assert_allclose(factor_solve(assemble(pattern, local), rhs), expected,
+                                   rtol=1e-14, atol=0)
+
 
 class TestFactorSolve:
     def test_against_dense_oracle(self):

@@ -14,8 +14,10 @@ from reggeshell.bench import (
     emit_table,
     run_benchmark,
 )
-from reggeshell.geometry import BENCHMARK_NAMES, ConfigurationError
+from reggeshell.geometry import BENCHMARK_NAMES, ConfigurationError, make_benchmark_mesh
 from reggeshell.shell import LoadSpec
+
+from test_unstructured import write_mesh
 
 
 def _azimuth(X):
@@ -138,6 +140,18 @@ class TestConfig:
         assert BenchmarkConfig("cylinder").base_refinement == 1
         assert BenchmarkConfig("hyperboloid").base_refinement == 0
         assert BenchmarkConfig("cylinder", base_refinement=0).base_refinement == 0
+        # an imported mesh is level 0 as given, unless a refinement is asked for
+        assert BenchmarkConfig("cylinder", mesh_file="m.txt").base_refinement == 0
+        assert BenchmarkConfig("cylinder", mesh_file="m.txt",
+                               base_refinement=1).base_refinement == 1
+
+    def test_imported_mesh_is_level_0(self, tmp_path):
+        mesh, _ = make_benchmark_mesh("cylinder")
+        assert mesh.num_triangles == 8
+        config = BenchmarkConfig("cylinder", mesh_file=str(write_mesh(mesh, tmp_path)),
+                                 thicknesses=(0.1,), levels=1, reference_order=2)
+        table = run_benchmark(config)
+        assert [row["n_elements"] for row in table.rows] == [8]
 
 
 class TestRun:

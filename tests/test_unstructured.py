@@ -1,4 +1,4 @@
-"""Paper invariants on unstructured meshes.
+"""Paper invariants and the sparsity pattern oracle on unstructured meshes.
 
 The structured benchmark grids have symmetries that can hide an orientation
 or numbering bug.  Here the interior parameter vertices of a level-1
@@ -18,6 +18,8 @@ from reggeshell.bench import BenchmarkConfig, run_benchmark
 from reggeshell.geometry import make_benchmark_mesh
 from reggeshell.mesh import read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
+
+from test_assembly import assert_matches_sort_based
 
 MAT = MaterialParams(2.85e4, 0.3)
 MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "tri_edge_signs")
@@ -92,6 +94,17 @@ def test_regge_rank_is_regge_space_dimension(tmp_path_factory, case, k):
     # (at least 3.4e-7 and at most 2.8e-16 relative on such meshes)
     assert s[rank - 1] > 1e-8 * s[0]
     assert s[rank] < 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@EXAMPLES
+@given(case=perturbed_meshes())
+def test_pattern_matches_sort_based(tmp_path_factory, case, order):
+    mesh, chart = case
+    mesh = through_file(mesh, tmp_path_factory.mktemp("mesh"))
+    model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=order))
+    assert_matches_sort_based(model._pattern, model.num_dofs, model.element_dofs,
+                              model.free)
 
 
 @FEW_EXAMPLES
