@@ -15,7 +15,12 @@ from reggeshell.geometry import (
     make_benchmark_mesh,
     tangent_frame,
 )
-from reggeshell.interpolation import DualMassMatrix, InterpolationOperator, ShearSpace
+from reggeshell.interpolation import (
+    DualMassMatrix,
+    InterpolationOperator,
+    ShearSpace,
+    three_field_blocks,
+)
 from reggeshell.mesh import rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
@@ -26,10 +31,11 @@ from reggeshell.shell import (
     ShellConfig,
     ShellModel,
     _frame_maps,
-    _reduced,
+    _point_weights,
     _reduction,
     _shear_B,
     _strain_B,
+    _strain_map,
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
@@ -269,22 +275,30 @@ class TestGreenTangent:
         assert len(state.residual_history) == iterations + 1
 
 
-def sampled_green_membrane(model, U):
-    """The Green membrane (e, G) formed at the sampling points of the
-    membrane reduction and taken to the energy points by R: the deformed
-    gradient F_d, the strain (F_d^T F_d - F^T F) / 2 and its derivative
-    sym(F_d^T grad du), which the closed form has to reproduce."""
-    rule, op = model._rule, model.operator
-    if op is None:
-        points, R = rule.points, np.eye(3 * len(rule.points))
-    else:
-        points, R = model._moments.points, _reduction(op, op.basis.eval(rule.points))
+def sampled_green_strain(model, U):
+    """The Green membrane strain at the sampling points of the membrane
+    reduction, or at the energy points without it, (nT, P, 3), and its
+    derivative (nT, P, 3, 3n): the deformed gradient F_d, the strain
+    (F_d^T F_d - F^T F) / 2 and sym(F_d^T grad du)."""
+    op = model.operator
+    points = model._rule.points if op is None else model._moments.points
     F, dN = model.map.evaluate(points).F, model.basis.grad(points)
     Fd = F + U.reshape(len(U), 1, 3, -1) @ dN
     C = np.swapaxes(Fd, -1, -2) @ Fd - np.swapaxes(F, -1, -2) @ F
     E = 0.5 * np.stack([C[..., 0, 0], C[..., 1, 1], C[..., 0, 1]], axis=-1)
-    eG = model._T @ _reduced(R, np.concatenate([E[..., None], _strain_B(Fd, dN)], -1))
-    return eG[..., 0], eG[..., 1:]
+    return E, _strain_B(Fd, dN)
+
+
+def frame_strain(model, E):
+    """Frame membrane strain (nT, nq, 3) at the energy points of a strain E
+    sampled as in ``sampled_green_strain``: its interpolant, evaluated with
+    the operator, or E itself."""
+    points = model._rule.points
+    if model.operator is not None:
+        op = model.operator
+        E = np.moveaxis(op.evaluate(op.interpolate(np.moveaxis(E, 0, -1)), points), -1, 0)
+    T, _ = _frame_maps(tangent_frame(model.map.evaluate(points).F)[1])
+    return (T @ E[..., None])[..., 0]
 
 
 class TestGreenClosedForm:
@@ -296,13 +310,24 @@ class TestGreenClosedForm:
             thickness=0.1, order=2, membrane_reduction=reduction, model="full_green"))
         x = random_state(model, 0.05, seed=12)
         U = model._local(x)[:, :3 * model.basis.num_shapes]
-        ref = sampled_green_membrane(model, U)
+        E, dE = sampled_green_strain(model, U)
+        # the strain vector and its derivative: the sampled values, or
+        # their coefficients C E
+        nT, m = U.shape
+        ref = [E.reshape(nT, -1), dE.reshape(nT, -1, m)]
+        if model.operator is not None:
+            C, _ = _reduction(model.operator, model.operator.basis.eval(model._rule.points),
+                              model._rule.weights)
+            ref = [C @ ref[0][..., None], C @ ref[1]]
+            ref[0] = ref[0][..., 0]
         for got, want in zip(model._green_membrane(U), ref):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        # the energy evaluates the strain without its derivative
+        # the energy evaluates the strain without its derivative; its
+        # reference is the frame strain integrated point by point
+        e = frame_strain(model, E)
         energy = 0.5 * model.config.thickness * np.einsum(
-            "tq,tqa,tqa->", model._wJ, ref[0], ref[0] @ model.D)
+            "tq,tqa,tqa->", model._wJ, e, e @ model.D)
         assert model.membrane_energy(x) == pytest.approx(energy, rel=1e-12)
 
 
@@ -310,21 +335,48 @@ class TestReductionMatrices:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_regge_matrix_is_interpolant_at_points(self, k):
         op = InterpolationOperator(k)
-        points = triangle_rule(2 * k + 4).points
-        R = _reduction(op, op.basis.eval(points))
+        rule = triangle_rule(2 * k + 4)
+        C, S = _reduction(op, op.basis.eval(rule.points), rule.weights)
         V = np.random.default_rng(k).standard_normal((len(op.points), 3))
-        ref = op.evaluate(op.interpolate(V), points)
-        assert np.max(np.abs(R @ V.ravel() - ref.ravel())) <= 1e-13 * np.max(np.abs(ref))
+        got = (S @ (C @ V.ravel())).reshape(-1, 3)
+        ref = op.evaluate(op.interpolate(V), rule.points)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the coefficient basis is orthonormal under the quadrature
+        w = np.repeat(rule.weights, 3)[:, None]
+        assert np.max(np.abs(S.T @ (w * S) - np.eye(len(C)))) <= 1e-13
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_shear_matrix_is_projection_at_points(self, p):
         ss = ShearSpace(p, 2 * p + 4)
-        points = triangle_rule(2 * p + 4).points
-        S = ss.shapes(points)
-        R = _reduction(ss, S)
+        rule = triangle_rule(2 * p + 4)
+        shapes = ss.shapes(rule.points)
+        C, S = _reduction(ss, shapes, rule.weights)
         V = np.random.default_rng(p).standard_normal((len(ss.points), 2))
-        ref = np.einsum("qnc,n->qc", S, ss.interpolate(V))
-        assert np.max(np.abs(R @ V.ravel() - ref.ravel())) <= 1e-13 * np.max(np.abs(ref))
+        got = (S @ (C @ V.ravel())).reshape(-1, 2)
+        ref = np.einsum("qnc,n->qc", shapes, ss.interpolate(V))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        w = np.repeat(rule.weights, 2)[:, None]
+        assert np.max(np.abs(S.T @ (w * S) - np.eye(len(C)))) <= 1e-13
+
+    def test_coefficient_mass_is_three_field_block(self):
+        # the weight of a reduced strain is the material mass A of the
+        # interpolant's shapes, here at the moment rule's volume points: the
+        # energies c . W c and a . A a of one field agree, a its coefficients
+        # in the operator's basis
+        op = InterpolationOperator(2)
+        points, weights = op.rule.vol_points, op.rule.vol_weights
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.5, 1.5, len(points))
+        T = rng.standard_normal((len(points), 3, 3))
+        C, S = _reduction(op, op.basis.eval(points), weights)
+        V = rng.standard_normal((len(op.points), 3))
+        Wq = _point_weights(w[None], T[None], MAT.norm_matrix)
+        M, W = _strain_map(V[None, ..., None], Wq, (C, S))
+        A, _ = three_field_blocks(op, w, T, MAT.norm_matrix)
+        a = op.interpolate(V)
+        c = M[0, :, 0]
+        assert W.shape == (1, 1) + A.shape
+        assert c @ W[0, 0] @ c == pytest.approx(a @ A @ a, rel=1e-13)
 
     def test_unreduced_maps_are_sampled_at_energy_points(self):
         model = cylinder_model(membrane_reduction="none", shear_reduction="none")
@@ -334,8 +386,58 @@ class TestReductionMatrices:
         verts = model.mesh.vertices[model.mesh.triangles]
         A = np.swapaxes(verts, 1, 2) @ BARY_GRADS
         N, dN = model.basis.eval(points), model.basis.grad(points)
-        assert np.array_equal(model._Gm, T @ _strain_B(ev.F, dN))
-        assert np.array_equal(model._Gs, Gt @ _shear_B(ev.nu, A, N, dN))
+        nT = model.mesh.num_triangles
+        assert np.array_equal(model._Mm, _strain_B(ev.F, dN).reshape(nT, len(points) * 3, -1))
+        assert np.array_equal(model._Ms, _shear_B(ev.nu, A, N, dN).reshape(
+            nT, len(points) * 2, -1))
+        # one weight wJ T^T D T per point, shared with the bending
+        wJ = model._wJ
+        for W, frame, D in ((model._Wm, T, model.D), (model._Ws, Gt, np.eye(2))):
+            ref = np.einsum("tq,tqab,bc,tqcd->tqad", wJ, np.swapaxes(frame, -1, -2), D, frame)
+            assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert model._Wm is model._Wb
+
+    @pytest.mark.parametrize("kind", ["linearized_membrane", "full_green"])
+    def test_reduced_strains_are_held_as_coefficients(self, kind):
+        # no (element, energy point) array of a reduced strain is stored
+        model = cylinder_model(model=kind)
+        nT, n = model.mesh.num_triangles, model.basis.num_shapes
+        n_regge, n_shear = model.operator.num_dofs, model.shear_space.num_shapes
+        assert model._Mm.shape == (nT, n_regge, 3 * n)
+        assert model._Wm.shape == (nT, 1, n_regge, n_regge)
+        assert model._Ms.shape == (nT, n_shear, 5 * n)
+        assert model._Ws.shape == (nT, 1, n_shear, n_shear)
+        # the arrays with a point axis at the energy points are the geometry
+        # tables and the unreduced bending
+        nq = len(model._rule.points)
+        for name, value in vars(model).items():
+            for item in value if isinstance(value, tuple) else (value,):
+                if (isinstance(item, np.ndarray) and item.ndim > 1 and len(item) == nT
+                        and item.shape[1] % nq == 0):
+                    assert name in ("_wJ", "_X", "_nu", "_Mb", "_Wb"), name
+
+
+def model_nbytes(model):
+    """Bytes of the distinct arrays a model holds, in attributes and in the
+    tuples among them."""
+    arrays = {}
+    for value in vars(model).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                arrays[id(item)] = item.nbytes
+    return sum(arrays.values())
+
+
+class TestModelMemory:
+    def test_order_4_reference_holds_under_half_its_point_map_size(self):
+        # the level-2 cylinder reference of the locking sweep; with its
+        # reduced strains sampled at the energy points its arrays took
+        # 63.5 MiB, 40 MiB of them the membrane and shear point maps
+        mesh, chart = make_benchmark_mesh("cylinder", 2)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(
+            thickness=0.1, order=4, membrane_reduction="regge"))
+        assert model.mesh.num_triangles == 128
+        assert model_nbytes(model) <= 0.5 * 63.5 * 2 ** 20
 
 
 class TestFrameInvariance:

@@ -3,10 +3,10 @@
 The structured benchmark grids have symmetries that can hide an orientation
 or numbering bug.  Here the interior parameter vertices of a level-1
 benchmark mesh move by up to 0.3·h_min, which keeps every triangle
-positive, and the mesh goes through the ``read_mesh`` file format.
+positive; the vertices and triangles are renumbered and each triangle's
+local vertices rotated, and the mesh goes through the ``read_mesh`` file
+format.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reggeshell.bench import BenchmarkConfig, run_benchmark
+from reggeshell.elements import barycentric
 from reggeshell.geometry import make_benchmark_mesh
-from reggeshell.mesh import read_mesh
+from reggeshell.mesh import build_mesh, read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
 from test_assembly import assert_matches_sort_based
@@ -29,7 +30,10 @@ FEW_EXAMPLES = settings(EXAMPLES, max_examples=3)
 
 @st.composite
 def perturbed_meshes(draw, names=("hyperboloid", "hemisphere", "cylinder")):
-    """A perturbed level-1 mesh of one of the named benchmarks, and its chart."""
+    """A perturbed, renumbered level-1 mesh of one of the named benchmarks,
+    and its chart: the vertices and the triangles are numbered in drawn
+    orders, and each triangle's local vertices are rotated cyclically by a
+    drawn shift, which keeps its orientation."""
     mesh, chart = make_benchmark_mesh(draw(st.sampled_from(names)), 1)
     v = mesh.vertices
     h_min = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1).min()
@@ -39,7 +43,16 @@ def perturbed_meshes(draw, names=("hyperboloid", "hemisphere", "cylinder")):
     vertices = v.copy()
     # each coordinate moves by at most 0.3·h_min/√2, so each vertex by 0.3·h_min
     vertices[interior] += 0.3 * h_min / np.sqrt(2.0) * unit
-    return dataclasses.replace(mesh, vertices=vertices), chart
+    # new vertex i is old vertex vertex_order[i]
+    vertex_order = np.array(draw(st.permutations(range(mesh.num_vertices))))
+    triangle_order = np.array(draw(st.permutations(range(mesh.num_triangles))))
+    shifts = draw(arrays(np.int64, mesh.num_triangles, elements=st.integers(0, 2)))
+    new_index = np.argsort(vertex_order)
+    triangles = new_index[mesh.triangles[triangle_order]]
+    triangles = np.take_along_axis(triangles, (np.arange(3) + shifts[:, None]) % 3, axis=1)
+    markers = {name: new_index[mesh.edges[mesh.edges_with_marker(name)]]
+               for name in mesh.boundary_markers}
+    return build_mesh(vertices[vertex_order], triangles, markers), chart
 
 
 def write_mesh(mesh, directory):
@@ -117,3 +130,78 @@ def test_repeat_runs_are_byte_identical(tmp_path_factory, case):
     first = run_benchmark(config).to_csv()
     assert "nan" not in first
     assert run_benchmark(config).to_csv() == first
+
+
+def node_positions(model):
+    """Chart positions (ns, 3) of the scalar nodes, which interpolate the
+    isoparametric geometry."""
+    lam = barycentric(model.basis.nodes)
+    X = np.empty((model.num_scalar_dofs, 3))
+    mesh = model.mesh
+    X[model.element_scalar_dofs] = model.chart.phi(lam @ mesh.vertices[mesh.triangles])
+    return X
+
+
+def rigid_state(model, rotation, shift, linearized):
+    """Coefficient vector of the rigid motion x -> R x + c (u = R X + c - X),
+    or of its linearization u = W X + c for a skew W."""
+    X = node_positions(model)
+    u = rotation @ X.T + shift[:, None] - (0.0 if linearized else X.T)
+    x = np.zeros(model.num_dofs)
+    x[:u.size] = u.ravel()
+    return x
+
+
+def regge_model(mesh, chart, kind):
+    return ShellModel(mesh, chart, MAT, ShellConfig(
+        thickness=0.1, order=2, membrane_reduction="regge", model=kind))
+
+
+@EXAMPLES
+@given(case=perturbed_meshes())
+def test_linearized_rigid_motions_in_reduced_membrane_kernel(tmp_path_factory, case):
+    mesh, chart = case
+    model = regge_model(through_file(mesh, tmp_path_factory.mktemp("mesh")), chart,
+                        "linearized_membrane")
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        w = rng.standard_normal(3)
+        W = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        x = rigid_state(model, W, rng.standard_normal(3), linearized=True)
+        # the energy of the round-off grows with the square of the motion:
+        # at unit rotation rate the hemisphere (radius 10) moves its nodes
+        # by up to 14, so each motion is scaled to unit size; the bound is
+        # that of tests/test_acceptance.py
+        x /= np.max(np.abs(x))
+        assert model.membrane_energy(x) <= 1e-24
+
+
+@EXAMPLES
+@given(case=perturbed_meshes())
+def test_finite_rotations_in_reduced_green_membrane_kernel(tmp_path_factory, case):
+    mesh, chart = case
+    model = regge_model(through_file(mesh, tmp_path_factory.mktemp("mesh")), chart,
+                        "full_green")
+    axis = np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    for angle in (np.pi / 6, np.pi / 2):
+        R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
+        x = rigid_state(model, R, np.array([0.4, -0.2, 0.7]), linearized=False)
+        assert model.membrane_energy(x) <= 1e-24
+
+
+@EXAMPLES
+@given(case=perturbed_meshes())
+def test_green_hessian_matches_gradient_differences(case):
+    mesh, chart = case
+    model = regge_model(mesh, chart, "full_green")
+    rng = np.random.default_rng(8)
+    x = 0.05 * rng.standard_normal(model.num_dofs)
+    d = rng.standard_normal(model.num_dofs)
+    d /= np.linalg.norm(d)
+    h = 1e-6
+    fd = (model.gradient(x + h * d) - model.gradient(x - h * d)) / (2 * h)
+    Hd = model.hessian(x).matrix @ d
+    # the bound of tests/test_shell.py::TestGreenTangent
+    assert np.max(np.abs(Hd - fd)) <= 1e-6 * np.max(np.abs(fd))
