@@ -7,13 +7,13 @@ be evaluated with the same machinery.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import mesh as meshmod
-from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis, pseudo_inverse
+from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis
 
 __all__ = [
     "ChartGeometry",
@@ -42,7 +42,6 @@ class ChartGeometry:
     ambient_dim: int
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
 
 def _coordinates(p):
@@ -91,13 +90,8 @@ class MapEvaluation:
     a map of several triangles, then a point axis for a batch of points."""
 
     F: np.ndarray        # (..., dim, 2) gradient w.r.t. reference coordinates
-    J: np.ndarray        # (...,) surface determinant sqrt(det(F^T F))
+    J: np.ndarray        # (...,) surface determinant |F_0 x F_1|, det F if flat
     nu: np.ndarray       # (..., 3) unit normal (surface case) or None
-
-    @property
-    def Fdag(self):
-        """Moore-Penrose pseudo-inverse of F, (..., 2, dim)."""
-        return pseudo_inverse(self.F)
 
     def Jb(self, edge):
         """Boundary determinant ||F t|| of a local edge at this point."""
@@ -128,17 +122,13 @@ class ElementMap:
         pts = np.asarray(points, dtype=float)
         grads = self._basis.grad(np.atleast_2d(pts))  # (n, nshapes, 2)
         F = np.swapaxes(self.control_points, -1, -2)[..., None, :, :] @ grads
-        G = np.swapaxes(F, -1, -2) @ F
-        detG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        if np.any(detG <= 1e-28):
+        # J = |F_0 x F_1| = sqrt(det F^T F) on surfaces, det F on flat charts
+        nu = np.cross(F[..., 0], F[..., 1]) if self.ambient_dim == 3 else None
+        J = np.linalg.det(F) if nu is None else np.linalg.norm(nu, axis=-1)
+        if np.any(J <= 1e-14):
             raise GeometryError("degenerate element map (J <= 0)")
-        J = np.sqrt(detG)
-        nu = None
-        if self.ambient_dim == 3:
-            nu = np.cross(F[..., 0], F[..., 1])
-            nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
-        elif np.any(np.linalg.det(F) <= 0):
-            raise GeometryError("flat element map with nonpositive Jacobian")
+        if nu is not None:
+            nu = nu / J[..., None]
         if pts.ndim == 1:
             return MapEvaluation(F=F[..., 0, :, :],
                                  J=float(J[0]) if J.ndim == 1 else J[..., 0],
@@ -175,7 +165,7 @@ def _cylinder_chart(R):
         th, z = _coordinates(p)
         return _stack([-R * np.sin(th), 0.0, R * np.cos(th), 0.0, 0.0, 1.0], (3, 2))
 
-    return ChartGeometry("cylinder", 3, phi, dphi, {"R": R})
+    return ChartGeometry("cylinder", 3, phi, dphi)
 
 
 def _hyperboloid_chart(R):
@@ -196,7 +186,7 @@ def _hyperboloid_chart(R):
             0.0, 1.0,
         ], (3, 2))
 
-    return ChartGeometry("hyperboloid", 3, phi, dphi, {"R": R})
+    return ChartGeometry("hyperboloid", 3, phi, dphi)
 
 
 def _unibend_chart(R):
@@ -208,7 +198,7 @@ def _unibend_chart(R):
         th, y = _coordinates(p)
         return _stack([R * np.cos(th), 0.0, 0.0, 1.0, -R * np.sin(th), 0.0], (3, 2))
 
-    return ChartGeometry("unibend_cylinder", 3, phi, dphi, {"R": R})
+    return ChartGeometry("unibend_cylinder", 3, phi, dphi)
 
 
 def _hyppar_chart(alpha):
@@ -220,7 +210,7 @@ def _hyppar_chart(alpha):
         x, y = _coordinates(p)
         return _stack([1.0, 0.0, 0.0, 1.0, -2.0 * alpha * x, 2.0 * alpha * y], (3, 2))
 
-    return ChartGeometry("hyperbolic_paraboloid", 3, phi, dphi, {"alpha": alpha})
+    return ChartGeometry("hyperbolic_paraboloid", 3, phi, dphi)
 
 
 def _hemisphere_chart(R):
@@ -241,7 +231,7 @@ def _hemisphere_chart(R):
             0.0, -np.sin(tp),
         ], (3, 2))
 
-    return ChartGeometry("hemisphere", 3, phi, dphi, {"R": R})
+    return ChartGeometry("hemisphere", 3, phi, dphi)
 
 
 # parameter rectangle, level-0 grid, boundary markers and chart per benchmark;

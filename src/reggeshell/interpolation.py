@@ -44,7 +44,6 @@ __all__ = [
     "get_shear_space",
     "reference_dual_mass",
     "assemble_dual_mass",
-    "three_field_blocks",
 ]
 
 
@@ -97,7 +96,6 @@ def _interior_dual_basis(k):
 class DualMassMatrix:
     """Block lower triangular pairing of shapes with dual functionals."""
 
-    k: int
     M_EE: np.ndarray
     M_TE: np.ndarray
     M_TT: np.ndarray
@@ -139,12 +137,9 @@ class InterpolationOperator:
     linear in trailing axes.
     """
 
-    def __init__(self, k, quad_degree=None):
+    def __init__(self, k, quad_degree):
         self.k = k
         self.basis = regge_basis(k)
-        if quad_degree is None:
-            quad_degree = 2 * k + 2
-        self.quad_degree = quad_degree
         self.rule = moment_rule(k + 1, quad_degree)
         self.points = self.rule.points
 
@@ -158,8 +153,8 @@ class InterpolationOperator:
         # the duals applied to the shapes: M[i, j] = q_i(phi_j)
         M = self.functionals(np.moveaxis(self.basis.eval(self.points), 1, 2))
         n_edge = self.basis.num_edge_shapes
-        self.dual_mass = DualMassMatrix(k=k, M_EE=M[:n_edge, :n_edge],
-                                        M_TE=M[n_edge:, :n_edge], M_TT=M[n_edge:, n_edge:])
+        self.dual_mass = DualMassMatrix(M_EE=M[:n_edge, :n_edge], M_TE=M[n_edge:, :n_edge],
+                                        M_TT=M[n_edge:, n_edge:])
 
     @property
     def num_dofs(self):
@@ -263,14 +258,12 @@ class ShearSpace:
 
 
 @lru_cache(maxsize=None)
-def _cached_operator(k, quad_degree):
-    return InterpolationOperator(k, quad_degree)
-
-
 def get_operator(k, quad_degree=None):
+    """Shared order-k operator whose moment rule is exact to degree
+    ``quad_degree``, by default 2k + 2."""
     if quad_degree is None:
-        quad_degree = 2 * k + 2
-    return _cached_operator(k, quad_degree)
+        return get_operator(k, 2 * k + 2)
+    return InterpolationOperator(k, quad_degree)
 
 
 @lru_cache(maxsize=None)
@@ -290,18 +283,14 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     pull-backs explicitly; by construction the result equals the reference
     matrix, which the tests exercise as the geometry-free property.
     """
-    if quad_degree is None:
-        quad_degree = 2 * k + 2
-    basis = regge_basis(k)
+    op = get_operator(k, quad_degree)
+    rule, basis = op.rule, op.basis
     n_edge = basis.num_edge_shapes
     n = basis.num_shapes
 
-    seg = segment_rule(quad_degree)
-    M_edge = np.zeros((n_edge, n))
-    row = 0
-    for e in range(3):
-        that, length = edge_tangent(e)
-        pts = edge_point(e, seg.points)
+    M_edge = []
+    for e, (pts, that, weights) in enumerate(zip(rule.edge_points, rule.tangents,
+                                                 rule.edge_weights)):
         shape_vals = basis.eval(pts)
         tt_phys = np.zeros((len(pts), n))
         jb = np.zeros(len(pts))
@@ -310,52 +299,19 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
             jb[q] = ev.Jb(e)
             t_phys = (ev.F @ that) / jb[q]
             tt_phys[q] = covariant_pullback(ev.F, shape_vals[q]) @ t_phys @ t_phys
-        for l in range(k + 1):
-            leg = eval_legendre(l, seg.points)
-            # q_E pulled back with J_b, arclength measure contributes J_b again
-            M_edge[row] = (seg.weights * (length / 2.0) * leg * jb * jb) @ tt_phys
-            row += 1
+        # q_E pulled back with J_b, arclength measure contributes J_b again
+        M_edge.append((weights * jb * jb) @ tt_phys)
+    M_edge = np.vstack(M_edge)
 
-    tri = triangle_rule(quad_degree)
-    shape_vals = basis.eval(tri.points)
+    shape_vals = basis.eval(rule.vol_points)
     duals = _interior_dual_basis(k)
     M_cell = np.zeros((len(duals), n))
-    for q, xi in enumerate(tri.points):
+    for q, xi in enumerate(rule.vol_points):
         ev = element_map.evaluate(xi)
         sig_phys = covariant_pullback(ev.F, shape_vals[q])
         for i, (a, b, u) in enumerate(duals):
             q_phys = dual_volume_pullback(ev.F, ev.J, xi[0] ** a * xi[1] ** b * u)
-            M_cell[i] += tri.weights[q] * ev.J * np.einsum("sij,ij->s", sig_phys, q_phys)
+            M_cell[i] += rule.vol_weights[q] * ev.J * np.einsum("sij,ij->s", sig_phys, q_phys)
 
-    return DualMassMatrix(
-        k=k,
-        M_EE=M_edge[:, :n_edge],
-        M_TE=M_cell[:, :n_edge],
-        M_TT=M_cell[:, n_edge:],
-    )
-
-
-def three_field_blocks(operator, weights, frame_maps, material):
-    """Local blocks of the three-field form (displacement, strain, multiplier).
-
-    Parameters
-    ----------
-    operator : InterpolationOperator
-    weights : (nq,) quadrature weights including the surface determinant
-    frame_maps : (nq, 3, 3) Voigt maps from reference to orthonormal frame
-    material : (3, 3) material norm matrix in the orthonormal frame
-
-    Returns the material mass A of the shape functions and the dual mass M;
-    eliminating the strain and multiplier blocks against a functional vector
-    f(u) gives the condensed membrane energy f^T M^{-T} A M^{-1} f.
-    """
-    S = operator.basis.eval(operator.rule.vol_points)  # (nq, n, 3)
-    TS = np.einsum("qab,qnb->qna", frame_maps, S)
-    A = np.einsum("q,qna,ab,qmb->nm", weights, TS, material, TS)
-    return A, operator.dual_mass.full
-
-
-def condensed_membrane_energy(A, dual_mass, f):
-    """Energy after eliminating the local strain and multiplier unknowns."""
-    alpha = dual_mass.solve(np.asarray(f))
-    return float(alpha @ A @ alpha)
+    return DualMassMatrix(M_EE=M_edge[:, :n_edge], M_TE=M_cell[:, :n_edge],
+                          M_TT=M_cell[:, n_edge:])

@@ -6,6 +6,7 @@ which makes the exactness degree trivially guaranteed at any order.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,29 +15,21 @@ __all__ = ["QuadratureRule", "segment_rule", "triangle_rule"]
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature points, weights and guaranteed polynomial exactness."""
+    """Quadrature points and weights."""
 
     points: np.ndarray  # (n,) for segments, (n, 2) for triangles
     weights: np.ndarray
-    exactness: int
 
 
-_segment_cache: dict[int, QuadratureRule] = {}
-_triangle_cache: dict[int, QuadratureRule] = {}
-
-
+@lru_cache(maxsize=None)
 def segment_rule(d):
     """Gauss-Legendre rule on [-1, 1] exact for polynomials of degree >= d."""
     if d < 0:
         raise ValueError("exactness degree must be nonnegative")
-    d = int(d)
-    if d not in _segment_cache:
-        n = d // 2 + 1
-        x, w = np.polynomial.legendre.leggauss(n)
-        _segment_cache[d] = QuadratureRule(x, w, 2 * n - 1)
-    return _segment_cache[d]
+    return QuadratureRule(*np.polynomial.legendre.leggauss(int(d) // 2 + 1))
 
 
+@lru_cache(maxsize=None)
 def triangle_rule(d):
     """Collapsed tensor-Gauss rule on the reference triangle, exact to degree d.
 
@@ -47,16 +40,12 @@ def triangle_rule(d):
     if d < 0:
         raise ValueError("exactness degree must be nonnegative")
     d = int(d)
-    if d not in _triangle_cache:
-        nu = d // 2 + 1
-        ny = (d + 1) // 2 + 1
-        u, wu = np.polynomial.legendre.leggauss(nu)
-        ty, wy = np.polynomial.legendre.leggauss(ny)
-        y = 0.5 * (ty + 1.0)
-        wy = 0.5 * wy
-        U, Y = np.meshgrid(u, y, indexing="ij")
-        WU, WY = np.meshgrid(wu, wy, indexing="ij")
-        pts = np.column_stack([(U * (1.0 - Y)).ravel(), Y.ravel()])
-        wts = (WU * WY * (1.0 - Y)).ravel()
-        _triangle_cache[d] = QuadratureRule(pts, wts, d)
-    return _triangle_cache[d]
+    u, wu = np.polynomial.legendre.leggauss(d // 2 + 1)
+    ty, wy = np.polynomial.legendre.leggauss((d + 1) // 2 + 1)
+    y = 0.5 * (ty + 1.0)
+    wy = 0.5 * wy
+    U, Y = np.meshgrid(u, y, indexing="ij")
+    WU, WY = np.meshgrid(wu, wy, indexing="ij")
+    pts = np.column_stack([(U * (1.0 - Y)).ravel(), Y.ravel()])
+    wts = (WU * WY * (1.0 - Y)).ravel()
+    return QuadratureRule(pts, wts)

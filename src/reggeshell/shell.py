@@ -99,9 +99,13 @@ class ShellConfig:
     shear_reduction: str = "edge_tangential"  # none | edge_tangential
     model: str = "linearized_membrane"    # linearized_membrane | full_green
 
-    def __post_init__(self):
-        if not 0.0 < self.thickness < np.inf:
+    def __setattr__(self, name, value):
+        # checked on every assignment: solves rescale a built model's thickness
+        if name == "thickness" and not 0.0 < value < np.inf:
             raise ValueError("thickness must be positive and finite")
+        super().__setattr__(name, value)
+
+    def __post_init__(self):
         if self.order < 1:
             raise ValueError("displacement order must be >= 1")
         if self.geometry_order is None:
@@ -128,9 +132,8 @@ class ShellState:
     also holds the free-dof residual norm of every Newton iterate, the first
     at the initial guess."""
 
-    def __init__(self, model, vector=None, residual_history=()):
-        self.model = model
-        self.vector = np.zeros(model.num_dofs) if vector is None else np.asarray(vector, float)
+    def __init__(self, vector, residual_history=()):
+        self.vector = np.asarray(vector, float)
         self.residual_history = np.array(residual_history, dtype=float)
 
 
@@ -328,10 +331,10 @@ class ShellModel:
             elif name.startswith("sym:"):
                 axis = "xyz".index(name.split(":")[1])
                 mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
-                Fdag = pseudo_inverse(self.chart.dphi(mid))
+                pinv = pseudo_inverse(self.chart.dphi(mid))
                 # rotation component whose contravariant direction crosses
                 # the symmetry plane
-                alpha = np.argmax(np.abs(Fdag[:, :, axis]), axis=1)
+                alpha = np.argmax(np.abs(pinv[:, :, axis]), axis=1)
                 fixed[axis, dofs] = True
                 fixed[3 + alpha[:, None], dofs] = True
         self.free = ~fixed.ravel()
@@ -609,7 +612,7 @@ class ShellModel:
             r = self.gradient(x, f, membrane=membrane)
             history.append(np.linalg.norm(r[self.free]))
             if iterations > 0 and _newton_converged(history):
-                return ShellState(self, x, history), iterations
+                return ShellState(x, history), iterations
             if iterations < NEWTON_MAX_ITER:
                 x = x + factor_solve(self.hessian(x, membrane=membrane), -r)
         raise SolverError(

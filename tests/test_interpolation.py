@@ -78,6 +78,10 @@ class TestDualMassStructure:
 
 
 class TestInterpolation:
+    @pytest.mark.parametrize("k", range(3))
+    def test_default_moment_degree_shares_the_operator(self, k):
+        assert get_operator(k) is get_operator(k, 2 * k + 2)
+
     @pytest.mark.parametrize("k", range(5))
     def test_constant_identity_reproduced(self, k):
         op = get_operator(k)
@@ -181,38 +185,3 @@ class TestCommutingDiagram:
             f_interp = op.functionals(sg_interp_ref)
             assert np.allclose(f_exact, f_interp, atol=1e-12)
 
-
-class TestThreeField:
-    def test_condensation_matches_interpolated_energy(self):
-        from reggeshell.interpolation import condensed_membrane_energy, three_field_blocks
-        from reggeshell.quadrature import triangle_rule
-
-        k = 2
-        op = get_operator(k)
-        nq = len(op.rule.vol_points)
-        weights = op.rule.vol_weights.copy()
-        frames = np.tile(np.eye(3), (nq, 1, 1))
-        material = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.4]])
-
-        field = lambda pts: np.column_stack([
-            np.sin(pts[:, 0]), pts[:, 1] ** 2, pts[:, 0] * pts[:, 1]
-        ])
-        A, M = three_field_blocks(op, weights, frames, material)
-        f = op.functionals(field)
-        e_condensed = condensed_membrane_energy(A, op.dual_mass, f)
-
-        alpha = op.interpolate(field)
-        vals = op.evaluate(alpha, op.rule.vol_points)
-        # the material matrix encodes the full Voigt inner product used in A
-        direct = sum(weights[q] * vals[q] @ material @ vals[q] for q in range(nq))
-        assert e_condensed == pytest.approx(direct, rel=1e-10)
-
-    def test_zero_field_gives_zero(self):
-        from reggeshell.interpolation import condensed_membrane_energy, three_field_blocks
-
-        op = get_operator(1)
-        nq = len(op.rule.vol_points)
-        A, M = three_field_blocks(op, op.rule.vol_weights, np.tile(np.eye(3), (nq, 1, 1)),
-                                  np.eye(3))
-        f = np.zeros(op.num_dofs)
-        assert condensed_membrane_energy(A, op.dual_mass, f) == 0.0

@@ -19,7 +19,7 @@ from reggeshell.interpolation import (
     DualMassMatrix,
     InterpolationOperator,
     ShearSpace,
-    three_field_blocks,
+    get_operator,
 )
 from reggeshell.mesh import rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
@@ -93,6 +93,13 @@ class TestConfig:
             ShellConfig(thickness=0.1, membrane_reduction="bogus")
         with pytest.raises(ValueError):
             ShellConfig(thickness=0.1, model="bogus")
+
+    @pytest.mark.parametrize("thickness", [0.0, -1.0, np.nan, np.inf])
+    def test_thickness_checked_on_assignment(self, thickness):
+        c = ShellConfig(thickness=0.1)
+        with pytest.raises(ValueError):
+            c.thickness = thickness
+        assert c.thickness == 0.1
 
 
 class TestKernelAndScaling:
@@ -334,7 +341,7 @@ class TestGreenClosedForm:
 class TestReductionMatrices:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_regge_matrix_is_interpolant_at_points(self, k):
-        op = InterpolationOperator(k)
+        op = get_operator(k)
         rule = triangle_rule(2 * k + 4)
         C, S = _reduction(op, op.basis.eval(rule.points), rule.weights)
         V = np.random.default_rng(k).standard_normal((len(op.points), 3))
@@ -359,11 +366,12 @@ class TestReductionMatrices:
         assert np.max(np.abs(S.T @ (w * S) - np.eye(len(C)))) <= 1e-13
 
     def test_coefficient_mass_is_three_field_block(self):
-        # the weight of a reduced strain is the material mass A of the
-        # interpolant's shapes, here at the moment rule's volume points: the
-        # energies c . W c and a . A a of one field agree, a its coefficients
-        # in the operator's basis
-        op = InterpolationOperator(2)
+        # the weight of a reduced strain is the material mass
+        # A = sum_q w_q (T_q S_q)^T D (T_q S_q) of the interpolant's shapes
+        # S, here at the moment rule's volume points: the energies c . W c
+        # and a . A a of one field agree, a its coefficients in the
+        # operator's basis
+        op = get_operator(2)
         points, weights = op.rule.vol_points, op.rule.vol_weights
         rng = np.random.default_rng(5)
         w = rng.uniform(0.5, 1.5, len(points))
@@ -372,7 +380,8 @@ class TestReductionMatrices:
         V = rng.standard_normal((len(op.points), 3))
         Wq = _point_weights(w[None], T[None], MAT.norm_matrix)
         M, W = _strain_map(V[None, ..., None], Wq, (C, S))
-        A, _ = three_field_blocks(op, w, T, MAT.norm_matrix)
+        TS = np.einsum("qab,qnb->qna", T, op.basis.eval(points))
+        A = np.einsum("q,qna,ab,qmb->nm", w, TS, MAT.norm_matrix, TS)
         a = op.interpolate(V)
         c = M[0, :, 0]
         assert W.shape == (1, 1) + A.shape
