@@ -118,10 +118,13 @@ class BenchmarkConfig:
             raise ConfigurationError(
                 f"unknown benchmark '{self.benchmark}'; choose one of {BENCHMARK_NAMES}"
             )
+        if not self.thicknesses:
+            raise ConfigurationError("thickness list is empty")
         if not all(0.0 < t < math.inf for t in self.thicknesses):
             raise ConfigurationError("thickness values must be positive and finite")
-        if self.order < 1 or self.reference_order < 1:
-            raise ConfigurationError("element orders must be >= 1")
+        orders = (self.order, self.reference_order, self.geometry_order)
+        if any(k is not None and k < 1 for k in orders):
+            raise ConfigurationError("element and geometry orders must be >= 1")
         if self.levels < 1:
             raise ConfigurationError("need at least one refinement level")
         if self.base_refinement is None:
@@ -129,6 +132,8 @@ class BenchmarkConfig:
             # structured grid is no property of it
             self.base_refinement = (0 if self.mesh_file is not None
                                     else _RUNS[self.benchmark].get("base_refinement", 0))
+        if self.base_refinement < 0:
+            raise ConfigurationError("base refinement must be >= 0")
 
 
 @dataclass

@@ -61,7 +61,7 @@ def main(argv=None):
         table = run_benchmark(config)
         out = args.out or f"{args.benchmark}.{args.format}"
         emit_table(table, out, args.format)
-    except (ConfigurationError, MeshError) as exc:
+    except (ConfigurationError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(table.rows)} rows to {out}")

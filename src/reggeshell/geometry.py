@@ -22,7 +22,6 @@ __all__ = [
     "flat_chart",
     "flat3_chart",
     "make_benchmark_mesh",
-    "tangent_frame",
     "BENCHMARK_NAMES",
 ]
 
@@ -134,24 +133,6 @@ class ElementMap:
                                  J=float(J[0]) if J.ndim == 1 else J[..., 0],
                                  nu=None if nu is None else nu[..., 0, :])
         return MapEvaluation(F=F, J=J, nu=nu)
-
-
-def tangent_frame(F):
-    """Orthonormal tangent frame of surface gradients F (..., 3, 2).
-
-    Closed-form QR factorization F = Q R with positive diagonal R (Gram-
-    Schmidt on the two columns); returns Q (..., 3, 2) and R (..., 2, 2).
-    """
-    a, b = F[..., 0], F[..., 1]
-    r11 = np.linalg.norm(a, axis=-1)
-    q1 = a / r11[..., None]
-    r12 = np.einsum("...i,...i->...", q1, b)
-    w = b - r12[..., None] * q1
-    r22 = np.linalg.norm(w, axis=-1)
-    Q = np.stack([q1, w / r22[..., None]], axis=-1)
-    R = np.zeros(F.shape[:-2] + (2, 2))
-    R[..., 0, 0], R[..., 0, 1], R[..., 1, 1] = r11, r12, r22
-    return Q, R
 
 
 # --- benchmark geometries -------------------------------------------------

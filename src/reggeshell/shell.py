@@ -2,10 +2,10 @@
 
 Unknowns are the three displacement components at the H1 nodes and two
 rotation components in the chart covariant basis.  All strain measures are
-formed in reference coordinates of each element; before the material norm
-is applied they are transformed into an orthonormal tangent frame obtained
-from the QR factorization of the geometry gradient, so physical units are
-correct on curved charts.
+formed in reference coordinates of each element.  The material law weighs
+them with the inverse surface metric A = (F^T F)^{-1} of the geometry
+gradient F, which is the isotropic law on the strain in any orthonormal
+tangent frame, so physical units are correct on curved charts.
 
 Energy split: W = (t/2) E_mem + (t^3/2) E_bend + (t/2) E_shear - f(u).
 The membrane strain may be interpolated element-wise into the symmetric
@@ -48,7 +48,7 @@ import numpy as np
 
 from .assembly import SolverError, SparsityPattern, assemble, factor_solve
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
-from .geometry import ElementMap, tangent_frame
+from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
 from .quadrature import triangle_rule
 
@@ -77,17 +77,6 @@ class MaterialParams:
             raise ValueError("Young's modulus must be positive and finite")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
-
-    @property
-    def norm_matrix(self):
-        """Material norm in an orthonormal frame, Voigt (11, 22, 12) form."""
-        nu = self.poisson_ratio
-        fac = self.youngs_modulus / (1.0 - nu * nu)
-        return fac * np.array([
-            [1.0, nu, 0.0],
-            [nu, 1.0, 0.0],
-            [0.0, 0.0, 2.0 * (1.0 - nu)],
-        ])
 
 
 @dataclass
@@ -137,17 +126,24 @@ class ShellState:
         self.residual_history = np.array(residual_history, dtype=float)
 
 
-def _frame_maps(R):
-    """Voigt map of sigma -> G^T sigma G, and G^T, for G = R^{-1} of the
-    upper triangular frame factor R (..., 2, 2)."""
-    g00, g11 = 1.0 / R[..., 0, 0], 1.0 / R[..., 1, 1]
-    g01 = -R[..., 0, 1] * g00 * g11
-    z = np.zeros_like(g00)
-    T = np.stack([g00 * g00, z, z,
-                  g01 * g01, g11 * g11, 2.0 * g01 * g11,
-                  g00 * g01, z, g00 * g11], axis=-1)
-    Gt = np.stack([g00, z, g01, g11], axis=-1)
-    return T.reshape(R.shape[:-2] + (3, 3)), Gt.reshape(R.shape)
+def _material_weights(F, wJ, material):
+    """Weights wJ C(A) (..., 3, 3) of the membrane and bending strains and
+    wJ kG A (..., 2, 2) of the shear at surface gradients F (..., 3, 2), for
+    the inverse metric A = (F^T F)^{-1} = [[a, d], [d, b]].  The law
+    e . C(A) e = E/(1-nu^2) (nu tr(A e)^2 + (1-nu) tr(A e A e)) on Voigt
+    (11, 22, 12) strains e is the isotropic one in any orthonormal frame."""
+    E, nu = material.youngs_modulus, material.poisson_ratio
+    f0, f1 = F[..., 0], F[..., 1]
+    g00, g11, g01 = (np.sum(u * v, axis=-1) for u, v in ((f0, f0), (f1, f1), (f0, f1)))
+    det = g00 * g11 - g01 * g01
+    a, b, d = g11 / det, g00 / det, -g01 / det
+    m = nu * a * b + (1.0 - nu) * d * d
+    C = np.stack([a * a, m, 2.0 * a * d, m, b * b, 2.0 * b * d, 2.0 * a * d, 2.0 * b * d,
+                  2.0 * (1.0 - nu) * a * b + 2.0 * (1.0 + nu) * d * d], axis=-1)
+    kG = SHEAR_CORRECTION * E / (2.0 * (1.0 + nu))
+    Ws = (kG * wJ)[..., None] * np.stack([a, d, d, b], axis=-1)
+    W = (E / (1.0 - nu * nu) * wJ)[..., None] * C
+    return W.reshape(wJ.shape + (3, 3)), Ws.reshape(wJ.shape + (2, 2))
 
 
 def _strain_B(F, dN):
@@ -195,13 +191,6 @@ def _integrals(W, e):
 def _gram(M, W):
     """Element forms M^T W M of strain maps M (nT, r, m), weights W."""
     return np.swapaxes(M, 1, 2) @ _weighted(W, M)
-
-
-def _point_weights(wJ, T, D=None):
-    """Weights wJ T^T D T (nT, nq, c, c) of reference strain values at the
-    energy points, for frame maps T (nT, nq, c, c); D defaults to identity."""
-    DT = T if D is None else D @ T
-    return wJ[..., None, None] * (np.swapaxes(T, -1, -2) @ DT)
 
 
 def _reduction(space, shapes, weights):
@@ -267,10 +256,6 @@ class ShellModel:
         g = config.geometry_order
         self.basis = lagrange_basis(k)
         self._build_dof_map()
-        self.D = material.norm_matrix
-        self.Gshear = SHEAR_CORRECTION * material.youngs_modulus / (
-            2.0 * (1.0 + material.poisson_ratio)
-        )
 
         self.deg_energy = 4 * k + 2 * (g - 1)
         self.deg_dual = 2 * k + 2 * (g - 1) + 2
@@ -359,12 +344,11 @@ class ShellModel:
           n coefficients; W is one n x n coefficient mass per element;
         - an unreduced strain (the bending, and the membrane or shear when
           its reduction is off) is the reference strain at the energy
-          points; W has one block wJ T^T D T per point, T the frame map.
+          points; W has one block per point from ``_material_weights``.
 
         Mm acts on the displacements (3n dofs), Mb on the rotations (2n) and
-        Ms on the full element vector (5n); the shear's frame map is Gt and
-        its material norm the identity.  No (element, energy point) map of a
-        reduced strain is formed.  Energies are evaluated from M and W, so
+        Ms on the full element vector (5n).  No (element, energy point) map
+        of a reduced strain is formed.  Energies are evaluated from M and W, so
         states in the strain kernel give energies at squared round-off level.
         The forms Am, Ab, As = M^T W M are the quadratic membrane, bending and
         shear element matrices without thickness factors.
@@ -380,7 +364,7 @@ class ShellModel:
         self._wJ = rule.weights * ev.J[:, :nq]
         self._N, self._nu = N[:nq], nu[:, :nq]
         self._X = lagrange_basis(g).eval(rule.points) @ self.map.control_points
-        T, Gt = _frame_maps(tangent_frame(F[:, :nq])[1])
+        Wq, Wq_shear = _material_weights(F[:, :nq], self._wJ, self.material)
         verts = mesh.vertices[mesh.triangles]
         # affine reference -> chart-parameter Jacobian; rotation dofs are
         # chart-covariant, strains are formed in reference coordinates
@@ -390,7 +374,6 @@ class ShellModel:
 
         # a reduced strain is sampled at the moment rule, an unreduced one
         # at the energy points
-        Wq = _point_weights(self._wJ, T, self.D)
         sm = slice(nq) if op is None else slice(nq, None)
         regge = None if op is None else _reduction(op, op.basis.eval(rule.points),
                                                    rule.weights)
@@ -409,12 +392,12 @@ class ShellModel:
         self._Wb = Wq
         sg = slice(nq) if ss is None else slice(nq, None)
         shear = None if ss is None else _reduction(ss, ss.shapes(rule.points), rule.weights)
-        self._Ms, self._Ws = _strain_map(_shear_B(nu[:, sg], A, N[sg], dN[sg]),
-                                         _point_weights(self._wJ, Gt), shear)
+        self._Ms, self._Ws = _strain_map(_shear_B(nu[:, sg], A, N[sg], dN[sg]), Wq_shear,
+                                         shear)
 
         self._Am = _gram(self._Mm, self._Wm)
         self._Ab = _gram(self._Mb, self._Wb)
-        self._As = self.Gshear * _gram(self._Ms, self._Ws)
+        self._As = _gram(self._Ms, self._Ws)
 
         # edge Jacobians of the edge load: the edge points of the moment
         # rule are its first rows, one block per local edge
@@ -487,7 +470,7 @@ class ShellModel:
     def shear_energy(self, x):
         """Weighted shear energy at a coefficient vector."""
         g = np.einsum("tri,ti->tr", self._Ms, self._local(x))
-        return 0.5 * self.Gshear * (self._shear_weights() @ _integrals(self._Ws, g))
+        return 0.5 * self._shear_weights() @ _integrals(self._Ws, g)
 
     def total_energy(self, x, load_vector=None):
         W = self.membrane_energy(x) + self.bending_energy(x) + self.shear_energy(x)
@@ -566,6 +549,8 @@ class ShellModel:
             f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),
                              minlength=self.num_dofs)
         for marker, moment in loads.edge_moments.items():
+            if marker not in self.mesh.boundary_markers:
+                raise ValueError(f"edge moment on unknown boundary marker '{marker}'")
             self._add_edge_moments(f, marker, moment)
         return f
 

@@ -135,6 +135,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("cylinder", order=0)
 
+    @pytest.mark.parametrize("field", [dict(thicknesses=()), dict(geometry_order=0),
+                                       dict(base_refinement=-2)],
+                             ids=["no_thickness", "geometry_order_0", "base_refinement_-2"])
+    def test_unrunnable_config_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            BenchmarkConfig("cylinder", **field)
+
     def test_base_refinement_defaults(self):
         # the cylinder starts one level finer than its 8-element grid
         assert BenchmarkConfig("cylinder").base_refinement == 1

@@ -60,3 +60,15 @@ class TestMain:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
         assert "not positively oriented" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--mesh", "{tmp}/missing.txt"],
+        ["--out", "{tmp}/no/such/dir/x.csv"],
+        ["--geom-order", "0"],
+    ], ids=["missing_mesh", "missing_out_dir", "geom_order_0"])
+    def test_file_and_order_errors_return_2(self, tmp_path, capsys, args):
+        code = main(["--benchmark", "unibend_cylinder", "--order", "1", "--levels", "1",
+                     "--thickness", "0.01", "--out", str(tmp_path / "out.csv")]
+                    + [a.format(tmp=tmp_path) for a in args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

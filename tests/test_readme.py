@@ -1,0 +1,19 @@
+"""Every ``python`` code block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_example_runs(index, capsys):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+    assert capsys.readouterr().out

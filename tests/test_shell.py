@@ -13,7 +13,6 @@ from reggeshell.geometry import (
     ElementMap,
     flat3_chart,
     make_benchmark_mesh,
-    tangent_frame,
 )
 from reggeshell.interpolation import (
     DualMassMatrix,
@@ -25,13 +24,13 @@ from reggeshell.mesh import rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
     REF_VERTICES,
+    SHEAR_CORRECTION,
     SHEAR_STABILIZATION,
     LoadSpec,
     MaterialParams,
     ShellConfig,
     ShellModel,
-    _frame_maps,
-    _point_weights,
+    _material_weights,
     _reduction,
     _shear_B,
     _strain_B,
@@ -39,6 +38,38 @@ from reggeshell.shell import (
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
+
+
+def textbook_law(material):
+    """Isotropic law on strains in an orthonormal frame, Voigt (11, 22, 12)."""
+    E, nu = material.youngs_modulus, material.poisson_ratio
+    return E / (1.0 - nu * nu) * np.array([
+        [1.0, nu, 0.0],
+        [nu, 1.0, 0.0],
+        [0.0, 0.0, 2.0 * (1.0 - nu)],
+    ])
+
+
+def shear_modulus(material):
+    E, nu = material.youngs_modulus, material.poisson_ratio
+    return SHEAR_CORRECTION * E / (2.0 * (1.0 + nu))
+
+
+def frame_maps(F):
+    """Frame maps of surface gradients F (..., 3, 2): the Voigt map T of
+    sigma -> G^T sigma G and G^T, for G = R^{-1} of the QR factorization
+    F = Q R with positive diagonal R.  T takes reference strains to strains
+    in the orthonormal tangent frame Q, and G^T reference shear strains."""
+    R = np.linalg.qr(F)[1]
+    R = np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None] * R
+    g00, g11 = 1.0 / R[..., 0, 0], 1.0 / R[..., 1, 1]
+    g01 = -R[..., 0, 1] * g00 * g11
+    z = np.zeros_like(g00)
+    T = np.stack([g00 * g00, z, z,
+                  g01 * g01, g11 * g11, 2.0 * g01 * g11,
+                  g00 * g01, z, g00 * g11], axis=-1)
+    Gt = np.stack([g00, z, g01, g11], axis=-1)
+    return T.reshape(R.shape[:-2] + (3, 3)), Gt.reshape(R.shape)
 
 
 def cylinder_model(**cfg):
@@ -59,15 +90,24 @@ def fd_gradient(model, x, d, h=1e-6):
 
 
 class TestMaterial:
-    def test_norm_matrix_spd(self):
-        w = np.linalg.eigvalsh(MAT.norm_matrix)
-        assert np.all(w > 0)
-
-    def test_norm_of_identity_strain(self):
+    def test_weights_in_orthonormal_frame_are_textbook_law(self):
+        # at gradients with orthonormal columns the inverse metric is the
+        # identity: C is the textbook law and the shear weight kG I
+        F = np.linalg.qr(np.random.default_rng(3).standard_normal((10, 3, 2)))[0]
+        C, S = _material_weights(F, np.ones(10), MAT)
+        D = textbook_law(MAT)
+        assert np.max(np.abs(C - D)) <= 1e-14 * np.max(np.abs(D))
+        assert np.max(np.abs(S - shear_modulus(MAT) * np.eye(2))) <= 1e-14 * shear_modulus(MAT)
         E, nu = MAT.youngs_modulus, MAT.poisson_ratio
         v = np.array([1.0, 1.0, 0.0])
-        val = v @ MAT.norm_matrix @ v
-        assert val == pytest.approx(2 * E / (1 - nu), rel=1e-14)
+        assert v @ C[0] @ v == pytest.approx(2 * E / (1 - nu), rel=1e-14)
+
+    @pytest.mark.parametrize("poisson_ratio", [0.0, 0.3, 0.49])
+    def test_weights_spd_for_random_gradients(self, poisson_ratio):
+        F = np.random.default_rng(4).standard_normal((50, 3, 2))
+        C, S = _material_weights(F, np.ones(50), MaterialParams(1000.0, poisson_ratio))
+        assert np.all(np.linalg.eigvalsh(C) > 0)
+        assert np.all(np.linalg.eigvalsh(S) > 0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -304,7 +344,7 @@ def frame_strain(model, E):
     if model.operator is not None:
         op = model.operator
         E = np.moveaxis(op.evaluate(op.interpolate(np.moveaxis(E, 0, -1)), points), -1, 0)
-    T, _ = _frame_maps(tangent_frame(model.map.evaluate(points).F)[1])
+    T, _ = frame_maps(model.map.evaluate(points).F)
     return (T @ E[..., None])[..., 0]
 
 
@@ -334,7 +374,7 @@ class TestGreenClosedForm:
         # reference is the frame strain integrated point by point
         e = frame_strain(model, E)
         energy = 0.5 * model.config.thickness * np.einsum(
-            "tq,tqa,tqa->", model._wJ, e, e @ model.D)
+            "tq,tqa,tqa->", model._wJ, e, e @ textbook_law(MAT))
         assert model.membrane_energy(x) == pytest.approx(energy, rel=1e-12)
 
 
@@ -378,10 +418,11 @@ class TestReductionMatrices:
         T = rng.standard_normal((len(points), 3, 3))
         C, S = _reduction(op, op.basis.eval(points), weights)
         V = rng.standard_normal((len(op.points), 3))
-        Wq = _point_weights(w[None], T[None], MAT.norm_matrix)
-        M, W = _strain_map(V[None, ..., None], Wq, (C, S))
+        D = textbook_law(MAT)
+        Wq = w[:, None, None] * (np.swapaxes(T, -1, -2) @ D @ T)
+        M, W = _strain_map(V[None, ..., None], Wq[None], (C, S))
         TS = np.einsum("qab,qnb->qna", T, op.basis.eval(points))
-        A = np.einsum("q,qna,ab,qmb->nm", w, TS, MAT.norm_matrix, TS)
+        A = np.einsum("q,qna,ab,qmb->nm", w, TS, D, TS)
         a = op.interpolate(V)
         c = M[0, :, 0]
         assert W.shape == (1, 1) + A.shape
@@ -391,7 +432,7 @@ class TestReductionMatrices:
         model = cylinder_model(membrane_reduction="none", shear_reduction="none")
         points = model._rule.points
         ev = model.map.evaluate(points)
-        T, Gt = _frame_maps(tangent_frame(ev.F)[1])
+        T, Gt = frame_maps(ev.F)
         verts = model.mesh.vertices[model.mesh.triangles]
         A = np.swapaxes(verts, 1, 2) @ BARY_GRADS
         N, dN = model.basis.eval(points), model.basis.grad(points)
@@ -399,9 +440,11 @@ class TestReductionMatrices:
         assert np.array_equal(model._Mm, _strain_B(ev.F, dN).reshape(nT, len(points) * 3, -1))
         assert np.array_equal(model._Ms, _shear_B(ev.nu, A, N, dN).reshape(
             nT, len(points) * 2, -1))
-        # one weight wJ T^T D T per point, shared with the bending
+        # one weight wJ T^T D T per point, shared with the bending, and
+        # wJ kG G G^T of the shear
         wJ = model._wJ
-        for W, frame, D in ((model._Wm, T, model.D), (model._Ws, Gt, np.eye(2))):
+        for W, frame, D in ((model._Wm, T, textbook_law(MAT)),
+                            (model._Ws, Gt, shear_modulus(MAT) * np.eye(2))):
             ref = np.einsum("tq,tqab,bc,tqcd->tqad", wJ, np.swapaxes(frame, -1, -2), D, frame)
             assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert model._Wm is model._Wb
@@ -716,3 +759,9 @@ class TestWholeMeshMap:
             ref[model.element_dofs[t, m:]] += fe.ravel()
         assert np.max(np.abs(ref)) > 0
         assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_unknown_edge_moment_marker_rejected(self):
+        mesh, chart = make_benchmark_mesh("unibend_cylinder")
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        with pytest.raises(ValueError, match="laoded"):
+            model.load_vector(LoadSpec(edge_moments={"laoded": lambda X: np.ones(2)}))
