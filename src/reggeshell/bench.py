@@ -173,11 +173,10 @@ def _benchmark_meshes(config):
 
 
 def _make_model(mesh, chart, material, config, order, regge):
-    geom = config.geometry_order if config.geometry_order is not None else order
     shell_cfg = ShellConfig(
         thickness=config.thicknesses[0],
         order=order,
-        geometry_order=geom,
+        geometry_order=config.geometry_order,
         membrane_reduction="regge" if regge else "none",
         shear_reduction="edge_tangential" if config.shear_reduction else "none",
     )

@@ -79,29 +79,14 @@ class LagrangeBasis:
 
     @staticmethod
     def _lattice_nodes(k):
-        # barycentric lattice (a, b, c) / k; vertex, edge, interior ordering
-        nodes_by_class = {"v": [None] * 3, "e": {0: [], 1: [], 2: []}, "i": []}
-        for a in range(k + 1):
-            for b in range(k + 1 - a):
-                c = k - a - b
-                lam = np.array([a, b, c], dtype=float) / k  # weights of V1,V2,V3
-                pt = lam @ REF_VERTICES
-                on = [lam[0] == 0, lam[1] == 0, lam[2] == 0]
-                if sum(on) == 2:
-                    nodes_by_class["v"][int(np.argmax(lam))] = pt
-                elif sum(on) == 1:
-                    # interior of the edge opposite to the vanishing coordinate
-                    zero = on.index(True)
-                    edge = {2: 0, 1: 1, 0: 2}[zero]  # edges (0,1), (0,2), (1,2)
-                    a0, b0 = EDGE_VERTS[edge]
-                    nodes_by_class["e"][edge].append((lam[b0], pt))
-                else:
-                    nodes_by_class["i"].append(pt)
-        out = list(nodes_by_class["v"])
-        for e in range(3):
-            out.extend(pt for _, pt in sorted(nodes_by_class["e"][e], key=lambda s: s[0]))
-        out.extend(nodes_by_class["i"])
-        return np.array(out)
+        # integer barycentric lattice (weights of V1, V2, V3) over k: the
+        # vertices, the k-1 nodes of each local edge (i, j) by increasing
+        # weight of V_j, then the interior nodes
+        eye = np.eye(3, dtype=int)
+        lattice = [k * eye[i] for i in range(3)]
+        lattice += [(k - m) * eye[i] + m * eye[j] for i, j in EDGE_VERTS for m in range(1, k)]
+        lattice += [(a, b, k - a - b) for a in range(1, k) for b in range(1, k - a)]
+        return np.array(lattice) / k @ REF_VERTICES
 
     def _mono(self, pts):
         pts = np.atleast_2d(pts)

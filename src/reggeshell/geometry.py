@@ -1,9 +1,10 @@
 """Benchmark surface charts and isoparametric element maps.
 
-A chart embeds a 2D parameter rectangle into 3D (or is the identity for
-flat tests).  Element geometry is the degree-g nodal interpolant of the
-chart on each parameter-space triangle, so curved elements of any order can
-be evaluated with the same machinery.
+A chart is a point map that embeds a 2D parameter rectangle into 3D (or is
+the identity for flat tests).  The model reads no other geometry than the
+degree-g nodal interpolant of the chart on each parameter-space triangle:
+every gradient, weight and normal comes from this element map, so curved
+elements of any order are evaluated with the same machinery.
 """
 
 import math
@@ -32,15 +33,14 @@ class ConfigurationError(Exception):
 
 @dataclass
 class ChartGeometry:
-    """Smooth embedding of a parameter rectangle with analytic derivatives.
+    """Smooth embedding of a parameter rectangle.
 
-    ``phi`` maps parameter points (..., 2) to (..., ambient_dim) and ``dphi``
-    to (..., ambient_dim, 2), so one call evaluates a whole batch."""
+    ``phi`` maps parameter points (..., 2) to (..., ambient_dim), so one call
+    evaluates a whole batch."""
 
     name: str
     ambient_dim: int
     phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
 
 
 def _coordinates(p):
@@ -49,16 +49,9 @@ def _coordinates(p):
     return p[..., 0], p[..., 1]
 
 
-def _stack(components, shape):
-    """Array (..., *shape) of components that broadcast against each other,
-    listed in row-major order."""
-    parts = np.broadcast_arrays(*components)
-    return np.stack(parts, axis=-1).reshape(parts[0].shape + shape)
-
-
-def _constant(matrix):
-    """Derivative of an affine chart: ``matrix`` at every point (..., 2)."""
-    return lambda p: np.zeros(np.shape(p)[:-1] + matrix.shape) + matrix
+def _stack(components):
+    """Array (..., n) of n components that broadcast against each other."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
 def flat_chart():
@@ -67,7 +60,6 @@ def flat_chart():
         name="flat",
         ambient_dim=2,
         phi=lambda p: np.asarray(p, dtype=float),
-        dphi=_constant(np.eye(2)),
     )
 
 
@@ -76,8 +68,7 @@ def flat3_chart():
     return ChartGeometry(
         name="flat3",
         ambient_dim=3,
-        phi=lambda p: _stack(_coordinates(p) + (0.0,), (3,)),
-        dphi=_constant(np.eye(3, 2)),
+        phi=lambda p: _stack(_coordinates(p) + (0.0,)),
     )
 
 
@@ -140,58 +131,34 @@ class ElementMap:
 def _cylinder_chart(R):
     def phi(p):
         th, z = _coordinates(p)
-        return _stack([R * np.cos(th), R * np.sin(th), z], (3,))
+        return _stack([R * np.cos(th), R * np.sin(th), z])
 
-    def dphi(p):
-        th, z = _coordinates(p)
-        return _stack([-R * np.sin(th), 0.0, R * np.cos(th), 0.0, 0.0, 1.0], (3, 2))
-
-    return ChartGeometry("cylinder", 3, phi, dphi)
+    return ChartGeometry("cylinder", 3, phi)
 
 
 def _hyperboloid_chart(R):
-    def r(z):
-        return np.sqrt(R * R + z * z)
-
     def phi(p):
         th, z = _coordinates(p)
-        return _stack([r(z) * np.cos(th), r(z) * np.sin(th), z], (3,))
+        r = np.sqrt(R * R + z * z)
+        return _stack([r * np.cos(th), r * np.sin(th), z])
 
-    def dphi(p):
-        th, z = _coordinates(p)
-        rz = r(z)
-        dr = z / rz
-        return _stack([
-            -rz * np.sin(th), dr * np.cos(th),
-            rz * np.cos(th), dr * np.sin(th),
-            0.0, 1.0,
-        ], (3, 2))
-
-    return ChartGeometry("hyperboloid", 3, phi, dphi)
+    return ChartGeometry("hyperboloid", 3, phi)
 
 
 def _unibend_chart(R):
     def phi(p):
         th, y = _coordinates(p)
-        return _stack([R * np.sin(th), y, R * np.cos(th)], (3,))
+        return _stack([R * np.sin(th), y, R * np.cos(th)])
 
-    def dphi(p):
-        th, y = _coordinates(p)
-        return _stack([R * np.cos(th), 0.0, 0.0, 1.0, -R * np.sin(th), 0.0], (3, 2))
-
-    return ChartGeometry("unibend_cylinder", 3, phi, dphi)
+    return ChartGeometry("unibend_cylinder", 3, phi)
 
 
 def _hyppar_chart(alpha):
     def phi(p):
         x, y = _coordinates(p)
-        return _stack([x, y, alpha * (y * y - x * x)], (3,))
+        return _stack([x, y, alpha * (y * y - x * x)])
 
-    def dphi(p):
-        x, y = _coordinates(p)
-        return _stack([1.0, 0.0, 0.0, 1.0, -2.0 * alpha * x, 2.0 * alpha * y], (3, 2))
-
-    return ChartGeometry("hyperbolic_paraboloid", 3, phi, dphi)
+    return ChartGeometry("hyperbolic_paraboloid", 3, phi)
 
 
 def _hemisphere_chart(R):
@@ -202,17 +169,9 @@ def _hemisphere_chart(R):
             np.sin(tp) * np.cos(pa),
             np.sin(tp) * np.sin(pa),
             np.cos(tp),
-        ], (3,))
+        ])
 
-    def dphi(p):
-        pa, tp = _coordinates(p)
-        return R * _stack([
-            -np.sin(tp) * np.sin(pa), np.cos(tp) * np.cos(pa),
-            np.sin(tp) * np.cos(pa), np.cos(tp) * np.sin(pa),
-            0.0, -np.sin(tp),
-        ], (3, 2))
-
-    return ChartGeometry("hemisphere", 3, phi, dphi)
+    return ChartGeometry("hemisphere", 3, phi)
 
 
 # parameter rectangle, level-0 grid, boundary markers and chart per benchmark;

@@ -229,6 +229,15 @@ def _strain_map(B, Wq, reduction):
     return C @ B.reshape(nT, -1, m), W[:, None]
 
 
+def _per_point(values, c, what):
+    """Array (n, c) of the values of a per-point load callable."""
+    V = np.array(values, dtype=float)
+    if len(V) and V.shape[1:] != (c,):
+        raise ValueError(f"{what} returned values of shape {V.shape[1:]} per point, "
+                         f"expected ({c},)")
+    return V
+
+
 def _newton_converged(history):
     """Whether Newton accepts its last iterate, given the free residual
     norms of all iterates, the first at the initial guess."""
@@ -310,16 +319,15 @@ class ShellModel:
         fixed = np.zeros((5, self.num_scalar_dofs), dtype=bool)  # (field, scalar dof)
         for name in mesh.boundary_markers:
             eids = mesh.edges_with_marker(name)
-            dofs = self._edge_scalar_dofs[eids]
             if name == "clamped":
-                fixed[:, dofs] = True
+                fixed[:, self._edge_scalar_dofs[eids]] = True
             elif name.startswith("sym:"):
                 axis = "xyz".index(name.split(":")[1])
-                mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
-                pinv = pseudo_inverse(self.chart.dphi(mid))
+                t, le = np.nonzero(np.isin(mesh.tri_edges, eids))
+                dofs = self._edge_scalar_dofs[mesh.tri_edges[t, le]]
                 # rotation component whose contravariant direction crosses
                 # the symmetry plane
-                alpha = np.argmax(np.abs(pinv[:, :, axis]), axis=1)
+                alpha = np.argmax(np.abs(self._edge_dual[t, le, :, axis]), axis=1)
                 fixed[axis, dofs] = True
                 fixed[3 + alpha[:, None], dofs] = True
         self.free = ~fixed.ravel()
@@ -405,6 +413,9 @@ class ShellModel:
         ne = mr.edge_points.shape[1]
         Fe = F[:, nq:nq + 3 * ne].reshape(nT, 3, ne, 3, 2)
         self._edge_Jb = np.linalg.norm((Fe @ mr.tangents[:, None, :, None])[..., 0], axis=-1)
+        # chart-contravariant basis on each local edge at its mean gradient,
+        # pinv(F A^-1) = A pinv(F): it picks the rotation fixed on sym: edges
+        self._edge_dual = A[:, None] @ pseudo_inverse(Fe.mean(axis=2))
 
     # ------------------------------------------------------------------
     # energies
@@ -541,9 +552,9 @@ class ShellModel:
         """Assemble the external work functional f(u) of a load spec."""
         f = np.zeros(self.num_dofs)
         if loads.volume is not None:
-            P = np.array([loads.volume(X, nu) for X, nu in
-                          zip(self._X.reshape(-1, 3), self._nu.reshape(-1, 3))],
-                         dtype=float).reshape(self._X.shape)
+            P = _per_point([loads.volume(X, nu) for X, nu in
+                            zip(self._X.reshape(-1, 3), self._nu.reshape(-1, 3))],
+                           3, "volume load").reshape(self._X.shape)
             fe = np.swapaxes(self._wJ[..., None] * P, 1, 2) @ self._N
             m = 3 * self.basis.num_shapes
             f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),
@@ -567,7 +578,8 @@ class ShellModel:
         w = mr.edge_weights[le, 0] * self._edge_Jb[t, le]
         geo = lagrange_basis(self.config.geometry_order).eval(pts)
         X = geo[rows] @ self.map.control_points[t]
-        M = np.array([moment(x) for x in X.reshape(-1, 3)]).reshape(len(t), nq, 2)
+        M = _per_point([moment(x) for x in X.reshape(-1, 3)], 2,
+                       f"edge moment on '{marker}'").reshape(len(t), nq, 2)
         fe = np.einsum("pq,pqb,pqs->pbs", w, M, self.basis.eval(pts)[rows])
         np.add.at(f, self.element_dofs[t, m:], fe.reshape(len(t), -1))
         return f
@@ -587,7 +599,13 @@ class ShellModel:
             if f.shape != (self.num_dofs,):
                 raise ValueError(f"load vector of shape {f.shape}, "
                                  f"expected ({self.num_dofs},)")
-        x = np.zeros(self.num_dofs) if x0 is None else np.asarray(x0, float).copy()
+        if not np.all(np.isfinite(f)):
+            raise ValueError("load vector has non-finite entries")
+        x = np.zeros(self.num_dofs) if x0 is None else np.array(x0, dtype=float)
+        if x.shape != (self.num_dofs,):
+            raise ValueError(f"initial state of shape {x.shape}, expected ({self.num_dofs},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("initial state has non-finite entries")
         x[~self.free] = 0.0
         history = []
         for iterations in range(NEWTON_MAX_ITER + 1):

@@ -46,6 +46,20 @@ class TestLagrange:
             basis = LagrangeBasis(k)
             assert np.allclose(basis.eval(basis.nodes), np.eye(basis.num_shapes), atol=1e-10)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_nodes_follow_documented_lattice_order(self, k):
+        # vertices; per local edge (i, j) the nodes with weight m/k of V_j,
+        # m = 1..k-1; the interior nodes in (a, b) loop order
+        lattice = [[k, 0, 0], [0, k, 0], [0, 0, k]]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for m in range(1, k):
+                lam = [0, 0, 0]
+                lam[i], lam[j] = k - m, m
+                lattice.append(lam)
+        lattice += [[a, b, k - a - b] for a in range(1, k) for b in range(1, k - a)]
+        nodes = LagrangeBasis(k).nodes
+        assert np.array_equal(np.rint(barycentric(nodes) * k), lattice)
+
     def test_gradient_consistency(self):
         basis = LagrangeBasis(3)
         p = np.array([[0.1, 0.2]])

@@ -160,17 +160,6 @@ class TestBenchmarkMeshes:
         nt, ne, nv, nvb, nvi = count_entities(mesh)
         assert 3 + ne == 2 * nv + nvi
 
-    @pytest.mark.parametrize("name", ["cylinder", "hemisphere"])
-    def test_chart_derivative_consistency(self, name):
-        _, chart = make_benchmark_mesh(name)
-        p = np.array([0.4, 0.7])
-        h = 1e-6
-        for d in range(2):
-            dp = np.zeros(2)
-            dp[d] = h
-            fd = (chart.phi(p + dp) - chart.phi(p - dp)) / (2 * h)
-            assert np.allclose(chart.dphi(p)[:, d], fd, atol=1e-8)
-
 
 def all_charts():
     return [make_benchmark_mesh(name)[1] for name in BENCHMARK_NAMES] + [
@@ -191,12 +180,11 @@ class TestChartBatches:
     def test_batches_equal_per_point_evaluation(self, chart):
         points = np.random.default_rng(4).uniform(0.1, 1.4, (4, 5, 2))
         d = chart.ambient_dim
-        X, F = chart.phi(points), chart.dphi(points)
-        assert X.shape == (4, 5, d) and F.shape == (4, 5, d, 2)
+        X = chart.phi(points)
+        assert X.shape == (4, 5, d)
         for i, j in np.ndindex(4, 5):
             assert chart.phi(points[i, j]).shape == (d,)
             assert np.array_equal(X[i, j], chart.phi(points[i, j]))
-            assert np.array_equal(F[i, j], chart.dphi(points[i, j]))
 
 
 class TestTangentConvention:

@@ -7,6 +7,7 @@ from reggeshell.elements import (
     edge_point,
     edge_tangent,
     lagrange_basis,
+    pseudo_inverse,
 )
 from reggeshell.geometry import (
     BENCHMARK_NAMES,
@@ -553,7 +554,49 @@ class TestShearSpace:
         assert np.allclose(coeff, np.eye(ss.num_shapes), atol=1e-10)
 
 
+def expected_free(model, h=1e-6):
+    """Free mask of a model's boundary markers from central differences of
+    its chart, and the |<axis> components| (n, 2) of the two contravariant
+    directions on each sym:<axis> marker's edges.  The rotation fixed on a
+    symmetry edge is the one whose contravariant direction, pinv(dphi) at
+    the edge's parameter midpoint, has the larger <axis> component."""
+    mesh, chart = model.mesh, model.chart
+    fixed = np.zeros((5, model.num_scalar_dofs), dtype=bool)
+    components = []
+    for name in mesh.boundary_markers:
+        eids = mesh.edges_with_marker(name)
+        dofs = model._edge_scalar_dofs[eids]
+        if name == "clamped":
+            fixed[:, dofs] = True
+        elif name.startswith("sym:"):
+            axis = "xyz".index(name[-1])
+            mid = mesh.vertices[mesh.edges[eids]].mean(axis=1)
+            dphi = np.stack([(chart.phi(mid + h * e) - chart.phi(mid - h * e)) / (2 * h)
+                             for e in np.eye(2)], axis=-1)
+            comp = np.abs(pseudo_inverse(dphi)[:, :, axis])
+            fixed[axis, dofs] = True
+            fixed[3 + np.argmax(comp, axis=1)[:, None], dofs] = True
+            components.append(comp)
+    return ~fixed.ravel(), components
+
+
+def assert_symmetry_rotations_match_chart(model):
+    free, components = expected_free(model)
+    for comp in components:
+        # no choice is near a tie (2.47 is the smallest ratio on the benchmarks)
+        assert np.all(comp.max(axis=1) >= 2.0 * comp.min(axis=1))
+    assert np.array_equal(model.free, free)
+
+
 class TestBoundaryConditions:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_symmetry_rotation_matches_chart_oracle(self, name, level, order):
+        mesh, chart = make_benchmark_mesh(name, level)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=order))
+        assert_symmetry_rotations_match_chart(model)
+
     def test_clamped_edges_constrain_all_fields(self):
         mesh, chart = make_benchmark_mesh("unibend_cylinder")
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2))
@@ -628,6 +671,45 @@ class TestSolve:
         for n in (model.num_dofs - 1, model.num_dofs + 1):
             with pytest.raises(ValueError, match="load vector"):
                 model.solve(np.zeros(n))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_load_vector_rejected(self, entry):
+        model = cylinder_model()
+        f = np.zeros(model.num_dofs)
+        f[7] = entry
+        with pytest.raises(ValueError, match="load vector has non-finite"):
+            model.solve(f)
+
+    def test_load_spec_returning_nan_rejected(self):
+        model = cylinder_model()
+        with pytest.raises(ValueError, match="load vector has non-finite"):
+            model.solve(LoadSpec(volume=lambda X, nu: np.full(3, np.nan)))
+
+    def test_non_finite_initial_state_rejected(self):
+        model = cylinder_model()
+        x0 = np.zeros(model.num_dofs)
+        x0[np.flatnonzero(model.free)[0]] = np.nan
+        with pytest.raises(ValueError, match="initial state has non-finite"):
+            model.solve(x0=x0)
+
+    def test_initial_state_of_wrong_length_rejected(self):
+        model = cylinder_model()
+        for n in (model.num_dofs - 1, model.num_dofs + 1):
+            with pytest.raises(ValueError, match=rf"expected \({model.num_dofs},\)"):
+                model.solve(x0=np.zeros(n))
+
+    @pytest.mark.parametrize("volume", [lambda X, nu: nu[:2], lambda X, nu: 1.0],
+                             ids=["two", "scalar"])
+    def test_volume_load_of_wrong_shape_rejected(self, volume):
+        model = cylinder_model()
+        with pytest.raises(ValueError, match=r"volume load .* expected \(3,\)"):
+            model.load_vector(LoadSpec(volume=volume))
+
+    def test_edge_moment_of_wrong_shape_rejected(self):
+        mesh, chart = make_benchmark_mesh("unibend_cylinder")
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        with pytest.raises(ValueError, match=r"edge moment on 'loaded' .* expected \(2,\)"):
+            model.load_vector(LoadSpec(edge_moments={"loaded": lambda X: np.ones(3)}))
 
     def test_full_green_matches_linearized_for_small_data(self):
         mesh, chart = make_benchmark_mesh("cylinder")

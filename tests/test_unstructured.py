@@ -21,6 +21,7 @@ from reggeshell.mesh import build_mesh, read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
 from test_assembly import assert_matches_sort_based
+from test_shell import assert_symmetry_rotations_match_chart
 
 MAT = MaterialParams(2.85e4, 0.3)
 MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "tri_edge_signs")
@@ -118,6 +119,15 @@ def test_pattern_matches_sort_based(tmp_path_factory, case, order):
     model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=order))
     assert_matches_sort_based(model._pattern, model.num_dofs, model.element_dofs,
                               model.free)
+
+
+@FEW_EXAMPLES
+@given(case=perturbed_meshes())
+def test_symmetry_rotation_matches_chart_oracle(tmp_path_factory, case):
+    mesh, chart = case
+    mesh = through_file(mesh, tmp_path_factory.mktemp("mesh"))
+    model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2))
+    assert_symmetry_rotations_match_chart(model)
 
 
 @FEW_EXAMPLES
