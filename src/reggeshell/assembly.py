@@ -2,9 +2,11 @@
 
 The sparsity of an assembled matrix depends only on the element dof sets and
 the constrained dofs, not on any value, so a ``SparsityPattern`` is built once
-per dof map: the CSR structure, the CSR position of every element-matrix
-entry, and the fill-reducing layout of the free-by-free block.  Each assembly
-then only sums the element values into the stored positions.  Every field
+per dof map: the CSR structure, the fill-reducing layout of the free-by-free
+block, and the stored position of every element-matrix entry.  Values are
+stored in factorization layout, the free block in its CSC order followed by
+the constrained entries, so each assembly only sums the element values into
+their stored positions and the free block is a view of them.  Every field
 has a dof at each node, so the pattern is built on the scalar node graph,
 which has fields^2 times fewer entries, and the full structure follows by
 index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
@@ -28,9 +30,11 @@ representative node of each, and each supervariable is expanded into a
 contiguous run of dofs.  The CSC layout of the free block is read off the
 matrix whose values are their own CSR positions: permuted into that order
 by scipy's sparse indexing, its free block has the layout as its structure
-and, as its values, the map that gathers assembled values straight into
-that layout.  The pattern stores the map, so every factorization only
-gathers, scales and calls SuperLU with its natural ordering.
+and, as its values, the CSR position of each of its entries.  Inverted,
+that list gives the stored position of every CSR entry, through which the
+element entries are summed and the full CSR matrix is read back when it is
+asked for.  There is no gather: every factorization only scales the stored
+free block and calls SuperLU with its natural ordering.
 """
 
 from functools import cached_property
@@ -58,7 +62,8 @@ class SolverError(Exception):
 
 
 class SparsityPattern:
-    """CSR structure of the matrices assembled from fixed element dof sets.
+    """CSR structure of the matrices assembled from fixed element dof sets,
+    and the layout their values are stored in.
 
     ``element_dofs`` is an (nT, n) array of scalar dofs (nodes) out of
     ``n_scalar``.  Each of ``fields`` fields has a dof at every node: dof
@@ -69,10 +74,12 @@ class SparsityPattern:
     and ``order`` lists the free dofs in factorization order, the minimum
     degree ordering of the graph of one representative node per group.
     ``block_indices`` and ``block_indptr`` give the CSC layout of the free
-    block in that order and ``gather`` the CSR position of each of its
-    entries: they are the arrays of the permuted free block of the matrix
-    whose values are their own CSR positions.  ``diag`` holds the positions
-    of the block's diagonal in the gathered values.
+    block in that order, and ``diag`` the positions of its diagonal.
+
+    Values are stored in factorization layout: the free block's entries in
+    its CSC order, then the other entries in CSR order.  ``slot`` gives the
+    stored position of every entry of the stacked element matrices and
+    ``layout`` that of every CSR entry (``indices``, ``indptr``).
     """
 
     def __init__(self, n_scalar, element_dofs, free=None, fields=1):
@@ -102,18 +109,12 @@ class SparsityPattern:
         # g * deg(a) + rank_a(b)
         self.nnz = nf * nf * snnz
         self.indptr = np.append(
-            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(), self.nnz)
+            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(),
+            self.nnz).astype(np.int32)
         g = np.arange(nf)[:, None]
-        rows = np.empty(nf * snnz, dtype=int)   # field 0; the other fields repeat it
+        rows = np.empty(nf * snnz, dtype=np.int32)   # field 0; the other fields repeat it
         rows[nf * sptr[row] + g * deg[row] + np.arange(snnz) - sptr[row]] = g * ns + col
         self.indices = np.tile(rows, nf)
-        # slot[k] is the CSR position of the k-th entry of the stacked
-        # element matrices, (element, field, node, field, node)
-        rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
-        in_row = deg[nodes][..., None, None] * g + rank
-        self.slot = (self.indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
-                     + in_row[:, None]).ravel()
-        del rank, in_row
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
         scalar = scipy.sparse.csr_matrix((np.ones(snnz), col, sptr), shape=(ns, ns))
@@ -123,16 +124,44 @@ class SparsityPattern:
         self.supervariable = node_group[self.free_idx % ns]
         # each supervariable's free dofs stay contiguous, in dof order
         self.order = self.free_idx[np.argsort(position[self.supervariable], kind="stable")]
-        # the permuted free block of the matrix whose values are their own
-        # CSR positions holds the gather map; tocsc sorts the rows of every
-        # column, and selecting whole columns keeps them sorted
-        positions = scipy.sparse.csr_matrix(
-            (np.arange(self.nnz), self.indices, self.indptr), shape=(self.n_dofs,) * 2)
-        block = positions[self.order].tocsc()[:, self.order]
-        self.gather, self.block_indices, self.block_indptr = (
-            block.data, block.indices, block.indptr)
-        column = np.repeat(np.arange(len(self.order)), np.diff(block.indptr))
-        self.diag = np.flatnonzero(block.indices == column)
+        self.block_indices, self.block_indptr, self.diag, self.layout = _stored_layout(
+            self.indices, self.indptr, self.order)
+
+        # slot[k] is the stored position of the k-th entry of the stacked
+        # element matrices, (element, field, node, field, node), through its
+        # CSR position; it stays intp, which bincount reads without a copy
+        rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
+        in_row = deg[nodes][..., None, None] * g + rank
+        slot = (self.indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
+                + in_row[:, None]).ravel()
+        del rank, in_row
+        slot = self.layout[slot]
+        self.slot = slot.astype(np.intp)
+
+
+def _stored_layout(indices, indptr, order):
+    """CSC layout (indices, indptr) of the free block of a CSR structure in
+    the factorization order ``order``, the positions of the block's diagonal
+    in it, and the stored position of every CSR entry: the block's entries
+    in CSC order, then the others in CSR order.
+
+    The permuted free block of the matrix whose values are their own CSR
+    positions lists the CSR position of each block entry in CSC order;
+    tocsc sorts the rows of every column, and selecting whole columns keeps
+    them sorted."""
+    nnz, n = len(indices), len(indptr) - 1
+    positions = scipy.sparse.csr_matrix(
+        (np.arange(nnz, dtype=np.int32), indices, indptr), shape=(n, n))
+    block = positions[order].tocsc()[:, order]
+    column = np.repeat(np.arange(len(order)), np.diff(block.indptr))
+    diag = np.flatnonzero(block.indices == column)
+    nb = len(block.data)
+    rest = np.ones(nnz, dtype=bool)
+    rest[block.data] = False
+    layout = np.empty(nnz, dtype=np.int32)
+    layout[block.data] = np.arange(nb, dtype=np.int32)
+    layout[rest] = np.arange(nb, nnz, dtype=np.int32)
+    return block.indices, block.indptr, diag, layout
 
 
 def _supervariable_order(element_nodes, free_nodes, scalar):
@@ -173,7 +202,8 @@ def _indptr(row, n):
 
 class SparseSymMatrix:
     """Symmetric global matrix with a constrained-dof elimination mask:
-    the pattern and the summed value of each of its CSR entries."""
+    the pattern and the summed value of each of its entries, stored in the
+    pattern's factorization layout."""
 
     def __init__(self, pattern, data):
         self.pattern = pattern
@@ -183,7 +213,7 @@ class SparseSymMatrix:
     def matrix(self):
         """The full matrix as CSR, built when first read."""
         p = self.pattern
-        return scipy.sparse.csr_matrix((self.data, p.indices, p.indptr),
+        return scipy.sparse.csr_matrix((self.data[p.layout], p.indices, p.indptr),
                                        shape=(p.n_dofs, p.n_dofs))
 
     def reduced(self):
@@ -204,11 +234,12 @@ def assemble(pattern, element_matrices):
 
 def free_block(matrix):
     """The free block of a ``SparseSymMatrix`` in the pattern's CSC layout,
-    its Jacobi-scaled copy S A S and the scaling s."""
+    a view of the stored values, its Jacobi-scaled copy S A S and the
+    scaling s."""
     p = matrix.pattern
     shape = (len(p.order),) * 2
     block = scipy.sparse.csc_matrix(
-        (matrix.data[p.gather], p.block_indices, p.block_indptr), shape=shape)
+        (matrix.data[:len(p.block_indices)], p.block_indices, p.block_indptr), shape=shape)
     # symmetric Jacobi equilibration tames the severe scale differences
     # between displacement and rotation blocks at small thickness
     diag = np.zeros(shape[0])

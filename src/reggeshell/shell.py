@@ -29,6 +29,14 @@ element.  A strain whose reduction is off is its reference values at the
 energy points, weighted point by point.  Energies, gradients and tangents
 make no interpolation call.
 
+No (element, point, dof) map of a reduced strain is formed: a reduced map
+or coefficient mass is one product of the per-point geometry or weights
+with a table of C and the reference shapes, built once per model.  The
+bending strain is held as the element independent reference strain B_ref
+and the affine Jacobian A of each element.  The stored element forms are
+Am and Ab; the shear form is taken from its map and weight when a tangent
+is assembled.
+
 The Green strain E(u) = B(F)u + sym(grad u^T grad u)/2 is quadratic in the
 displacements and C is linear, so the derivative of the Green strain vector
 has a closed form in two stored maps: G(U) = Mm + K U, where Mm is the
@@ -193,6 +201,24 @@ def _gram(M, W):
     return np.swapaxes(M, 1, 2) @ _weighted(W, M)
 
 
+def _reference_gram(S, W):
+    """Element forms sum_q S_q^T W_tq S_q (nT, r, r) of an element independent
+    map S (nq*c, r) under symmetric point weights W (nT, nq, c, c): one
+    product of the weight entry W[..., v, w] (nT, nq) with the table of
+    S_v (x) S_w (nq, r*r) per entry v <= w."""
+    nT, nq, c, _ = W.shape
+    S = S.reshape(nq, c, -1)
+    r = S.shape[-1]
+    out = np.zeros((nT, r * r))
+    for v in range(c):
+        for w in range(v, c):
+            SS = S[:, v, :, None] * S[:, w, None, :]
+            if w != v:
+                SS = SS + np.swapaxes(SS, 1, 2)
+            out += W[:, :, v, w] @ SS.reshape(nq, r * r)
+    return out.reshape(nT, r, r)
+
+
 def _reduction(space, shapes, weights):
     """Coefficient map C (n, P*c) and shape values S (nq*c, n) of a space's
     interpolation: C takes c-component values V at the P points
@@ -211,27 +237,45 @@ def _reduction(space, shapes, weights):
     return R @ C, Q / root
 
 
-def _strain_map(B, Wq, reduction):
-    """Map M (nT, r, m) and weight W (nT, nb, b, b) of a strain with point
-    maps B (nT, P, c, m) and point weights Wq (nT, nq, c, c) at the energy
-    points.
+def _reduced_membrane_map(C, F, dN):
+    """Coefficients C (r, P*3) of the strain sym(F^T grad u) sampled at the P
+    points per displacement dof, (nT, r, 3n), for gradients F (nT, P, 3, 2)
+    and shape gradients dN (P, n, 2) there.  The strain of the dof (c, s)
+    is sum_i F_ci B_ref(e_i N_s), B_ref the reference strain
+    ``_strain_B(I, dN)``, so the map is one product of F with the element
+    independent table Y[(p, i), (r, s)] = C[r, (p, v)] B_ref[p, v, (i, s)]."""
+    nT, P = F.shape[:2]
+    n, r = dN.shape[1], len(C)
+    Bref = _strain_B(np.eye(2), dN).reshape(P, 3, 2, n)
+    Y = np.einsum("rpv,pvis->pirs", C.reshape(r, P, 3), Bref).reshape(2 * P, r * n)
+    M = np.swapaxes(F, 1, 2).reshape(nT * 3, 2 * P) @ Y
+    return np.swapaxes(M.reshape(nT, 3, r, n), 1, 2).reshape(nT, r, 3 * n)
 
-    Without a reduction, B was sampled at the energy points: the strain
-    vector is the reference strain there and W is Wq.  With one, (C, S) of
-    ``_reduction``, B was sampled at the space's points: the vector is the
-    interpolant's coefficients C B, and W the coefficient mass
-    sum_q S_q^T Wq S_q, one block per element."""
-    nT, m = len(B), B.shape[-1]
-    if reduction is None:
-        return B.reshape(nT, -1, m), Wq
-    C, S = reduction
-    W = _gram(np.broadcast_to(S, (nT,) + S.shape), Wq)
-    return C @ B.reshape(nT, -1, m), W[:, None]
+
+def _reduced_shear_map(C, nu, A, N, dN):
+    """Coefficients C (r, P*2) of the shear strain ``_shear_B`` sampled at the
+    P points per element dof, (nT, r, 5n), for normals nu (nT, P, 3) and
+    shapes N (P, n), dN (P, n, 2) there: the displacements give nu times the
+    table Z[p, (r, s)] = C[r, (p, xi)] dN[p, s, xi], the rotations -A times
+    U[xi, (r, s)] = C[r, (p, xi)] N[p, s]."""
+    nT, P = nu.shape[:2]
+    n, r = N.shape[1], len(C)
+    C = C.reshape(r, P, 2)
+    Z = np.einsum("rpx,psx->prs", C, dN).reshape(P, r * n)
+    U = np.einsum("rpx,ps->xrs", C, N).reshape(2, r * n)
+    M = np.empty((nT, 5, r * n))
+    M[:, :3] = (np.swapaxes(nu, 1, 2).reshape(nT * 3, P) @ Z).reshape(nT, 3, -1)
+    M[:, 3:] = -(A.reshape(nT * 2, 2) @ U).reshape(nT, 2, -1)
+    return np.swapaxes(M.reshape(nT, 5, r, n), 1, 2).reshape(nT, r, 5 * n)
 
 
 def _per_point(values, c, what):
     """Array (n, c) of the values of a per-point load callable."""
-    V = np.array(values, dtype=float)
+    try:
+        V = np.array(values, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{what} returned per-point values that form no array, "
+                         f"expected ({c},) per point") from exc
     if len(V) and V.shape[1:] != (c,):
         raise ValueError(f"{what} returned values of shape {V.shape[1:]} per point, "
                          f"expected ({c},)")
@@ -345,24 +389,33 @@ class ShellModel:
         both interpolations sample.  Every strain is held as a map M
         (nT, r, m) from the element dofs to a strain vector and a block
         diagonal weight W whose quadratic form is the strain's energy
-        integral (see ``_strain_map``):
+        integral:
 
         - a reduced strain (the Regge membrane, the edge-tangential shear) is
-          sampled at the moment rule, and its vector is the interpolant's
-          n coefficients; W is one n x n coefficient mass per element;
-        - an unreduced strain (the bending, and the membrane or shear when
-          its reduction is off) is the reference strain at the energy
-          points; W has one block per point from ``_material_weights``.
+          the interpolant's n coefficients; M is one product of the geometry
+          at the moment rule with a table built once per model from the
+          element independent map C of ``_reduction``, and W is one n x n
+          coefficient mass per element;
+        - an unreduced strain (the membrane or shear when its reduction is
+          off) is the reference strain at the energy points; W has one block
+          per point from ``_material_weights``;
+        - the bending strain sym(A^T grad theta) = B_ref A^T theta is held as
+          the element independent reference strain B_ref at the energy
+          points and the affine Jacobian A, with the membrane's point
+          weights.
 
-        Mm acts on the displacements (3n dofs), Mb on the rotations (2n) and
-        Ms on the full element vector (5n).  No (element, energy point) map
-        of a reduced strain is formed.  Energies are evaluated from M and W, so
-        states in the strain kernel give energies at squared round-off level.
-        The forms Am, Ab, As = M^T W M are the quadratic membrane, bending and
-        shear element matrices without thickness factors.
+        Mm acts on the displacements (3n dofs), the bending on the rotations
+        (2n) and Ms on the full element vector (5n).  No (element, point,
+        dof) map of a reduced strain or of the bending is formed.  Energies
+        are evaluated from the maps and weights, so states in the strain
+        kernel give energies at squared round-off level.  The stored forms
+        are the membrane and bending element matrices Am = Mm^T Wm Mm and
+        Ab = (A x I) (sum_q B_ref_q^T Wb_q B_ref_q) (A^T x I), without
+        thickness factors; the shear form is taken from Ms and Ws when a
+        tangent is assembled.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
-        g = self.config.geometry_order
+        g, n = self.config.geometry_order, self.basis.num_shapes
         nT, nq = mesh.num_triangles, len(rule.points)
         points = np.vstack([rule.points, self._moments.points])
         self.map = ElementMap(mesh, self.chart, np.arange(nT), g)
@@ -381,31 +434,42 @@ class ShellModel:
         self.h2 = np.max(np.sum(sides * sides, axis=-1), axis=1)
 
         # a reduced strain is sampled at the moment rule, an unreduced one
-        # at the energy points
-        sm = slice(nq) if op is None else slice(nq, None)
-        regge = None if op is None else _reduction(op, op.basis.eval(rule.points),
-                                                   rule.weights)
-        # the linearized membrane map is the Green strain derivative at rest
-        self._Mm, self._Wm = _strain_map(_strain_B(F[:, sm], dN[sm]), Wq, regge)
+        # at the energy points; the linearized membrane map is the Green
+        # strain derivative at rest
+        if op is None:
+            sm = slice(nq)
+            self._Mm = _strain_B(F[:, sm], dN[sm]).reshape(nT, -1, 3 * n)
+            self._Wm = Wq
+        else:
+            sm = slice(nq, None)
+            Cm, S = _reduction(op, op.basis.eval(rule.points), rule.weights)
+            self._Mm = _reduced_membrane_map(Cm, F[:, sm], dN[sm])
+            self._Wm = _reference_gram(S, Wq)[:, None]
         if self.config.model == "full_green":
             # second derivative of the Green strain vector, the (reduced)
             # sym(grad N_i^T grad N_j) per pair of shapes; it does not
             # depend on the element or the state
-            dNs, n = dN[sm], self.basis.num_shapes
+            dNs = dN[sm]
             K = _strain_B(dNs, dNs).reshape(-1, n * n)
-            self._Cm = None if regge is None else regge[0]
-            self._K = (K if regge is None else self._Cm @ K).reshape(-1, n, n)
+            self._Cm = None if op is None else Cm
+            self._K = (K if op is None else Cm @ K).reshape(-1, n, n)
             self._green_tables = (F[:, sm], dNs)
-        self._Mb = _strain_B(A[:, None], dN[:nq]).reshape(nT, -1, 2 * self.basis.num_shapes)
+        self._A = A
+        self._Bref = _strain_B(np.eye(2), dN[:nq]).reshape(-1, 2 * n)
         self._Wb = Wq
-        sg = slice(nq) if ss is None else slice(nq, None)
-        shear = None if ss is None else _reduction(ss, ss.shapes(rule.points), rule.weights)
-        self._Ms, self._Ws = _strain_map(_shear_B(nu[:, sg], A, N[sg], dN[sg]), Wq_shear,
-                                         shear)
-
+        # Ab = (A x I) H (A^T x I) for H (nT, (b, s), (c, x)): A acts on b,
+        # then, row by row, on c
+        H = _reference_gram(self._Bref, Wq).reshape(nT, 2, -1)
+        H = (A @ H).reshape(nT, 2 * n, 2, n)
+        self._Ab = (A[:, None] @ H).reshape(nT, 2 * n, 2 * n)
+        if ss is None:
+            self._Ms = _shear_B(nu[:, :nq], A, N[:nq], dN[:nq]).reshape(nT, -1, 5 * n)
+            self._Ws = Wq_shear
+        else:
+            Cs, S = _reduction(ss, ss.shapes(rule.points), rule.weights)
+            self._Ms = _reduced_shear_map(Cs, nu[:, nq:], A, N[nq:], dN[nq:])
+            self._Ws = _reference_gram(S, Wq_shear)[:, None]
         self._Am = _gram(self._Mm, self._Wm)
-        self._Ab = _gram(self._Mb, self._Wb)
-        self._As = _gram(self._Ms, self._Ws)
 
         # edge Jacobians of the edge load: the edge points of the moment
         # rule are its first rows, one block per local edge
@@ -462,8 +526,10 @@ class ShellModel:
     def bending_energy(self, x):
         """(t^3/2) E_bend at a coefficient vector."""
         m = 3 * self.basis.num_shapes
-        e = np.einsum("tri,ti->tr", self._Mb, self._local(x)[:, m:])
-        return 0.5 * self.config.thickness ** 3 * _integrals(self._Wb, e).sum()
+        theta = self._local(x)[:, m:]
+        nT = len(theta)
+        e = (np.swapaxes(self._A, 1, 2) @ theta.reshape(nT, 2, -1)).reshape(nT, -1)
+        return 0.5 * self.config.thickness ** 3 * _integrals(self._Wb, e @ self._Bref.T).sum()
 
     def _shear_weights(self):
         """Thickness weights of the element shear energies, (nT,).
@@ -508,7 +574,8 @@ class ShellModel:
         X = self._local(x)
         if membrane is None:
             membrane = self._membrane_state(X)
-        g = self._shear_weights()[:, None] * np.einsum("tij,tj->ti", self._As, X)
+        gs = _weighted(self._Ws, np.einsum("tri,ti->tr", self._Ms, X))
+        g = self._shear_weights()[:, None] * (gs[:, None] @ self._Ms)[:, 0]
         g[:, m:] += thick ** 3 * np.einsum("tij,tj->ti", self._Ab, X[:, m:])
         if membrane is None:
             g[:, :m] += thick * np.einsum("tij,tj->ti", self._Am, X[:, :m])
@@ -528,7 +595,8 @@ class ShellModel:
         m = 3 * n
         if membrane is None:
             membrane = self._membrane_state(self._local(x))
-        H = self._shear_weights()[:, None, None] * self._As
+        H = _gram(self._Ms, self._Ws)
+        H *= self._shear_weights()[:, None, None]
         H[:, m:, m:] += thick ** 3 * self._Ab
         if membrane is None:
             H[:, :m, :m] += thick * self._Am

@@ -199,9 +199,24 @@ def sort_based_pattern(n_dofs, dofs, free):
 
 def assert_matches_sort_based(pattern, n_dofs, dofs, free):
     oracle = sort_based_pattern(n_dofs, dofs, free)
-    assert pattern.nnz == len(oracle["indices"])
+    nnz = len(oracle["indices"])
+    assert pattern.nnz == nnz
+    # the stored layout: the gathered free block, then the other CSR entries
+    gather = oracle.pop("gather")
+    rest = np.setdiff1d(np.arange(nnz), gather)
+    layout = np.empty(nnz, dtype=int)
+    layout[np.concatenate([gather, rest])] = np.arange(nnz)
+    csr_slot = oracle["slot"]
+    oracle.update(slot=layout[csr_slot], layout=layout)
     for name, expected in oracle.items():
         assert np.array_equal(getattr(pattern, name), expected), name
+    # distinct values in every element entry: the full matrix read back
+    # through the layout is the CSR sum of the element entries
+    values = np.arange(1.0, csr_slot.size + 1).reshape(len(dofs), *(dofs.shape[1],) * 2)
+    matrix = assemble(pattern, values).matrix
+    assert np.array_equal(matrix.indptr, oracle["indptr"])
+    assert np.array_equal(matrix.indices, oracle["indices"])
+    assert np.array_equal(matrix.data, np.bincount(csr_slot, values.ravel(), minlength=nnz))
 
 
 class TestScalarNodePattern:
@@ -246,7 +261,7 @@ class TestScalarNodePattern:
         pattern, local = laplace_1d(n, free)
         dofs = pattern.element_dofs
         assert_matches_sort_based(pattern, n + 1, dofs, free)
-        assert len(pattern.order) == len(pattern.gather) == len(pattern.diag) == free.sum()
+        assert len(pattern.order) == len(pattern.block_indices) == len(pattern.diag) == free.sum()
         rhs = np.arange(1.0, n + 2)
         expected = np.zeros(n + 1)
         expected[free] = rhs[free] / np.diag(dense_sum(n + 1, dofs, local))[free]

@@ -1,6 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reggeshell.assembly import factor_solve
 from reggeshell.elements import (
     BARY_GRADS,
     barycentric,
@@ -11,6 +15,7 @@ from reggeshell.elements import (
 )
 from reggeshell.geometry import (
     BENCHMARK_NAMES,
+    ChartGeometry,
     ElementMap,
     flat3_chart,
     make_benchmark_mesh,
@@ -21,7 +26,7 @@ from reggeshell.interpolation import (
     ShearSpace,
     get_operator,
 )
-from reggeshell.mesh import rectangle_mesh
+from reggeshell.mesh import Mesh, rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
     REF_VERTICES,
@@ -31,11 +36,12 @@ from reggeshell.shell import (
     MaterialParams,
     ShellConfig,
     ShellModel,
+    _gram,
     _material_weights,
     _reduction,
+    _reference_gram,
     _shear_B,
     _strain_B,
-    _strain_map,
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
@@ -421,13 +427,13 @@ class TestReductionMatrices:
         V = rng.standard_normal((len(op.points), 3))
         D = textbook_law(MAT)
         Wq = w[:, None, None] * (np.swapaxes(T, -1, -2) @ D @ T)
-        M, W = _strain_map(V[None, ..., None], Wq[None], (C, S))
+        W = _reference_gram(S, Wq[None])
         TS = np.einsum("qab,qnb->qna", T, op.basis.eval(points))
         A = np.einsum("q,qna,ab,qmb->nm", w, TS, D, TS)
         a = op.interpolate(V)
-        c = M[0, :, 0]
-        assert W.shape == (1, 1) + A.shape
-        assert c @ W[0, 0] @ c == pytest.approx(a @ A @ a, rel=1e-13)
+        c = C @ V.ravel()
+        assert W.shape == (1,) + A.shape
+        assert c @ W[0] @ c == pytest.approx(a @ A @ a, rel=1e-13)
 
     def test_unreduced_maps_are_sampled_at_energy_points(self):
         model = cylinder_model(membrane_reduction="none", shear_reduction="none")
@@ -467,7 +473,58 @@ class TestReductionMatrices:
             for item in value if isinstance(value, tuple) else (value,):
                 if (isinstance(item, np.ndarray) and item.ndim > 1 and len(item) == nT
                         and item.shape[1] % nq == 0):
-                    assert name in ("_wJ", "_X", "_nu", "_Mb", "_Wb"), name
+                    assert name in ("_wJ", "_X", "_nu", "_Wb"), name
+
+
+def sampled_maps(model):
+    """The strain maps and point weights as the model held them when it
+    formed every (element, point, dof) map: the membrane and shear maps
+    sampled at the moment rule, and the bending map at the energy points,
+    with the point weights of the membrane and of the shear."""
+    rule, nq, n = model._rule, len(model._rule.points), model.basis.num_shapes
+    points = np.vstack([rule.points, model._moments.points])
+    ev = model.map.evaluate(points)
+    N, dN = model.basis.eval(points), model.basis.grad(points)
+    nT = model.mesh.num_triangles
+    verts = model.mesh.vertices[model.mesh.triangles]
+    A = np.swapaxes(verts, 1, 2) @ BARY_GRADS
+    Wq, Wq_shear = _material_weights(ev.F[:, :nq], model._wJ, MAT)
+    membrane = _strain_B(ev.F[:, nq:], dN[nq:]).reshape(nT, -1, 3 * n)
+    shear = _shear_B(ev.nu[:, nq:], A, N[nq:], dN[nq:]).reshape(nT, -1, 5 * n)
+    bending = _strain_B(A[:, None], dN[:nq]).reshape(nT, -1, 2 * n)
+    return membrane, shear, bending, Wq, Wq_shear
+
+
+def assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestReferenceTables:
+    """The maps and forms built from element independent tables agree with
+    the products of the sampled (element, point, dof) maps."""
+
+    @pytest.mark.parametrize("name, order", [("hyperboloid", 1), ("cylinder", 2),
+                                             ("hemisphere", 3), ("unibend_cylinder", 4)])
+    def test_maps_and_forms_match_sampled_maps(self, name, order):
+        mesh, chart = make_benchmark_mesh(name)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(
+            thickness=0.1, order=order, membrane_reduction="regge"))
+        membrane, shear, bending, Wq, Wq_shear = sampled_maps(model)
+        rule, nT = model._rule, model.mesh.num_triangles
+        op, ss = model.operator, model.shear_space
+        Cm, Sm = _reduction(op, op.basis.eval(rule.points), rule.weights)
+        Cs, Ss = _reduction(ss, ss.shapes(rule.points), rule.weights)
+        assert_close(model._Mm, Cm @ membrane)
+        assert_close(model._Ms, Cs @ shear)
+        for W, S, Wp in ((model._Wm, Sm, Wq), (model._Ws, Ss, Wq_shear)):
+            assert_close(W[:, 0], _gram(np.broadcast_to(S, (nT,) + S.shape), Wp))
+        assert_close(model._Ab, _gram(bending, Wq))
+        x = random_state(model, 0.1, seed=order)
+        theta = model._local(x)[:, 3 * model.basis.num_shapes:]
+        e = np.einsum("tri,ti->tr", bending, theta).reshape(nT, -1, 3)
+        energy = 0.5 * 0.1 ** 3 * np.einsum("tqa,tqab,tqb->", e, Wq, e)
+        assert model.bending_energy(x) == pytest.approx(energy, rel=1e-13)
 
 
 def model_nbytes(model):
@@ -481,7 +538,50 @@ def model_nbytes(model):
     return sum(arrays.values())
 
 
+def traced_peak(build):
+    """Result of ``build()`` and the peak of the memory it allocated, in
+    bytes, as tracemalloc counts it (the same on every run)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def order_4_reference():
+    """The level-2 cylinder reference of the locking sweep (128 elements,
+    5,445 dofs) and the traced peak of its construction."""
+    mesh, chart = make_benchmark_mesh("cylinder", 2)
+    return traced_peak(lambda: ShellModel(mesh, chart, MAT, ShellConfig(
+        thickness=0.1, order=4, membrane_reduction="regge")))
+
+
 class TestModelMemory:
+    """Bounds fixed from the construction that formed the (element, point,
+    dof) maps: 27.5 MiB of model arrays, a 61.0 MiB build peak and a
+    20.4 MiB tangent and solve at t = 1e-3."""
+
+    def test_order_4_reference_arrays(self, order_4_reference):
+        model, _ = order_4_reference
+        assert model_nbytes(model) <= 12 * 2 ** 20
+
+    def test_order_4_reference_build_peak(self, order_4_reference):
+        _, peak = order_4_reference
+        assert peak <= 40 * 2 ** 20
+
+    def test_order_4_reference_tangent_and_solve_peak(self, order_4_reference):
+        model, _ = order_4_reference
+        x = np.zeros(model.num_dofs)
+        rhs = np.random.default_rng(0).standard_normal(model.num_dofs)
+        model.config.thickness = 1e-3
+        try:
+            _, peak = traced_peak(lambda: factor_solve(model.hessian(x), rhs))
+        finally:
+            model.config.thickness = 0.1
+        assert peak <= 18 * 2 ** 20
+
     def test_order_4_reference_holds_under_half_its_point_map_size(self):
         # the level-2 cylinder reference of the locking sweep; with its
         # reduced strains sampled at the energy points its arrays took
@@ -597,6 +697,30 @@ class TestBoundaryConditions:
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=order))
         assert_symmetry_rotations_match_chart(model)
 
+    def test_symmetry_rotation_changes_along_the_marker(self):
+        # on u = 0 of phi(u, v) = (u, v + u d(v), 0), d(v) = 4v, the
+        # contravariant basis is a^1 = (1, 0, 0) and a^2 = (-d, 1, 0), so the
+        # fixed rotation switches from theta_1 to theta_2 where |d| passes 1;
+        # the four sym:x edges have mean d 0.5, 1.5, 2.5 and 3.5.  The edges
+        # are numbered backwards, so that the marker's edge order differs
+        # from the (triangle, local edge) order of its pairs
+        def phi(p):
+            u, v = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+            return np.stack([u, v + 4.0 * u * v, np.zeros_like(u)], axis=-1)
+
+        grid = rectangle_mesh(2, 4, (0.0, 1.0), (0.0, 1.0), {"left": "sym:x"})
+        last = grid.num_edges - 1
+        marked = tuple(sorted(last - grid.edges_with_marker("sym:x")))
+        mesh = Mesh(vertices=grid.vertices, triangles=grid.triangles, edges=grid.edges[::-1],
+                    tri_edges=last - grid.tri_edges, tri_edge_signs=grid.tri_edge_signs,
+                    boundary_markers={"sym:x": marked})
+        model = ShellModel(mesh, ChartGeometry("skew", 3, phi), MAT,
+                           ShellConfig(thickness=0.01, order=2))
+        free, (comp,) = expected_free(model)
+        assert np.array_equal(np.sort(np.argmax(comp, axis=1)), [0, 1, 1, 1])
+        assert np.all(comp.max(axis=1) >= 1.4 * comp.min(axis=1))
+        assert np.array_equal(model.free, free)
+
     def test_clamped_edges_constrain_all_fields(self):
         mesh, chart = make_benchmark_mesh("unibend_cylinder")
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2))
@@ -710,6 +834,24 @@ class TestSolve:
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
         with pytest.raises(ValueError, match=r"edge moment on 'loaded' .* expected \(2,\)"):
             model.load_vector(LoadSpec(edge_moments={"loaded": lambda X: np.ones(3)}))
+
+    @pytest.mark.parametrize("load", ["volume", "edge_moment"])
+    def test_ragged_per_point_values_rejected(self, load):
+        # 3 (or 2) components at every other point, one fewer at the rest
+        calls = itertools.count()
+
+        def ragged(value):
+            return value if next(calls) % 2 else value[:-1]
+
+        mesh, chart = make_benchmark_mesh("unibend_cylinder")
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        if load == "volume":
+            spec, match = LoadSpec(volume=lambda X, nu: ragged(nu)), r"volume load .*\(3,\)"
+        else:
+            spec = LoadSpec(edge_moments={"loaded": lambda X: ragged(np.ones(2))})
+            match = r"edge moment on 'loaded' .*\(2,\)"
+        with pytest.raises(ValueError, match=match):
+            model.load_vector(spec)
 
     def test_full_green_matches_linearized_for_small_data(self):
         mesh, chart = make_benchmark_mesh("cylinder")
