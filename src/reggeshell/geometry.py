@@ -103,6 +103,8 @@ class ElementMap:
         # affine map of the reference nodes into the parameter triangles
         pnodes = barycentric(self._basis.nodes) @ mesh.vertices[mesh.triangles[triangle_id]]
         self.control_points = geometry.phi(pnodes)
+        if not np.all(np.isfinite(self.control_points)):
+            raise GeometryError(f"chart '{geometry.name}' has non-finite points on the mesh")
 
     def evaluate(self, points):
         """Evaluate F, J and the normal.
@@ -115,7 +117,7 @@ class ElementMap:
         # J = |F_0 x F_1| = sqrt(det F^T F) on surfaces, det F on flat charts
         nu = np.cross(F[..., 0], F[..., 1]) if self.ambient_dim == 3 else None
         J = np.linalg.det(F) if nu is None else np.linalg.norm(nu, axis=-1)
-        if np.any(J <= 1e-14):
+        if not np.all(J > 1e-14):
             raise GeometryError("degenerate element map (J <= 0)")
         if nu is not None:
             nu = nu / J[..., None]

@@ -56,6 +56,34 @@ class Mesh:
     tri_edge_signs: np.ndarray
     boundary_markers: dict
 
+    def __post_init__(self):
+        """Check a directly built mesh as ``build_mesh`` builds one: indices
+        in range, sorted unique edge rows, and edges and signs that are the
+        triangles' local edges, each edge in one or two triangles."""
+        nv, ne = self.num_vertices, self.num_edges
+        tris, edges, tri_edges = self.triangles, self.edges, self.tri_edges
+        marked = np.array([e for ids in self.boundary_markers.values() for e in ids], dtype=int)
+        for what, index, bound in (("triangle vertex", tris, nv), ("edge vertex", edges, nv),
+                                   ("triangle edge", tri_edges, ne), ("marker edge", marked, ne)):
+            if index.size and (index.min() < 0 or index.max() >= bound):
+                raise MeshError(f"{what} index outside [0, {bound})")
+        # in range, a sorted row (i, j) is its key i·nv + j
+        keys = edges[:, 0] * nv + edges[:, 1]
+        ordered = np.sort(keys)
+        if (edges[:, 0] >= edges[:, 1]).any() or (ordered[1:] == ordered[:-1]).any():
+            raise MeshError("edge rows must be sorted ascending and unique")
+        a, b = np.moveaxis(tris[:, LOCAL_EDGES], -1, 0)
+        wrong = ((keys[tri_edges] != np.minimum(a, b) * nv + np.maximum(a, b))
+                 | (self.tri_edge_signs != np.where(a < b, 1, -1)))
+        if wrong.any():
+            raise MeshError(f"tri_edges or tri_edge_signs of triangle {wrong.argmax() // 3} "
+                            f"disagree with its local edges")
+        counts = np.bincount(tri_edges.ravel(), minlength=ne)
+        bad = np.flatnonzero((counts < 1) | (counts > 2))
+        if bad.size:
+            raise MeshError(f"edge {tuple(edges[bad[0]].tolist())} lies in {counts[bad[0]]} "
+                            f"triangles, not in one or two")
+
     @property
     def num_vertices(self):
         return len(self.vertices)
@@ -74,7 +102,9 @@ class Mesh:
 
 def build_mesh(vertices, triangles, boundary_markers=None):
     """Create a mesh from raw arrays and build its edge connectivity;
-    ``boundary_markers`` maps a name to vertex pairs that must be edges."""
+    ``boundary_markers`` maps a name to vertex pairs that must be edges.
+    ``Mesh`` rejects triangle vertices out of range and edges in more than
+    two triangles."""
     # copies, so that the caller's arrays cannot change the mesh afterwards
     vertices = np.array(vertices, dtype=float)
     tris = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -82,15 +112,11 @@ def build_mesh(vertices, triangles, boundary_markers=None):
     pairs = {name: np.asarray(p, dtype=int).reshape(-1, 2)
              for name, p in (boundary_markers or {}).items()}
     # outside [0, nv) the keys min·nv + max alias valid edges
-    if any(np.any((v < 0) | (v >= nv)) for v in (tris, *pairs.values())):
-        raise MeshError(f"triangle or marker vertex index outside [0, {nv})")
+    if any(np.any((p < 0) | (p >= nv)) for p in pairs.values()):
+        raise MeshError(f"marker vertex index outside [0, {nv})")
     a, b = np.moveaxis(tris[:, LOCAL_EDGES], -1, 0)
-    keys, first, inverse, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                             return_index=True, return_inverse=True,
-                                             return_counts=True)
-    if np.any(counts > 2):
-        edge = divmod(int(keys[counts > 2][0]), nv)
-        raise MeshError(f"edge {edge} shared by more than two triangles")
+    keys, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                     return_index=True, return_inverse=True)
     # number the edges by first appearance, not by key
     order = np.argsort(first)
     rank = np.argsort(order)

@@ -7,49 +7,50 @@ them with the inverse surface metric A = (F^T F)^{-1} of the geometry
 gradient F, which is the isotropic law on the strain in any orthonormal
 tangent frame, so physical units are correct on curved charts.
 
-Energy split: W = (t/2) E_mem + (t^3/2) E_bend + (t/2) E_shear - f(u).
-The membrane strain may be interpolated element-wise into the symmetric
-tensor element space of order k-1, which removes membrane locking; the
-shear strain may analogously be interpolated into a tangential-continuous
-edge element space.
+The energy is three terms less the load work f(u).  A term is a strain
+vector e of some element dofs with a block diagonal weight W and a
+thickness factor: t for the membrane, t^3 for the bending, and t or, with
+the shear reduction, t^3/(t^2 + c h^2) per element for the shear.  Its
+energy is (factor/2) sum_T e . W e, its element gradient factor G^T W e
+and its element tangent factor G^T W G for the derivative G of e, the
+latter stored for the linearized membrane and the bending.  The energies,
+the gradient and the tangent are each one loop over the terms.  The
+membrane strain may be interpolated element-wise into the symmetric tensor
+element space of order k-1, which removes membrane locking; the shear
+strain may analogously be interpolated into a tangential-continuous edge
+element space.
 
 Element data are arrays with a leading element axis.  One element map
 covers the whole mesh and is evaluated once per model, at the energy
 quadrature points and at the sampling points of the interpolations.  Both
 interpolations, and the edge load, sample on the same reference moment rule
-(``interpolation.moment_rule``).  Every strain is a map M from the element
-dofs to a strain vector and a block diagonal weight W, so that each energy
-is the sum of e . W e over the elements and each element form is M^T W M.
-The vector of a reduced strain is its interpolant's coefficients: the dual
-mass matrix is geometry free, so the map C from values at the sampling
-points to coefficients is the same on every element, built once per model
-from a single ``interpolate`` of the identity, and W is the coefficient
-mass of the interpolant's shapes at the energy points, one small block per
-element.  A strain whose reduction is off is its reference values at the
-energy points, weighted point by point.  Energies, gradients and tangents
-make no interpolation call.
+(``interpolation.moment_rule``).  The vector of a reduced strain is its
+interpolant's coefficients: the dual mass matrix is geometry free, so the
+map C from values at the sampling points to coefficients is the same on
+every element, built once per model from a single ``interpolate`` of the
+identity, and W is the coefficient mass of the interpolant's shapes at the
+energy points, one small block per element.  A strain whose reduction is
+off is its reference values at the energy points, weighted point by point.
+Energies, gradients and tangents make no interpolation call.
 
 No (element, point, dof) map of a reduced strain is formed: a reduced map
 or coefficient mass is one product of the per-point geometry or weights
 with a table of C and the reference shapes, built once per model.  The
 bending strain is held as the element independent reference strain B_ref
-and the affine Jacobian A of each element.  The stored element forms are
-Am and Ab; the shear form is taken from its map and weight when a tangent
-is assembled.
+and the affine Jacobian A of each element.
 
 The Green strain E(u) = B(F)u + sym(grad u^T grad u)/2 is quadratic in the
-displacements and C is linear, so the derivative of the Green strain vector
-has a closed form in two stored maps: G(U) = Mm + K U, where Mm is the
-linearized membrane map (the Green one at rest) and K the element
-independent (reduced) second derivative.  The strain itself, (Mm + G(U)) U / 2
-in exact arithmetic, is sampled as sym((F + grad u/2)^T grad u) and reduced
-as one vector per element: summed after the reduction, its two parts would
-cancel on rigid motions only to the rounding of the reduced maps.  The
-tangent is G^T W G plus the geometric term (W e) . K.  A Newton iterate
-evaluates (e, G) once and forms from it both its residual and, when another
-step is needed, its tangent.
+displacements and C is linear, so its derivative has a closed form in two
+stored maps: G(U) = Mm + K U, where Mm is the linearized membrane map (the
+Green one at rest) and K the element independent (reduced) second
+derivative, and its tangent adds the geometric term (W e) . K.  The strain
+itself, (Mm + G(U)) U / 2 in exact arithmetic, is sampled as
+sym((F + grad u/2)^T grad u) and reduced as one vector per element: summed
+after the reduction, its two parts would cancel on rigid motions only to
+the rounding of the reduced maps.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,6 +283,11 @@ def _per_point(values, c, what):
     return V
 
 
+# energy term (factor/2) sum_T e . W e of a strain vector e of the dofs ``cols``, with
+# the derivative G of e or a stored form, and the second derivative K of a Green strain
+_Term = namedtuple("_Term", "cols factor W e G K form", defaults=(None, None, None))
+
+
 def _newton_converged(history):
     """Whether Newton accepts its last iterate, given the free residual
     norms of all iterates, the first at the initial guess."""
@@ -489,127 +495,107 @@ class ShellModel:
         """Element vectors (nT, 5n) of a global coefficient vector."""
         return np.asarray(x)[self.element_dofs]
 
-    def _green_strain(self, U):
-        """Green membrane strain vector (nT, r) of the element displacements
-        U (nT, 3n).  The strain is sampled in the factored form
-        sym((F + grad u / 2)^T grad u), so that rigid motions cancel before
-        the reduction, and one product with C takes it to its coefficients."""
+    def _green_membrane(self, U):
+        """Green membrane strain vector e (nT, r), sampled in the factored
+        form and taken to its coefficients by one product with C, and its
+        derivative G = Mm + K U (nT, r, 3n) in the element displacements U
+        (nT, 3n), with K U one product of U against the symmetric K."""
         F, dN = self._green_tables
-        nT = len(U)
+        nT, n = len(U), self.basis.num_shapes
         gu = U.reshape(nT, 1, 3, -1) @ dN
         A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
-        E = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
-        E = E.reshape(nT, -1)
-        return E if self._Cm is None else E @ self._Cm.T
-
-    def _green_membrane(self, U):
-        """Green membrane strain vector e (nT, r) and its derivative G
-        (nT, r, 3n) in the element displacements U (nT, 3n).  G = Mm + K U
-        in closed form, with K U one product of U against K, which is
-        symmetric in its two shapes."""
-        nT, m = U.shape
-        n = m // 3
+        e = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
+        e = e.reshape(nT, -1) if self._Cm is None else e.reshape(nT, -1) @ self._Cm.T
         KU = (U.reshape(-1, n) @ self._K.reshape(-1, n).T).reshape(nT, 3, -1, n)
-        G = self._Mm + np.moveaxis(KU, 1, 2).reshape(self._Mm.shape)
-        return self._green_strain(U), G
+        return e, self._Mm + np.moveaxis(KU, 1, 2).reshape(self._Mm.shape)
+
+    def _terms(self, X, energy=False):
+        """The shear, bending and membrane terms at element vectors X (nT, 5n),
+        in the order in which the gradient and the tangent sum them.  With the
+        edge-tangential reduction the shear factor is the stabilized
+        t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
+        scale and removes the residual coarse-mesh shear stiffness that would
+        otherwise inhibit bending-dominated states.  Only the energies read
+        the strain of a stored form, which is evaluated with ``energy`` only."""
+        thick, nT = self.config.thickness, len(X)
+        m = 3 * self.basis.num_shapes
+        factor = thick
+        if self.shear_space is not None:
+            factor = thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2)
+        shear = _Term(slice(None), factor, self._Ws, np.einsum("tri,ti->tr", self._Ms, X),
+                      self._Ms)
+        kappa = None
+        if energy:
+            theta = np.swapaxes(self._A, 1, 2) @ X[:, m:].reshape(nT, 2, -1)
+            kappa = theta.reshape(nT, -1) @ self._Bref.T
+        bending = _Term(slice(m, None), thick ** 3, self._Wb, kappa, form=self._Ab)
+        if self.config.model == "full_green":
+            membrane = _Term(slice(m), thick, self._Wm, *self._green_membrane(X[:, :m]), self._K)
+        else:
+            eps = np.einsum("tri,ti->tr", self._Mm, X[:, :m]) if energy else None
+            membrane = _Term(slice(m), thick, self._Wm, eps, form=self._Am)
+        return {"shear": shear, "bending": bending, "membrane": membrane}
+
+    def _energies(self, x):
+        """Energy of every term at a coefficient vector."""
+        return {name: 0.5 * np.sum(term.factor * _integrals(term.W, term.e))
+                for name, term in self._terms(self._local(x), energy=True).items()}
 
     def membrane_energy(self, x):
         """(t/2) E_mem at a coefficient vector."""
-        m = 3 * self.basis.num_shapes
-        U = self._local(x)[:, :m]
-        if self.config.model == "linearized_membrane":
-            e = np.einsum("tri,ti->tr", self._Mm, U)
-        else:
-            e = self._green_strain(U)
-        return 0.5 * self.config.thickness * _integrals(self._Wm, e).sum()
+        return self._energies(x)["membrane"]
 
     def bending_energy(self, x):
         """(t^3/2) E_bend at a coefficient vector."""
-        m = 3 * self.basis.num_shapes
-        theta = self._local(x)[:, m:]
-        nT = len(theta)
-        e = (np.swapaxes(self._A, 1, 2) @ theta.reshape(nT, 2, -1)).reshape(nT, -1)
-        return 0.5 * self.config.thickness ** 3 * _integrals(self._Wb, e @ self._Bref.T).sum()
-
-    def _shear_weights(self):
-        """Thickness weights of the element shear energies, (nT,).
-
-        With the edge-tangential reduction the weight is the stabilized
-        t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
-        scale and removes the residual coarse-mesh shear stiffness that would
-        otherwise inhibit bending-dominated states.  Without reduction the
-        plain Naghdi weight t is kept."""
-        thick = self.config.thickness
-        if self.shear_space is None:
-            return np.full(len(self.h2), thick)
-        return thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2)
+        return self._energies(x)["bending"]
 
     def shear_energy(self, x):
         """Weighted shear energy at a coefficient vector."""
-        g = np.einsum("tri,ti->tr", self._Ms, self._local(x))
-        return 0.5 * self._shear_weights() @ _integrals(self._Ws, g)
+        return self._energies(x)["shear"]
 
     def total_energy(self, x, load_vector=None):
-        W = self.membrane_energy(x) + self.bending_energy(x) + self.shear_energy(x)
-        if load_vector is not None:
-            W -= load_vector @ x
-        return W
+        W = sum(self._energies(x).values())
+        return W if load_vector is None else W - load_vector @ x
 
     # ------------------------------------------------------------------
     # derivatives
     # ------------------------------------------------------------------
 
-    def _membrane_state(self, X):
-        """Green membrane (e, G) at element vectors X (nT, 5n), or None for
-        the linearized model, whose membrane forms are stored."""
-        if self.config.model == "linearized_membrane":
-            return None
-        return self._green_membrane(X[:, :3 * self.basis.num_shapes])
-
-    def gradient(self, x, load_vector=None, *, membrane=None):
-        """Energy gradient at x, less the load vector if one is given.
-        ``membrane`` is ``_membrane_state`` at x when the caller has it."""
-        thick = self.config.thickness
-        m = 3 * self.basis.num_shapes
+    def gradient(self, x, load_vector=None, *, terms=None):
+        """Energy gradient at x, less the load vector if one is given;
+        ``terms`` are the ``_terms`` at x when the caller has them."""
         X = self._local(x)
-        if membrane is None:
-            membrane = self._membrane_state(X)
-        gs = _weighted(self._Ws, np.einsum("tri,ti->tr", self._Ms, X))
-        g = self._shear_weights()[:, None] * (gs[:, None] @ self._Ms)[:, 0]
-        g[:, m:] += thick ** 3 * np.einsum("tij,tj->ti", self._Ab, X[:, m:])
-        if membrane is None:
-            g[:, :m] += thick * np.einsum("tij,tj->ti", self._Am, X[:, :m])
-        else:
-            e, G = membrane
-            g[:, :m] += thick * (_weighted(self._Wm, e)[:, None] @ G)[:, 0]
+        g = None
+        for term in (terms or self._terms(X)).values():
+            if term.form is None:
+                gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
+            else:
+                gt = np.einsum("tij,tj->ti", term.form, X[:, term.cols])
+            gt *= term.factor if np.isscalar(term.factor) else term.factor[:, None]
+            if g is None:
+                g = gt
+            else:
+                g[:, term.cols] += gt
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
-        if load_vector is not None:
-            grad -= load_vector
-        return grad
+        return grad if load_vector is None else grad - load_vector
 
-    def hessian(self, x, *, membrane=None):
-        """Assembled tangent as a sparse matrix with constrained dofs masked.
-        ``membrane`` is ``_membrane_state`` at x when the caller has it."""
-        thick = self.config.thickness
+    def hessian(self, x, *, terms=None):
+        """Assembled tangent as a sparse matrix with constrained dofs masked;
+        ``terms`` as in ``gradient``.  The first term's G^T W G holds the sum."""
         n = self.basis.num_shapes
-        m = 3 * n
-        if membrane is None:
-            membrane = self._membrane_state(self._local(x))
-        H = _gram(self._Ms, self._Ws)
-        H *= self._shear_weights()[:, None, None]
-        H[:, m:, m:] += thick ** 3 * self._Ab
-        if membrane is None:
-            H[:, :m, :m] += thick * self._Am
-        else:
-            # material term G^T W G plus the geometric term: the weighted
-            # strain W e against the second derivative K of the strain, which
-            # is the same for the three displacement components
-            e, G = membrane
-            Hg = (_weighted(self._Wm, e) @ self._K.reshape(e.shape[1], -1)).reshape(-1, n, n)
-            Hm = _gram(G, self._Wm)
-            for c in range(0, m, n):
-                Hm[:, c:c + n, c:c + n] += Hg
-            H[:, :m, :m] += thick * Hm
+        H = None
+        for term in (terms or self._terms(self._local(x))).values():
+            Ht = _gram(term.G, term.W) if term.form is None else term.form
+            if term.K is not None:
+                # geometric term (W e) . K, K shared by the displacement components
+                Hg = (_weighted(term.W, term.e) @ term.K.reshape(-1, n * n)).reshape(-1, n, n)
+                for c in range(0, 3 * n, n):
+                    Ht[:, c:c + n, c:c + n] += Hg
+            factor = term.factor if np.isscalar(term.factor) else term.factor[:, None, None]
+            if H is None:
+                H = np.multiply(Ht, factor, out=Ht)
+            else:
+                H[:, term.cols, term.cols] += factor * Ht
         return assemble(self._pattern, H)
 
     # ------------------------------------------------------------------
@@ -677,15 +663,14 @@ class ShellModel:
         x[~self.free] = 0.0
         history = []
         for iterations in range(NEWTON_MAX_ITER + 1):
-            # one membrane evaluation per iterate serves the residual and the
-            # tangent
-            membrane = self._membrane_state(self._local(x))
-            r = self.gradient(x, f, membrane=membrane)
+            # one evaluation of the terms serves the iterate's residual and tangent
+            terms = self._terms(self._local(x))
+            r = self.gradient(x, f, terms=terms)
             history.append(np.linalg.norm(r[self.free]))
             if iterations > 0 and _newton_converged(history):
                 return ShellState(x, history), iterations
             if iterations < NEWTON_MAX_ITER:
-                x = x + factor_solve(self.hessian(x, membrane=membrane), -r)
+                x = x + factor_solve(self.hessian(x, terms=terms), -r)
         raise SolverError(
             f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
             f"(last residual {history[-1]:.3e}, initial {history[0]:.3e})"

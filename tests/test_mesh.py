@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -189,6 +189,42 @@ class TestLoopOracle:
         path.write_text("\n".join(lines) + "\n")
         assert_same_mesh(read_mesh(path),
                          loop_build_mesh(mesh.vertices, mesh.triangles, markers))
+
+
+def swapped_local_edges(mesh):
+    # local edges 0 and 1 of triangle 0 exchanged, signs and all
+    tri_edges, signs = mesh.tri_edges.copy(), mesh.tri_edge_signs.copy()
+    tri_edges[0, [0, 1]] = tri_edges[0, [1, 0]]
+    signs[0, [0, 1]] = signs[0, [1, 0]]
+    return dict(tri_edges=tri_edges, tri_edge_signs=signs)
+
+
+def flipped_sign(mesh):
+    signs = mesh.tri_edge_signs.copy()
+    signs[0, 0] *= -1
+    return dict(tri_edge_signs=signs)
+
+
+class TestDirectMesh:
+    """A ``Mesh`` built directly, not by ``build_mesh``, is checked too."""
+
+    def grid(self):
+        return rectangle_mesh(2, 2, (0.0, 1.0), (0.0, 1.0), {"left": "clamped"})
+
+    @pytest.mark.parametrize("change, message", [
+        (swapped_local_edges, "triangle 0"),
+        (flipped_sign, "triangle 0"),
+        (lambda m: dict(edges=m.edges[:, ::-1]), "sorted"),
+        (lambda m: dict(edges=np.vstack([m.edges, m.edges[:1]])), "unique"),
+        (lambda m: dict(edges=np.vstack([m.edges, [[0, 8]]])), "not in one or two"),
+        (lambda m: dict(triangles=m.triangles + 1), "triangle vertex"),
+        (lambda m: dict(boundary_markers={"clamped": (m.num_edges,)}), "marker edge"),
+    ], ids=["swapped_local_edges", "flipped_sign", "unsorted_edge", "duplicate_edge",
+            "unused_edge", "vertex_out_of_range", "marker_out_of_range"])
+    def test_inconsistent_mesh_rejected(self, change, message):
+        mesh = self.grid()
+        with pytest.raises(MeshError, match=message):
+            replace(mesh, **change(mesh))
 
 
 class TestRefine:

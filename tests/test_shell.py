@@ -7,6 +7,7 @@ import pytest
 from reggeshell.assembly import factor_solve
 from reggeshell.elements import (
     BARY_GRADS,
+    GeometryError,
     barycentric,
     edge_point,
     edge_tangent,
@@ -198,10 +199,12 @@ class TestKernelAndScaling:
 
 
 class TestDerivatives:
+    @pytest.mark.parametrize("shear", ["none", "edge_tangential"])
     @pytest.mark.parametrize("reduction", ["none", "regge"])
     @pytest.mark.parametrize("model_kind", ["linearized_membrane", "full_green"])
-    def test_gradient_matches_finite_differences(self, reduction, model_kind):
-        model = cylinder_model(membrane_reduction=reduction, model=model_kind)
+    def test_gradient_matches_finite_differences(self, reduction, model_kind, shear):
+        model = cylinder_model(membrane_reduction=reduction, model=model_kind,
+                               shear_reduction=shear)
         x = random_state(model, 0.01, seed=1)
         g = model.gradient(x)
         rng = np.random.default_rng(2)
@@ -258,12 +261,14 @@ class TestGreenTangent:
         H = green.hessian(x).matrix
         assert np.array_equal(H.toarray(), linear.hessian(x).matrix.toarray())
 
+    @pytest.mark.parametrize("shear", ["none", "edge_tangential"])
     @pytest.mark.parametrize("reduction", ["none", "regge"])
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-    def test_hessian_matches_gradient_differences(self, name, reduction):
+    def test_hessian_matches_gradient_differences(self, name, reduction, shear):
         mesh, chart = make_benchmark_mesh(name)
         model = ShellModel(mesh, chart, MAT, ShellConfig(
-            thickness=0.1, order=2, membrane_reduction=reduction, model="full_green"))
+            thickness=0.1, order=2, membrane_reduction=reduction, shear_reduction=shear,
+            model="full_green"))
         x = random_state(model, 0.05, seed=8)
         d = np.random.default_rng(9).standard_normal(model.num_dofs)
         d /= np.linalg.norm(d)
@@ -377,8 +382,7 @@ class TestGreenClosedForm:
         for got, want in zip(model._green_membrane(U), ref):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        # the energy evaluates the strain without its derivative; its
-        # reference is the frame strain integrated point by point
+        # the energy's reference is the frame strain integrated point by point
         e = frame_strain(model, E)
         energy = 0.5 * model.config.thickness * np.einsum(
             "tq,tqa,tqa->", model._wJ, e, e @ textbook_law(MAT))
@@ -924,6 +928,20 @@ class TestEvaluation:
 
 
 class TestWholeMeshMap:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_chart_fails_while_the_model_is_built(self, value):
+        # the chart is bad for u > 0.5 only; the error names the chart, not
+        # the load that a later solve would find non-finite
+        mesh, chart = make_benchmark_mesh("cylinder")
+
+        def phi(p):
+            X = chart.phi(p)
+            return np.where(np.asarray(p)[..., :1] > 0.5, value, X)
+
+        broken = ChartGeometry("broken_cylinder", 3, phi)
+        with pytest.raises(GeometryError, match="broken_cylinder"):
+            ShellModel(mesh, broken, MAT, ShellConfig(thickness=0.01, order=2))
+
     def test_model_evaluates_its_element_map_once(self, monkeypatch):
         # a guard against per-element geometry loops in the model set-up
         calls = []
