@@ -2,10 +2,10 @@
 
 The sparsity of an assembled matrix depends only on the element dof sets and
 the constrained dofs, not on any value, so a ``SparsityPattern`` is built once
-per dof map: the CSR structure, the fill-reducing layout of the free-by-free
-block, and the stored position of every element-matrix entry.  Values are
-stored in factorization layout, the free block in its CSC order followed by
-the constrained entries, so each assembly only sums the element values into
+per dof map: the fill-reducing layout of the free-by-free block and the
+stored position of every element-matrix entry.  Values are stored in
+factorization layout, the free block in its CSC order followed by the
+constrained entries, so each assembly only sums the element values into
 their stored positions and the free block is a view of them.  Every field
 has a dof at each node, so the pattern is built on the scalar node graph,
 which has fields^2 times fewer entries, and the full structure follows by
@@ -32,9 +32,11 @@ matrix whose values are their own CSR positions: permuted into that order
 by scipy's sparse indexing, its free block has the layout as its structure
 and, as its values, the CSR position of each of its entries.  Inverted,
 that list gives the stored position of every CSR entry, through which the
-element entries are summed and the full CSR matrix is read back when it is
-asked for.  There is no gather: every factorization only scales the stored
-free block and calls SuperLU with its natural ordering.
+element entries are summed; the full CSR matrix is rebuilt from the layout
+and the coordinates of the other entries only when it is asked for.  There
+is no gather and no copy: every factorization scales the stored free block
+in place by powers of two, exact to apply and to undo as in LAPACK's
+xGEEQUB, and restores it as soon as SuperLU (natural ordering) returns.
 """
 
 from functools import cached_property
@@ -62,8 +64,8 @@ class SolverError(Exception):
 
 
 class SparsityPattern:
-    """CSR structure of the matrices assembled from fixed element dof sets,
-    and the layout their values are stored in.
+    """Structure of the matrices assembled from fixed element dof sets, in
+    the layout their values are stored in.
 
     ``element_dofs`` is an (nT, n) array of scalar dofs (nodes) out of
     ``n_scalar``.  Each of ``fields`` fields has a dof at every node: dof
@@ -77,9 +79,9 @@ class SparsityPattern:
     block in that order, and ``diag`` the positions of its diagonal.
 
     Values are stored in factorization layout: the free block's entries in
-    its CSC order, then the other entries in CSR order.  ``slot`` gives the
-    stored position of every entry of the stacked element matrices and
-    ``layout`` that of every CSR entry (``indices``, ``indptr``).
+    its CSC order, then the other entries in CSR order, at the rows
+    ``rest_rows`` and columns ``rest_cols``.  ``slot`` gives the stored
+    position of every entry of the stacked element matrices.
     """
 
     def __init__(self, n_scalar, element_dofs, free=None, fields=1):
@@ -108,13 +110,13 @@ class SparsityPattern:
         # f * nf * snnz + nf * sptr[a], and column g * ns + b is its entry
         # g * deg(a) + rank_a(b)
         self.nnz = nf * nf * snnz
-        self.indptr = np.append(
+        indptr = np.append(
             (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(),
             self.nnz).astype(np.int32)
         g = np.arange(nf)[:, None]
         rows = np.empty(nf * snnz, dtype=np.int32)   # field 0; the other fields repeat it
         rows[nf * sptr[row] + g * deg[row] + np.arange(snnz) - sptr[row]] = g * ns + col
-        self.indices = np.tile(rows, nf)
+        indices = np.tile(rows, nf)
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
         scalar = scipy.sparse.csr_matrix((np.ones(snnz), col, sptr), shape=(ns, ns))
@@ -124,18 +126,23 @@ class SparsityPattern:
         self.supervariable = node_group[self.free_idx % ns]
         # each supervariable's free dofs stay contiguous, in dof order
         self.order = self.free_idx[np.argsort(position[self.supervariable], kind="stable")]
-        self.block_indices, self.block_indptr, self.diag, self.layout = _stored_layout(
-            self.indices, self.indptr, self.order)
+        self.block_indices, self.block_indptr, self.diag, layout = _stored_layout(
+            indices, indptr, self.order)
+        # the entries after the free block are stored in CSR order
+        rest = np.flatnonzero(layout >= len(self.block_indices))
+        self.rest_rows = (np.searchsorted(indptr, rest, side="right") - 1).astype(np.int32)
+        self.rest_cols = indices[rest]
+        del rest, indices
 
         # slot[k] is the stored position of the k-th entry of the stacked
         # element matrices, (element, field, node, field, node), through its
         # CSR position; it stays intp, which bincount reads without a copy
         rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
         in_row = deg[nodes][..., None, None] * g + rank
-        slot = (self.indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
+        slot = (indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
                 + in_row[:, None]).ravel()
         del rank, in_row
-        slot = self.layout[slot]
+        slot = layout[slot]
         self.slot = slot.astype(np.intp)
 
 
@@ -201,9 +208,9 @@ def _indptr(row, n):
 
 
 class SparseSymMatrix:
-    """Symmetric global matrix with a constrained-dof elimination mask:
-    the pattern and the summed value of each of its entries, stored in the
-    pattern's factorization layout."""
+    """Symmetric global matrix with a constrained-dof elimination mask: the
+    pattern and the summed value of each entry in the pattern's
+    factorization layout, from which ``matrix`` rebuilds the full CSR."""
 
     def __init__(self, pattern, data):
         self.pattern = pattern
@@ -211,10 +218,11 @@ class SparseSymMatrix:
 
     @cached_property
     def matrix(self):
-        """The full matrix as CSR, built when first read."""
+        """The full matrix as CSR, rebuilt from the stored layout when first read."""
         p = self.pattern
-        return scipy.sparse.csr_matrix((self.data[p.layout], p.indices, p.indptr),
-                                       shape=(p.n_dofs, p.n_dofs))
+        rows = np.concatenate([p.order[p.block_indices], p.rest_rows])
+        cols = np.concatenate([np.repeat(p.order, np.diff(p.block_indptr)), p.rest_cols])
+        return scipy.sparse.coo_matrix((self.data, (rows, cols)), shape=(p.n_dofs,) * 2).tocsr()
 
     def reduced(self):
         """Free-by-free block as CSR and the global indices of its dofs."""
@@ -234,38 +242,39 @@ def assemble(pattern, element_matrices):
 
 def free_block(matrix):
     """The free block of a ``SparseSymMatrix`` in the pattern's CSC layout,
-    a view of the stored values, its Jacobi-scaled copy S A S and the
-    scaling s."""
+    a view of the stored values, and its symmetric Jacobi scaling s in powers
+    of two, s^2 |diag| in [0.5, 2), which tames the severe scale differences
+    between displacement and rotation blocks at small thickness."""
     p = matrix.pattern
-    shape = (len(p.order),) * 2
+    n = len(p.order)
     block = scipy.sparse.csc_matrix(
-        (matrix.data[:len(p.block_indices)], p.block_indices, p.block_indptr), shape=shape)
-    # symmetric Jacobi equilibration tames the severe scale differences
-    # between displacement and rotation blocks at small thickness
-    diag = np.zeros(shape[0])
+        (matrix.data[:len(p.block_indices)], p.block_indices, p.block_indptr), shape=(n, n))
+    diag = np.ones(n)
     diag[p.block_indices[p.diag]] = np.abs(block.data[p.diag])
     diag[diag == 0] = 1.0
-    s = 1.0 / np.sqrt(diag)
-    col = np.repeat(s, np.diff(p.block_indptr))
-    scaled = scipy.sparse.csc_matrix(
-        (block.data * s[p.block_indices] * col, p.block_indices, p.block_indptr),
-        shape=shape)
-    return block, scaled, s
+    return block, np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
 
 
 def factor_solve(matrix, rhs):
     """Direct solve on the free dofs of a ``SparseSymMatrix``; constrained
-    dofs stay at zero."""
+    dofs stay at zero.  SuperLU factors the stored free block, scaled in
+    place by s and restored once it returns: its factor reads no value after."""
     p = matrix.pattern
-    block, scaled, s = free_block(matrix)
+    block, s = free_block(matrix)
     b = np.asarray(rhs)[p.order]
+    block.data *= s[p.block_indices]
+    block.data *= np.repeat(s, np.diff(p.block_indptr))
     try:
-        lu = scipy.sparse.linalg.splu(scaled, permc_spec="NATURAL",
+        lu = scipy.sparse.linalg.splu(block, permc_spec="NATURAL",
                                       diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                       options=SUPERLU_OPTIONS)
         y = s * lu.solve(s * b)
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    finally:
+        r = 1 / s   # exact, like s, and cheaper to apply than a division
+        block.data *= r[p.block_indices]
+        block.data *= np.repeat(r, np.diff(p.block_indptr))
     if not np.all(np.isfinite(y)):
         raise SolverError("factorization produced non-finite values "
                           "(matrix indefinite or boundary conditions missing)")

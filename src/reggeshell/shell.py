@@ -495,17 +495,20 @@ class ShellModel:
         """Element vectors (nT, 5n) of a global coefficient vector."""
         return np.asarray(x)[self.element_dofs]
 
-    def _green_membrane(self, U):
+    def _green_membrane(self, U, derivative=True):
         """Green membrane strain vector e (nT, r), sampled in the factored
         form and taken to its coefficients by one product with C, and its
         derivative G = Mm + K U (nT, r, 3n) in the element displacements U
-        (nT, 3n), with K U one product of U against the symmetric K."""
+        (nT, 3n), with K U one product of U against the symmetric K, or None
+        without ``derivative``."""
         F, dN = self._green_tables
         nT, n = len(U), self.basis.num_shapes
         gu = U.reshape(nT, 1, 3, -1) @ dN
         A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
         e = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
         e = e.reshape(nT, -1) if self._Cm is None else e.reshape(nT, -1) @ self._Cm.T
+        if not derivative:
+            return e, None
         KU = (U.reshape(-1, n) @ self._K.reshape(-1, n).T).reshape(nT, 3, -1, n)
         return e, self._Mm + np.moveaxis(KU, 1, 2).reshape(self._Mm.shape)
 
@@ -516,21 +519,23 @@ class ShellModel:
         t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
         scale and removes the residual coarse-mesh shear stiffness that would
         otherwise inhibit bending-dominated states.  Only the energies read
-        the strain of a stored form, which is evaluated with ``energy`` only."""
+        the strain of a stored form, and they read no derivative G: with
+        ``energy`` the one is evaluated and the other left out."""
         thick, nT = self.config.thickness, len(X)
         m = 3 * self.basis.num_shapes
         factor = thick
         if self.shear_space is not None:
             factor = thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2)
         shear = _Term(slice(None), factor, self._Ws, np.einsum("tri,ti->tr", self._Ms, X),
-                      self._Ms)
+                      None if energy else self._Ms)
         kappa = None
         if energy:
             theta = np.swapaxes(self._A, 1, 2) @ X[:, m:].reshape(nT, 2, -1)
             kappa = theta.reshape(nT, -1) @ self._Bref.T
         bending = _Term(slice(m, None), thick ** 3, self._Wb, kappa, form=self._Ab)
         if self.config.model == "full_green":
-            membrane = _Term(slice(m), thick, self._Wm, *self._green_membrane(X[:, :m]), self._K)
+            membrane = _Term(slice(m), thick, self._Wm,
+                             *self._green_membrane(X[:, :m], derivative=not energy), self._K)
         else:
             eps = np.einsum("tri,ti->tr", self._Mm, X[:, :m]) if energy else None
             membrane = _Term(slice(m), thick, self._Wm, eps, form=self._Am)

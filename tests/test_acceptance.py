@@ -8,13 +8,16 @@ The benchmark sweeps are shared between tests through cached helpers.
 """
 
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from reggeshell import shell
+from reggeshell.assembly import RESIDUAL_TOL, factor_solve
 from reggeshell.bench import BenchmarkConfig, compute_references, run_benchmark
 from reggeshell.elements import barycentric, edge_point, edge_tangent, regge_basis
-from reggeshell.geometry import ElementMap, flat_chart, make_benchmark_mesh
+from reggeshell.geometry import BENCHMARK_NAMES, ElementMap, flat_chart, make_benchmark_mesh
 from reggeshell.interpolation import assemble_dual_mass, get_operator, reference_dual_mass
 from reggeshell.mesh import count_entities, rectangle_mesh, refine_uniform
 from reggeshell.polynomials import eval_integrated_jacobi, eval_jacobi
@@ -293,13 +296,34 @@ class TestEnergyDerivatives:
 
 
 @lru_cache(maxsize=None)
+def counted_sweep(name):
+    """Reference values plus reduced and unreduced sweeps of one benchmark,
+    the number of linear solves they make and the number of those accepted
+    only by the backward-error fallback: the relative residual of the
+    returned solution, recomputed outside the solver, is above
+    ``RESIDUAL_TOL``."""
+    counts = {"solves": 0, "fallbacks": 0}
+
+    def counted(matrix, rhs):
+        x = factor_solve(matrix, rhs)
+        reduced, idx = matrix.reduced()
+        b = rhs[idx]
+        counts["solves"] += 1
+        if np.linalg.norm(reduced @ x[idx] - b) > RESIDUAL_TOL * np.linalg.norm(b):
+            counts["fallbacks"] += 1
+        return x
+
+    with patch.object(shell, "factor_solve", counted):
+        config = BenchmarkConfig(name, levels=2)
+        refs = compute_references(config)
+        reduced = run_benchmark(config, refs)
+        unreduced = run_benchmark(BenchmarkConfig(name, levels=2, regge=False), refs)
+    return refs, reduced, unreduced, counts
+
+
 def benchmark_sweep(name):
     """Reference values plus reduced and unreduced sweeps of one benchmark."""
-    config = BenchmarkConfig(name, levels=2)
-    refs = compute_references(config)
-    reduced = run_benchmark(config, refs)
-    unreduced = run_benchmark(BenchmarkConfig(name, levels=2, regge=False), refs)
-    return refs, reduced, unreduced
+    return counted_sweep(name)[:3]
 
 
 def rows_at(table, level):
@@ -341,6 +365,17 @@ class TestHemisphereStability:
             row_off = [r for r in rows_at(unreduced, finest)
                        if r["t"] == row_on["t"]][0]
             assert row_on["rel_error"] <= 5.0 * row_off["rel_error"]
+
+
+class TestBackwardErrorFallbacks:
+    def test_fallback_count_of_the_level_2_sweeps(self):
+        # thin solves hit the noise floor of the plain relative residual and
+        # pass on their backward error; this count may only fall
+        counts = {name: counted_sweep(name)[3] for name in BENCHMARK_NAMES}
+        assert sum(c["solves"] for c in counts.values()) == 100
+        assert {name: c["fallbacks"] for name, c in counts.items()} == {
+            "cylinder": 11, "hyperboloid": 6, "unibend_cylinder": 8,
+            "hyperbolic_paraboloid": 4, "hemisphere": 0}
 
 
 class TestDeterminism:

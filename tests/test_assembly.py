@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from reggeshell.assembly import (
     DIAG_PIVOT_THRESH,
     PERMC_SPEC,
+    RESIDUAL_TOL,
     SUPERLU_OPTIONS,
     SolverError,
     SparsityPattern,
@@ -74,17 +75,16 @@ def hyperboloid_model(level, order):
                       ShellConfig(thickness=0.1, order=order, membrane_reduction="regge"))
 
 
-def scaled_oracle(mat):
-    """P (S A S) P^T of the free block by fancy indexing, as CSC."""
+def scaled_oracle(mat, s):
+    """P (S A S) P^T of the free block by fancy indexing, as CSC, for the
+    scaling s in factorization order."""
     reduced, idx = mat.reduced()
-    diag = np.abs(reduced.diagonal())
-    diag[diag == 0] = 1.0
-    s = 1.0 / np.sqrt(diag)
+    perm = np.searchsorted(idx, mat.pattern.order)
+    s = s[np.argsort(perm)]
     row = np.repeat(np.arange(len(s)), np.diff(reduced.indptr))
     sas = scipy.sparse.csr_matrix(
         (reduced.data * s[row] * s[reduced.indices], reduced.indices, reduced.indptr),
         shape=reduced.shape)
-    perm = np.searchsorted(idx, mat.pattern.order)
     oracle = sas[perm][:, perm].tocsc()
     oracle.sort_indices()
     return oracle
@@ -121,11 +121,19 @@ class TestSparsityPattern:
         else:
             model = hyperboloid_model(1, 3)
             mat = model.hessian(np.zeros(model.num_dofs))
-        _, scaled, _ = free_block(mat)
-        oracle = scaled_oracle(mat)
-        assert np.array_equal(scaled.indptr, oracle.indptr)
-        assert np.array_equal(scaled.indices, oracle.indices)
-        assert np.array_equal(scaled.data, oracle.data)
+        block, s = free_block(mat)
+        oracle = scaled_oracle(mat, np.ones_like(s))
+        assert np.array_equal(block.indptr, oracle.indptr)
+        assert np.array_equal(block.indices, oracle.indices)
+        assert np.array_equal(block.data, oracle.data)
+        # a view of the stored values and a power-of-two scaling, exact to
+        # apply, that brings every nonzero diagonal entry into [0.5, 2)
+        assert np.shares_memory(block.data, mat.data)
+        assert np.all(np.frexp(s)[0] == 0.5)
+        diag = abs(block.diagonal())
+        assert np.all(np.where(diag == 0, s == 1, (s * s * diag >= 0.5) & (s * s * diag < 2)))
+        col = np.repeat(s, np.diff(block.indptr))
+        assert np.array_equal(block.data * s[block.indices] * col, scaled_oracle(mat, s).data)
 
     def test_supervariables_have_equal_element_sets(self):
         model = hyperboloid_model(1, 3)
@@ -199,7 +207,8 @@ def sort_based_pattern(n_dofs, dofs, free):
 
 def assert_matches_sort_based(pattern, n_dofs, dofs, free):
     oracle = sort_based_pattern(n_dofs, dofs, free)
-    nnz = len(oracle["indices"])
+    indptr, indices = oracle.pop("indptr"), oracle.pop("indices")
+    nnz = len(indices)
     assert pattern.nnz == nnz
     # the stored layout: the gathered free block, then the other CSR entries
     gather = oracle.pop("gather")
@@ -207,15 +216,16 @@ def assert_matches_sort_based(pattern, n_dofs, dofs, free):
     layout = np.empty(nnz, dtype=int)
     layout[np.concatenate([gather, rest])] = np.arange(nnz)
     csr_slot = oracle["slot"]
-    oracle.update(slot=layout[csr_slot], layout=layout)
+    row = np.repeat(np.arange(n_dofs), np.diff(indptr))
+    oracle.update(slot=layout[csr_slot], rest_rows=row[rest], rest_cols=indices[rest])
     for name, expected in oracle.items():
         assert np.array_equal(getattr(pattern, name), expected), name
     # distinct values in every element entry: the full matrix read back
     # through the layout is the CSR sum of the element entries
     values = np.arange(1.0, csr_slot.size + 1).reshape(len(dofs), *(dofs.shape[1],) * 2)
     matrix = assemble(pattern, values).matrix
-    assert np.array_equal(matrix.indptr, oracle["indptr"])
-    assert np.array_equal(matrix.indices, oracle["indices"])
+    assert np.array_equal(matrix.indptr, indptr)
+    assert np.array_equal(matrix.indices, indices)
     assert np.array_equal(matrix.data, np.bincount(csr_slot, values.ravel(), minlength=nnz))
 
 
@@ -309,8 +319,11 @@ class TestFactorSolve:
     def test_singular_matrix_raises(self):
         # pure Neumann Laplacian without constraints is singular
         mat = assemble(*laplace_1d(4))
+        data = mat.data.copy()
         with pytest.raises(SolverError):
             factor_solve(mat, np.ones(5))
+        # the scaling applied for the factorization was undone
+        assert np.array_equal(mat.data, data)
 
 
 class CountingSplu:
@@ -379,6 +392,17 @@ class TestStoredOrdering:
             scale = norm * np.linalg.norm(y, np.inf) + np.linalg.norm(rhs, np.inf)
             assert residual <= 1e-15 * scale
         assert counting.fill[0] <= lu.L.nnz + lu.U.nnz
+
+    def test_thin_solve_leaves_the_matrix_as_it_found_it(self, hyperboloid):
+        # at t = 1e-4 the solve refines and is accepted by the backward-error
+        # fallback, all on the stored values restored after the factorization
+        H, f = hyperboloid_system(hyperboloid, 1e-4)
+        data = H.data.copy()
+        x = factor_solve(H, f)
+        assert np.array_equal(H.data, data)
+        reduced, idx = H.reduced()
+        res = np.linalg.norm(reduced @ x[idx] - f[idx])
+        assert res > RESIDUAL_TOL * np.linalg.norm(f[idx])
 
     def test_thin_solve_refines_at_most_once(self, hyperboloid, monkeypatch):
         H, f = hyperboloid_system(hyperboloid, 1e-4)

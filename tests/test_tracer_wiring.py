@@ -47,3 +47,7 @@ def test_full_green_solve_enters_every_traced_layer():
     summary = tracer.summary()
     missing = [name for name in SPANS if summary.get(name, {}).get("calls", 0) == 0]
     assert not missing
+    # the hooks read the assembled matrix back through ``matrix`` and
+    # ``reduced()``, after the solve has scaled and restored its values
+    assert tracer.counters["assembly.nnz"] == model._pattern.nnz == 2100
+    assert tracer.counters.get("assembly.fallbacks", 0) == 0
