@@ -6,7 +6,10 @@ per dof map: the fill-reducing layout of the free-by-free block and the
 stored position of every element-matrix entry.  Values are stored in
 factorization layout, the free block in its CSC order followed by the
 constrained entries, so each assembly only sums the element values into
-their stored positions and the free block is a view of them.  Every field
+their stored positions and the free block is a view of them.  The sum is
+one ``np.add.at`` through the int32 stored positions: unlike ``bincount``,
+which copies an int32 index to intp, it reads them as they are, and it adds
+in the same sequential order, so every stored value is the same.  Every field
 has a dof at each node, so the pattern is built on the scalar node graph,
 which has fields^2 times fewer entries, and the full structure follows by
 index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
@@ -136,14 +139,13 @@ class SparsityPattern:
 
         # slot[k] is the stored position of the k-th entry of the stacked
         # element matrices, (element, field, node, field, node), through its
-        # CSR position; it stays intp, which bincount reads without a copy
+        # CSR position; it stays int32, which np.add.at reads without a copy
         rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
         in_row = deg[nodes][..., None, None] * g + rank
         slot = (indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
                 + in_row[:, None]).ravel()
         del rank, in_row
-        slot = layout[slot]
-        self.slot = slot.astype(np.intp)
+        self.slot = layout[slot]
 
 
 def _stored_layout(indices, indptr, order):
@@ -236,7 +238,8 @@ def assemble(pattern, element_matrices):
     stay in the matrix but are masked out for the solve, which keeps dof
     numbering stable."""
     values = np.asarray(element_matrices, dtype=float)
-    data = np.bincount(pattern.slot, values.ravel(), minlength=pattern.nnz)
+    data = np.zeros(pattern.nnz)
+    np.add.at(data, pattern.slot, values.ravel())
     return SparseSymMatrix(pattern, data)
 
 

@@ -13,7 +13,8 @@ thickness factor: t for the membrane, t^3 for the bending, and t or, with
 the shear reduction, t^3/(t^2 + c h^2) per element for the shear.  Its
 energy is (factor/2) sum_T e . W e, its element gradient factor G^T W e
 and its element tangent factor G^T W G for the derivative G of e, the
-latter stored for the linearized membrane and the bending.  The energies,
+latter stored only for the bending; the membrane and shear tangents are
+formed from their maps when a tangent is assembled.  The energies,
 the gradient and the tangent are each one loop over the terms.  The
 membrane strain may be interpolated element-wise into the symmetric tensor
 element space of order k-1, which removes membrane locking; the shear
@@ -414,11 +415,13 @@ class ShellModel:
         (2n) and Ms on the full element vector (5n).  No (element, point,
         dof) map of a reduced strain or of the bending is formed.  Energies
         are evaluated from the maps and weights, so states in the strain
-        kernel give energies at squared round-off level.  The stored forms
-        are the membrane and bending element matrices Am = Mm^T Wm Mm and
+        kernel give energies at squared round-off level.  The one stored
+        form is the bending element matrix
         Ab = (A x I) (sum_q B_ref_q^T Wb_q B_ref_q) (A^T x I), without
-        thickness factors; the shear form is taken from Ms and Ws when a
-        tangent is assembled.
+        thickness factor; the membrane and shear forms Mm^T Wm Mm and
+        Ms^T Ws Ms are taken from their maps and weights when a tangent is
+        assembled.  Slices of the all-points tables are kept as copies, so
+        that no kept array pins the whole table.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
         g, n = self.config.geometry_order, self.basis.num_shapes
@@ -429,7 +432,7 @@ class ShellModel:
         F, nu, N, dN = ev.F, ev.nu, self.basis.eval(points), self.basis.grad(points)
 
         self._wJ = rule.weights * ev.J[:, :nq]
-        self._N, self._nu = N[:nq], nu[:, :nq]
+        self._N, self._nu = N[:nq].copy(), nu[:, :nq].copy()
         self._X = lagrange_basis(g).eval(rule.points) @ self.map.control_points
         Wq, Wq_shear = _material_weights(F[:, :nq], self._wJ, self.material)
         verts = mesh.vertices[mesh.triangles]
@@ -459,7 +462,7 @@ class ShellModel:
             K = _strain_B(dNs, dNs).reshape(-1, n * n)
             self._Cm = None if op is None else Cm
             self._K = (K if op is None else Cm @ K).reshape(-1, n, n)
-            self._green_tables = (F[:, sm], dNs)
+            self._green_tables = (F[:, sm].copy(), dNs.copy())
         self._A = A
         self._Bref = _strain_B(np.eye(2), dN[:nq]).reshape(-1, 2 * n)
         self._Wb = Wq
@@ -475,7 +478,6 @@ class ShellModel:
             Cs, S = _reduction(ss, ss.shapes(rule.points), rule.weights)
             self._Ms = _reduced_shear_map(Cs, nu[:, nq:], A, N[nq:], dN[nq:])
             self._Ws = _reference_gram(S, Wq_shear)[:, None]
-        self._Am = _gram(self._Mm, self._Wm)
 
         # edge Jacobians of the edge load: the edge points of the moment
         # rule are its first rows, one block per local edge
@@ -519,8 +521,8 @@ class ShellModel:
         t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
         scale and removes the residual coarse-mesh shear stiffness that would
         otherwise inhibit bending-dominated states.  Only the energies read
-        the strain of a stored form, and they read no derivative G: with
-        ``energy`` the one is evaluated and the other left out."""
+        the strain of the stored bending form, and they read no derivative
+        G: with ``energy`` the one is evaluated and the other left out."""
         thick, nT = self.config.thickness, len(X)
         m = 3 * self.basis.num_shapes
         factor = thick
@@ -537,8 +539,9 @@ class ShellModel:
             membrane = _Term(slice(m), thick, self._Wm,
                              *self._green_membrane(X[:, :m], derivative=not energy), self._K)
         else:
-            eps = np.einsum("tri,ti->tr", self._Mm, X[:, :m]) if energy else None
-            membrane = _Term(slice(m), thick, self._Wm, eps, form=self._Am)
+            membrane = _Term(slice(m), thick, self._Wm,
+                             np.einsum("tri,ti->tr", self._Mm, X[:, :m]),
+                             None if energy else self._Mm)
         return {"shear": shear, "bending": bending, "membrane": membrane}
 
     def _energies(self, x):
@@ -597,10 +600,13 @@ class ShellModel:
                 for c in range(0, 3 * n, n):
                     Ht[:, c:c + n, c:c + n] += Hg
             factor = term.factor if np.isscalar(term.factor) else term.factor[:, None, None]
+            # a formed tangent is scaled in place, the stored form into a copy
+            Ht = np.multiply(Ht, factor, out=Ht if term.form is None else None)
             if H is None:
-                H = np.multiply(Ht, factor, out=Ht)
+                H = Ht
             else:
-                H[:, term.cols, term.cols] += factor * Ht
+                H[:, term.cols, term.cols] += Ht
+        del Ht   # the last term's tangent is in H and not kept through the assembly
         return assemble(self._pattern, H)
 
     # ------------------------------------------------------------------

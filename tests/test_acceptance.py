@@ -401,7 +401,7 @@ def membrane_rank(name, level, k, regge):
     n = 3 * model.num_scalar_dofs
     dofs = model.element_dofs[:, : 3 * model.basis.num_shapes]
     K = np.zeros((n, n))
-    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), model._Am)
+    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), shell._gram(model._Mm, model._Wm))
     s = np.linalg.svd(K, compute_uv=False)
     rank = int(np.sum(s > 1e-10 * s[0]))
     return rank, (mesh.num_edges, mesh.num_triangles, model.num_scalar_dofs)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reggeshell import shell
 from reggeshell.bench import BenchmarkConfig, run_benchmark
 from reggeshell.elements import barycentric
 from reggeshell.geometry import make_benchmark_mesh
@@ -85,7 +86,7 @@ def test_read_mesh_round_trip_is_bit_identical(tmp_path_factory, case):
     assert read.boundary_markers == mesh.boundary_markers
     cfg = ShellConfig(thickness=0.01, order=2, membrane_reduction="regge")
     a, b = ShellModel(mesh, chart, MAT, cfg), ShellModel(read, chart, MAT, cfg)
-    for name in ("element_dofs", "free", "_Am"):
+    for name in ("element_dofs", "free", "_Mm", "_Wm"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -101,7 +102,7 @@ def test_regge_rank_is_regge_space_dimension(tmp_path_factory, case, k):
     n = 3 * model.num_scalar_dofs
     dofs = model.element_dofs[:, : 3 * model.basis.num_shapes]
     K = np.zeros((n, n))
-    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), model._Am)
+    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), shell._gram(model._Mm, model._Wm))
     s = np.linalg.svd(K, compute_uv=False)
     rank = k * mesh.num_edges + 3 * k * (k - 1) // 2 * mesh.num_triangles
     # the kept and dropped singular values are separated by a clean gap
