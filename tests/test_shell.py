@@ -582,7 +582,7 @@ class TestModelMemory:
     20.4 MiB tangent and solve at t = 1e-3.  The solve is bounded from the
     factorization of a scaled copy of the free block with a full CSR
     structure kept, 15.9 MiB.  The model and pattern arrays are bounded
-    from a stored linearized membrane form and an intp ``slot``: 9.4 and
+    from a stored linearized membrane form and an intp ``slot``: 9.8 and
     8.2 MiB."""
 
     def test_order_4_reference_arrays(self, order_4_reference):
@@ -594,7 +594,7 @@ class TestModelMemory:
         assert model_nbytes(model._pattern) <= 6 * 2 ** 20
 
     def test_order_4_reference_assembly_makes_no_index_copy(self, order_4_reference):
-        # a copy of the int32 slot as intp, as bincount makes, adds 2.75 MiB
+        # a copy of the int32 slot as intp, as bincount makes, adds 5.49 MiB
         model, _ = order_4_reference
         pattern = model._pattern
         m = pattern.element_dofs.shape[1]
