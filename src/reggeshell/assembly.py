@@ -7,9 +7,12 @@ stored position of every element-matrix entry.  Values are stored in
 factorization layout, the free block in its CSC order followed by the
 constrained entries, so each assembly only sums the element values into
 their stored positions and the free block is a view of them.  The sum is
-one ``np.add.at`` through the int32 stored positions: unlike ``bincount``,
+an ``np.add.at`` through the int32 stored positions: unlike ``bincount``,
 which copies an int32 index to intp, it reads them as they are, and it adds
-in the same sequential order, so every stored value is the same.  Every field
+in the same sequential order.  The element matrices may come one block of
+consecutive elements at a time, each summed through its slice of the
+positions, so that no stack of the whole mesh is formed and every stored
+value is still the same sum in the same order.  Every field
 has a dof at each node, so the pattern is built on the scalar node graph,
 which has fields^2 times fewer entries, and the full structure follows by
 index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
@@ -37,9 +40,13 @@ and, as its values, the CSR position of each of its entries.  Inverted,
 that list gives the stored position of every CSR entry, through which the
 element entries are summed; the full CSR matrix is rebuilt from the layout
 and the coordinates of the other entries only when it is asked for.  There
-is no gather and no copy: every factorization scales the stored free block
+is no copy of the free block: every factorization scales the stored values
 in place by powers of two, exact to apply and to undo as in LAPACK's
-xGEEQUB, and restores it as soon as SuperLU (natural ordering) returns.
+xGEEQUB, and restores them as soon as SuperLU (natural ordering) returns.
+The scaling, and the row sums of a backward-error test, run over the block
+one run of columns at a time, and the factor is released once iterative
+refinement ends, before that test.  Each of these transients, like an
+assembly's block of element matrices, holds about ``BLOCK_BYTES``.
 """
 
 from functools import cached_property
@@ -60,6 +67,10 @@ BACKWARD_TOL = 1e-12
 PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
 SUPERLU_OPTIONS = {"SymmetricMode": True}
+
+# every transient of an assembly or a factorization that grows with the
+# mesh is formed one block of about this many bytes at a time
+BLOCK_BYTES = 2 ** 18
 
 
 class SolverError(Exception):
@@ -234,12 +245,26 @@ class SparseSymMatrix:
 
 def assemble(pattern, element_matrices):
     """Sum the element matrices (nT, m, m) of the pattern's element dofs into
-    a global sparse symmetric matrix.  Rows and columns of constrained dofs
-    stay in the matrix but are masked out for the solve, which keeps dof
-    numbering stable."""
-    values = np.asarray(element_matrices, dtype=float)
+    a global sparse symmetric matrix.  ``element_matrices`` is that array or
+    consecutive blocks of it in element order, such as a generator that forms
+    one block at a time; each block is summed through its slice of ``slot``,
+    so every stored value is the same sum in the same order.  Rows and
+    columns of constrained dofs stay in the matrix but are masked out for the
+    solve, which keeps dof numbering stable."""
+    if isinstance(element_matrices, np.ndarray):
+        element_matrices = [element_matrices]
+    n = len(pattern.slot)
     data = np.zeros(pattern.nnz)
-    np.add.at(data, pattern.slot, values.ravel())
+    start = 0
+    for block in element_matrices:
+        values = np.asarray(block, dtype=float).ravel()
+        stop = start + values.size
+        if stop > n:
+            raise ValueError(f"element matrices hold more than the pattern's {n} entries")
+        np.add.at(data, pattern.slot[start:stop], values)
+        start = stop
+    if start != n:
+        raise ValueError(f"element matrices hold {start} entries, the pattern {n}")
     return SparseSymMatrix(pattern, data)
 
 
@@ -258,15 +283,46 @@ def free_block(matrix):
     return block, np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
 
 
+def _column_runs(indptr):
+    """Runs of consecutive columns of a CSC structure, as slices of the
+    columns and of their entries, that hold at most BLOCK_BYTES of float64
+    values each, or a single column that holds more."""
+    size, n, start = BLOCK_BYTES // 8, len(indptr) - 1, 0
+    while start < n:
+        end = int(indptr[start]) + size
+        stop = max(start + 1, int(np.searchsorted(indptr, end, "right")) - 1)
+        yield slice(start, stop), slice(indptr[start], indptr[stop])
+        start = stop
+
+
+def _scale(block, s):
+    """Scale a CSC matrix in place to diag(s) A diag(s), one run of columns
+    at a time, rows first.  ``np.take`` copies a run's int32 row indices to
+    intp and gathers faster than indexing with them."""
+    for cols, entries in _column_runs(block.indptr):
+        values = block.data[entries]
+        values *= np.take(s, block.indices[entries])
+        values *= np.repeat(s[cols], np.diff(block.indptr[cols.start:cols.stop + 1]))
+
+
+def _max_row_sum(block):
+    """max_i sum_j |a_ij| of a CSC matrix, each row summed in column order."""
+    rows = np.zeros(block.shape[0])
+    for _, entries in _column_runs(block.indptr):
+        np.add.at(rows, block.indices[entries], np.abs(block.data[entries]))
+    return rows.max()
+
+
 def factor_solve(matrix, rhs):
     """Direct solve on the free dofs of a ``SparseSymMatrix``; constrained
     dofs stay at zero.  SuperLU factors the stored free block, scaled in
-    place by s and restored once it returns: its factor reads no value after."""
+    place by s and restored once it returns: its factor reads no value after.
+    The scaling, and the norm of the backward-error test, take one run of
+    columns at a time, and the factor is released once refinement ends."""
     p = matrix.pattern
     block, s = free_block(matrix)
     b = np.asarray(rhs)[p.order]
-    block.data *= s[p.block_indices]
-    block.data *= np.repeat(s, np.diff(p.block_indptr))
+    _scale(block, s)
     try:
         lu = scipy.sparse.linalg.splu(block, permc_spec="NATURAL",
                                       diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -275,9 +331,7 @@ def factor_solve(matrix, rhs):
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     finally:
-        r = 1 / s   # exact, like s, and cheaper to apply than a division
-        block.data *= r[p.block_indices]
-        block.data *= np.repeat(r, np.diff(p.block_indptr))
+        _scale(block, 1 / s)   # exact, like s, and cheaper to apply than a division
     if not np.all(np.isfinite(y)):
         raise SolverError("factorization produced non-finite values "
                           "(matrix indefinite or boundary conditions missing)")
@@ -299,6 +353,7 @@ def factor_solve(matrix, rhs):
                 y, res = y_new, res_new
             break
         y, res = y_new, res_new
+    del lu
     if res > RESIDUAL_TOL * bnorm:
         # on severely ill conditioned systems (very small thickness) the
         # plain relative residual hits the double precision noise floor
@@ -308,8 +363,7 @@ def factor_solve(matrix, rhs):
         # inconsistent system (refinement then stalls at O(1) relative),
         # where a huge solution vector would make the backward error
         # meaninglessly small.
-        anorm = abs(block).sum(axis=1).max()
-        backward = res / (anorm * np.linalg.norm(y) + bnorm)
+        backward = res / (_max_row_sum(block) * np.linalg.norm(y) + bnorm)
         if res > 1e-3 * bnorm or backward > BACKWARD_TOL:
             raise SolverError(
                 f"solve residual {res / bnorm:.2e} above tolerance "

@@ -15,7 +15,8 @@ energy is (factor/2) sum_T e . W e, its element gradient factor G^T W e
 and its element tangent factor G^T W G for the derivative G of e, the
 latter stored only for the bending; the membrane and shear tangents are
 formed from their maps when a tangent is assembled.  The energies,
-the gradient and the tangent are each one loop over the terms.  The
+the gradient and the tangent are each one loop over the terms, the tangent
+one block of elements at a time.  The
 membrane strain may be interpolated element-wise into the symmetric tensor
 element space of order k-1, which removes membrane locking; the shear
 strain may analogously be interpolated into a tangential-continuous edge
@@ -52,11 +53,11 @@ the rounding of the reduced maps.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
-from .assembly import SolverError, SparsityPattern, assemble, factor_solve
+from .assembly import BLOCK_BYTES, SolverError, SparsityPattern, assemble, factor_solve
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
@@ -75,6 +76,9 @@ NEWTON_REL_TOL = 1e-10
 NEWTON_ABS_TOL = 1e-14
 SHEAR_CORRECTION = 5.0 / 6.0
 SHEAR_STABILIZATION = 0.002
+# points per call block of a volume load: its values at these points, array
+# objects of about 144 bytes each, take BLOCK_BYTES
+LOAD_POINTS = BLOCK_BYTES // 144
 
 
 @dataclass(frozen=True)
@@ -99,16 +103,22 @@ class ShellConfig:
     model: str = "linearized_membrane"    # linearized_membrane | full_green
 
     def __setattr__(self, name, value):
-        # checked on every assignment: solves rescale a built model's thickness
-        if name == "thickness" and not 0.0 < value < np.inf:
-            raise ValueError("thickness must be positive and finite")
+        # solves rescale a built model's thickness, so it alone may change
+        # and is checked on every assignment; a model has built its spaces,
+        # maps and tables from the other fields
+        if name == "thickness":
+            if not 0.0 < value < np.inf:
+                raise ValueError("thickness must be positive and finite")
+        elif name in vars(self):
+            raise FrozenInstanceError(f"cannot assign to field '{name}': only the "
+                                      f"thickness of a shell config may change")
         super().__setattr__(name, value)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("displacement order must be >= 1")
         if self.geometry_order is None:
-            self.geometry_order = self.order
+            object.__setattr__(self, "geometry_order", self.order)
         if self.membrane_reduction not in ("none", "regge"):
             raise ValueError(f"unknown membrane reduction '{self.membrane_reduction}'")
         if self.shear_reduction not in ("none", "edge_tangential"):
@@ -589,37 +599,54 @@ class ShellModel:
 
     def hessian(self, x, *, terms=None):
         """Assembled tangent as a sparse matrix with constrained dofs masked;
-        ``terms`` as in ``gradient``.  The first term's G^T W G holds the sum."""
+        ``terms`` as in ``gradient``.  The element tangents are summed into
+        it block by block, as ``_tangent_blocks`` forms them."""
+        return assemble(self._pattern,
+                        self._tangent_blocks(terms or self._terms(self._local(x))))
+
+    def _tangent_blocks(self, terms):
+        """The element tangents (nT, 5n, 5n), summed over the terms, one
+        block of consecutive elements of about BLOCK_BYTES at a time; in a
+        block the first term's G^T W G holds the sum."""
         n = self.basis.num_shapes
-        H = None
-        for term in (terms or self._terms(self._local(x))).values():
-            Ht = _gram(term.G, term.W) if term.form is None else term.form
-            if term.K is not None:
-                # geometric term (W e) . K, K shared by the displacement components
-                Hg = (_weighted(term.W, term.e) @ term.K.reshape(-1, n * n)).reshape(-1, n, n)
-                for c in range(0, 3 * n, n):
-                    Ht[:, c:c + n, c:c + n] += Hg
-            factor = term.factor if np.isscalar(term.factor) else term.factor[:, None, None]
-            # a formed tangent is scaled in place, the stored form into a copy
-            Ht = np.multiply(Ht, factor, out=Ht if term.form is None else None)
-            if H is None:
-                H = Ht
-            else:
-                H[:, term.cols, term.cols] += Ht
-        del Ht   # the last term's tangent is in H and not kept through the assembly
-        return assemble(self._pattern, H)
+        nT, m = self.element_dofs.shape
+        size = max(1, BLOCK_BYTES // (8 * m * m))
+        # geometric term (W e) . K of a Green strain, K shared by the
+        # displacement components: one product for the whole mesh, n^2 values
+        # per element, as a product of fewer rows need not round the same
+        geometric = {name: (_weighted(t.W, t.e) @ t.K.reshape(-1, n * n)).reshape(-1, n, n)
+                     for name, t in terms.items() if t.K is not None}
+        for b in (slice(i, i + size) for i in range(0, nT, size)):
+            H = None
+            for name, term in terms.items():
+                Ht = _gram(term.G[b], term.W[b]) if term.form is None else term.form[b]
+                if name in geometric:
+                    for c in range(0, 3 * n, n):
+                        Ht[:, c:c + n, c:c + n] += geometric[name][b]
+                factor = term.factor if np.isscalar(term.factor) else term.factor[b, None, None]
+                # a formed tangent is scaled in place, the stored form into a copy
+                Ht = np.multiply(Ht, factor, out=Ht if term.form is None else None)
+                if H is None:
+                    H = Ht
+                else:
+                    H[:, term.cols, term.cols] += Ht
+            yield H
 
     # ------------------------------------------------------------------
     # loads and solve
     # ------------------------------------------------------------------
 
     def load_vector(self, loads):
-        """Assemble the external work functional f(u) of a load spec."""
+        """Assemble the external work functional f(u) of a load spec.  The
+        volume load is called one block of LOAD_POINTS points at a time."""
         f = np.zeros(self.num_dofs)
         if loads.volume is not None:
-            P = _per_point([loads.volume(X, nu) for X, nu in
-                            zip(self._X.reshape(-1, 3), self._nu.reshape(-1, 3))],
-                           3, "volume load").reshape(self._X.shape)
+            points, normals = self._X.reshape(-1, 3), self._nu.reshape(-1, 3)
+            P = np.empty_like(points)
+            for b in (slice(i, i + LOAD_POINTS) for i in range(0, len(P), LOAD_POINTS)):
+                P[b] = _per_point([loads.volume(X, nu) for X, nu in zip(points[b], normals[b])],
+                                  3, "volume load")
+            P = P.reshape(self._X.shape)
             fe = np.swapaxes(self._wJ[..., None] * P, 1, 2) @ self._N
             m = 3 * self.basis.num_shapes
             f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),

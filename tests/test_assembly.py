@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from reggeshell import assembly
 from reggeshell.assembly import (
     DIAG_PIVOT_THRESH,
     PERMC_SPEC,
@@ -51,6 +52,30 @@ class TestAssemble:
         pattern = SparsityPattern(4, np.zeros((0, 2), dtype=int))
         mat = assemble(pattern, np.zeros((0, 2, 2)))
         assert mat.matrix.nnz == 0
+
+    @pytest.mark.parametrize("split", ["random", "one_element", "empty_block", "generator"])
+    def test_consecutive_blocks_sum_bit_for_bit(self, split):
+        # random values, so a sum in another order would differ in the last bits
+        dofs, local, free = random_blocks(n_elements=40, seed=8)
+        pattern = SparsityPattern(30, dofs, free)
+        rng = np.random.default_rng(4)
+        blocks = {
+            "random": lambda: np.split(local, np.sort(rng.choice(np.arange(1, 40), 6, False))),
+            "one_element": lambda: np.split(local, 40),
+            "empty_block": lambda: [local[:0], local[:17], local[17:17], local[17:], local[:0]],
+            "generator": lambda: (local[i:i + 7] for i in range(0, 40, 7)),
+        }[split]()
+        assert assemble(pattern, blocks).data.tobytes() == assemble(pattern, local).data.tobytes()
+
+    @pytest.mark.parametrize("blocks", [
+        lambda local: [local[:5], local[6:]],
+        lambda local: [local, local[:1]],
+        lambda local: iter([local[:, :1]]),
+    ], ids=["one_short", "one_over", "part_of_each"])
+    def test_blocks_of_another_size_rejected(self, blocks):
+        dofs, local, free = random_blocks(seed=8)
+        with pytest.raises(ValueError, match="element matrices hold"):
+            assemble(SparsityPattern(30, dofs, free), blocks(local))
 
 
 def random_blocks(n_dofs=30, n_elements=12, m=6, seed=3):
@@ -403,6 +428,23 @@ class TestStoredOrdering:
         reduced, idx = H.reduced()
         res = np.linalg.norm(reduced @ x[idx] - f[idx])
         assert res > RESIDUAL_TOL * np.linalg.norm(f[idx])
+
+    @pytest.mark.parametrize("t", [0.1, 1e-4])
+    def test_column_runs_solve_bit_for_bit(self, hyperboloid, t, monkeypatch):
+        # one column per run and the whole block as one run give the default
+        # runs' solution; at t = 1e-4 it is accepted by the backward-error test
+        H, f = hyperboloid_system(hyperboloid, t)
+        x = factor_solve(H, f)
+        for size in (8, 2 ** 40):
+            monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
+            assert factor_solve(H, f).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("size", [8, assembly.BLOCK_BYTES, 2 ** 40])
+    def test_backward_error_norm_is_the_max_row_sum(self, hyperboloid, size, monkeypatch):
+        H, _ = hyperboloid_system(hyperboloid, 1e-4)
+        block, _ = free_block(H)
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
+        assert assembly._max_row_sum(block) == abs(block).sum(axis=1).max()
 
     def test_thin_solve_refines_at_most_once(self, hyperboloid, monkeypatch):
         H, f = hyperboloid_system(hyperboloid, 1e-4)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from reggeshell import bench, shell
 from reggeshell.assembly import assemble, factor_solve
 from reggeshell.elements import (
     BARY_GRADS,
@@ -148,6 +150,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             c.thickness = thickness
         assert c.thickness == 0.1
+
+    @pytest.mark.parametrize("name, value", [
+        ("order", 3), ("geometry_order", 1), ("membrane_reduction", "none"),
+        ("shear_reduction", "none"), ("model", "full_green")])
+    def test_fields_other_than_thickness_fixed_once_built(self, name, value):
+        # a model has built its spaces and tables from these: on the unibend
+        # model a changed membrane reduction was ignored, a full_green model
+        # or a geometry order 1 failed in the next solve or load
+        mesh, chart = make_benchmark_mesh("unibend_cylinder")
+        config = ShellConfig(thickness=0.1, order=2, membrane_reduction="regge")
+        ShellModel(mesh, chart, MAT, config)
+        before = dataclasses.asdict(config)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(config, name, value)
+        assert dataclasses.asdict(config) == before
+        config.thickness = 0.01
+        assert config.thickness == 0.01
 
 
 class TestKernelAndScaling:
@@ -542,6 +561,27 @@ class TestReferenceTables:
         assert model.bending_energy(x) == pytest.approx(energy, rel=1e-13)
 
 
+class TestElementBlocks:
+    @pytest.mark.parametrize("name, cfg", [
+        ("cylinder", dict(membrane_reduction="regge")),
+        ("unibend_cylinder", dict(model="full_green", shear_reduction="none")),
+        ("unibend_cylinder", dict(membrane_reduction="regge", model="full_green")),
+    ])
+    def test_block_sizes_give_the_same_tangent_and_load(self, name, cfg, monkeypatch):
+        # one element or point per block, the default blocks and the whole
+        # mesh as one block give the same values bit for bit
+        mesh, chart = make_benchmark_mesh(name, 1)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2, **cfg))
+        x = random_state(model, 1e-3) * model.free
+        load = LoadSpec(volume=lambda X, nu: np.cos(X[0]) * nu)
+        results = set()
+        for size in (1, shell.BLOCK_BYTES, 2 ** 40):
+            monkeypatch.setattr(shell, "BLOCK_BYTES", size)
+            monkeypatch.setattr(shell, "LOAD_POINTS", max(1, size // 144))
+            results.add((model.hessian(x).data.tobytes(), model.load_vector(load).tobytes()))
+        assert len(results) == 1
+
+
 def model_nbytes(model):
     """Bytes of the distinct arrays a model (or its pattern) holds, in
     attributes and in the tuples among them.  A view counts as the whole
@@ -579,11 +619,14 @@ def order_4_reference():
 class TestModelMemory:
     """Bounds fixed from the construction that formed the (element, point,
     dof) maps: 27.5 MiB of model arrays, a 61.0 MiB build peak and a
-    20.4 MiB tangent and solve at t = 1e-3.  The solve is bounded from the
-    factorization of a scaled copy of the free block with a full CSR
-    structure kept, 15.9 MiB.  The model and pattern arrays are bounded
-    from a stored linearized membrane form and an intp ``slot``: 9.8 and
-    8.2 MiB."""
+    20.4 MiB tangent and solve at t = 1e-3.  The model and pattern arrays
+    are bounded from a stored linearized membrane form and an intp
+    ``slot``: 9.8 and 8.2 MiB.  The tangent, the solve and the load vector
+    are bounded from the whole-mesh transients: the (128, 75, 75) tangent
+    stack, two scaling gathers of the free block's size and a list of the
+    load's 18,432 per-point values took 10.25 MiB in ``hessian``, 11.56 MiB
+    in ``hessian`` and ``factor_solve`` and 3.56 MiB in ``load_vector``;
+    formed one block at a time they take 5.35, 5.35 and 0.95 MiB."""
 
     def test_order_4_reference_arrays(self, order_4_reference):
         model, _ = order_4_reference
@@ -615,7 +658,18 @@ class TestModelMemory:
             _, peak = traced_peak(lambda: factor_solve(model.hessian(x), rhs))
         finally:
             model.config.thickness = 0.1
-        assert peak <= 13 * 2 ** 20
+        assert peak <= 6 * 2 ** 20
+
+    def test_order_4_reference_hessian_peak(self, order_4_reference):
+        # the assembled values (4.66 MiB) and blocks of element tangents
+        model, _ = order_4_reference
+        _, peak = traced_peak(lambda: model.hessian(np.zeros(model.num_dofs)))
+        assert peak <= model._pattern.nnz * 8 + 2 ** 20
+
+    def test_order_4_reference_load_vector_peak(self, order_4_reference):
+        model, _ = order_4_reference
+        _, peak = traced_peak(lambda: model.load_vector(bench._RUNS["cylinder"]["load"]))
+        assert peak <= 1.5 * 2 ** 20
 
     def test_order_4_reference_holds_under_half_its_point_map_size(self):
         # the level-2 cylinder reference of the locking sweep; with its
@@ -863,6 +917,19 @@ class TestSolve:
         model = cylinder_model()
         with pytest.raises(ValueError, match=r"volume load .* expected \(3,\)"):
             model.load_vector(LoadSpec(volume=volume))
+
+    def test_volume_load_of_wrong_shape_in_a_later_block_rejected(self, order_4_reference):
+        model, _ = order_4_reference
+        bad = shell.LOAD_POINTS + 5
+        assert model._X.size // 3 > bad
+        calls = itertools.count()
+
+        def volume(X, nu):
+            return nu[:2] if next(calls) == bad else nu
+
+        with pytest.raises(ValueError, match=r"volume load .* expected \(3,\)"):
+            model.load_vector(LoadSpec(volume=volume))
+        assert next(calls) == shell.LOAD_POINTS * 2
 
     def test_edge_moment_of_wrong_shape_rejected(self):
         mesh, chart = make_benchmark_mesh("unibend_cylinder")
