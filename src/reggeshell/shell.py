@@ -9,8 +9,8 @@ tangent frame, so physical units are correct on curved charts.
 
 The energy is three terms less the load work f(u).  A term is a strain
 vector e of some element dofs with a block diagonal weight W and a
-thickness factor: t for the membrane, t^3 for the bending, and t or, with
-the shear reduction, t^3/(t^2 + c h^2) per element for the shear.  Its
+thickness factor per element: t for the membrane, t^3 for the bending, and
+t or, with the shear reduction, t^3/(t^2 + c h^2) for the shear.  Its
 energy is (factor/2) sum_T e . W e, its element gradient factor G^T W e
 and its element tangent factor G^T W G for the derivative G of e, the
 latter stored only for the bending; the membrane and shear tangents are
@@ -97,7 +97,7 @@ class MaterialParams:
 class ShellConfig:
     thickness: float
     order: int = 2
-    geometry_order: int = None
+    geometry_order: int = None            # None: the displacement order
     membrane_reduction: str = "none"      # none | regge
     shear_reduction: str = "edge_tangential"  # none | edge_tangential
     model: str = "linearized_membrane"    # linearized_membrane | full_green
@@ -117,8 +117,6 @@ class ShellConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("displacement order must be >= 1")
-        if self.geometry_order is None:
-            object.__setattr__(self, "geometry_order", self.order)
         if self.membrane_reduction not in ("none", "regge"):
             raise ValueError(f"unknown membrane reduction '{self.membrane_reduction}'")
         if self.shear_reduction not in ("none", "edge_tangential"):
@@ -201,11 +199,6 @@ def _weighted(W, V):
     (nT, nb*b) or to the columns of maps V (nT, nb*b, m)."""
     nT, nb, b, _ = W.shape
     return (W @ V.reshape(nT, nb, b, -1)).reshape(V.shape)
-
-
-def _integrals(W, e):
-    """Per-element energy integrals e . W e of strain vectors e (nT, r)."""
-    return np.einsum("tr,tr->t", e, _weighted(W, e))
 
 
 def _gram(M, W):
@@ -295,7 +288,8 @@ def _per_point(values, c, what):
 
 
 # energy term (factor/2) sum_T e . W e of a strain vector e of the dofs ``cols``, with
-# the derivative G of e or a stored form, and the second derivative K of a Green strain
+# one thickness factor per element, the derivative G of e or a stored form, and the
+# second derivative K of a Green strain
 _Term = namedtuple("_Term", "cols factor W e G K form", defaults=(None, None, None))
 
 
@@ -323,7 +317,7 @@ class ShellModel:
         self.material = material
         self.config = config
         k = config.order
-        g = config.geometry_order
+        g = self.geometry_order = k if config.geometry_order is None else config.geometry_order
         self.basis = lagrange_basis(k)
         self._build_dof_map()
 
@@ -434,7 +428,7 @@ class ShellModel:
         that no kept array pins the whole table.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
-        g, n = self.config.geometry_order, self.basis.num_shapes
+        g, n = self.geometry_order, self.basis.num_shapes
         nT, nq = mesh.num_triangles, len(rule.points)
         points = np.vstack([rule.points, self._moments.points])
         self.map = ElementMap(mesh, self.chart, np.arange(nT), g)
@@ -535,44 +529,34 @@ class ShellModel:
         G: with ``energy`` the one is evaluated and the other left out."""
         thick, nT = self.config.thickness, len(X)
         m = 3 * self.basis.num_shapes
-        factor = thick
-        if self.shear_space is not None:
-            factor = thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2)
+        t = np.full(nT, thick)
+        factor = t if self.shear_space is None else (
+            thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2))
         shear = _Term(slice(None), factor, self._Ws, np.einsum("tri,ti->tr", self._Ms, X),
                       None if energy else self._Ms)
         kappa = None
         if energy:
             theta = np.swapaxes(self._A, 1, 2) @ X[:, m:].reshape(nT, 2, -1)
             kappa = theta.reshape(nT, -1) @ self._Bref.T
-        bending = _Term(slice(m, None), thick ** 3, self._Wb, kappa, form=self._Ab)
+        bending = _Term(slice(m, None), np.full(nT, thick ** 3), self._Wb, kappa, form=self._Ab)
         if self.config.model == "full_green":
-            membrane = _Term(slice(m), thick, self._Wm,
+            membrane = _Term(slice(m), t, self._Wm,
                              *self._green_membrane(X[:, :m], derivative=not energy), self._K)
         else:
-            membrane = _Term(slice(m), thick, self._Wm,
+            membrane = _Term(slice(m), t, self._Wm,
                              np.einsum("tri,ti->tr", self._Mm, X[:, :m]),
                              None if energy else self._Mm)
         return {"shear": shear, "bending": bending, "membrane": membrane}
 
-    def _energies(self, x):
-        """Energy of every term at a coefficient vector."""
-        return {name: 0.5 * np.sum(term.factor * _integrals(term.W, term.e))
-                for name, term in self._terms(self._local(x), energy=True).items()}
-
-    def membrane_energy(self, x):
-        """(t/2) E_mem at a coefficient vector."""
-        return self._energies(x)["membrane"]
-
-    def bending_energy(self, x):
-        """(t^3/2) E_bend at a coefficient vector."""
-        return self._energies(x)["bending"]
-
-    def shear_energy(self, x):
-        """Weighted shear energy at a coefficient vector."""
-        return self._energies(x)["shear"]
+    def energies(self, x):
+        """The shear, bending and membrane energies (factor/2) sum_T e . W e
+        at a coefficient vector, by name, from one evaluation of the terms."""
+        terms = self._terms(self._local(x), energy=True)
+        return {name: 0.5 * np.sum(t.factor * np.einsum("tr,tr->t", t.e, _weighted(t.W, t.e)))
+                for name, t in terms.items()}
 
     def total_energy(self, x, load_vector=None):
-        W = sum(self._energies(x).values())
+        W = sum(self.energies(x).values())
         return W if load_vector is None else W - load_vector @ x
 
     # ------------------------------------------------------------------
@@ -589,7 +573,7 @@ class ShellModel:
                 gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
             else:
                 gt = np.einsum("tij,tj->ti", term.form, X[:, term.cols])
-            gt *= term.factor if np.isscalar(term.factor) else term.factor[:, None]
+            gt *= term.factor[:, None]
             if g is None:
                 g = gt
             else:
@@ -623,9 +607,9 @@ class ShellModel:
                 if name in geometric:
                     for c in range(0, 3 * n, n):
                         Ht[:, c:c + n, c:c + n] += geometric[name][b]
-                factor = term.factor if np.isscalar(term.factor) else term.factor[b, None, None]
                 # a formed tangent is scaled in place, the stored form into a copy
-                Ht = np.multiply(Ht, factor, out=Ht if term.form is None else None)
+                Ht = np.multiply(Ht, term.factor[b, None, None],
+                                 out=Ht if term.form is None else None)
                 if H is None:
                     H = Ht
                 else:
@@ -668,7 +652,7 @@ class ShellModel:
         rows = le[:, None] * nq + np.arange(nq)  # rows of pts on each pair's edge
         # the Legendre moment of degree 0 is the plain edge quadrature
         w = mr.edge_weights[le, 0] * self._edge_Jb[t, le]
-        geo = lagrange_basis(self.config.geometry_order).eval(pts)
+        geo = lagrange_basis(self.geometry_order).eval(pts)
         X = geo[rows] @ self.map.control_points[t]
         M = _per_point([moment(x) for x in X.reshape(-1, 3)], 2,
                        f"edge moment on '{marker}'").reshape(len(t), nq, 2)

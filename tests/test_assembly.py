@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from reggeshell import assembly
+from reggeshell import assembly, bench
 from reggeshell.assembly import (
     DIAG_PIVOT_THRESH,
     PERMC_SPEC,
@@ -340,6 +340,27 @@ class TestFactorSolve:
         x = factor_solve(dense_matrix(K), b)
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_scaling_keeps_every_pivot_on_the_diagonal(self):
+        # the thin Regge unibend tangent at rest: factored as stored, SuperLU
+        # swaps rows at small diagonals; the power-of-two Jacobi scaling that
+        # factor_solve applies in place keeps the symmetric mode's diagonal
+        # pivots, so the factor is that of the stored order
+        mesh, chart = make_benchmark_mesh("unibend_cylinder")
+        model = ShellModel(mesh, chart, bench._RUNS["unibend_cylinder"]["material"],
+                           ShellConfig(thickness=1e-3, order=2, membrane_reduction="regge"))
+        block, s = free_block(model.hessian(np.zeros(model.num_dofs)))
+        scaled = block.copy()
+        assembly._scale(scaled, s)
+        identity = np.arange(block.shape[0])
+        perm_r = {}
+        for name, A in (("scaled", scaled), ("unscaled", block)):
+            lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL",
+                                          diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                          options=SUPERLU_OPTIONS)
+            perm_r[name] = lu.perm_r
+        assert np.array_equal(perm_r["scaled"], identity)
+        assert not np.array_equal(perm_r["unscaled"], identity)
 
     def test_singular_matrix_raises(self):
         # pure Neumann Laplacian without constraints is singular

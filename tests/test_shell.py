@@ -132,8 +132,22 @@ class TestMaterial:
 class TestConfig:
     def test_defaults(self):
         c = ShellConfig(thickness=0.1, order=3)
-        assert c.geometry_order == 3
+        # the config keeps what it was given; the model takes the geometry
+        # order from the displacement order
+        assert c.geometry_order is None
+        assert ShellModel(*make_benchmark_mesh("cylinder"), MAT, c).geometry_order == 3
         assert c.shear_reduction == "edge_tangential"
+
+    def test_replaced_config_builds_the_model_its_fields_describe(self):
+        # a config that filled in its own geometry order passed it on through
+        # dataclasses.replace, which gave a subparametric order-3 model
+        mesh, chart = make_benchmark_mesh("cylinder")
+        replaced = ShellModel(mesh, chart, MAT,
+                              dataclasses.replace(ShellConfig(thickness=0.1), order=3))
+        direct = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=3))
+        assert replaced.geometry_order == 3
+        assert replaced._X.tobytes() == direct._X.tobytes()
+        assert replaced._wJ.tobytes() == direct._wJ.tobytes()
 
     def test_invalid_choices_rejected(self):
         for thickness in (0.0, np.inf, np.nan):
@@ -176,9 +190,9 @@ class TestKernelAndScaling:
         ns = model.num_scalar_dofs
         for c, val in enumerate((0.3, -0.7, 1.1)):
             x[c * ns:(c + 1) * ns] = val
-        assert model.membrane_energy(x) <= 1e-24
-        assert model.bending_energy(x) <= 1e-24
-        assert model.shear_energy(x) <= 1e-24
+        assert model.energies(x)["membrane"] <= 1e-24
+        assert model.energies(x)["bending"] <= 1e-24
+        assert model.energies(x)["shear"] <= 1e-24
 
     def test_thickness_scaling_of_energy_terms(self):
         mesh, chart = make_benchmark_mesh("cylinder")
@@ -190,8 +204,8 @@ class TestKernelAndScaling:
                                            shear_reduction="none"))
             if x is None:
                 x = random_state(model, 0.1, seed=5)
-            vals[t] = (model.membrane_energy(x), model.bending_energy(x),
-                       model.shear_energy(x))
+            energies = model.energies(x)
+            vals[t] = (energies["membrane"], energies["bending"], energies["shear"])
         assert vals[0.1][0] / vals[0.01][0] == pytest.approx(10.0, rel=1e-12)
         assert vals[0.1][1] / vals[0.01][1] == pytest.approx(1000.0, rel=1e-12)
         assert vals[0.1][2] / vals[0.01][2] == pytest.approx(10.0, rel=1e-12)
@@ -208,7 +222,7 @@ class TestKernelAndScaling:
                 x = random_state(model, 0.1, seed=5)
                 h2 = model.h2[0]
                 assert all(h == pytest.approx(h2, rel=1e-12) for h in model.h2)
-            vals[t] = model.shear_energy(x)
+            vals[t] = model.energies(x)["shear"]
 
         def weight(t):
             return t ** 3 / (t ** 2 + SHEAR_STABILIZATION * h2)
@@ -416,7 +430,7 @@ class TestGreenClosedForm:
         e = frame_strain(model, E)
         energy = 0.5 * model.config.thickness * np.einsum(
             "tq,tqa,tqa->", model._wJ, e, e @ textbook_law(MAT))
-        assert model.membrane_energy(x) == pytest.approx(energy, rel=1e-12)
+        assert model.energies(x)["membrane"] == pytest.approx(energy, rel=1e-12)
 
 
 class TestReductionMatrices:
@@ -558,7 +572,7 @@ class TestReferenceTables:
         theta = model._local(x)[:, 3 * model.basis.num_shapes:]
         e = np.einsum("tri,ti->tr", bending, theta).reshape(nT, -1, 3)
         energy = 0.5 * 0.1 ** 3 * np.einsum("tqa,tqab,tqb->", e, Wq, e)
-        assert model.bending_energy(x) == pytest.approx(energy, rel=1e-13)
+        assert model.energies(x)["bending"] == pytest.approx(energy, rel=1e-13)
 
 
 class TestElementBlocks:
@@ -686,7 +700,7 @@ class TestFrameInvariance:
     def test_green_membrane_energy_invariant_under_rigid_motion(self):
         model = cylinder_model(model="full_green", order=2, geometry_order=2)
         x = random_state(model, 0.05, seed=8)
-        e0 = model.membrane_energy(x)
+        e0 = model.energies(x)["membrane"]
 
         # rotate and translate the deformed configuration
         th = 0.4
@@ -702,7 +716,7 @@ class TestFrameInvariance:
         u_rot = R @ (X.T + u) + c[:, None] - X.T
         x_rot = x.copy()
         x_rot[: 3 * ns] = u_rot.ravel()
-        e1 = model.membrane_energy(x_rot)
+        e1 = model.energies(x_rot)["membrane"]
         assert e1 == pytest.approx(e0, rel=1e-9)
 
     def test_linearized_membrane_not_invariant(self):
@@ -721,7 +735,7 @@ class TestFrameInvariance:
         u_rot = R @ X.T - X.T
         x_rot = x.copy()
         x_rot[: 3 * ns] = u_rot.ravel()
-        assert model.membrane_energy(x_rot) > 1e-6
+        assert model.energies(x_rot)["membrane"] > 1e-6
 
 
 def scalar_node_positions(model):

@@ -184,7 +184,7 @@ def test_linearized_rigid_motions_in_reduced_membrane_kernel(tmp_path_factory, c
         # by up to 14, so each motion is scaled to unit size; the bound is
         # that of tests/test_acceptance.py
         x /= np.max(np.abs(x))
-        assert model.membrane_energy(x) <= 1e-24
+        assert model.energies(x)["membrane"] <= 1e-24
 
 
 @EXAMPLES
@@ -199,7 +199,7 @@ def test_finite_rotations_in_reduced_green_membrane_kernel(tmp_path_factory, cas
     for angle in (np.pi / 6, np.pi / 2):
         R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
         x = rigid_state(model, R, np.array([0.4, -0.2, 0.7]), linearized=False)
-        assert model.membrane_energy(x) <= 1e-24
+        assert model.energies(x)["membrane"] <= 1e-24
 
 
 @EXAMPLES
