@@ -4,6 +4,7 @@ import argparse
 import sys
 
 from .bench import BenchmarkConfig, emit_table, run_benchmark
+from .elements import GeometryError
 from .geometry import BENCHMARK_NAMES, ConfigurationError
 from .mesh import MeshError
 
@@ -61,7 +62,7 @@ def main(argv=None):
         table = run_benchmark(config)
         out = args.out or f"{args.benchmark}.{args.format}"
         emit_table(table, out, args.format)
-    except (ConfigurationError, MeshError, OSError) as exc:
+    except (ConfigurationError, GeometryError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(table.rows)} rows to {out}")

@@ -7,20 +7,28 @@ them with the inverse surface metric A = (F^T F)^{-1} of the geometry
 gradient F, which is the isotropic law on the strain in any orthonormal
 tangent frame, so physical units are correct on curved charts.
 
-The energy is three terms less the load work f(u).  A term is a strain
-vector e of some element dofs with a block diagonal weight W and a
-thickness factor per element: t for the membrane, t^3 for the bending, and
-t or, with the shear reduction, t^3/(t^2 + c h^2) for the shear.  Its
-energy is (factor/2) sum_T e . W e, its element gradient factor G^T W e
-and its element tangent factor G^T W G for the derivative G of e, the
-latter stored only for the bending; the membrane and shear tangents are
-formed from their maps when a tangent is assembled.  The energies,
-the gradient and the tangent are each one loop over the terms, the tangent
-one block of elements at a time.  The
-membrane strain may be interpolated element-wise into the symmetric tensor
-element space of order k-1, which removes membrane locking; the shear
-strain may analogously be interpolated into a tangential-continuous edge
-element space.
+The energy is three terms less the load work f(u):
+
+    (t/2) m(u) + (t^3/2) b(theta) + (s/2) g(u, theta) - f(u),
+
+with m, b and g the membrane, bending and shear strain energies under
+the material law of unit thickness (E/(1-nu^2) on the membrane and the
+bending strains, kG = (5/6) E/(2(1+nu)) on the shear), and the shear
+factor s = t or, with the shear reduction, the stabilized
+t^3/(t^2 + c h^2).  The bending weighs t^3, where the Naghdi shell weighs
+t^3/12: every bending stiffness is twelve times the Naghdi one.
+
+All three terms are one kind.  A term is a strain vector e of some
+element dofs, its derivative G, a block diagonal weight W and a thickness
+factor per element.  Its energy is (factor/2) sum_T e . W e, its element
+gradient factor G^T W e and its element tangent factor G^T W G, formed
+from G and W when a tangent is assembled.  The energies, the gradient and
+the tangent are each one loop over the terms, the tangent one block of
+elements at a time.  The membrane strain may be interpolated element-wise
+into the symmetric tensor element space of order k-1, which removes
+membrane locking; the shear strain may analogously be interpolated into a
+tangential-continuous edge element space.  An interpolation only changes
+a term's strain map and weight.
 
 Element data are arrays with a leading element axis.  One element map
 covers the whole mesh and is evaluated once per model, at the energy
@@ -38,8 +46,9 @@ Energies, gradients and tangents make no interpolation call.
 No (element, point, dof) map of a reduced strain is formed: a reduced map
 or coefficient mass is one product of the per-point geometry or weights
 with a table of C and the reference shapes, built once per model.  The
-bending strain is held as the element independent reference strain B_ref
-and the affine Jacobian A of each element.
+bending strain is linear in the element rotations through element
+independent reference shapes, so it is held the same way: its vector is
+the rotations, G the identity and W their coefficient mass.
 
 The Green strain E(u) = B(F)u + sym(grad u^T grad u)/2 is quadratic in the
 displacements and C is linear, so its derivative has a closed form in two
@@ -288,9 +297,9 @@ def _per_point(values, c, what):
 
 
 # energy term (factor/2) sum_T e . W e of a strain vector e of the dofs ``cols``, with
-# one thickness factor per element, the derivative G of e or a stored form, and the
-# second derivative K of a Green strain
-_Term = namedtuple("_Term", "cols factor W e G K form", defaults=(None, None, None))
+# one thickness factor per element, the derivative G of e and the second derivative K
+# of a Green strain
+_Term = namedtuple("_Term", "cols factor W e G K", defaults=(None,))
 
 
 def _newton_converged(history):
@@ -392,8 +401,8 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def _build_element_arrays(self):
-        """Geometry tables at the energy points, the strain maps and weights,
-        and the element forms.
+        """Geometry tables at the energy points and the strain maps and
+        weights.
 
         The element map of the whole mesh is evaluated once, on the energy
         quadrature points followed by the points of the moment rule that
@@ -410,22 +419,21 @@ class ShellModel:
         - an unreduced strain (the membrane or shear when its reduction is
           off) is the reference strain at the energy points; W has one block
           per point from ``_material_weights``;
-        - the bending strain sym(A^T grad theta) = B_ref A^T theta is held as
-          the element independent reference strain B_ref at the energy
-          points and the affine Jacobian A, with the membrane's point
-          weights.
+        - the bending strain sym(A^T grad theta) = B_ref (A^T x I) theta,
+          for the affine Jacobian A and the element independent reference
+          strain B_ref at the energy points, is the rotations themselves:
+          Mb is the identity, one 2n x 2n matrix broadcast over the
+          elements, and Wb the coefficient mass
+          (A x I) (sum_q B_ref_q^T Wq_q B_ref_q) (A^T x I) of the membrane's
+          point weights Wq.
 
-        Mm acts on the displacements (3n dofs), the bending on the rotations
-        (2n) and Ms on the full element vector (5n).  No (element, point,
-        dof) map of a reduced strain or of the bending is formed.  Energies
-        are evaluated from the maps and weights, so states in the strain
-        kernel give energies at squared round-off level.  The one stored
-        form is the bending element matrix
-        Ab = (A x I) (sum_q B_ref_q^T Wb_q B_ref_q) (A^T x I), without
-        thickness factor; the membrane and shear forms Mm^T Wm Mm and
-        Ms^T Ws Ms are taken from their maps and weights when a tangent is
-        assembled.  Slices of the all-points tables are kept as copies, so
-        that no kept array pins the whole table.
+        Mm acts on the displacements (3n dofs), Mb on the rotations (2n) and
+        Ms on the full element vector (5n).  No (element, point, dof) map of
+        a reduced strain or of the bending is formed.  Energies are
+        evaluated from the strains and weights, so states in the strain
+        kernel give energies at squared round-off level.  Slices of the
+        all-points tables are kept as copies, so that no kept array pins the
+        whole table.
         """
         mesh, rule, op, ss = self.mesh, self._rule, self.operator, self.shear_space
         g, n = self.geometry_order, self.basis.num_shapes
@@ -467,14 +475,12 @@ class ShellModel:
             self._Cm = None if op is None else Cm
             self._K = (K if op is None else Cm @ K).reshape(-1, n, n)
             self._green_tables = (F[:, sm].copy(), dNs.copy())
-        self._A = A
-        self._Bref = _strain_B(np.eye(2), dN[:nq]).reshape(-1, 2 * n)
-        self._Wb = Wq
-        # Ab = (A x I) H (A^T x I) for H (nT, (b, s), (c, x)): A acts on b,
+        # Wb = (A x I) H (A^T x I) for H (nT, (b, s), (c, x)): A acts on b,
         # then, row by row, on c
-        H = _reference_gram(self._Bref, Wq).reshape(nT, 2, -1)
-        H = (A @ H).reshape(nT, 2 * n, 2, n)
-        self._Ab = (A[:, None] @ H).reshape(nT, 2 * n, 2 * n)
+        H = _reference_gram(_strain_B(np.eye(2), dN[:nq]).reshape(-1, 2 * n), Wq)
+        H = (A @ H.reshape(nT, 2, -1)).reshape(nT, 2 * n, 2, n)
+        self._Wb = (A[:, None] @ H).reshape(nT, 1, 2 * n, 2 * n)
+        self._Mb = np.broadcast_to(np.eye(2 * n), (nT, 2 * n, 2 * n))
         if ss is None:
             self._Ms = _shear_B(nu[:, :nq], A, N[:nq], dN[:nq]).reshape(nT, -1, 5 * n)
             self._Ws = Wq_shear
@@ -499,59 +505,51 @@ class ShellModel:
 
     def _local(self, x):
         """Element vectors (nT, 5n) of a global coefficient vector."""
-        return np.asarray(x)[self.element_dofs]
+        x = np.asarray(x)
+        if x.shape != (self.num_dofs,):
+            raise ValueError(f"state of shape {x.shape}, expected ({self.num_dofs},)")
+        return x[self.element_dofs]
 
-    def _green_membrane(self, U, derivative=True):
+    def _green_membrane(self, U):
         """Green membrane strain vector e (nT, r), sampled in the factored
         form and taken to its coefficients by one product with C, and its
         derivative G = Mm + K U (nT, r, 3n) in the element displacements U
-        (nT, 3n), with K U one product of U against the symmetric K, or None
-        without ``derivative``."""
+        (nT, 3n), with K U one product of U against the symmetric K."""
         F, dN = self._green_tables
         nT, n = len(U), self.basis.num_shapes
         gu = U.reshape(nT, 1, 3, -1) @ dN
         A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
         e = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
         e = e.reshape(nT, -1) if self._Cm is None else e.reshape(nT, -1) @ self._Cm.T
-        if not derivative:
-            return e, None
         KU = (U.reshape(-1, n) @ self._K.reshape(-1, n).T).reshape(nT, 3, -1, n)
         return e, self._Mm + np.moveaxis(KU, 1, 2).reshape(self._Mm.shape)
 
-    def _terms(self, X, energy=False):
+    def _terms(self, X):
         """The shear, bending and membrane terms at element vectors X (nT, 5n),
         in the order in which the gradient and the tangent sum them.  With the
         edge-tangential reduction the shear factor is the stabilized
         t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
         scale and removes the residual coarse-mesh shear stiffness that would
-        otherwise inhibit bending-dominated states.  Only the energies read
-        the strain of the stored bending form, and they read no derivative
-        G: with ``energy`` the one is evaluated and the other left out."""
+        otherwise inhibit bending-dominated states."""
         thick, nT = self.config.thickness, len(X)
         m = 3 * self.basis.num_shapes
         t = np.full(nT, thick)
         factor = t if self.shear_space is None else (
             thick ** 3 / (thick ** 2 + SHEAR_STABILIZATION * self.h2))
         shear = _Term(slice(None), factor, self._Ws, np.einsum("tri,ti->tr", self._Ms, X),
-                      None if energy else self._Ms)
-        kappa = None
-        if energy:
-            theta = np.swapaxes(self._A, 1, 2) @ X[:, m:].reshape(nT, 2, -1)
-            kappa = theta.reshape(nT, -1) @ self._Bref.T
-        bending = _Term(slice(m, None), np.full(nT, thick ** 3), self._Wb, kappa, form=self._Ab)
+                      self._Ms)
+        bending = _Term(slice(m, None), np.full(nT, thick ** 3), self._Wb, X[:, m:], self._Mb)
         if self.config.model == "full_green":
-            membrane = _Term(slice(m), t, self._Wm,
-                             *self._green_membrane(X[:, :m], derivative=not energy), self._K)
+            membrane = _Term(slice(m), t, self._Wm, *self._green_membrane(X[:, :m]), self._K)
         else:
             membrane = _Term(slice(m), t, self._Wm,
-                             np.einsum("tri,ti->tr", self._Mm, X[:, :m]),
-                             None if energy else self._Mm)
+                             np.einsum("tri,ti->tr", self._Mm, X[:, :m]), self._Mm)
         return {"shear": shear, "bending": bending, "membrane": membrane}
 
     def energies(self, x):
         """The shear, bending and membrane energies (factor/2) sum_T e . W e
         at a coefficient vector, by name, from one evaluation of the terms."""
-        terms = self._terms(self._local(x), energy=True)
+        terms = self._terms(self._local(x))
         return {name: 0.5 * np.sum(t.factor * np.einsum("tr,tr->t", t.e, _weighted(t.W, t.e)))
                 for name, t in terms.items()}
 
@@ -566,13 +564,9 @@ class ShellModel:
     def gradient(self, x, load_vector=None, *, terms=None):
         """Energy gradient at x, less the load vector if one is given;
         ``terms`` are the ``_terms`` at x when the caller has them."""
-        X = self._local(x)
         g = None
-        for term in (terms or self._terms(X)).values():
-            if term.form is None:
-                gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
-            else:
-                gt = np.einsum("tij,tj->ti", term.form, X[:, term.cols])
+        for term in (terms or self._terms(self._local(x))).values():
+            gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
             gt *= term.factor[:, None]
             if g is None:
                 g = gt
@@ -603,13 +597,11 @@ class ShellModel:
         for b in (slice(i, i + size) for i in range(0, nT, size)):
             H = None
             for name, term in terms.items():
-                Ht = _gram(term.G[b], term.W[b]) if term.form is None else term.form[b]
+                Ht = _gram(term.G[b], term.W[b])
                 if name in geometric:
                     for c in range(0, 3 * n, n):
                         Ht[:, c:c + n, c:c + n] += geometric[name][b]
-                # a formed tangent is scaled in place, the stored form into a copy
-                Ht = np.multiply(Ht, term.factor[b, None, None],
-                                 out=Ht if term.form is None else None)
+                Ht *= term.factor[b, None, None]
                 if H is None:
                     H = Ht
                 else:
@@ -723,5 +715,5 @@ class ShellModel:
         """Displacement vector of a state at a parameter-space point."""
         t, xi = self.locate(param_point)
         N = self.basis.eval(np.atleast_2d(xi))[0]
-        u = np.asarray(x)[self.element_dofs[t, : 3 * len(N)]]
+        u = self._local(x)[t, : 3 * len(N)]
         return u.reshape(3, -1) @ N

@@ -61,6 +61,17 @@ class TestMain:
         assert code == 2
         assert "not positively oriented" in capsys.readouterr().err
 
+    def test_degenerate_mesh_element_reports_error(self, tmp_path, capsys):
+        # the first triangle is positively oriented but has an area of order
+        # 1e-17, so its quadratic element map is degenerate
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text("4 3\n0 0\n1.570796 0\n0.785398 1e-17\n0.785398 1\n"
+                        "0 1 2\n0 2 3\n2 1 3\n")
+        code = main(["--benchmark", "cylinder", "--mesh", str(mesh), "--levels", "1",
+                     "--thickness", "0.01", "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "error: degenerate element map" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["--mesh", "{tmp}/missing.txt"],
         ["--out", "{tmp}/no/such/dir/x.csv"],

@@ -366,17 +366,6 @@ class TestGreenTangent:
                          "gradient": iterations + 1, "hessian": iterations}
         assert len(state.residual_history) == iterations + 1
 
-    def test_energy_terms_form_no_derivative(self):
-        # no energy reads G, so the energy path forms none, and its strains
-        # are the ones the gradient and the tangent read
-        model = unibend_green_model()
-        X = model._local(random_state(model, 0.01, seed=12))
-        energy, derivative = model._terms(X, energy=True), model._terms(X)
-        assert [term.G for term in energy.values()] == [None] * 3
-        assert derivative["membrane"].G is not None
-        for name in ("shear", "membrane"):
-            assert np.array_equal(energy[name].e, derivative[name].e)
-
 
 def sampled_green_strain(model, U):
     """The Green membrane strain at the sampling points of the membrane
@@ -495,14 +484,13 @@ class TestReductionMatrices:
         assert np.array_equal(model._Mm, _strain_B(ev.F, dN).reshape(nT, len(points) * 3, -1))
         assert np.array_equal(model._Ms, _shear_B(ev.nu, A, N, dN).reshape(
             nT, len(points) * 2, -1))
-        # one weight wJ T^T D T per point, shared with the bending, and
-        # wJ kG G G^T of the shear
+        # one weight wJ T^T D T per point of the membrane and wJ kG G G^T of
+        # the shear
         wJ = model._wJ
         for W, frame, D in ((model._Wm, T, textbook_law(MAT)),
                             (model._Ws, Gt, shear_modulus(MAT) * np.eye(2))):
             ref = np.einsum("tq,tqab,bc,tqcd->tqad", wJ, np.swapaxes(frame, -1, -2), D, frame)
             assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert model._Wm is model._Wb
 
     @pytest.mark.parametrize("kind", ["linearized_membrane", "full_green"])
     def test_reduced_strains_are_held_as_coefficients(self, kind):
@@ -515,13 +503,13 @@ class TestReductionMatrices:
         assert model._Ms.shape == (nT, n_shear, 5 * n)
         assert model._Ws.shape == (nT, 1, n_shear, n_shear)
         # the arrays with a point axis at the energy points are the geometry
-        # tables and the unreduced bending
+        # tables
         nq = len(model._rule.points)
         for name, value in vars(model).items():
             for item in value if isinstance(value, tuple) else (value,):
                 if (isinstance(item, np.ndarray) and item.ndim > 1 and len(item) == nT
                         and item.shape[1] % nq == 0):
-                    assert name in ("_wJ", "_X", "_nu", "_Wb"), name
+                    assert name in ("_wJ", "_X", "_nu"), name
 
 
 def sampled_maps(model):
@@ -549,8 +537,8 @@ def assert_close(got, want, rel=1e-13):
 
 
 class TestReferenceTables:
-    """The maps and forms built from element independent tables agree with
-    the products of the sampled (element, point, dof) maps."""
+    """The maps and weights built from element independent tables agree
+    with the products of the sampled (element, point, dof) maps."""
 
     @pytest.mark.parametrize("name, order", [("hyperboloid", 1), ("cylinder", 2),
                                              ("hemisphere", 3), ("unibend_cylinder", 4)])
@@ -567,7 +555,9 @@ class TestReferenceTables:
         assert_close(model._Ms, Cs @ shear)
         for W, S, Wp in ((model._Wm, Sm, Wq), (model._Ws, Ss, Wq_shear)):
             assert_close(W[:, 0], _gram(np.broadcast_to(S, (nT,) + S.shape), Wp))
-        assert_close(model._Ab, _gram(bending, Wq))
+        # the bending's strain is the rotations, its weight the bending
+        # map's form
+        assert_close(model._Wb[:, 0], _gram(bending, Wq))
         x = random_state(model, 0.1, seed=order)
         theta = model._local(x)[:, 3 * model.basis.num_shapes:]
         e = np.einsum("tri,ti->tr", bending, theta).reshape(nT, -1, 3)
@@ -633,9 +623,11 @@ def order_4_reference():
 class TestModelMemory:
     """Bounds fixed from the construction that formed the (element, point,
     dof) maps: 27.5 MiB of model arrays, a 61.0 MiB build peak and a
-    20.4 MiB tangent and solve at t = 1e-3.  The model and pattern arrays
-    are bounded from a stored linearized membrane form and an intp
-    ``slot``: 9.8 and 8.2 MiB.  The tangent, the solve and the load vector
+    20.4 MiB tangent and solve at t = 1e-3.  The model arrays are bounded
+    from the bending held as its rotations and coefficient mass: 6.09 MiB,
+    where a stored bending form and its point weights took 7.45 MiB.  The
+    pattern arrays are bounded from an intp ``slot``: 8.2 MiB, 5.47 MiB
+    with an int32 one.  The tangent, the solve and the load vector
     are bounded from the whole-mesh transients: the (128, 75, 75) tangent
     stack, two scaling gathers of the free block's size and a list of the
     load's 18,432 per-point values took 10.25 MiB in ``hessian``, 11.56 MiB
@@ -644,7 +636,7 @@ class TestModelMemory:
 
     def test_order_4_reference_arrays(self, order_4_reference):
         model, _ = order_4_reference
-        assert model_nbytes(model) <= 8 * 2 ** 20
+        assert model_nbytes(model) <= 6.5 * 2 ** 20
 
     def test_order_4_reference_pattern_arrays(self, order_4_reference):
         model, _ = order_4_reference
@@ -918,6 +910,17 @@ class TestSolve:
         x0[np.flatnonzero(model.free)[0]] = np.nan
         with pytest.raises(ValueError, match="initial state has non-finite"):
             model.solve(x0=x0)
+
+    def test_state_of_wrong_length_rejected(self):
+        model = cylinder_model()
+        p = model.mesh.vertices[4]
+        for n in (model.num_dofs - 1, model.num_dofs + 1):
+            x = np.zeros(n)
+            for evaluate in (model.energies, model.total_energy, model.gradient,
+                             model.hessian, lambda x: model.evaluate_displacement(x, p)):
+                with pytest.raises(ValueError, match=rf"state of shape \({n},\), "
+                                                     rf"expected \({model.num_dofs},\)"):
+                    evaluate(x)
 
     def test_initial_state_of_wrong_length_rejected(self):
         model = cylinder_model()
