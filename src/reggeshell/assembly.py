@@ -17,8 +17,10 @@ has a dof at each node, so the pattern is built on the scalar node graph,
 which has fields^2 times fewer entries, and the full structure follows by
 index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
 
-Problems stay at desk scale, so a direct sparse LU is used; the residual of
-every solve is checked against the tolerance the Newton loop relies on.  The
+Problems stay at desk scale, so a direct sparse LU is used: one factorization
+and one solve, with no iterative refinement.  A solve is accepted on its
+relative residual (``RESIDUAL_TOL``) or else on its normwise backward error
+(``BACKWARD_TOL``), and raises ``SolverError`` otherwise.  The
 tangents are symmetric, so SuperLU runs in its symmetric mode with diagonal
 pivots whenever they are not much smaller than the column maximum.  Partial
 pivoting (the default) swaps rows on thin shells, where the bending and
@@ -44,8 +46,8 @@ is no copy of the free block: every factorization scales the stored values
 in place by powers of two, exact to apply and to undo as in LAPACK's
 xGEEQUB, and restores them as soon as SuperLU (natural ordering) returns.
 The scaling, and the row sums of a backward-error test, run over the block
-one run of columns at a time, and the factor is released once iterative
-refinement ends, before that test.  Each of these transients, like an
+one run of columns at a time, and the factor is released once its one solve
+returns, before that test.  Each of these transients, like an
 assembly's block of element matrices, holds about ``BLOCK_BYTES``.
 """
 
@@ -317,8 +319,11 @@ def factor_solve(matrix, rhs):
     """Direct solve on the free dofs of a ``SparseSymMatrix``; constrained
     dofs stay at zero.  SuperLU factors the stored free block, scaled in
     place by s and restored once it returns: its factor reads no value after.
-    The scaling, and the norm of the backward-error test, take one run of
-    columns at a time, and the factor is released once refinement ends."""
+    The factor solves once and is released.  The solution is accepted on its
+    relative residual, or else, at a relative residual of at most 1e-3, on
+    its normwise backward error; otherwise ``SolverError`` is raised.  The
+    scaling, and the norm of the backward-error test, take one run of
+    columns at a time."""
     p = matrix.pattern
     block, s = free_block(matrix)
     b = np.asarray(rhs)[p.order]
@@ -328,6 +333,7 @@ def factor_solve(matrix, rhs):
                                       diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                       options=SUPERLU_OPTIONS)
         y = s * lu.solve(s * b)
+        del lu
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     finally:
@@ -335,34 +341,15 @@ def factor_solve(matrix, rhs):
     if not np.all(np.isfinite(y)):
         raise SolverError("factorization produced non-finite values "
                           "(matrix indefinite or boundary conditions missing)")
-    bnorm = np.linalg.norm(b)
-    r = b - block @ y
-    res = np.linalg.norm(r)
-    # iterative refinement recovers the residual tolerance on the badly
-    # conditioned systems arising for very small thickness; like LAPACK's
-    # xGERFS it stops once a step fails to halve the residual and keeps the
-    # iterate with the smaller residual
-    for _ in range(5):
-        if res <= RESIDUAL_TOL * bnorm:
-            break
-        y_new = y + s * lu.solve(s * r)
-        r = b - block @ y_new
-        res_new = np.linalg.norm(r)
-        if not res_new <= 0.5 * res:
-            if res_new < res:
-                y, res = y_new, res_new
-            break
-        y, res = y_new, res_new
-    del lu
+    res, bnorm = np.linalg.norm(b - block @ y), np.linalg.norm(b)
     if res > RESIDUAL_TOL * bnorm:
         # on severely ill conditioned systems (very small thickness) the
         # plain relative residual hits the double precision noise floor
         # eps*||A||*||y||; fall back to the normwise backward error, the
         # standard quality measure for direct solves.  A residual that is
         # not at least close to converged means a genuinely singular or
-        # inconsistent system (refinement then stalls at O(1) relative),
-        # where a huge solution vector would make the backward error
-        # meaninglessly small.
+        # inconsistent system, where a huge solution vector would make the
+        # backward error meaninglessly small.
         backward = res / (_max_row_sum(block) * np.linalg.norm(y) + bnorm)
         if res > 1e-3 * bnorm or backward > BACKWARD_TOL:
             raise SolverError(

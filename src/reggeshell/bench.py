@@ -127,12 +127,7 @@ class BenchmarkConfig:
             raise ConfigurationError("element and geometry orders must be >= 1")
         if self.levels < 1:
             raise ConfigurationError("need at least one refinement level")
-        if self.base_refinement is None:
-            # an imported mesh is level 0 as given; the refinement of the
-            # structured grid is no property of it
-            self.base_refinement = (0 if self.mesh_file is not None
-                                    else _RUNS[self.benchmark].get("base_refinement", 0))
-        if self.base_refinement < 0:
+        if self.base_refinement is not None and self.base_refinement < 0:
             raise ConfigurationError("base refinement must be >= 0")
 
 
@@ -162,12 +157,16 @@ def _format_cell(column, value):
 
 def _benchmark_meshes(config):
     """Base mesh plus chart; the base mesh is refined per level."""
+    mesh, chart = make_benchmark_mesh(config.benchmark)
+    levels = config.base_refinement
+    if levels is None:
+        # an imported mesh is level 0 as given; the refinement of the
+        # structured grid is no property of it
+        levels = (0 if config.mesh_file is not None
+                  else _RUNS[config.benchmark].get("base_refinement", 0))
     if config.mesh_file is not None:
         mesh = read_mesh(config.mesh_file)
-        _, chart = make_benchmark_mesh(config.benchmark)
-    else:
-        mesh, chart = make_benchmark_mesh(config.benchmark)
-    for _ in range(config.base_refinement):
+    for _ in range(levels):
         mesh = refine_uniform(mesh)
     return mesh, chart
 

@@ -70,6 +70,7 @@ from .assembly import BLOCK_BYTES, SolverError, SparsityPattern, assemble, facto
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
+from .mesh import MeshError
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -303,15 +304,12 @@ _Term = namedtuple("_Term", "cols factor W e G K", defaults=(None,))
 
 
 def _newton_converged(history):
-    """Whether Newton accepts its last iterate, given the free residual
-    norms of all iterates, the first at the initial guess."""
+    """Whether Newton accepts its last iterate: its free residual norm is at
+    most ``NEWTON_REL_TOL`` times the initial one, or at most the absolute
+    floor ``NEWTON_ABS_TOL``.  ``history`` holds the free residual norms of
+    all iterates, the first at the initial guess."""
     r0, rnorm = history[0], history[-1]
-    if rnorm <= NEWTON_ABS_TOL or (r0 > 0 and rnorm <= NEWTON_REL_TOL * r0):
-        return True
-    # severely ill conditioned thin cases bottom out at the floating point
-    # noise floor of the gradient before reaching the relative tolerance;
-    # accept stagnation at a small residual
-    return len(history) > 2 and rnorm > 0.5 * history[-2] and rnorm <= 1e-6 * r0
+    return rnorm <= NEWTON_ABS_TOL or (r0 > 0 and rnorm <= NEWTON_REL_TOL * r0)
 
 
 class ShellModel:
@@ -386,7 +384,10 @@ class ShellModel:
             if name == "clamped":
                 fixed[:, self._edge_scalar_dofs[eids]] = True
             elif name.startswith("sym:"):
-                axis = "xyz".index(name.split(":")[1])
+                if name not in ("sym:x", "sym:y", "sym:z"):
+                    raise MeshError(f"unknown symmetry marker '{name}': "
+                                    f"expected sym:x, sym:y or sym:z")
+                axis = "xyz".index(name[-1])
                 t, le = np.nonzero(np.isin(mesh.tri_edges, eids))
                 dofs = self._edge_scalar_dofs[mesh.tri_edges[t, le]]
                 # rotation component whose contravariant direction crosses
@@ -700,6 +701,8 @@ class ShellModel:
         The point belongs to the triangle whose smallest barycentric
         coordinate is largest (the first such triangle at a tie)."""
         p = np.asarray(param_point, dtype=float)
+        if p.shape != (2,) or not np.all(np.isfinite(p)):
+            raise ValueError(f"parameter point {p} is not two finite numbers")
         verts = self.mesh.vertices[self.mesh.triangles]
         Amat = np.concatenate([np.swapaxes(verts, 1, 2),
                                np.ones((len(verts), 1, 3))], axis=1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,15 +143,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("cylinder", **field)
 
-    def test_base_refinement_defaults(self):
+    def test_base_refinement_defaults(self, tmp_path):
+        def size(config):
+            return bench._benchmark_meshes(config)[0].num_triangles
+
         # the cylinder starts one level finer than its 8-element grid
-        assert BenchmarkConfig("cylinder").base_refinement == 1
-        assert BenchmarkConfig("hyperboloid").base_refinement == 0
-        assert BenchmarkConfig("cylinder", base_refinement=0).base_refinement == 0
+        assert size(BenchmarkConfig("cylinder")) == 32
+        assert size(BenchmarkConfig("hyperboloid")) == 8
+        assert size(BenchmarkConfig("cylinder", base_refinement=0)) == 8
+        # a replaced config keeps no default of the benchmark it was made for
+        cylinder = BenchmarkConfig("cylinder", levels=1)
+        assert size(replace(cylinder, benchmark="hyperboloid")) == 8
         # an imported mesh is level 0 as given, unless a refinement is asked for
-        assert BenchmarkConfig("cylinder", mesh_file="m.txt").base_refinement == 0
-        assert BenchmarkConfig("cylinder", mesh_file="m.txt",
-                               base_refinement=1).base_refinement == 1
+        path = str(write_mesh(make_benchmark_mesh("cylinder")[0], tmp_path))
+        assert size(BenchmarkConfig("cylinder", mesh_file=path)) == 8
+        assert size(replace(cylinder, mesh_file=path)) == 8
+        assert size(BenchmarkConfig("cylinder", mesh_file=path, base_refinement=1)) == 32
 
     def test_imported_mesh_is_level_0(self, tmp_path):
         mesh, _ = make_benchmark_mesh("cylinder")

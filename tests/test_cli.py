@@ -72,6 +72,16 @@ class TestMain:
         assert code == 2
         assert "error: degenerate element map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("marker", ["sym:w", "sym:X", "sym:xy"])
+    def test_malformed_symmetry_marker_reports_error(self, tmp_path, capsys, marker):
+        # "sym:w" printed a traceback of a bare ValueError, "sym:xy" acted as sym:x
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(f"3 1\n0 0\n1 0\n0 1\n0 1 2\nedge 0 1 {marker}\n")
+        code = main(["--benchmark", "cylinder", "--mesh", str(mesh), "--levels", "1",
+                     "--thickness", "0.01", "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"error: unknown symmetry marker '{marker}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["--mesh", "{tmp}/missing.txt"],
         ["--out", "{tmp}/no/such/dir/x.csv"],

@@ -297,8 +297,13 @@ class TestImport:
         # the key -1·4 + 5 of (-1, 5) equals that of the edge (0, 1)
         "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\nedge -1 5 clamped\n",
         "4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\nedge 0 9 clamped\n",
+        # header promises 2 triangles, the file has 1
+        "3 2\n0 0\n1 0\n0 1\n0 1 2\n",
+        # a trailing line that is no marker
+        "3 1\n0 0\n1 0\n0 1\n0 1 2\nside 0 1 clamped\n",
     ], ids=["negative_index", "short_vertex_block", "clockwise", "nan_coordinate",
-            "inf_coordinate", "aliased_marker_index", "marker_index_too_large"])
+            "inf_coordinate", "aliased_marker_index", "marker_index_too_large",
+            "short_triangle_block", "trailing_line_not_a_marker"])
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "mesh.txt"
         path.write_text(text)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reggeshell import bench, shell
-from reggeshell.assembly import assemble, factor_solve
+from reggeshell.assembly import SolverError, assemble, factor_solve
 from reggeshell.elements import (
     BARY_GRADS,
     GeometryError,
@@ -21,6 +21,7 @@ from reggeshell.geometry import (
     ChartGeometry,
     ElementMap,
     flat3_chart,
+    flat_chart,
     make_benchmark_mesh,
 )
 from reggeshell.interpolation import (
@@ -29,7 +30,7 @@ from reggeshell.interpolation import (
     ShearSpace,
     get_operator,
 )
-from reggeshell.mesh import Mesh, rectangle_mesh
+from reggeshell.mesh import Mesh, MeshError, rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
     REF_VERTICES,
@@ -157,6 +158,10 @@ class TestConfig:
             ShellConfig(thickness=0.1, membrane_reduction="bogus")
         with pytest.raises(ValueError):
             ShellConfig(thickness=0.1, model="bogus")
+        with pytest.raises(ValueError, match="order"):
+            ShellConfig(thickness=0.1, order=0)
+        with pytest.raises(ValueError, match="shear reduction"):
+            ShellConfig(thickness=0.1, shear_reduction="bogus")
 
     @pytest.mark.parametrize("thickness", [0.0, -1.0, np.nan, np.inf])
     def test_thickness_checked_on_assignment(self, thickness):
@@ -322,6 +327,13 @@ class TestGreenTangent:
             assert steps <= max_steps
             assert r[-1] <= 1e-10
             assert r[-1] <= 10.0 * r[-2] ** 2
+
+    def test_newton_raises_when_out_of_iterations(self, monkeypatch):
+        # M = 5 from rest takes more than two steps
+        monkeypatch.setattr(shell, "NEWTON_MAX_ITER", 2)
+        loads = LoadSpec(edge_moments={"loaded": lambda X: np.array([5.0, 0.0])})
+        with pytest.raises(SolverError, match="Newton did not converge in 2 iterations"):
+            unibend_green_model().solve(loads)
 
     def test_derivatives_make_no_interpolation_call(self, monkeypatch):
         # the reductions are matrices built with the model, so a Newton step
@@ -838,6 +850,13 @@ class TestBoundaryConditions:
                 assert model.free[1 * ns + s]       # u_y free
                 assert model.free[2 * ns + s]       # u_z free
 
+    @pytest.mark.parametrize("marker", ["sym:", "sym:xy", "sym:w", "sym:X"])
+    def test_malformed_symmetry_marker_rejected(self, marker):
+        # "sym:" and "sym:xy" acted as sym:x, the others raised a bare ValueError
+        mesh = rectangle_mesh(1, 1, (0.0, 1.0), (0.0, 1.0), {"left": marker})
+        with pytest.raises(MeshError, match=f"'{marker}'"):
+            ShellModel(mesh, flat3_chart(), MAT, ShellConfig(thickness=0.01))
+
     def test_free_edges_unconstrained(self):
         model = cylinder_model()
         mesh = model.mesh
@@ -1036,10 +1055,16 @@ class TestEvaluation:
                 u_ref = x[model.element_dofs[t_ref, :3 * len(N)]].reshape(3, -1) @ N
                 assert np.max(np.abs(u - u_ref)) <= 1e-14 * max(1.0, np.abs(u_ref).max())
 
-    def test_point_outside_mesh_rejected(self):
+    @pytest.mark.parametrize("point", [(100.0, 100.0), (np.nan, 0.5), (np.inf, 0.5),
+                                       (0.5, 0.5, 0.0)],
+                             ids=["outside", "nan", "inf", "three_coordinates"])
+    def test_point_outside_mesh_rejected(self, point):
+        # a non-finite point gave triangle 0 with NaN coordinates
         model = cylinder_model()
-        with pytest.raises(ValueError):
-            model.locate((100.0, 100.0))
+        with pytest.raises(ValueError, match="parameter point"):
+            model.locate(point)
+        with pytest.raises(ValueError, match="parameter point"):
+            model.evaluate_displacement(np.zeros(model.num_dofs), point)
 
 
 class TestWholeMeshMap:
@@ -1056,6 +1081,11 @@ class TestWholeMeshMap:
         broken = ChartGeometry("broken_cylinder", 3, phi)
         with pytest.raises(GeometryError, match="broken_cylinder"):
             ShellModel(mesh, broken, MAT, ShellConfig(thickness=0.01, order=2))
+
+    def test_plane_chart_rejected(self):
+        mesh, _ = make_benchmark_mesh("cylinder")
+        with pytest.raises(ValueError, match="surface chart"):
+            ShellModel(mesh, flat_chart(), MAT, ShellConfig(thickness=0.01))
 
     def test_model_evaluates_its_element_map_once(self, monkeypatch):
         # a guard against per-element geometry loops in the model set-up
