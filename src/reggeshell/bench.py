@@ -155,59 +155,66 @@ def _format_cell(column, value):
     return str(value)
 
 
-def _benchmark_meshes(config):
-    """Base mesh plus chart; the base mesh is refined per level."""
+def _meshes(config):
+    """Mesh and chart of each level of the sweep: the structured or imported
+    base mesh, refined ``base_refinement`` times, then once per level."""
+    run = _RUNS[config.benchmark]
     mesh, chart = make_benchmark_mesh(config.benchmark)
-    levels = config.base_refinement
-    if levels is None:
-        # an imported mesh is level 0 as given; the refinement of the
-        # structured grid is no property of it
-        levels = (0 if config.mesh_file is not None
-                  else _RUNS[config.benchmark].get("base_refinement", 0))
+    base = config.base_refinement
     if config.mesh_file is not None:
         mesh = read_mesh(config.mesh_file)
-    for _ in range(levels):
+        # an imported mesh is level 0 as given; the refinement of the
+        # structured grid is no property of it
+        base = base or 0
+    elif base is None:
+        base = run.get("base_refinement", 0)
+    missing = set(run["load"].edge_moments) - set(mesh.boundary_markers)
+    if missing:
+        raise ConfigurationError(f"the mesh has no '{missing.pop()}' marker for the load")
+    try:
+        mesh.locate(run["point"])
+    except ValueError:
+        raise ConfigurationError(f"the mesh does not cover the point {run['point']}") from None
+    for _ in range(base):
         mesh = refine_uniform(mesh)
-    return mesh, chart
+    yield mesh, chart
+    for _ in range(config.levels - 1):
+        mesh = refine_uniform(mesh)
+        yield mesh, chart
 
 
-def _make_model(mesh, chart, material, config, order, regge):
-    shell_cfg = ShellConfig(
+def _solves(config, mesh, chart, order, regge):
+    """(t, n_dofs, deflection, Newton iterations) per thickness on one mesh.
+
+    The model and its thickness-free load vector are built once; a failed
+    solve yields a NaN deflection after 0 iterations."""
+    run = _RUNS[config.benchmark]
+    model = ShellModel(mesh, chart, run["material"], ShellConfig(
         thickness=config.thicknesses[0],
         order=order,
         geometry_order=config.geometry_order,
         membrane_reduction="regge" if regge else "none",
         shear_reduction="edge_tangential" if config.shear_reduction else "none",
-    )
-    return ShellModel(mesh, chart, material, shell_cfg)
-
-
-def _measure(model, state, run):
-    u = model.evaluate_displacement(state.vector, run["point"])
-    X = model.chart.phi(np.asarray(run["point"], dtype=float))
-    return float(u @ np.asarray(run["direction"](X), dtype=float))
-
-
-def _solve_and_measure(model, t, run, f):
-    """Solve at thickness t under the model's thickness-free load vector f."""
-    model.config.thickness = t
-    try:
-        state, iters = model.solve(run["scale"](t) * f)
-    except SolverError:
-        return math.nan, 0
-    return _measure(model, state, run), iters
+    ))
+    f = model.load_vector(run["load"])
+    X = chart.phi(np.asarray(run["point"], dtype=float))
+    direction = np.asarray(run["direction"](X), dtype=float)
+    for t in config.thicknesses:
+        model.config.thickness = t
+        try:
+            state, iters = model.solve(run["scale"](t) * f)
+        except SolverError:
+            value, iters = math.nan, 0
+        else:
+            value = float(model.evaluate_displacement(state.vector, run["point"]) @ direction)
+        yield t, model.num_dofs, value, iters
 
 
 def compute_references(config):
     """Reference deflections per thickness: order-4 method, finest mesh."""
-    run = _RUNS[config.benchmark]
-    mesh, chart = _benchmark_meshes(config)
-    for _ in range(config.levels - 1):
-        mesh = refine_uniform(mesh)
-    model = _make_model(mesh, chart, run["material"], config,
-                        config.reference_order, regge=True)
-    f = model.load_vector(run["load"])
-    return {t: _solve_and_measure(model, t, run, f)[0] for t in config.thicknesses}
+    *_, (mesh, chart) = _meshes(config)
+    return {t: value for t, _, value, _ in
+            _solves(config, mesh, chart, config.reference_order, regge=True)}
 
 
 def run_benchmark(config, references=None):
@@ -216,33 +223,17 @@ def run_benchmark(config, references=None):
     ``references`` allows sharing the (expensive) reference solves between
     runs with and without the membrane reduction.
     """
-    run = _RUNS[config.benchmark]
     if references is None:
         references = compute_references(config)
     table = ResultTable()
-    mesh, chart = _benchmark_meshes(config)
-    for level in range(config.levels):
-        if level > 0:
-            mesh = refine_uniform(mesh)
-        model = _make_model(mesh, chart, run["material"], config,
-                            config.order, regge=config.regge)
-        f = model.load_vector(run["load"])
-        for t in config.thicknesses:
-            value, iters = _solve_and_measure(model, t, run, f)
+    for level, (mesh, chart) in enumerate(_meshes(config)):
+        for t, n_dofs, value, iters in _solves(config, mesh, chart, config.order, config.regge):
             ref = references[t]
             rel = abs(value - ref) / abs(ref) if ref == ref and ref != 0 else math.nan
-            table.add(
-                benchmark=config.benchmark,
-                t=t,
-                level=level,
-                n_elements=mesh.num_triangles,
-                n_dofs=model.num_dofs,
-                reduction="on" if config.regge else "off",
-                value=value,
-                reference=ref,
-                rel_error=rel,
-                newton_iters=iters,
-            )
+            table.add(benchmark=config.benchmark, t=t, level=level,
+                      n_elements=mesh.num_triangles, n_dofs=n_dofs,
+                      reduction="on" if config.regge else "off", value=value,
+                      reference=ref, rel_error=rel, newton_iters=iters)
     return table
 
 

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mesh import LOCAL_EDGES
 from .polynomials import eval_dubiner, eval_integrated_jacobi_scaled
 
 __all__ = [
@@ -28,9 +29,6 @@ REF_VERTICES = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # gradients of the barycentric coordinates, constant on the triangle
 BARY_GRADS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.0, 1.0]])
-
-# local edges as vertex index pairs, matching mesh.LOCAL_EDGES
-EDGE_VERTS = ((0, 1), (0, 2), (1, 2))
 
 
 def barycentric(points):
@@ -84,7 +82,7 @@ class LagrangeBasis:
         # weight of V_j, then the interior nodes
         eye = np.eye(3, dtype=int)
         lattice = [k * eye[i] for i in range(3)]
-        lattice += [(k - m) * eye[i] + m * eye[j] for i, j in EDGE_VERTS for m in range(1, k)]
+        lattice += [(k - m) * eye[i] + m * eye[j] for i, j in LOCAL_EDGES for m in range(1, k)]
         lattice += [(a, b, k - a - b) for a in range(1, k) for b in range(1, k - a)]
         return np.array(lattice) / k @ REF_VERTICES
 
@@ -147,7 +145,7 @@ class ReggeBasis:
         npts = len(pts)
         out = np.zeros((npts, self.num_shapes, 3))
         s = 0
-        for (i, j) in EDGE_VERTS:
+        for (i, j) in LOCAL_EDGES:
             dyad = sym_dyad(BARY_GRADS[i], BARY_GRADS[j])
             out[:, s, :] = dyad
             s += 1
@@ -175,7 +173,7 @@ def regge_basis(k):
 
 def edge_point(edge, t):
     """Reference point(s) on local edge for parameter t in [-1, 1]."""
-    a, b = EDGE_VERTS[edge]
+    a, b = LOCAL_EDGES[edge]
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return (
         0.5 * (1.0 - t)[:, None] * REF_VERTICES[a]
@@ -185,7 +183,7 @@ def edge_point(edge, t):
 
 def edge_tangent(edge):
     """Unit tangent and length of a local reference edge."""
-    a, b = EDGE_VERTS[edge]
+    a, b = LOCAL_EDGES[edge]
     d = REF_VERTICES[b] - REF_VERTICES[a]
     length = np.linalg.norm(d)
     return d / length, length

@@ -5,6 +5,9 @@ the identity for flat tests).  The model reads no other geometry than the
 degree-g nodal interpolant of the chart on each parameter-space triangle:
 every gradient, weight and normal comes from this element map, so curved
 elements of any order are evaluated with the same machinery.
+
+Each benchmark is one record of ``_BENCHMARKS``: its chart, parameter
+rectangle, level-0 grid and boundary markers.
 """
 
 import math
@@ -130,77 +133,35 @@ class ElementMap:
 
 # --- benchmark geometries -------------------------------------------------
 
-def _cylinder_chart(R):
-    def phi(p):
-        th, z = _coordinates(p)
-        return _stack([R * np.cos(th), R * np.sin(th), z])
-
-    return ChartGeometry("cylinder", 3, phi)
-
-
-def _hyperboloid_chart(R):
-    def phi(p):
-        th, z = _coordinates(p)
-        r = np.sqrt(R * R + z * z)
-        return _stack([r * np.cos(th), r * np.sin(th), z])
-
-    return ChartGeometry("hyperboloid", 3, phi)
-
-
-def _unibend_chart(R):
-    def phi(p):
-        th, y = _coordinates(p)
-        return _stack([R * np.sin(th), y, R * np.cos(th)])
-
-    return ChartGeometry("unibend_cylinder", 3, phi)
-
-
-def _hyppar_chart(alpha):
-    def phi(p):
-        x, y = _coordinates(p)
-        return _stack([x, y, alpha * (y * y - x * x)])
-
-    return ChartGeometry("hyperbolic_paraboloid", 3, phi)
-
-
-def _hemisphere_chart(R):
-    # parameters: azimuth phi_a, polar angle theta_p measured from the pole
-    def phi(p):
-        pa, tp = _coordinates(p)
-        return R * _stack([
-            np.sin(tp) * np.cos(pa),
-            np.sin(tp) * np.sin(pa),
-            np.cos(tp),
-        ])
-
-    return ChartGeometry("hemisphere", 3, phi)
-
-
 # parameter rectangle, level-0 grid, boundary markers and chart per benchmark;
-# symmetry markers are named sym:<axis> after the normal of the symmetry plane
+# phi maps the two parameters to the three ambient coordinates, and symmetry
+# markers are named sym:<axis> after the normal of the symmetry plane
 _BENCHMARKS = {
     "cylinder": dict(
-        chart=lambda: _cylinder_chart(1.0),
+        phi=lambda th, z: (np.cos(th), np.sin(th), z),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "sym:z", "top": "free"},
     ),
     "hyperboloid": dict(
-        chart=lambda: _hyperboloid_chart(1.0),
+        phi=lambda th, z: (np.sqrt(1.0 + z * z) * np.cos(th),
+                           np.sqrt(1.0 + z * z) * np.sin(th), z),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "sym:z", "top": "free"},
     ),
     "unibend_cylinder": dict(
-        chart=lambda: _unibend_chart(0.1),
+        phi=lambda th, y: (0.1 * np.sin(th), y, 0.1 * np.cos(th)),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 0.025), grid=(8, 1),
         sides={"left": "clamped", "right": "loaded", "bottom": "free", "top": "free"},
     ),
     "hyperbolic_paraboloid": dict(
-        chart=lambda: _hyppar_chart(0.2),
+        phi=lambda x, y: (x, y, 0.2 * (y * y - x * x)),
         xlim=(0.0, 3.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"bottom": "clamped", "right": "sym:x", "left": "free", "top": "free"},
     ),
+    # parameters: azimuth, then the polar angle measured from the pole
     "hemisphere": dict(
-        chart=lambda: _hemisphere_chart(10.0),
+        phi=lambda pa, tp: (10.0 * (np.sin(tp) * np.cos(pa)),
+                            10.0 * (np.sin(tp) * np.sin(pa)), 10.0 * np.cos(tp)),
         xlim=(0.0, math.pi / 2.0), ylim=(math.pi / 10.0, math.pi / 2.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "clamped", "top": "clamped"},
     ),
@@ -220,4 +181,4 @@ def make_benchmark_mesh(name, refinement_level=0):
     m = meshmod.rectangle_mesh(*spec["grid"], spec["xlim"], spec["ylim"], spec["sides"])
     for _ in range(refinement_level):
         m = meshmod.refine_uniform(m)
-    return m, spec["chart"]()
+    return m, ChartGeometry(name, 3, lambda p: _stack(spec["phi"](*_coordinates(p))))

@@ -22,7 +22,6 @@ import scipy.linalg
 
 from .elements import (
     BARY_GRADS,
-    EDGE_VERTS,
     _monomial_exponents,
     barycentric,
     covariant_pullback,
@@ -31,6 +30,7 @@ from .elements import (
     edge_tangent,
     regge_basis,
 )
+from .mesh import LOCAL_EDGES
 from .polynomials import eval_legendre
 from .quadrature import segment_rule, triangle_rule
 
@@ -227,7 +227,7 @@ class ShearSpace:
         if self.p == 0:
             lam = barycentric(pts)
             out = np.zeros((len(pts), 3, 2))
-            for s, (i, j) in enumerate(EDGE_VERTS):
+            for s, (i, j) in enumerate(LOCAL_EDGES):
                 out[:, s, :] = (
                     lam[:, i, None] * BARY_GRADS[j][None, :]
                     - lam[:, j, None] * BARY_GRADS[i][None, :]

@@ -25,7 +25,7 @@ __all__ = [
     "read_mesh",
 ]
 
-# local vertex index pairs of the three triangle edges
+# local vertex index pairs of the three triangle edges, also on the reference element
 LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
@@ -98,6 +98,25 @@ class Mesh:
 
     def edges_with_marker(self, name):
         return np.asarray(self.boundary_markers.get(name, ()), dtype=int)
+
+    def locate(self, point):
+        """Triangle index and barycentric coordinates of a parameter point.
+
+        The point belongs to the triangle whose smallest barycentric
+        coordinate is largest (the first such triangle at a tie)."""
+        p = np.asarray(point, dtype=float)
+        if p.shape != (2,) or not np.all(np.isfinite(p)):
+            raise ValueError(f"parameter point {p} is not two finite numbers")
+        verts = self.vertices[self.triangles]
+        Amat = np.concatenate([np.swapaxes(verts, 1, 2),
+                               np.ones((len(verts), 1, 3))], axis=1)
+        rhs = np.broadcast_to(np.append(p, 1.0), (len(verts), 3))
+        lam = np.linalg.solve(Amat, rhs[..., None])[..., 0]
+        margin = lam.min(axis=1)
+        t = int(np.argmax(margin))
+        if margin[t] < -1e-8:
+            raise ValueError(f"parameter point {p} outside the mesh")
+        return t, lam[t]
 
 
 def build_mesh(vertices, triangles, boundary_markers=None):
@@ -205,8 +224,8 @@ def read_mesh(path):
     lines ``i j k`` (0-based), then optional lines ``edge i j name``.
     Raises MeshError when the line counts disagree with the header, a
     coordinate is not finite, a vertex index is out of range, a marked pair
-    is not an edge or a triangle is not positively oriented in the parameter
-    plane.
+    is not an edge, a triangle is not positively oriented in the parameter
+    plane, or there is no triangle or a vertex lies in none.
     """
     with open(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
@@ -229,6 +248,10 @@ def read_mesh(path):
     bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
     if bad.size:
         raise MeshError(f"triangle {bad[0]} is not positively oriented")
+    unused = np.setdiff1d(np.arange(nv), tris)
+    if not nt or unused.size:
+        raise MeshError("the mesh has no triangles" if not nt
+                        else f"vertex {unused[0]} lies in no triangle")
     return mesh
 
 

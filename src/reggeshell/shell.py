@@ -696,23 +696,10 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def locate(self, param_point):
-        """Triangle index and reference coordinates of a parameter point.
-
-        The point belongs to the triangle whose smallest barycentric
-        coordinate is largest (the first such triangle at a tie)."""
-        p = np.asarray(param_point, dtype=float)
-        if p.shape != (2,) or not np.all(np.isfinite(p)):
-            raise ValueError(f"parameter point {p} is not two finite numbers")
-        verts = self.mesh.vertices[self.mesh.triangles]
-        Amat = np.concatenate([np.swapaxes(verts, 1, 2),
-                               np.ones((len(verts), 1, 3))], axis=1)
-        rhs = np.broadcast_to(np.append(p, 1.0), (len(verts), 3))
-        lam = np.linalg.solve(Amat, rhs[..., None])[..., 0]
-        margin = lam.min(axis=1)
-        t = int(np.argmax(margin))
-        if margin[t] < -1e-8:
-            raise ValueError(f"parameter point {p} outside the mesh")
-        return t, lam[t] @ REF_VERTICES
+        """Triangle index and reference coordinates of a parameter point
+        (see ``Mesh.locate``)."""
+        t, lam = self.mesh.locate(param_point)
+        return t, lam @ REF_VERTICES
 
     def evaluate_displacement(self, x, param_point):
         """Displacement vector of a state at a parameter-space point."""

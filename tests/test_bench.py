@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reggeshell import bench
+from reggeshell.assembly import SolverError
 from reggeshell.bench import (
     CSV_COLUMNS,
     BenchmarkConfig,
@@ -145,7 +147,7 @@ class TestConfig:
 
     def test_base_refinement_defaults(self, tmp_path):
         def size(config):
-            return bench._benchmark_meshes(config)[0].num_triangles
+            return next(bench._meshes(config))[0].num_triangles
 
         # the cylinder starts one level finer than its 8-element grid
         assert size(BenchmarkConfig("cylinder")) == 32
@@ -183,15 +185,38 @@ class TestRun:
             assert row["rel_error"] < 0.3
 
 
+def record_models(patch):
+    """Patch the sweep's ShellModel with a subclass that lists every model it
+    builds; the list."""
+    models = []
+
+    class Model(bench.ShellModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    patch.setattr(bench, "ShellModel", Model)
+    return models
+
+
 class TestThicknessFactors:
     @pytest.mark.parametrize("t", [0.1, 1e-4])
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-    def test_scaled_load_matches_per_thickness_load(self, name, t):
-        run = bench._RUNS[name]
-        config = BenchmarkConfig(name, levels=1)
-        model = bench._make_model(*bench._benchmark_meshes(config), run["material"],
-                                  config, 2, regge=False)
-        scaled = run["scale"](t) * model.load_vector(run["load"])
+    def test_scaled_load_matches_per_thickness_load(self, monkeypatch, name, t):
+        # the load vector the sweep solves with at thickness t
+        solved = []
+
+        def record(model, loads):
+            solved.append(loads)
+            raise SolverError("recorded, not solved")
+
+        models = record_models(monkeypatch)
+        monkeypatch.setattr(bench.ShellModel, "solve", record)
+        config = BenchmarkConfig(name, thicknesses=(t,), levels=1)
+        mesh, chart = next(bench._meshes(config))
+        [(_, _, value, iters)] = bench._solves(config, mesh, chart, 2, regge=False)
+        assert math.isnan(value) and iters == 0
+        [model], [scaled] = models, solved
         reference = model.load_vector(PER_THICKNESS_LOADS[name](t))
         size = np.max(np.abs(reference))
         assert size > 0.0
@@ -210,17 +235,11 @@ class TestLoadAssembledOncePerModel:
             calls[0] += 1
             return volume(X, nu)
 
-        models, build = [], bench._make_model
-
-        def make_model(*args, **kwargs):
-            models.append(build(*args, **kwargs))
-            return models[-1]
-
         config = BenchmarkConfig("hyperboloid", thicknesses=thicknesses, levels=2,
                                  order=1, reference_order=2)
         with monkeypatch.context() as patch:
             patch.setitem(run, "load", LoadSpec(volume=counted))
-            patch.setattr(bench, "_make_model", make_model)
+            models = record_models(patch)
             refs = bench.compute_references(config)
             reference_calls = calls[0]
             run_benchmark(config, refs)
@@ -233,3 +252,54 @@ class TestLoadAssembledOncePerModel:
         assert one == four
         calls, points = four
         assert calls == points
+
+
+class TestSweepWork:
+    def test_one_model_and_load_per_mesh_and_one_refinement_per_level(self, monkeypatch):
+        # the cylinder starts one refinement above its grid: 1 + 2 refinements
+        # for the references, as many for the sweep
+        counts = dict(refine=0, load=0)
+        refine, load = bench.refine_uniform, bench.ShellModel.load_vector
+
+        def counted_refine(mesh):
+            counts["refine"] += 1
+            return refine(mesh)
+
+        def counted_load(model, loads):
+            counts["load"] += 1
+            return load(model, loads)
+
+        monkeypatch.setattr(bench, "refine_uniform", counted_refine)
+        monkeypatch.setattr(bench.ShellModel, "load_vector", counted_load)
+        models = record_models(monkeypatch)
+        config = BenchmarkConfig("cylinder", thicknesses=(0.1, 0.01), levels=3,
+                                 order=1, reference_order=1)
+        table = run_benchmark(config)
+        assert counts == dict(refine=6, load=4)
+        assert [m.mesh.num_triangles for m in models] == [512, 32, 128, 512]
+        assert [row["n_elements"] for row in table.rows] == [32, 32, 128, 128, 512, 512]
+
+
+# imported meshes that do not fit their benchmark, and the error's message
+UNFIT_MESHES = [
+    # the unibend load acts on the edge marked 'loaded'
+    pytest.param("unibend_cylinder", "4 2\n0 0\n1.5 0\n1.5 0.025\n0 0.025\n0 1 2\n0 2 3\n"
+                 "edge 0 3 clamped\n", "the mesh has no 'loaded' marker",
+                 id="unibend_without_loaded_marker"),
+    # the cylinder measures at (0, 1), outside these two triangles
+    pytest.param("cylinder", "4 2\n0.5 0\n1.5 0\n1.5 0.5\n0.5 0.5\n0 1 3\n1 2 3\n",
+                 "the mesh does not cover the point (0.0, 1.0)", id="cylinder_point_outside"),
+]
+
+
+class TestImportedMeshFitsBenchmark:
+    @pytest.mark.parametrize("name, text, message", UNFIT_MESHES)
+    def test_rejected_before_any_model_is_built(self, monkeypatch, tmp_path,
+                                                name, text, message):
+        models = record_models(monkeypatch)
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        config = BenchmarkConfig(name, mesh_file=str(path), levels=1, thicknesses=(0.01,))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_benchmark(config)
+        assert models == []

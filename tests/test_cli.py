@@ -3,6 +3,8 @@ import pytest
 from reggeshell.cli import build_parser, main, parse_thicknesses
 from reggeshell.geometry import ConfigurationError
 
+from test_bench import UNFIT_MESHES
+
 
 class TestParser:
     def test_defaults(self):
@@ -63,14 +65,40 @@ class TestMain:
 
     def test_degenerate_mesh_element_reports_error(self, tmp_path, capsys):
         # the first triangle is positively oriented but has an area of order
-        # 1e-17, so its quadratic element map is degenerate
+        # 1e-17, so its quadratic element map is degenerate; vertex 3 is the
+        # cylinder's measurement point (0, 1)
         mesh = tmp_path / "mesh.txt"
-        mesh.write_text("4 3\n0 0\n1.570796 0\n0.785398 1e-17\n0.785398 1\n"
+        mesh.write_text("4 3\n0 0\n1.570796 0\n0.785398 1e-17\n0 1\n"
                         "0 1 2\n0 2 3\n2 1 3\n")
         code = main(["--benchmark", "cylinder", "--mesh", str(mesh), "--levels", "1",
                      "--thickness", "0.01", "--out", str(tmp_path / "out.csv")])
         assert code == 2
         assert "error: degenerate element map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n", "the mesh has no triangles"),
+        ("4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n", "vertex 3 lies in no triangle"),
+    ], ids=["no_triangles", "unused_vertex"])
+    def test_unmeshable_file_reports_error(self, tmp_path, capsys, text, message):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(text)
+        code = main(["--benchmark", "cylinder", "--mesh", str(mesh), "--levels", "1",
+                     "--thickness", "0.01", "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", UNFIT_MESHES)
+    def test_mesh_unfit_for_benchmark_reports_error(self, tmp_path, capsys,
+                                                    name, text, message):
+        # reported as an error, not as the traceback of a bare ValueError
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(text)
+        out = tmp_path / "out.csv"
+        code = main(["--benchmark", name, "--mesh", str(mesh), "--levels", "1",
+                     "--thickness", "0.01", "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("marker", ["sym:w", "sym:X", "sym:xy"])
     def test_malformed_symmetry_marker_reports_error(self, tmp_path, capsys, marker):

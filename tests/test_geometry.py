@@ -161,6 +161,47 @@ class TestBenchmarkMeshes:
         assert 3 + ne == 2 * nv + nvi
 
 
+def closed_forms():
+    """Each benchmark chart as the closed form of its surface, (u, v) -> X."""
+    def cylinder(th, z, R=1.0):
+        return R * np.cos(th), R * np.sin(th), z
+
+    def hyperboloid(th, z, R=1.0):
+        r = np.sqrt(R * R + z * z)
+        return r * np.cos(th), r * np.sin(th), z
+
+    def unibend_cylinder(th, y, R=0.1):
+        return R * np.sin(th), y, R * np.cos(th)
+
+    def hyperbolic_paraboloid(x, y, alpha=0.2):
+        return x, y, alpha * (y * y - x * x)
+
+    def hemisphere(pa, tp, R=10.0):
+        # azimuth, then the polar angle measured from the pole
+        return R * (np.sin(tp) * np.cos(pa)), R * (np.sin(tp) * np.sin(pa)), R * np.cos(tp)
+
+    return dict(cylinder=cylinder, hyperboloid=hyperboloid,
+                unibend_cylinder=unibend_cylinder, hemisphere=hemisphere,
+                hyperbolic_paraboloid=hyperbolic_paraboloid)
+
+
+class TestBenchmarkCharts:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_chart_is_its_closed_form_bit_for_bit(self, name):
+        mesh, chart = make_benchmark_mesh(name)
+        (x0, y0), (x1, y1) = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        # a grid over the parameter rectangle and a margin around it
+        u, v = np.meshgrid(np.linspace(x0 - 0.1, x1 + 0.1, 9),
+                           np.linspace(y0 - 0.01, y1 + 0.01, 7))
+        X = chart.phi(np.stack([u, v], axis=-1))
+        assert chart.ambient_dim == 3 and X.shape == (7, 9, 3)
+        expected = np.stack(np.broadcast_arrays(*closed_forms()[name](u, v)), axis=-1)
+        assert np.array_equal(X, expected)
+
+    def test_every_benchmark_has_a_closed_form(self):
+        assert set(closed_forms()) == set(BENCHMARK_NAMES)
+
+
 def all_charts():
     return [make_benchmark_mesh(name)[1] for name in BENCHMARK_NAMES] + [
         flat_chart(), flat3_chart()]

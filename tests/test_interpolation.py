@@ -120,10 +120,11 @@ class TestInterpolation:
             return np.tile([s[0, 0], s[1, 1], s[0, 1]], (len(pts), 1))
 
         f = op.functionals(grad_sym)
-        from reggeshell.elements import EDGE_VERTS, REF_VERTICES
+        from reggeshell.elements import REF_VERTICES
+        from reggeshell.mesh import LOCAL_EDGES
 
         u = lambda x: A @ x
-        for e, (i, j) in enumerate(EDGE_VERTS):
+        for e, (i, j) in enumerate(LOCAL_EDGES):
             t, _ = edge_tangent(e)
             expect = u(REF_VERTICES[j]) @ t - u(REF_VERTICES[i]) @ t
             assert f[e] == pytest.approx(expect, abs=1e-13)

@@ -301,9 +301,15 @@ class TestImport:
         "3 2\n0 0\n1 0\n0 1\n0 1 2\n",
         # a trailing line that is no marker
         "3 1\n0 0\n1 0\n0 1\n0 1 2\nside 0 1 clamped\n",
+        # no triangle: the model would have no dofs
+        "0 0\n",
+        "3 0\n0 0\n1 0\n0 1\n",
+        # vertex 3 lies in no triangle: its dofs would have no stiffness
+        "4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n",
     ], ids=["negative_index", "short_vertex_block", "clockwise", "nan_coordinate",
             "inf_coordinate", "aliased_marker_index", "marker_index_too_large",
-            "short_triangle_block", "trailing_line_not_a_marker"])
+            "short_triangle_block", "trailing_line_not_a_marker", "empty_header",
+            "no_triangles", "unused_vertex"])
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "mesh.txt"
         path.write_text(text)
