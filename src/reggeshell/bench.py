@@ -1,14 +1,14 @@
 """Shell benchmark driver: thickness/refinement sweeps and result tables.
 
-Five standard locking benchmarks are provided.  Each run solves the shell
-problem over a list of thicknesses and uniform refinement levels, measures
-a deflection component at a benchmark-specific point and reports the
-relative error against a self-computed reference (order-4 displacements on
-the finest mesh of the sweep).  Each benchmark load is a thickness-free
-load times a thickness factor (t^3, (t/0.1)^3 or t/10), so every model
-assembles its load vector once and each thickness solves with the scaled
-vector.  Results are emitted as CSV with a fixed column set, or as a simple
-SVG error plot.
+Five standard locking benchmarks are provided, each one record of
+``geometry.BENCHMARKS``.  Each run solves the shell problem over a list of
+thicknesses and uniform refinement levels, measures a deflection component
+at a benchmark-specific point and reports the relative error against a
+self-computed reference (order-4 displacements on the finest mesh of the
+sweep).  Each benchmark load is a thickness-free load times a thickness
+factor (t^3, (t/0.1)^3 or t/10), so every model assembles its load vector
+once and each thickness solves with the scaled vector.  Results are
+emitted as CSV with a fixed column set, or as a simple SVG error plot.
 """
 
 import csv
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import SolverError
-from .geometry import BENCHMARK_NAMES, ConfigurationError, make_benchmark_mesh
+from .geometry import BENCHMARK_NAMES, BENCHMARKS, ConfigurationError, make_benchmark_mesh
 from .mesh import read_mesh, refine_uniform
 from .shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
 
@@ -37,67 +37,6 @@ CSV_COLUMNS = (
 )
 
 DEFAULT_THICKNESSES = (0.1, 0.01, 0.001, 0.0001)
-
-
-def _unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-def _azimuth(X):
-    return math.atan2(X[1], X[0])
-
-
-# material, thickness-free load with its thickness factor, measurement point
-# (parameter space) and measured direction (as a function of the physical
-# point) per benchmark; the factor keeps the deflections O(1) as t -> 0
-_RUNS = {
-    "cylinder": dict(
-        material=MaterialParams(3.0e4, 0.3),
-        load=LoadSpec(volume=lambda X, nu: math.cos(2.0 * _azimuth(X)) * nu),
-        scale=lambda t: t ** 3,
-        point=(0.0, 1.0),
-        direction=lambda X: _unit([X[0], X[1], 0.0]),
-        # start from 32 elements; the 8-element grid under-resolves the
-        # reference deflection even with the reduction
-        base_refinement=1,
-    ),
-    "hyperboloid": dict(
-        material=MaterialParams(2.85e4, 0.3),
-        load=LoadSpec(
-            volume=lambda X, nu: (
-                math.cos(2.0 * _azimuth(X)) / math.hypot(X[0], X[1])
-                * np.array([X[0], X[1], 0.0])
-            )
-        ),
-        scale=lambda t: t ** 3,
-        # measured at the waist: the inextensional mode vanishes at the free edge
-        point=(0.0, 0.0),
-        direction=lambda X: _unit([X[0], X[1], 0.0]),
-    ),
-    "unibend_cylinder": dict(
-        material=MaterialParams(2.0e5, 0.0),
-        load=LoadSpec(edge_moments={"loaded": lambda X: np.array([1.0, 0.0])}),
-        scale=lambda t: (t / 0.1) ** 3,
-        point=(math.pi / 2.0, 0.0125),
-        # deflection orthogonal to the radial direction, in the bending plane
-        direction=lambda X: _unit([X[2], 0.0, -X[0]]),
-    ),
-    "hyperbolic_paraboloid": dict(
-        material=MaterialParams(2.85e4, 0.3),
-        load=LoadSpec(volume=lambda X, nu: 8.0 * nu),
-        scale=lambda t: t ** 3,
-        point=(0.0, 1.0),
-        direction=lambda X: np.array([0.0, 0.0, 1.0]),
-    ),
-    "hemisphere": dict(
-        material=MaterialParams(6.825e7, 0.3),
-        load=LoadSpec(volume=lambda X, nu: math.cos(2.0 * _azimuth(X)) * nu),
-        scale=lambda t: t / 10.0,
-        point=(0.0, 0.3 * math.pi),
-        direction=lambda X: np.array([1.0, 0.0, 0.0]),
-    ),
-}
 
 
 @dataclass
@@ -158,7 +97,7 @@ def _format_cell(column, value):
 def _meshes(config):
     """Mesh and chart of each level of the sweep: the structured or imported
     base mesh, refined ``base_refinement`` times, then once per level."""
-    run = _RUNS[config.benchmark]
+    spec = BENCHMARKS[config.benchmark]
     mesh, chart = make_benchmark_mesh(config.benchmark)
     base = config.base_refinement
     if config.mesh_file is not None:
@@ -167,14 +106,14 @@ def _meshes(config):
         # structured grid is no property of it
         base = base or 0
     elif base is None:
-        base = run.get("base_refinement", 0)
-    missing = set(run["load"].edge_moments) - set(mesh.boundary_markers)
+        base = spec.get("base_refinement", 0)
+    missing = set(spec["load"].get("edge_moments", ())) - set(mesh.boundary_markers)
     if missing:
         raise ConfigurationError(f"the mesh has no '{missing.pop()}' marker for the load")
     try:
-        mesh.locate(run["point"])
+        mesh.locate(spec["point"])
     except ValueError:
-        raise ConfigurationError(f"the mesh does not cover the point {run['point']}") from None
+        raise ConfigurationError(f"the mesh does not cover the point {spec['point']}") from None
     for _ in range(base):
         mesh = refine_uniform(mesh)
     yield mesh, chart
@@ -188,25 +127,25 @@ def _solves(config, mesh, chart, order, regge):
 
     The model and its thickness-free load vector are built once; a failed
     solve yields a NaN deflection after 0 iterations."""
-    run = _RUNS[config.benchmark]
-    model = ShellModel(mesh, chart, run["material"], ShellConfig(
+    spec = BENCHMARKS[config.benchmark]
+    model = ShellModel(mesh, chart, MaterialParams(*spec["material"]), ShellConfig(
         thickness=config.thicknesses[0],
         order=order,
         geometry_order=config.geometry_order,
         membrane_reduction="regge" if regge else "none",
         shear_reduction="edge_tangential" if config.shear_reduction else "none",
     ))
-    f = model.load_vector(run["load"])
-    X = chart.phi(np.asarray(run["point"], dtype=float))
-    direction = np.asarray(run["direction"](X), dtype=float)
+    f = model.load_vector(LoadSpec(**spec["load"]))
+    X = chart.phi(np.asarray(spec["point"], dtype=float))
+    direction = np.asarray(spec["direction"](X), dtype=float)
     for t in config.thicknesses:
         model.config.thickness = t
         try:
-            state, iters = model.solve(run["scale"](t) * f)
+            state, iters = model.solve(spec["scale"](t) * f)
         except SolverError:
             value, iters = math.nan, 0
         else:
-            value = float(model.evaluate_displacement(state.vector, run["point"]) @ direction)
+            value = float(model.evaluate_displacement(state.vector, spec["point"]) @ direction)
         yield t, model.num_dofs, value, iters
 
 
@@ -225,6 +164,9 @@ def run_benchmark(config, references=None):
     """
     if references is None:
         references = compute_references(config)
+    missing = [t for t in config.thicknesses if t not in references]
+    if missing:
+        raise ConfigurationError(f"the references have no value for thickness {missing[0]:g}")
     table = ResultTable()
     for level, (mesh, chart) in enumerate(_meshes(config)):
         for t, n_dofs, value, iters in _solves(config, mesh, chart, config.order, config.regge):

@@ -1,6 +1,7 @@
 """Command-line entry point for the shell locking benchmarks."""
 
 import argparse
+import math
 import sys
 
 from .bench import BenchmarkConfig, emit_table, run_benchmark
@@ -66,6 +67,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(table.rows)} rows to {out}")
+    failed = [r for r in table.rows if math.isnan(r["value"]) or math.isnan(r["reference"])]
+    if failed:
+        print(f"error: {len(failed)} of {len(table.rows)} rows have no value or reference, "
+              f"the first at t={failed[0]['t']:g}, level {failed[0]['level']}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -6,8 +6,10 @@ degree-g nodal interpolant of the chart on each parameter-space triangle:
 every gradient, weight and normal comes from this element map, so curved
 elements of any order are evaluated with the same machinery.
 
-Each benchmark is one record of ``_BENCHMARKS``: its chart, parameter
-rectangle, level-0 grid and boundary markers.
+Each benchmark is one record of ``BENCHMARKS``: its chart, parameter
+rectangle, level-0 grid and boundary markers, and what the sweep of
+``reggeshell.bench`` reads: material, load, thickness factor, measurement
+point and direction.
 """
 
 import math
@@ -26,6 +28,7 @@ __all__ = [
     "flat_chart",
     "flat3_chart",
     "make_benchmark_mesh",
+    "BENCHMARKS",
     "BENCHMARK_NAMES",
 ]
 
@@ -131,32 +134,69 @@ class ElementMap:
         return MapEvaluation(F=F, J=J, nu=nu)
 
 
-# --- benchmark geometries -------------------------------------------------
+# --- benchmarks -------------------------------------------------------------
 
-# parameter rectangle, level-0 grid, boundary markers and chart per benchmark;
-# phi maps the two parameters to the three ambient coordinates, and symmetry
-# markers are named sym:<axis> after the normal of the symmetry plane
-_BENCHMARKS = {
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+# One record per benchmark.  The mesh: parameter rectangle, level-0 grid,
+# boundary markers and chart; phi maps the two parameters to the three
+# ambient coordinates, and symmetry markers are named sym:<axis> after the
+# normal of the symmetry plane.  The sweep: material (E, nu), the keyword
+# arguments of a thickness-free LoadSpec with its thickness factor ``scale``
+# (which keeps the deflections O(1) as t -> 0), the measurement point in
+# parameter space and the measured direction at the physical point.
+BENCHMARKS = {
     "cylinder": dict(
         phi=lambda th, z: (np.cos(th), np.sin(th), z),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "sym:z", "top": "free"},
+        material=(3.0e4, 0.3),
+        load=dict(volume=lambda X, nu: math.cos(2.0 * math.atan2(X[1], X[0])) * nu),
+        scale=lambda t: t ** 3,
+        point=(0.0, 1.0),
+        direction=lambda X: _unit([X[0], X[1], 0.0]),
+        # start from 32 elements; the 8-element grid under-resolves the
+        # reference deflection even with the reduction
+        base_refinement=1,
     ),
     "hyperboloid": dict(
         phi=lambda th, z: (np.sqrt(1.0 + z * z) * np.cos(th),
                            np.sqrt(1.0 + z * z) * np.sin(th), z),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "sym:z", "top": "free"},
+        material=(2.85e4, 0.3),
+        load=dict(volume=lambda X, nu: (math.cos(2.0 * math.atan2(X[1], X[0]))
+                                        / math.hypot(X[0], X[1])
+                                        * np.array([X[0], X[1], 0.0]))),
+        scale=lambda t: t ** 3,
+        # measured at the waist: the inextensional mode vanishes at the free edge
+        point=(0.0, 0.0),
+        direction=lambda X: _unit([X[0], X[1], 0.0]),
     ),
     "unibend_cylinder": dict(
         phi=lambda th, y: (0.1 * np.sin(th), y, 0.1 * np.cos(th)),
         xlim=(0.0, math.pi / 2.0), ylim=(0.0, 0.025), grid=(8, 1),
         sides={"left": "clamped", "right": "loaded", "bottom": "free", "top": "free"},
+        material=(2.0e5, 0.0),
+        load=dict(edge_moments={"loaded": lambda X: np.array([1.0, 0.0])}),
+        scale=lambda t: (t / 0.1) ** 3,
+        point=(math.pi / 2.0, 0.0125),
+        # deflection orthogonal to the radial direction, in the bending plane
+        direction=lambda X: _unit([X[2], 0.0, -X[0]]),
     ),
     "hyperbolic_paraboloid": dict(
         phi=lambda x, y: (x, y, 0.2 * (y * y - x * x)),
         xlim=(0.0, 3.0), ylim=(0.0, 1.0), grid=(2, 2),
         sides={"bottom": "clamped", "right": "sym:x", "left": "free", "top": "free"},
+        material=(2.85e4, 0.3),
+        load=dict(volume=lambda X, nu: 8.0 * nu),
+        scale=lambda t: t ** 3,
+        point=(0.0, 1.0),
+        direction=lambda X: np.array([0.0, 0.0, 1.0]),
     ),
     # parameters: azimuth, then the polar angle measured from the pole
     "hemisphere": dict(
@@ -164,20 +204,25 @@ _BENCHMARKS = {
                             10.0 * (np.sin(tp) * np.sin(pa)), 10.0 * np.cos(tp)),
         xlim=(0.0, math.pi / 2.0), ylim=(math.pi / 10.0, math.pi / 2.0), grid=(2, 2),
         sides={"left": "sym:y", "right": "sym:x", "bottom": "clamped", "top": "clamped"},
+        material=(6.825e7, 0.3),
+        load=dict(volume=lambda X, nu: math.cos(2.0 * math.atan2(X[1], X[0])) * nu),
+        scale=lambda t: t / 10.0,
+        point=(0.0, 0.3 * math.pi),
+        direction=lambda X: np.array([1.0, 0.0, 0.0]),
     ),
 }
 
 
-BENCHMARK_NAMES = tuple(_BENCHMARKS)
+BENCHMARK_NAMES = tuple(BENCHMARKS)
 
 
 def make_benchmark_mesh(name, refinement_level=0):
     """Structured mesh and chart of the computational subdomain of a benchmark."""
-    if name not in _BENCHMARKS:
+    if name not in BENCHMARKS:
         raise ConfigurationError(
             f"unknown benchmark '{name}'; choose one of {BENCHMARK_NAMES}"
         )
-    spec = _BENCHMARKS[name]
+    spec = BENCHMARKS[name]
     m = meshmod.rectangle_mesh(*spec["grid"], spec["xlim"], spec["ylim"], spec["sides"])
     for _ in range(refinement_level):
         m = meshmod.refine_uniform(m)

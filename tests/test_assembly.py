@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from reggeshell import assembly, bench
+from reggeshell import assembly
 from reggeshell.assembly import (
     DIAG_PIVOT_THRESH,
     PERMC_SPEC,
@@ -17,7 +17,7 @@ from reggeshell.assembly import (
     factor_solve,
     free_block,
 )
-from reggeshell.geometry import make_benchmark_mesh
+from reggeshell.geometry import BENCHMARKS, make_benchmark_mesh
 from reggeshell.shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
 
 
@@ -347,7 +347,7 @@ class TestFactorSolve:
         # factor_solve applies in place keeps the symmetric mode's diagonal
         # pivots, so the factor is that of the stored order
         mesh, chart = make_benchmark_mesh("unibend_cylinder")
-        model = ShellModel(mesh, chart, bench._RUNS["unibend_cylinder"]["material"],
+        model = ShellModel(mesh, chart, MaterialParams(*BENCHMARKS["unibend_cylinder"]["material"]),
                            ShellConfig(thickness=1e-3, order=2, membrane_reduction="regge"))
         block, s = free_block(model.hessian(np.zeros(model.num_dofs)))
         scaled = block.copy()

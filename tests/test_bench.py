@@ -17,8 +17,13 @@ from reggeshell.bench import (
     emit_table,
     run_benchmark,
 )
-from reggeshell.geometry import BENCHMARK_NAMES, ConfigurationError, make_benchmark_mesh
-from reggeshell.shell import LoadSpec
+from reggeshell.geometry import (
+    BENCHMARK_NAMES,
+    BENCHMARKS,
+    ConfigurationError,
+    make_benchmark_mesh,
+)
+from reggeshell.shell import LoadSpec, MaterialParams
 
 from test_unstructured import write_mesh
 
@@ -126,8 +131,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("moebius_strip")
 
-    def test_every_benchmark_has_one_run(self):
-        assert set(bench._RUNS) == set(BENCHMARK_NAMES)
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_every_record_holds_what_the_sweep_reads(self, name):
+        spec = BENCHMARKS[name]
+        fields = {"phi", "xlim", "ylim", "grid", "sides", "material", "load", "scale",
+                  "point", "direction"}
+        assert fields <= set(spec) <= fields | {"base_refinement"}
+        MaterialParams(*spec["material"])
+        assert set(LoadSpec(**spec["load"]).edge_moments) <= set(spec["sides"].values())
+        (x0, x1), (y0, y1), (x, y) = spec["xlim"], spec["ylim"], spec["point"]
+        assert x0 <= x <= x1 and y0 <= y <= y1
 
     def test_invalid_parameters_rejected(self):
         for bad in (-0.5, math.nan, math.inf):
@@ -227,8 +240,8 @@ class TestLoadAssembledOncePerModel:
     def count_load_points(self, monkeypatch, thicknesses):
         """Calls of the hyperboloid's volume load in compute_references and in
         run_benchmark, and the energy points of the models each built."""
-        run = bench._RUNS["hyperboloid"]
-        volume = run["load"].volume
+        load = BENCHMARKS["hyperboloid"]["load"]
+        volume = load["volume"]
         calls = [0]
 
         def counted(X, nu):
@@ -238,7 +251,7 @@ class TestLoadAssembledOncePerModel:
         config = BenchmarkConfig("hyperboloid", thicknesses=thicknesses, levels=2,
                                  order=1, reference_order=2)
         with monkeypatch.context() as patch:
-            patch.setitem(run, "load", LoadSpec(volume=counted))
+            patch.setitem(load, "volume", counted)
             models = record_models(patch)
             refs = bench.compute_references(config)
             reference_calls = calls[0]
@@ -290,6 +303,16 @@ UNFIT_MESHES = [
     pytest.param("cylinder", "4 2\n0.5 0\n1.5 0\n1.5 0.5\n0.5 0.5\n0 1 3\n1 2 3\n",
                  "the mesh does not cover the point (0.0, 1.0)", id="cylinder_point_outside"),
 ]
+
+
+class TestSharedReferences:
+    def test_missing_thickness_rejected_before_any_model_is_built(self, monkeypatch):
+        models = record_models(monkeypatch)
+        config = BenchmarkConfig("unibend_cylinder", thicknesses=(0.1, 0.001), levels=1,
+                                 order=1)
+        with pytest.raises(ConfigurationError, match="no value for thickness 0.001"):
+            run_benchmark(config, {0.1: 1.0})
+        assert models == []
 
 
 class TestImportedMeshFitsBenchmark:

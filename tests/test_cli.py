@@ -1,9 +1,10 @@
 import pytest
 
 from reggeshell.cli import build_parser, main, parse_thicknesses
-from reggeshell.geometry import ConfigurationError
+from reggeshell.geometry import ConfigurationError, make_benchmark_mesh
 
 from test_bench import UNFIT_MESHES
+from test_unstructured import write_mesh
 
 
 class TestParser:
@@ -54,6 +55,20 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("benchmark,t,level")
+
+    def test_failed_solves_return_1(self, tmp_path, capsys):
+        # without its clamped edges the hemisphere keeps rigid motions, so its
+        # solves fail and the table holds NaN rows
+        path = write_mesh(make_benchmark_mesh("hemisphere")[0], tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.endswith(" clamped\n")))
+        out = tmp_path / "out.csv"
+        code = main(["--benchmark", "hemisphere", "--mesh", str(path), "--levels", "1",
+                     "--thickness", "0.01", "--out", str(out)])
+        assert code == 1
+        assert ("error: 1 of 1 rows have no value or reference, the first at t=0.01, level 0"
+                in capsys.readouterr().err)
+        assert out.read_text().splitlines()[1] == "hemisphere,0.01,0,8,125,on,nan,nan,nan,0"
 
     def test_malformed_mesh_file_reports_error(self, tmp_path, capsys):
         mesh = tmp_path / "mesh.txt"

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from reggeshell.geometry import _BENCHMARKS, make_benchmark_mesh
+from reggeshell.geometry import BENCHMARKS, make_benchmark_mesh
 from reggeshell.mesh import (
     LOCAL_EDGES,
     MeshError,
@@ -150,9 +150,9 @@ class TestBuildEdges:
 
 class TestLoopOracle:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    @pytest.mark.parametrize("name", list(_BENCHMARKS))
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
     def test_benchmark_meshes(self, name, level):
-        spec = _BENCHMARKS[name]
+        spec = BENCHMARKS[name]
         ref = loop_rectangle(*spec["grid"], spec["xlim"], spec["ylim"], spec["sides"])
         for _ in range(level):
             ref = loop_refine(ref)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reggeshell import bench, shell
+from reggeshell import shell
 from reggeshell.assembly import SolverError, assemble, factor_solve
 from reggeshell.elements import (
     BARY_GRADS,
@@ -18,6 +18,7 @@ from reggeshell.elements import (
 )
 from reggeshell.geometry import (
     BENCHMARK_NAMES,
+    BENCHMARKS,
     ChartGeometry,
     ElementMap,
     flat3_chart,
@@ -686,7 +687,7 @@ class TestModelMemory:
 
     def test_order_4_reference_load_vector_peak(self, order_4_reference):
         model, _ = order_4_reference
-        _, peak = traced_peak(lambda: model.load_vector(bench._RUNS["cylinder"]["load"]))
+        _, peak = traced_peak(lambda: model.load_vector(LoadSpec(**BENCHMARKS["cylinder"]["load"])))
         assert peak <= 1.5 * 2 ** 20
 
     def test_order_4_reference_holds_under_half_its_point_map_size(self):
