@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import sys
 
 from .bench import BenchmarkConfig, emit_table, run_benchmark
@@ -49,6 +50,7 @@ def parse_thicknesses(text):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = args.out or f"{args.benchmark}.{args.format}"
     try:
         config = BenchmarkConfig(
             benchmark=args.benchmark,
@@ -60,8 +62,16 @@ def main(argv=None):
             shear_reduction=args.shear_reduction == "on",
             mesh_file=args.mesh,
         )
-        table = run_benchmark(config)
-        out = args.out or f"{args.benchmark}.{args.format}"
+        # an unwritable output fails here, before the sweep; a file made
+        # here is removed again if the sweep fails
+        made = not os.path.exists(out)
+        open(out, "a").close()
+        try:
+            table = run_benchmark(config)
+        except BaseException:
+            if made:
+                os.remove(out)
+            raise
         emit_table(table, out, args.format)
     except (ConfigurationError, GeometryError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -196,12 +196,14 @@ class GeometryError(Exception):
 
 
 def pseudo_inverse(F):
-    """Moore-Penrose pseudo-inverse (..., 2, d) of rank-2 gradients F (..., d, 2)."""
+    """Moore-Penrose pseudo-inverse (..., 2, d) of rank-2 gradients F (..., d, 2).
+    F is rank deficient where det(F^T F) <= 1e-28 (tr F^T F)^2, the square of
+    the area ratio that ``ElementMap.evaluate`` tests, at any length scale."""
     F = np.asarray(F, dtype=float)
     Ft = np.swapaxes(F, -1, -2)
     G = Ft @ F
     det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-    if np.any(det <= 1e-28):
+    if np.any(det <= 1e-28 * (G[..., 0, 0] + G[..., 1, 1]) ** 2):
         raise GeometryError("rank-deficient element gradient")
     return np.linalg.solve(G, Ft)
 

@@ -80,11 +80,14 @@ def flat3_chart():
 
 @dataclass
 class MapEvaluation:
-    """Geometry quantities of an element map at reference points.
+    """Geometry quantities of an element map at reference points: the mapped
+    points X, where a load is evaluated, the gradient F, the determinant J
+    and the unit normal.
 
     The fields carry the leading axes of the evaluation: an element axis for
     a map of several triangles, then a point axis for a batch of points."""
 
+    X: np.ndarray        # (..., dim) mapped points
     F: np.ndarray        # (..., dim, 2) gradient w.r.t. reference coordinates
     J: np.ndarray        # (...,) surface determinant |F_0 x F_1|, det F if flat
     nu: np.ndarray       # (..., 3) unit normal (surface case) or None
@@ -113,25 +116,27 @@ class ElementMap:
             raise GeometryError(f"chart '{geometry.name}' has non-finite points on the mesh")
 
     def evaluate(self, points):
-        """Evaluate F, J and the normal.
+        """Evaluate the mapped points, F, J and the normal.
 
         A single point (2,) gives the fields of one point; a batch (n, 2)
-        adds a point axis of length n after the element axis, if any."""
-        pts = np.asarray(points, dtype=float)
-        grads = self._basis.grad(np.atleast_2d(pts))  # (n, nshapes, 2)
-        F = np.swapaxes(self.control_points, -1, -2)[..., None, :, :] @ grads
+        adds a point axis of length n after the element axis, if any.  The
+        map is degenerate where J <= 1e-14 |F|^2 (Frobenius norm): the ratio
+        of two areas, so the test reads the same at every length scale."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        F = np.swapaxes(self.control_points, -1, -2)[..., None, :, :] @ self._basis.grad(pts)
         # J = |F_0 x F_1| = sqrt(det F^T F) on surfaces, det F on flat charts
         nu = np.cross(F[..., 0], F[..., 1]) if self.ambient_dim == 3 else None
         J = np.linalg.det(F) if nu is None else np.linalg.norm(nu, axis=-1)
-        if not np.all(J > 1e-14):
-            raise GeometryError("degenerate element map (J <= 0)")
+        if not np.all(J > 1e-14 * np.einsum("...ij,...ij->...", F, F)):
+            raise GeometryError("degenerate element map (J <= 1e-14 |F|^2)")
         if nu is not None:
             nu = nu / J[..., None]
-        if pts.ndim == 1:
-            return MapEvaluation(F=F[..., 0, :, :],
+        X = self._basis.eval(pts) @ self.control_points
+        if np.ndim(points) == 1:
+            return MapEvaluation(X=X[..., 0, :], F=F[..., 0, :, :],
                                  J=float(J[0]) if J.ndim == 1 else J[..., 0],
                                  nu=None if nu is None else nu[..., 0, :])
-        return MapEvaluation(F=F, J=J, nu=nu)
+        return MapEvaluation(X=X, F=F, J=J, nu=nu)
 
 
 # --- benchmarks -------------------------------------------------------------

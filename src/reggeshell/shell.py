@@ -59,6 +59,16 @@ itself, (Mm + G(U)) U / 2 in exact arithmetic, is sampled as
 sym((F + grad u/2)^T grad u) and reduced as one vector per element: summed
 after the reduction, its two parts would cancel on rigid motions only to
 the rounding of the reduced maps.
+
+Loads are per-point callables (``LoadSpec``): a volume load P(X, nu) of a
+point X (3,) and the unit normal nu (3,) there returns a force density
+(3,), an edge moment M(X) returns a moment density (2,).  ``load_vector``
+calls each once per quadrature point, one block of ``LOAD_POINTS`` points at
+a time, at the points and normals of the model's one element-map
+evaluation (``MapEvaluation.X`` and ``nu``).  A block whose values form no
+array, or have another shape per point, raises ``ValueError`` ("volume load
+returned values of shape (2,) per point, expected (3,)") before the next
+block is called.
 """
 
 from collections import namedtuple
@@ -137,8 +147,16 @@ class ShellConfig:
 
 @dataclass
 class LoadSpec:
-    """Closed-form loads: a surface force density P(x, nu) and optional
-    generalized edge moments (covariant rotation work density) per marker."""
+    """Closed-form loads: a surface force density and optional generalized
+    edge moments (covariant rotation work density) per boundary marker.
+
+    ``volume(X, nu)`` takes a point X (3,) and the unit normal nu (3,)
+    there and returns the force density (3,); each ``edge_moments[marker](X)``
+    returns the moment density (2,).  They are called once per quadrature
+    point, one block of ``shell.LOAD_POINTS`` points at a time; a block whose
+    values form no array, or have another shape per point, raises
+    ``ValueError`` naming the load ("volume load", "edge moment on 'loaded'")
+    and the expected shape before the next block is called."""
 
     volume: object = None               # callable (X, nu) -> (3,)
     edge_moments: dict = field(default_factory=dict)  # marker -> callable (X,) -> (2,)
@@ -284,16 +302,23 @@ def _reduced_shear_map(C, nu, A, N, dN):
     return np.swapaxes(M.reshape(nT, 5, r, n), 1, 2).reshape(nT, r, 5 * n)
 
 
-def _per_point(values, c, what):
-    """Array (n, c) of the values of a per-point load callable."""
-    try:
-        V = np.array(values, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{what} returned per-point values that form no array, "
-                         f"expected ({c},) per point") from exc
-    if len(V) and V.shape[1:] != (c,):
-        raise ValueError(f"{what} returned values of shape {V.shape[1:]} per point, "
-                         f"expected ({c},)")
+def _per_point(call, X, nu, c, what):
+    """Values (..., c) of a load callable at points X (..., 3) with normals nu
+    (..., 3): one call ``call(X_i, nu_i)`` per point, one block of LOAD_POINTS
+    points at a time, each block checked before the next is called."""
+    V = np.empty(X.shape[:-1] + (c,))
+    X, nu, flat = X.reshape(-1, 3), nu.reshape(-1, 3), V.reshape(-1, c)
+    for b in (slice(i, i + LOAD_POINTS) for i in range(0, len(flat), LOAD_POINTS)):
+        values = [call(x, n) for x, n in zip(X[b], nu[b])]
+        try:
+            Vb = np.array(values, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{what} returned per-point values that form no array, "
+                             f"expected ({c},) per point") from exc
+        if Vb.shape[1:] != (c,):
+            raise ValueError(f"{what} returned values of shape {Vb.shape[1:]} per point, "
+                             f"expected ({c},)")
+        flat[b] = Vb
     return V
 
 
@@ -445,8 +470,7 @@ class ShellModel:
         F, nu, N, dN = ev.F, ev.nu, self.basis.eval(points), self.basis.grad(points)
 
         self._wJ = rule.weights * ev.J[:, :nq]
-        self._N, self._nu = N[:nq].copy(), nu[:, :nq].copy()
-        self._X = lagrange_basis(g).eval(rule.points) @ self.map.control_points
+        self._X, self._nu, self._N = ev.X[:, :nq].copy(), nu[:, :nq].copy(), N[:nq].copy()
         Wq, Wq_shear = _material_weights(F[:, :nq], self._wJ, self.material)
         verts = mesh.vertices[mesh.triangles]
         # affine reference -> chart-parameter Jacobian; rotation dofs are
@@ -490,12 +514,17 @@ class ShellModel:
             self._Ms = _reduced_shear_map(Cs, nu[:, nq:], A, N[nq:], dN[nq:])
             self._Ws = _reference_gram(S, Wq_shear)[:, None]
 
-        # edge Jacobians of the edge load: the edge points of the moment
-        # rule are its first rows, one block per local edge
+        # the edge load's points, normals, weights (the Legendre moment of degree 0)
+        # and shapes: the moment rule's first rows, one block per local edge
         mr = self._moments
         ne = mr.edge_points.shape[1]
-        Fe = F[:, nq:nq + 3 * ne].reshape(nT, 3, ne, 3, 2)
-        self._edge_Jb = np.linalg.norm((Fe @ mr.tangents[:, None, :, None])[..., 0], axis=-1)
+        e = slice(nq, nq + 3 * ne)
+        Fe = F[:, e].reshape(nT, 3, ne, 3, 2)
+        Jb = np.linalg.norm((Fe @ mr.tangents[:, None, :, None])[..., 0], axis=-1)
+        self._edge_w = mr.edge_weights[:, 0] * Jb
+        self._edge_X = ev.X[:, e].reshape(nT, 3, ne, 3).copy()
+        self._edge_nu = nu[:, e].reshape(nT, 3, ne, 3).copy()
+        self._edge_N = N[e].reshape(3, ne, n).copy()
         # chart-contravariant basis on each local edge at its mean gradient,
         # pinv(F A^-1) = A pinv(F): it picks the rotation fixed on sym: edges
         self._edge_dual = A[:, None] @ pseudo_inverse(Fe.mean(axis=2))
@@ -614,43 +643,32 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def load_vector(self, loads):
-        """Assemble the external work functional f(u) of a load spec.  The
-        volume load is called one block of LOAD_POINTS points at a time."""
-        f = np.zeros(self.num_dofs)
+        """Assemble the external work functional f(u) of a load spec.
+
+        Each load is a source: a callable of (X, nu), its points X and
+        normals nu, quadrature weights w, shape values N and element dof
+        rows; an edge moment M(X) is called as one of (X, nu) that reads X.
+        ``_per_point`` gets the values V (3,) or (2,) per point, one block of
+        LOAD_POINTS points at a time, and raises ``ValueError`` on a block of
+        another shape (see ``LoadSpec``); the work N^T (w V) of every element
+        is summed into f by one ``bincount``."""
+        m = 3 * self.basis.num_shapes
+        sources = []
         if loads.volume is not None:
-            points, normals = self._X.reshape(-1, 3), self._nu.reshape(-1, 3)
-            P = np.empty_like(points)
-            for b in (slice(i, i + LOAD_POINTS) for i in range(0, len(P), LOAD_POINTS)):
-                P[b] = _per_point([loads.volume(X, nu) for X, nu in zip(points[b], normals[b])],
-                                  3, "volume load")
-            P = P.reshape(self._X.shape)
-            fe = np.swapaxes(self._wJ[..., None] * P, 1, 2) @ self._N
-            m = 3 * self.basis.num_shapes
-            f += np.bincount(self.element_dofs[:, :m].ravel(), fe.ravel(),
-                             minlength=self.num_dofs)
+            sources.append(("volume load", 3, loads.volume, self._X, self._nu, self._wJ,
+                            self._N, self.element_dofs[:, :m]))
         for marker, moment in loads.edge_moments.items():
             if marker not in self.mesh.boundary_markers:
                 raise ValueError(f"edge moment on unknown boundary marker '{marker}'")
-            self._add_edge_moments(f, marker, moment)
-        return f
-
-    def _add_edge_moments(self, f, marker, moment):
-        """Add the work of an edge moment density on the marked edges,
-        batched over the marked (triangle, local edge) pairs."""
-        m = 3 * self.basis.num_shapes
-        mr = self._moments
-        nq = mr.edge_points.shape[1]
-        t, le = np.nonzero(np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker)))
-        pts = mr.edge_points.reshape(-1, 2)
-        rows = le[:, None] * nq + np.arange(nq)  # rows of pts on each pair's edge
-        # the Legendre moment of degree 0 is the plain edge quadrature
-        w = mr.edge_weights[le, 0] * self._edge_Jb[t, le]
-        geo = lagrange_basis(self.geometry_order).eval(pts)
-        X = geo[rows] @ self.map.control_points[t]
-        M = _per_point([moment(x) for x in X.reshape(-1, 3)], 2,
-                       f"edge moment on '{marker}'").reshape(len(t), nq, 2)
-        fe = np.einsum("pq,pqb,pqs->pbs", w, M, self.basis.eval(pts)[rows])
-        np.add.at(f, self.element_dofs[t, m:], fe.reshape(len(t), -1))
+            t, le = np.nonzero(np.isin(self.mesh.tri_edges, self.mesh.edges_with_marker(marker)))
+            sources.append((f"edge moment on '{marker}'", 2, lambda X, nu, M=moment: M(X),
+                            self._edge_X[t, le], self._edge_nu[t, le], self._edge_w[t, le],
+                            self._edge_N[le], self.element_dofs[t, m:]))
+        f = np.zeros(self.num_dofs)
+        for what, c, call, X, nu, w, N, dofs in sources:
+            V = _per_point(call, X, nu, c, what)
+            fe = np.swapaxes(w[..., None] * V, -1, -2) @ N
+            f += np.bincount(dofs.ravel(), fe.ravel(), minlength=self.num_dofs)
         return f
 
     def solve(self, loads=None, x0=None):

@@ -1,5 +1,6 @@
 import pytest
 
+from reggeshell import cli
 from reggeshell.cli import build_parser, main, parse_thicknesses
 from reggeshell.geometry import ConfigurationError, make_benchmark_mesh
 
@@ -43,6 +44,29 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_output_rejected_before_the_sweep(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "run_benchmark",
+                            lambda config: pytest.fail("the sweep ran"))
+        code = main(["--benchmark", "cylinder", "--out", str(tmp_path / "missing" / "c.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("before", [None, "an earlier table\n"])
+    def test_failed_sweep_leaves_the_output_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                      before):
+        def fail(config):
+            raise ConfigurationError("sweep failed")
+
+        out = tmp_path / "c.csv"
+        if before is not None:
+            out.write_text(before)
+        monkeypatch.setattr(cli, "run_benchmark", fail)
+        code = main(["--benchmark", "cylinder", "--out", str(out)])
+        assert code == 2
+        assert "error: sweep failed" in capsys.readouterr().err
+        assert (out.read_text() if out.exists() else None) == before
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "uni.csv"

@@ -153,6 +153,14 @@ class TestPullbacks:
         with pytest.raises(GeometryError):
             pseudo_inverse(F)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_pseudo_inverse_at_any_length_scale(self, scale):
+        F = np.array([[1.0, 0.2], [0.1, 1.0], [0.3, 0.0]])
+        assert np.allclose(scale * pseudo_inverse(scale * F), pseudo_inverse(F),
+                           rtol=1e-14, atol=0)
+        with pytest.raises(GeometryError):
+            pseudo_inverse(scale * np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+
     def test_result_symmetric_on_surface(self):
         mesh, chart = make_benchmark_mesh("cylinder")
         ev = ElementMap(mesh, chart, 0, 2).evaluate((0.1, 0.2))

@@ -974,6 +974,23 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"edge moment on 'loaded' .* expected \(2,\)"):
             model.load_vector(LoadSpec(edge_moments={"loaded": lambda X: np.ones(3)}))
 
+    def test_edge_moment_of_wrong_shape_in_a_later_block_rejected(self, monkeypatch):
+        mesh, chart = make_benchmark_mesh("unibend_cylinder", 1)
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        monkeypatch.setattr(shell, "LOAD_POINTS", 3)
+        bad = shell.LOAD_POINTS + 1
+        calls = itertools.count()
+
+        def moment(X):
+            return np.ones(3) if next(calls) == bad else np.ones(2)
+
+        points = itertools.count()
+        model.load_vector(LoadSpec(edge_moments={"loaded": lambda X: next(points) * np.ones(2)}))
+        assert next(points) > 2 * shell.LOAD_POINTS
+        with pytest.raises(ValueError, match=r"edge moment on 'loaded' .* expected \(2,\)"):
+            model.load_vector(LoadSpec(edge_moments={"loaded": moment}))
+        assert next(calls) == shell.LOAD_POINTS * 2
+
     @pytest.mark.parametrize("load", ["volume", "edge_moment"])
     def test_ragged_per_point_values_rejected(self, load):
         # 3 (or 2) components at every other point, one fewer at the rest
@@ -1003,6 +1020,16 @@ class TestSolve:
         s_non, iters = non.solve(load)
         scale = np.max(np.abs(s_lin.vector))
         assert np.max(np.abs(s_lin.vector - s_non.vector)) < 1e-6 * scale + 1e-15
+
+    @pytest.mark.parametrize("length", [1.0, 1e-3, 1e-6, 1e-7, 1e-12])
+    def test_scaled_plate_solves_alike(self, length):
+        # a well-shaped 2 x 2 plate clamped on one side, t = L/100, under a
+        # unit normal pressure: its rotations do not depend on the length L,
+        # and the degeneracy tests compare areas with areas at every L
+        mesh = rectangle_mesh(2, 2, (0.0, length), (0.0, length), {"left": "clamped"})
+        model = ShellModel(mesh, flat3_chart(), MAT, ShellConfig(thickness=length / 100))
+        state, _ = model.solve(LoadSpec(volume=lambda X, nu: nu))
+        assert np.max(np.abs(state.vector)) == pytest.approx(176.1199011677, rel=1e-12)
 
     def test_plate_with_transverse_load_deflects_downward(self):
         mesh = rectangle_mesh(4, 4, (0.0, 1.0), (0.0, 1.0),
