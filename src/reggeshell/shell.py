@@ -76,7 +76,8 @@ from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK_BYTES, SolverError, SparsityPattern, assemble, factor_solve
+from .assembly import (BACKWARD_TOL, BLOCK_BYTES, RESIDUAL_TOL, SolverError, SparsityPattern,
+                       assemble, factor_solve, norm_inf)
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
@@ -92,8 +93,6 @@ __all__ = [
 ]
 
 NEWTON_MAX_ITER = 20
-NEWTON_REL_TOL = 1e-10
-NEWTON_ABS_TOL = 1e-14
 SHEAR_CORRECTION = 5.0 / 6.0
 SHEAR_STABILIZATION = 0.002
 # points per call block of a volume load: its values at these points, array
@@ -328,13 +327,16 @@ def _per_point(call, X, nu, c, what):
 _Term = namedtuple("_Term", "cols factor W e G K", defaults=(None,))
 
 
-def _newton_converged(history):
-    """Whether Newton accepts its last iterate: its free residual norm is at
-    most ``NEWTON_REL_TOL`` times the initial one, or at most the absolute
-    floor ``NEWTON_ABS_TOL``.  ``history`` holds the free residual norms of
-    all iterates, the first at the initial guess."""
+def _newton_converged(history, x, f, tangent):
+    """Whether Newton accepts its last iterate x (free dofs), reached by a step
+    on the ``tangent`` H, for the free load f.  ``history`` holds the free
+    residual norms of all iterates, the first r0 at the initial guess.  The
+    last, |r|, is at most ``RESIDUAL_TOL`` r0, or at most 1e-3 r0 with a
+    scale-free normwise backward error |r| / (|H|_inf |x| + |f|) of at most
+    ``BACKWARD_TOL`` (Higham, Accuracy and Stability, 7.1)."""
     r0, rnorm = history[0], history[-1]
-    return rnorm <= NEWTON_ABS_TOL or (r0 > 0 and rnorm <= NEWTON_REL_TOL * r0)
+    return rnorm <= RESIDUAL_TOL * r0 or (rnorm <= 1e-3 * r0 and rnorm <= BACKWARD_TOL * (
+        norm_inf(tangent) * np.linalg.norm(x) + np.linalg.norm(f)))
 
 
 class ShellModel:
@@ -676,7 +678,11 @@ class ShellModel:
 
         ``loads`` is a ``LoadSpec`` or an assembled load vector.  Returns
         (state, iterations); the state holds the residual history.  For the
-        quadratic linearized model the first step is exact."""
+        quadratic linearized model the first step is exact.  ``SolverError``
+        is raised before any factorization when a displacement component has
+        no constrained dof (a constant translation costs no energy), on a
+        failed factorization, and when ``_newton_converged`` accepts no
+        iterate in ``NEWTON_MAX_ITER`` steps."""
         if loads is None:
             f = np.zeros(self.num_dofs)
         elif isinstance(loads, LoadSpec):
@@ -694,16 +700,20 @@ class ShellModel:
         if not np.all(np.isfinite(x)):
             raise ValueError("initial state has non-finite entries")
         x[~self.free] = 0.0
-        history = []
+        unfixed = [f"u_{c}" for c, on in zip("xyz", self.free.reshape(5, -1)) if on.all()]
+        if unfixed:
+            raise SolverError(f"singular model: no dof of {', '.join(unfixed)} is constrained")
+        history, H = [], None
         for iterations in range(NEWTON_MAX_ITER + 1):
             # one evaluation of the terms serves the iterate's residual and tangent
             terms = self._terms(self._local(x))
             r = self.gradient(x, f, terms=terms)
             history.append(np.linalg.norm(r[self.free]))
-            if iterations > 0 and _newton_converged(history):
+            if H is not None and _newton_converged(history, x[self.free], f[self.free], H):
                 return ShellState(x, history), iterations
             if iterations < NEWTON_MAX_ITER:
-                x = x + factor_solve(self.hessian(x, terms=terms), -r)
+                H = self.hessian(x, terms=terms)
+                x = x + factor_solve(H, -r)
         raise SolverError(
             f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
             f"(last residual {history[-1]:.3e}, initial {history[0]:.3e})"

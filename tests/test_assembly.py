@@ -440,8 +440,9 @@ class TestStoredOrdering:
         assert counting.fill[0] <= lu.L.nnz + lu.U.nnz
 
     def test_thin_solve_leaves_the_matrix_as_it_found_it(self, hyperboloid):
-        # at t = 1e-4 the solve is accepted by the backward-error fallback,
-        # whose test reads the stored values restored after the factorization
+        # at t = 1e-4 the solution misses RESIDUAL_TOL, and the Newton step it
+        # makes is accepted on a backward error whose norm_inf reads the
+        # stored values restored after the factorization
         H, f = hyperboloid_system(hyperboloid, 1e-4)
         data = H.data.copy()
         x = factor_solve(H, f)
@@ -453,7 +454,7 @@ class TestStoredOrdering:
     @pytest.mark.parametrize("t", [0.1, 1e-4])
     def test_column_runs_solve_bit_for_bit(self, hyperboloid, t, monkeypatch):
         # one column per run and the whole block as one run give the default
-        # runs' solution; at t = 1e-4 it is accepted by the backward-error test
+        # runs' solution; at t = 1e-4 it misses RESIDUAL_TOL
         H, f = hyperboloid_system(hyperboloid, t)
         x = factor_solve(H, f)
         for size in (8, 2 ** 40):
@@ -466,9 +467,11 @@ class TestStoredOrdering:
         block, _ = free_block(H)
         monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
         assert assembly._max_row_sum(block) == abs(block).sum(axis=1).max()
+        assert assembly.norm_inf(H) == assembly._max_row_sum(block)
 
     def test_thin_solve_factors_and_solves_once(self, hyperboloid, monkeypatch):
-        # its first residual misses RESIDUAL_TOL, and it is not refined
+        # its residual misses RESIDUAL_TOL, and factor_solve neither tests
+        # nor refines it
         H, f = hyperboloid_system(hyperboloid, 1e-4)
         counting = CountingSplu()
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)

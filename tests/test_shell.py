@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from reggeshell import shell
-from reggeshell.assembly import SolverError, assemble, factor_solve
+from reggeshell.assembly import (BACKWARD_TOL, RESIDUAL_TOL, SolverError, assemble,
+                                 factor_solve, norm_inf)
 from reggeshell.elements import (
     BARY_GRADS,
     GeometryError,
@@ -1021,15 +1023,56 @@ class TestSolve:
         scale = np.max(np.abs(s_lin.vector))
         assert np.max(np.abs(s_lin.vector - s_non.vector)) < 1e-6 * scale + 1e-15
 
-    @pytest.mark.parametrize("length", [1.0, 1e-3, 1e-6, 1e-7, 1e-12])
+    @pytest.mark.parametrize("length", [1e8, 1e6, 1e4, 1.0, 1e-3, 1e-6, 1e-7, 1e-12])
     def test_scaled_plate_solves_alike(self, length):
         # a well-shaped 2 x 2 plate clamped on one side, t = L/100, under a
-        # unit normal pressure: its rotations do not depend on the length L,
-        # and the degeneracy tests compare areas with areas at every L
+        # unit normal pressure: its rotations and its displacements over L do
+        # not depend on the length L, the degeneracy tests compare areas with
+        # areas, and Newton's backward-error test is scale free at every L
         mesh = rectangle_mesh(2, 2, (0.0, length), (0.0, length), {"left": "clamped"})
         model = ShellModel(mesh, flat3_chart(), MAT, ShellConfig(thickness=length / 100))
-        state, _ = model.solve(LoadSpec(volume=lambda X, nu: nu))
-        assert np.max(np.abs(state.vector)) == pytest.approx(176.1199011677, rel=1e-12)
+        state, iterations = model.solve(LoadSpec(volume=lambda X, nu: nu))
+        assert iterations == 1
+        u, theta = np.split(state.vector.reshape(5, -1), [3])
+        assert np.max(np.abs(theta)) == pytest.approx(176.1199011677, rel=1e-12)
+        assert np.max(np.abs(u)) / length == pytest.approx(135.1674825582, rel=1e-12)
+
+    def test_newton_acceptance_rule(self):
+        # relative residual first, without reading the tangent; then the
+        # backward error |r| / (|H|_inf |x| + |f|), behind a 1e-3 guard
+        mesh = rectangle_mesh(2, 2, (0.0, 1.0), (0.0, 1.0), {"left": "clamped"})
+        model = ShellModel(mesh, flat3_chart(), MAT, ShellConfig(thickness=0.01))
+        H = model.hessian(np.zeros(model.num_dofs))
+        x, f = np.ones(model.free.sum()), np.full(model.free.sum(), 2.0)
+        bound = BACKWARD_TOL * (norm_inf(H) * np.linalg.norm(x) + np.linalg.norm(f))
+        assert shell._newton_converged([1.0, RESIDUAL_TOL], x, f, None)
+        assert shell._newton_converged([1e4 * bound, bound], x, f, H)
+        assert not shell._newton_converged([1e4 * bound, 1.01 * bound], x, f, H)
+        assert not shell._newton_converged([100 * bound, bound], x, f, H)
+
+    @pytest.mark.parametrize("case", ["plate", "hemisphere"])
+    def test_free_translation_raises_before_factoring(self, case, monkeypatch):
+        # a constant translation (u = c, theta = 0) is in the kernel of every
+        # energy term, so a model that leaves a displacement component free
+        # everywhere is singular; at one Newton step the unclamped hemisphere
+        # reads a relative residual of 7.4e-8 and a backward error of 8.3e-17,
+        # which no residual test would reject
+        if case == "plate":
+            mesh, chart = rectangle_mesh(2, 2, (0.0, 1.0), (0.0, 1.0)), flat3_chart()
+            free = "u_x, u_y, u_z"
+        else:
+            mesh, chart = make_benchmark_mesh("hemisphere")
+            mesh = dataclasses.replace(mesh, boundary_markers={
+                name: edges for name, edges in mesh.boundary_markers.items() if name != "clamped"})
+            free = "u_z"
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01))
+
+        def splu(*args, **kwargs):
+            raise AssertionError("a singular model was factored")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        with pytest.raises(SolverError, match=f"no dof of {free} is constrained"):
+            model.solve(LoadSpec(volume=lambda X, nu: nu))
 
     def test_plate_with_transverse_load_deflects_downward(self):
         mesh = rectangle_mesh(4, 4, (0.0, 1.0), (0.0, 1.0),
