@@ -38,6 +38,8 @@ CSV_COLUMNS = (
 
 DEFAULT_THICKNESSES = (0.1, 0.01, 0.001, 0.0001)
 
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 560, 400, 50   # pixels of the convergence plot
+
 
 @dataclass
 class BenchmarkConfig:
@@ -195,7 +197,7 @@ def emit_table(table, path, fmt="csv"):
     return path
 
 
-def _render_svg(table, width=560, height=400, margin=50):
+def _render_svg(table):
     """Relative error against refinement level, one polyline per thickness."""
     series = {}
     for row in table.rows:
@@ -203,8 +205,8 @@ def _render_svg(table, width=560, height=400, margin=50):
             continue
         series.setdefault(row["t"], []).append((row["level"], row["rel_error"]))
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     if series:
         levels = sorted({lv for pts in series.values() for lv, _ in pts})
@@ -215,11 +217,11 @@ def _render_svg(table, width=560, height=400, margin=50):
         span_x = max(levels) - min(levels) or 1
 
         def sx(lv):
-            return margin + (lv - min(levels)) / span_x * (width - 2 * margin)
+            return SVG_MARGIN + (lv - min(levels)) / span_x * (SVG_WIDTH - 2 * SVG_MARGIN)
 
         def sy(err):
             frac = (math.log10(err) - lo) / (hi - lo)
-            return height - margin - frac * (height - 2 * margin)
+            return SVG_HEIGHT - SVG_MARGIN - frac * (SVG_HEIGHT - 2 * SVG_MARGIN)
 
         palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
         for i, t in enumerate(sorted(series, reverse=True)):
@@ -231,16 +233,16 @@ def _render_svg(table, width=560, height=400, margin=50):
                 f'points="{path}"/>'
             )
             lines.append(
-                f'<text x="{width - margin + 4}" y="{sy(pts[-1][1]):.2f}" '
+                f'<text x="{SVG_WIDTH - SVG_MARGIN + 4}" y="{sy(pts[-1][1]):.2f}" '
                 f'font-size="11" fill="{color}">t={t:g}</text>'
             )
         lines.append(
-            f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-            f'y2="{height - margin}" stroke="black"/>'
+            f'<line x1="{SVG_MARGIN}" y1="{SVG_HEIGHT - SVG_MARGIN}" '
+            f'x2="{SVG_WIDTH - SVG_MARGIN}" y2="{SVG_HEIGHT - SVG_MARGIN}" stroke="black"/>'
         )
         lines.append(
-            f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-            f'y2="{height - margin}" stroke="black"/>'
+            f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" x2="{SVG_MARGIN}" '
+            f'y2="{SVG_HEIGHT - SVG_MARGIN}" stroke="black"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

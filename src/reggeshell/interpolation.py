@@ -6,6 +6,8 @@ the duals gives a block lower triangular dual mass matrix, which is
 geometry free: with the covariant primal and the weighted dual pull-backs
 every physical element produces the same matrix as the reference element,
 so one factorization serves the whole mesh, curved elements included.
+``DualMassMatrix`` keeps the pairing whole as computed, its vanishing
+edge-by-cell block included.
 
 One ``moment_rule`` fixes where the reference moment functionals sample a
 field: the Gauss points of the three edges, then the volume points.  The
@@ -94,35 +96,31 @@ def _interior_dual_basis(k):
 
 @dataclass
 class DualMassMatrix:
-    """Block lower triangular pairing of shapes with dual functionals."""
+    """The pairing ``full[i, j] = q_i(phi_j)`` of the dual functionals with
+    the shapes as computed, edge rows and columns first.
 
-    M_EE: np.ndarray
-    M_TE: np.ndarray
-    M_TT: np.ndarray
+    It is block lower triangular: ``solve`` factors the two diagonal blocks
+    once and substitutes forward through ``full[n_edge:, :n_edge]``, which
+    is exact only because the edge-by-cell block ``full[:n_edge, n_edge:]``
+    vanishes."""
+
+    full: np.ndarray
+    n_edge: int
 
     def __post_init__(self):
-        self._lu_EE = scipy.linalg.lu_factor(self.M_EE)
-        if self.M_TT.size:
-            self._lu_TT = scipy.linalg.lu_factor(self.M_TT)
-
-    @property
-    def full(self):
-        n_e = self.M_EE.shape[0]
-        n_t = self.M_TT.shape[0]
-        M = np.zeros((n_e + n_t, n_e + n_t))
-        M[:n_e, :n_e] = self.M_EE
-        M[n_e:, :n_e] = self.M_TE
-        M[n_e:, n_e:] = self.M_TT
-        return M
+        n_e = self.n_edge
+        self._lu_EE = scipy.linalg.lu_factor(self.full[:n_e, :n_e])
+        if len(self.full) > n_e:
+            self._lu_TT = scipy.linalg.lu_factor(self.full[n_e:, n_e:])
 
     def solve(self, f):
         """Block forward substitution for the coefficient vector."""
-        n_e = self.M_EE.shape[0]
+        n_e = self.n_edge
         f = np.asarray(f)
         alpha_e = scipy.linalg.lu_solve(self._lu_EE, f[:n_e])
-        if not self.M_TT.size:
+        if len(self.full) == n_e:
             return alpha_e
-        rhs = f[n_e:] - self.M_TE @ alpha_e
+        rhs = f[n_e:] - self.full[n_e:, :n_e] @ alpha_e
         alpha_t = scipy.linalg.lu_solve(self._lu_TT, rhs)
         return np.concatenate([alpha_e, alpha_t])
 
@@ -130,15 +128,12 @@ class DualMassMatrix:
 class InterpolationOperator:
     """Interpolation of symmetric 2x2 fields into the order-k element space.
 
-    All data lives on the reference element; fields to interpolate must be
-    supplied in reference (pulled back) coordinates at ``points``, those of
-    the moment rule.  A sampler is a callable mapping reference points
-    (n, 2) to Voigt values (n, 3) or to value tables (n, 3, ...) that are
-    linear in trailing axes.
+    All data lives on the reference element; a field is given in reference
+    (pulled back) coordinates by its Voigt values (P, 3, ...) at ``points``,
+    those of the moment rule, linear in any trailing axes.
     """
 
     def __init__(self, k, quad_degree):
-        self.k = k
         self.basis = regge_basis(k)
         self.rule = moment_rule(k + 1, quad_degree)
         self.points = self.rule.points
@@ -152,20 +147,12 @@ class InterpolationOperator:
 
         # the duals applied to the shapes: M[i, j] = q_i(phi_j)
         M = self.functionals(np.moveaxis(self.basis.eval(self.points), 1, 2))
-        n_edge = self.basis.num_edge_shapes
-        self.dual_mass = DualMassMatrix(M_EE=M[:n_edge, :n_edge], M_TE=M[n_edge:, :n_edge],
-                                        M_TT=M[n_edge:, n_edge:])
+        self.dual_mass = DualMassMatrix(M, self.basis.num_edge_shapes)
 
-    @property
-    def num_dofs(self):
-        return self.basis.num_shapes
-
-    def functionals(self, sampler):
-        """Apply all dual functionals to a field given in reference form.
-
-        ``sampler`` is called once on ``points``; the values at ``points``
-        may also be passed directly instead of a callable."""
-        vals = np.asarray(sampler(self.points) if callable(sampler) else sampler)
+    def functionals(self, values):
+        """Apply all dual functionals to a field given by its values at
+        ``points``."""
+        vals = np.asarray(values)
         edge_vals, vol_vals = self.rule.split(vals)
         parts = []
         for t, w, v in zip(self.rule.tangents, self.rule.edge_weights, edge_vals):
@@ -176,10 +163,10 @@ class InterpolationOperator:
         parts.append(np.tensordot(self.vol_dual, sig_w, axes=([1, 2], [0, 1])))
         return np.concatenate(parts)
 
-    def interpolate(self, sampler):
-        """Coefficients (num_dofs, ...) of the interpolant of a reference-form
-        field; trailing axes of its values share one dual-mass solve."""
-        f = self.functionals(sampler)
+    def interpolate(self, values):
+        """Coefficients (num_shapes, ...) of the interpolant of a field given
+        by its values at ``points``; trailing axes share one dual-mass solve."""
+        f = self.functionals(values)
         return self.dual_mass.solve(f.reshape(len(f), -1)).reshape(f.shape)
 
     def evaluate(self, coeffs, points):
@@ -285,7 +272,6 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     """
     op = get_operator(k, quad_degree)
     rule, basis = op.rule, op.basis
-    n_edge = basis.num_edge_shapes
     n = basis.num_shapes
 
     M_edge = []
@@ -301,7 +287,6 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
             tt_phys[q] = covariant_pullback(ev.F, shape_vals[q]) @ t_phys @ t_phys
         # q_E pulled back with J_b, arclength measure contributes J_b again
         M_edge.append((weights * jb * jb) @ tt_phys)
-    M_edge = np.vstack(M_edge)
 
     shape_vals = basis.eval(rule.vol_points)
     duals = _interior_dual_basis(k)
@@ -313,5 +298,4 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
             q_phys = dual_volume_pullback(ev.F, ev.J, xi[0] ** a * xi[1] ** b * u)
             M_cell[i] += rule.vol_weights[q] * ev.J * np.einsum("sij,ij->s", sig_phys, q_phys)
 
-    return DualMassMatrix(M_EE=M_edge[:, :n_edge], M_TE=M_cell[:, :n_edge],
-                          M_TT=M_cell[:, n_edge:])
+    return DualMassMatrix(np.vstack(M_edge + [M_cell]), basis.num_edge_shapes)

@@ -371,6 +371,13 @@ class TestFactorSolve:
         # the scaling applied for the factorization was undone
         assert np.array_equal(mat.data, data)
 
+    def test_non_finite_solution_raises(self):
+        # a regular matrix whose solution overflows: the factorization
+        # succeeds and the solution is not finite
+        mat = assemble(SparsityPattern(3, np.array([[0, 1, 2]])), 0.5 * np.eye(3)[None])
+        with pytest.raises(SolverError, match="factorization produced non-finite values"):
+            factor_solve(mat, np.full(3, 1e308))
+
 
 class CountingSplu:
     """Wraps ``splu``: records the fill of every factor and counts solves."""

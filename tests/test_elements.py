@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from reggeshell.assembly import SparsityPattern
 from reggeshell.elements import (
     BARY_GRADS,
     GeometryError,
     LagrangeBasis,
+    ReggeBasis,
     barycentric,
     covariant_pullback,
     dual_volume_pullback,
@@ -17,7 +19,7 @@ from reggeshell.elements import (
     voigt_to_matrix,
 )
 from reggeshell.geometry import ElementMap, make_benchmark_mesh
-from reggeshell.quadrature import triangle_rule
+from reggeshell.quadrature import segment_rule, triangle_rule
 
 
 def tt_trace_on_edge(shape_voigt, edge):
@@ -214,3 +216,23 @@ def voigt_to_matrix_3(v):
     m[0, 1] = m[1, 0] = v[2]
     return m
 
+
+def _order_0_map():
+    mesh, chart = make_benchmark_mesh("cylinder")
+    return ElementMap(mesh, chart, 0, geometry_order=0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SparsityPattern(3, np.array([0, 1, 2])), ValueError, "element dofs"),
+    (lambda: LagrangeBasis(0), ValueError, "Lagrange order"),
+    (lambda: ReggeBasis(-1), ValueError, "Regge order"),
+    (_order_0_map, ValueError, "geometry order"),
+    (lambda: segment_rule(-1), ValueError, "exactness degree"),
+    (lambda: triangle_rule(-1), ValueError, "exactness degree"),
+    (lambda: dual_volume_pullback(np.eye(3, 2), 0.0, np.zeros(3)), GeometryError,
+     "nonpositive surface determinant"),
+], ids=["pattern_dofs", "lagrange_order", "regge_order", "geometry_order",
+        "segment_degree", "triangle_degree", "dual_determinant"])
+def test_invalid_input_raises(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -28,8 +28,9 @@ def random_affine_element(rng):
 class TestDualMassStructure:
     def test_lowest_order_reference_matrix(self):
         dm = reference_dual_mass(0)
+        assert dm.n_edge == len(dm.full) == 3
         assert np.allclose(
-            dm.M_EE,
+            dm.full,
             np.diag([-0.5, -np.sqrt(2) / 2, -np.sqrt(2) / 2]),
             atol=1e-14,
         )
@@ -37,19 +38,27 @@ class TestDualMassStructure:
     @pytest.mark.parametrize("k", range(5))
     def test_edge_cell_coupling_vanishes(self, k):
         dm = reference_dual_mass(k)
-        n_e = dm.M_EE.shape[0]
-        # M_ET is the upper-right block of the full matrix: edge functionals
-        # of cell shapes
-        block = dm.full[:n_e, n_e:]
+        # the computed upper-right block: edge functionals of cell shapes
+        block = dm.full[:dm.n_edge, dm.n_edge:]
         if block.size:
             assert np.max(np.abs(block)) <= 1e-14
 
     @pytest.mark.parametrize("k", range(5))
     def test_blocks_invertible(self, k):
         dm = reference_dual_mass(k)
-        assert np.linalg.cond(dm.M_EE) < 1e8
-        if dm.M_TT.size:
-            assert np.linalg.cond(dm.M_TT) < 1e10
+        n_e = dm.n_edge
+        assert np.linalg.cond(dm.full[:n_e, :n_e]) < 1e8
+        if len(dm.full) > n_e:
+            assert np.linalg.cond(dm.full[n_e:, n_e:]) < 1e10
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_block_substitution_solves_the_whole_pairing(self, k):
+        # solve substitutes through the lower blocks only, so the whole
+        # matrix reproduces the right-hand side only when the computed
+        # upper block vanishes
+        dm = reference_dual_mass(k)
+        F = np.random.default_rng(300 + k).standard_normal((len(dm.full), 4))
+        assert np.max(np.abs(dm.full @ dm.solve(F) - F)) <= 1e-12 * np.max(np.abs(F))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_geometry_free_on_affine_elements(self, k):
@@ -71,10 +80,10 @@ class TestDualMassStructure:
             assert np.max(np.abs(phys - ref)) < 1e-12 * scale
 
     def test_edge_coupling_on_physical_elements(self):
-        emap = random_affine_element(RNG)
-        dm = assemble_dual_mass(emap, 2)
-        n_e = dm.M_EE.shape[0]
-        assert np.max(np.abs(dm.full[:n_e, n_e:])) < 1e-14
+        # the computed block is round-off of the explicit pull-backs
+        dm = assemble_dual_mass(random_affine_element(np.random.default_rng(11)), 2)
+        scale = np.max(np.abs(reference_dual_mass(2).full))
+        assert np.max(np.abs(dm.full[:dm.n_edge, dm.n_edge:])) < 1e-12 * scale
 
 
 class TestInterpolation:
@@ -85,7 +94,7 @@ class TestInterpolation:
     @pytest.mark.parametrize("k", range(5))
     def test_constant_identity_reproduced(self, k):
         op = get_operator(k)
-        alpha = op.interpolate(lambda pts: np.tile([1.0, 1.0, 0.0], (len(pts), 1)))
+        alpha = op.interpolate(np.tile([1.0, 1.0, 0.0], (len(op.points), 1)))
         pts = np.array([[0.0, 0.3], [-0.4, 0.2], [0.5, 0.1]])
         vals = op.evaluate(alpha, pts)
         assert np.allclose(vals, [1.0, 1.0, 0.0], atol=1e-12)
@@ -93,8 +102,8 @@ class TestInterpolation:
     @pytest.mark.parametrize("k", range(5))
     def test_projection_property(self, k):
         op = get_operator(k)
-        coeffs = RNG.standard_normal(op.num_dofs)
-        alpha = op.interpolate(lambda pts: op.evaluate(coeffs, pts))
+        coeffs = RNG.standard_normal(op.basis.num_shapes)
+        alpha = op.interpolate(op.evaluate(coeffs, op.points))
         assert np.allclose(alpha, coeffs, atol=1e-12 * max(1, np.max(np.abs(coeffs))))
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -105,8 +114,8 @@ class TestInterpolation:
             np.cos(pts[:, 1]),
             pts[:, 0] * pts[:, 1],
         ])
-        a1 = op.interpolate(field)
-        a2 = op.interpolate(lambda pts: op.evaluate(a1, pts))
+        a1 = op.interpolate(field(op.points))
+        a2 = op.interpolate(op.evaluate(a1, op.points))
         assert np.allclose(a1, a2, atol=1e-12 * max(1, np.max(np.abs(a1))))
 
     def test_edge_functionals_fundamental_theorem(self):
@@ -119,7 +128,7 @@ class TestInterpolation:
             s = 0.5 * (A + A.T)
             return np.tile([s[0, 0], s[1, 1], s[0, 1]], (len(pts), 1))
 
-        f = op.functionals(grad_sym)
+        f = op.functionals(grad_sym(op.points))
         from reggeshell.elements import REF_VERTICES
         from reggeshell.mesh import LOCAL_EDGES
 
@@ -135,7 +144,7 @@ class TestInterpolation:
         skew = np.array([[0.0, 0.7], [-0.7, 0.0]])
         sym = 0.5 * (skew + skew.T)
         field = lambda pts: np.tile([sym[0, 0], sym[1, 1], sym[0, 1]], (len(pts), 1))
-        alpha = op.interpolate(field)
+        alpha = op.interpolate(field(op.points))
         assert np.max(np.abs(alpha)) < 1e-14
 
 
@@ -182,7 +191,7 @@ class TestCommutingDiagram:
                 S = 0.5 * (F.T @ Gv + Gv.T @ F)
                 return np.tile([S[0, 0], S[1, 1], S[0, 1]], (len(pts), 1))
 
-            f_exact = op.functionals(sg_exact_ref)
-            f_interp = op.functionals(sg_interp_ref)
+            f_exact = op.functionals(sg_exact_ref(op.points))
+            f_interp = op.functionals(sg_interp_ref(op.points))
             assert np.allclose(f_exact, f_interp, atol=1e-12)
 

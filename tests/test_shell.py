@@ -512,7 +512,7 @@ class TestReductionMatrices:
         # no (element, energy point) array of a reduced strain is stored
         model = cylinder_model(model=kind)
         nT, n = model.mesh.num_triangles, model.basis.num_shapes
-        n_regge, n_shear = model.operator.num_dofs, model.shear_space.num_shapes
+        n_regge, n_shear = model.operator.basis.num_shapes, model.shear_space.num_shapes
         assert model._Mm.shape == (nT, n_regge, 3 * n)
         assert model._Wm.shape == (nT, 1, n_regge, n_regge)
         assert model._Ms.shape == (nT, n_shear, 5 * n)
