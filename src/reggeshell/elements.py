@@ -2,9 +2,15 @@
 
 Reference triangle: V1 = (-1, 0), V2 = (1, 0), V3 = (0, 1).  Symmetric
 2x2 tensors are stored in Voigt order (a11, a22, a12) throughout; the
-Frobenius product of two such triples is a11*b11 + a22*b22 + 2*a12*b12.
+Frobenius product of two such triples is a11*b11 + a22*b22 + 2*a12*b12;
+``sym_dyad`` forms the Voigt triple of sym(a b^T) for vectors a, b that
+broadcast over leading axes.  The Lagrange shapes, the interior moments of
+the Regge element and the shear space of ``reggeshell.interpolation`` are
+written in the monomials of ``_monomials(points, k, dx, dy)``, which also
+gives their (dx, dy) partial derivatives.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -39,8 +45,10 @@ def barycentric(points):
 
 
 def sym_dyad(a, b):
-    """Symmetric dyadic a (.) b = (a b^T + b a^T) / 2 in Voigt form."""
-    return np.array([a[0] * b[0], a[1] * b[1], 0.5 * (a[0] * b[1] + a[1] * b[0])])
+    """Symmetric dyadic a (.) b = (a b^T + b a^T) / 2 in Voigt form (..., 3)
+    of vectors a, b (..., 2) that broadcast over the leading axes."""
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    return np.stack([a0 * b0, a1 * b1, 0.5 * (a0 * b1 + a1 * b0)], axis=-1)
 
 
 def voigt_to_matrix(v):
@@ -54,6 +62,19 @@ def voigt_to_matrix(v):
 
 def _monomial_exponents(k):
     return [(a, b) for tot in range(k + 1) for a in range(tot, -1, -1) for b in (tot - a,)]
+
+
+def _monomials(points, k, dx=0, dy=0):
+    """The (dx, dy) partial derivative of the monomials x^a y^b of degree
+    <= k at points (n, 2), array (n, m) in ``_monomial_exponents`` order;
+    m = 0 for k < 0."""
+    pts = np.atleast_2d(points)
+    x, y = pts[:, 0], pts[:, 1]
+    cols = []
+    for a, b in _monomial_exponents(k):
+        c = math.perm(a, dx) * math.perm(b, dy)
+        cols.append(c * x ** (a - dx) * y ** (b - dy) if c else np.zeros(len(pts)))
+    return np.column_stack([np.empty((len(pts), 0))] + cols)
 
 
 class LagrangeBasis:
@@ -71,9 +92,7 @@ class LagrangeBasis:
         self.order = k
         self.nodes = self._lattice_nodes(k)
         self.num_shapes = len(self.nodes)
-        self._exps = _monomial_exponents(k)
-        V = self._mono(self.nodes)
-        self._coeff = np.linalg.inv(V)
+        self._coeff = np.linalg.inv(_monomials(self.nodes, k))
 
     @staticmethod
     def _lattice_nodes(k):
@@ -86,29 +105,15 @@ class LagrangeBasis:
         lattice += [(a, b, k - a - b) for a in range(1, k) for b in range(1, k - a)]
         return np.array(lattice) / k @ REF_VERTICES
 
-    def _mono(self, pts):
-        pts = np.atleast_2d(pts)
-        cols = [pts[:, 0] ** a * pts[:, 1] ** b for a, b in self._exps]
-        return np.column_stack(cols)
-
-    def _mono_grad(self, pts):
-        pts = np.atleast_2d(pts)
-        n = len(pts)
-        g = np.zeros((n, len(self._exps), 2))
-        for c, (a, b) in enumerate(self._exps):
-            if a > 0:
-                g[:, c, 0] = a * pts[:, 0] ** (a - 1) * pts[:, 1] ** b
-            if b > 0:
-                g[:, c, 1] = b * pts[:, 0] ** a * pts[:, 1] ** (b - 1)
-        return g
-
     def eval(self, points):
         """Shape values, array (npts, num_shapes)."""
-        return self._mono(points) @ self._coeff
+        return _monomials(points, self.order) @ self._coeff
 
     def grad(self, points):
         """Shape gradients, array (npts, num_shapes, 2)."""
-        return np.einsum("ncd,cs->nsd", self._mono_grad(points), self._coeff)
+        k = self.order
+        g = np.stack([_monomials(points, k, 1, 0), _monomials(points, k, 0, 1)], axis=-1)
+        return np.einsum("ncd,cs->nsd", g, self._coeff)
 
 
 @lru_cache(maxsize=None)

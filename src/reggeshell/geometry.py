@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import mesh as meshmod
-from .elements import GeometryError, barycentric, edge_tangent, lagrange_basis
+from .elements import GeometryError, barycentric, lagrange_basis
 
 __all__ = [
     "ChartGeometry",
@@ -91,11 +91,6 @@ class MapEvaluation:
     F: np.ndarray        # (..., dim, 2) gradient w.r.t. reference coordinates
     J: np.ndarray        # (...,) surface determinant |F_0 x F_1|, det F if flat
     nu: np.ndarray       # (..., 3) unit normal (surface case) or None
-
-    def Jb(self, edge):
-        """Boundary determinant ||F t|| of a local edge at this point."""
-        t, _ = edge_tangent(edge)
-        return np.linalg.norm(self.F @ t, axis=-1)
 
 
 class ElementMap:

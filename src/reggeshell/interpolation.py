@@ -25,6 +25,7 @@ import scipy.linalg
 from .elements import (
     BARY_GRADS,
     _monomial_exponents,
+    _monomials,
     barycentric,
     covariant_pullback,
     dual_volume_pullback,
@@ -138,12 +139,9 @@ class InterpolationOperator:
         self.rule = moment_rule(k + 1, quad_degree)
         self.points = self.rule.points
 
-        vol = self.rule.vol_points
-        duals = _interior_dual_basis(k)
-        self.vol_dual = np.zeros((len(duals), len(vol), 3))
-        for i, (a, b, u) in enumerate(duals):
-            mono = vol[:, 0] ** a * vol[:, 1] ** b
-            self.vol_dual[i] = mono[:, None] * u[None, :]
+        # each monomial of degree < k times each unit tensor, (3m, nv, 3)
+        mono = _monomials(self.rule.vol_points, k - 1)
+        self.vol_dual = (mono.T[:, None, :, None] * np.eye(3)[:, None]).reshape(-1, len(mono), 3)
 
         # the duals applied to the shapes: M[i, j] = q_i(phi_j)
         M = self.functionals(np.moveaxis(self.basis.eval(self.points), 1, 2))
@@ -188,8 +186,7 @@ class ShearSpace:
         self.p = p
         self.rule = moment_rule(p + 1, quad_degree)
         self.points = self.rule.points
-        self._exps = _monomial_exponents(p)
-        self.num_shapes = 3 if p == 0 else 2 * len(self._exps)
+        self.num_shapes = 3 if p == 0 else (p + 1) * (p + 2)
 
         E = self._edge_moments(self.rule.split(np.moveaxis(self.shapes(self.points), 1, 2))[0])
         if E.shape[0] == E.shape[1]:
@@ -220,11 +217,10 @@ class ShearSpace:
                     - lam[:, j, None] * BARY_GRADS[i][None, :]
                 )
             return out
+        # each monomial times each unit vector
+        mono = _monomials(pts, self.p)
         out = np.zeros((len(pts), self.num_shapes, 2))
-        for m, (a, b) in enumerate(self._exps):
-            mono = pts[:, 0] ** a * pts[:, 1] ** b
-            out[:, 2 * m, 0] = mono
-            out[:, 2 * m + 1, 1] = mono
+        out[:, 0::2, 0] = out[:, 1::2, 1] = mono
         return out
 
     def _edge_moments(self, edge_vals):
@@ -275,15 +271,15 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     n = basis.num_shapes
 
     M_edge = []
-    for e, (pts, that, weights) in enumerate(zip(rule.edge_points, rule.tangents,
-                                                 rule.edge_weights)):
+    for pts, that, weights in zip(rule.edge_points, rule.tangents, rule.edge_weights):
         shape_vals = basis.eval(pts)
         tt_phys = np.zeros((len(pts), n))
         jb = np.zeros(len(pts))
         for q, xi in enumerate(pts):
             ev = element_map.evaluate(xi)
-            jb[q] = ev.Jb(e)
-            t_phys = (ev.F @ that) / jb[q]
+            Ft = ev.F @ that
+            jb[q] = np.linalg.norm(Ft)
+            t_phys = Ft / jb[q]
             tt_phys[q] = covariant_pullback(ev.F, shape_vals[q]) @ t_phys @ t_phys
         # q_E pulled back with J_b, arclength measure contributes J_b again
         M_edge.append((weights * jb * jb) @ tt_phys)

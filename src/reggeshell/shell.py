@@ -78,7 +78,7 @@ import numpy as np
 
 from .assembly import (BACKWARD_TOL, BLOCK_BYTES, RESIDUAL_TOL, SolverError, SparsityPattern,
                        assemble, factor_solve, norm_inf)
-from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse
+from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse, sym_dyad
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
 from .mesh import MeshError
@@ -198,10 +198,7 @@ def _strain_B(F, dN):
     leading axes; returns (..., 3, d*n), Voigt rows and dofs ordered
     (component, shape).
     """
-    a = F[..., :, None, :]
-    b = dN[..., None, :, :]
-    B = np.stack([a[..., 0] * b[..., 0], a[..., 1] * b[..., 1],
-                  0.5 * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])], axis=-3)
+    B = np.moveaxis(sym_dyad(F[..., :, None, :], dN[..., None, :, :]), -1, -3)
     return B.reshape(B.shape[:-2] + (-1,))
 
 
@@ -269,6 +266,15 @@ def _reduction(space, shapes, weights):
     return R @ C, Q / root
 
 
+def _table_map(G, T, r):
+    """Strain map (nT, r, c*n) of per-element geometry G (nT, c, ...) times an
+    element independent table T (K, r*n), G flattened to (nT*c, K): the
+    coefficient r of field (c, shape) is sum_k G[:, c, k] T[k, (r, shape)]."""
+    nT, c = G.shape[:2]
+    M = (G.reshape(nT * c, len(T)) @ T).reshape(nT, c, r, -1)
+    return np.swapaxes(M, 1, 2).reshape(nT, r, -1)
+
+
 def _reduced_membrane_map(C, F, dN):
     """Coefficients C (r, P*3) of the strain sym(F^T grad u) sampled at the P
     points per displacement dof, (nT, r, 3n), for gradients F (nT, P, 3, 2)
@@ -276,12 +282,11 @@ def _reduced_membrane_map(C, F, dN):
     is sum_i F_ci B_ref(e_i N_s), B_ref the reference strain
     ``_strain_B(I, dN)``, so the map is one product of F with the element
     independent table Y[(p, i), (r, s)] = C[r, (p, v)] B_ref[p, v, (i, s)]."""
-    nT, P = F.shape[:2]
-    n, r = dN.shape[1], len(C)
+    P, n = dN.shape[:2]
+    r = len(C)
     Bref = _strain_B(np.eye(2), dN).reshape(P, 3, 2, n)
     Y = np.einsum("rpv,pvis->pirs", C.reshape(r, P, 3), Bref).reshape(2 * P, r * n)
-    M = np.swapaxes(F, 1, 2).reshape(nT * 3, 2 * P) @ Y
-    return np.swapaxes(M.reshape(nT, 3, r, n), 1, 2).reshape(nT, r, 3 * n)
+    return _table_map(np.swapaxes(F, 1, 2), Y, r)
 
 
 def _reduced_shear_map(C, nu, A, N, dN):
@@ -290,15 +295,12 @@ def _reduced_shear_map(C, nu, A, N, dN):
     shapes N (P, n), dN (P, n, 2) there: the displacements give nu times the
     table Z[p, (r, s)] = C[r, (p, xi)] dN[p, s, xi], the rotations -A times
     U[xi, (r, s)] = C[r, (p, xi)] N[p, s]."""
-    nT, P = nu.shape[:2]
-    n, r = N.shape[1], len(C)
+    (P, n), r = N.shape, len(C)
     C = C.reshape(r, P, 2)
     Z = np.einsum("rpx,psx->prs", C, dN).reshape(P, r * n)
     U = np.einsum("rpx,ps->xrs", C, N).reshape(2, r * n)
-    M = np.empty((nT, 5, r * n))
-    M[:, :3] = (np.swapaxes(nu, 1, 2).reshape(nT * 3, P) @ Z).reshape(nT, 3, -1)
-    M[:, 3:] = -(A.reshape(nT * 2, 2) @ U).reshape(nT, 2, -1)
-    return np.swapaxes(M.reshape(nT, 5, r, n), 1, 2).reshape(nT, r, 5 * n)
+    # the sign stays outside the product: -A would flip the signed zeros
+    return np.concatenate([_table_map(np.swapaxes(nu, 1, 2), Z, r), -_table_map(A, U, r)], -1)
 
 
 def _per_point(call, X, nu, c, what):
@@ -553,8 +555,7 @@ class ShellModel:
         A = np.swapaxes(F + 0.5 * gu, -1, -2) @ gu
         e = np.stack([A[..., 0, 0], A[..., 1, 1], 0.5 * (A[..., 0, 1] + A[..., 1, 0])], -1)
         e = e.reshape(nT, -1) if self._Cm is None else e.reshape(nT, -1) @ self._Cm.T
-        KU = (U.reshape(-1, n) @ self._K.reshape(-1, n).T).reshape(nT, 3, -1, n)
-        return e, self._Mm + np.moveaxis(KU, 1, 2).reshape(self._Mm.shape)
+        return e, self._Mm + _table_map(U.reshape(nT, 3, n), self._K.reshape(-1, n).T, len(self._K))
 
     def _terms(self, X):
         """The shear, bending and membrane terms at element vectors X (nT, 5n),

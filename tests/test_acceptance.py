@@ -24,6 +24,9 @@ from reggeshell.polynomials import eval_integrated_jacobi, eval_jacobi
 from reggeshell.quadrature import triangle_rule
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
+from test_interpolation import random_affine_element
+from test_shell import node_positions
+
 
 class TestPolynomialOrthogonality:
     @pytest.mark.parametrize("alpha", [0, 1, 2, 5])
@@ -77,17 +80,6 @@ class TestReggeBasis:
             )
             if tt.size:
                 assert np.max(np.abs(tt)) < 1e-13
-
-
-def random_affine_element(rng):
-    while True:
-        verts = rng.uniform(-2.0, 2.0, size=(3, 2))
-        d1, d2 = verts[1] - verts[0], verts[2] - verts[0]
-        if d1[0] * d2[1] - d1[1] * d2[0] > 0.3:
-            break
-    from reggeshell.mesh import build_mesh
-
-    return ElementMap(build_mesh(verts, [(0, 1, 2)]), flat_chart(), 0, 1)
 
 
 class TestDualMassStructure:
@@ -188,16 +180,6 @@ class TestCommutingDiagram:
 MAT = MaterialParams(3.0e4, 0.3)
 
 
-def _node_positions(model):
-    lam = barycentric(model.basis.nodes)
-    X = np.zeros((model.num_scalar_dofs, 3))
-    for t in range(model.mesh.num_triangles):
-        pnodes = lam @ model.mesh.vertices[model.mesh.triangles[t]]
-        for j, s in enumerate(model.element_scalar_dofs[t]):
-            X[s] = model.chart.phi(pnodes[j])
-    return X
-
-
 class TestKernelPreservation:
     def _model(self, kind):
         mesh, chart = make_benchmark_mesh("cylinder")
@@ -207,7 +189,7 @@ class TestKernelPreservation:
 
     def test_linearized_rigid_motions_in_reduced_membrane_kernel(self):
         model = self._model("linearized_membrane")
-        X = _node_positions(model)
+        X = node_positions(model)
         ns = model.num_scalar_dofs
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -226,7 +208,7 @@ class TestKernelPreservation:
     @pytest.mark.parametrize("angle", [np.pi / 6, np.pi / 3, np.pi / 2])
     def test_finite_rotations_in_reduced_green_membrane_kernel(self, angle):
         model = self._model("full_green")
-        X = _node_positions(model)
+        X = node_positions(model)
         ns = model.num_scalar_dofs
         axis = np.array([0.3, -0.5, 0.81])
         axis /= np.linalg.norm(axis)

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,17 @@ class TestSvg:
         table = self.make_table()
         table.add(**sample_row(t=0.01, rel_error=math.nan))
         assert _render_svg(table).count("<polyline") == 2
+
+    def test_equal_errors_give_finite_coordinates(self):
+        # one error value spans no decade: the log axis gets a unit span
+        table = ResultTable()
+        for level in (0, 1):
+            table.add(**sample_row(level=level, rel_error=0.05))
+        svg = _render_svg(table)
+        ET.fromstring(svg)
+        attrs = re.findall(r' (?:points|x|y|x1|y1|x2|y2)="([^"]*)"', svg)
+        coords = [float(v) for a in attrs for v in re.split(r"[ ,]", a)]
+        assert len(coords) == 14 and all(math.isfinite(v) for v in coords)
 
     def test_empty_table_still_valid_svg(self):
         svg = _render_svg(ResultTable())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 
 from reggeshell.assembly import SparsityPattern
 from reggeshell.elements import (
@@ -7,6 +8,8 @@ from reggeshell.elements import (
     GeometryError,
     LagrangeBasis,
     ReggeBasis,
+    _monomial_exponents,
+    _monomials,
     barycentric,
     covariant_pullback,
     dual_volume_pullback,
@@ -26,6 +29,20 @@ def tt_trace_on_edge(shape_voigt, edge):
     t, _ = edge_tangent(edge)
     s = shape_voigt
     return t[0] ** 2 * s[..., 0] + t[1] ** 2 * s[..., 1] + 2 * t[0] * t[1] * s[..., 2]
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+@pytest.mark.parametrize("dx, dy", [(0, 0), (1, 0), (0, 1)])
+def test_monomials_match_symbolic_derivatives(k, dx, dy):
+    # k = -1 has no monomials: the Regge element of order 0 has no interior moments
+    xs, ys = sympy.symbols("x y")
+    pts = np.random.default_rng(k + 1).uniform(-1.0, 1.0, (7, 2))
+    got = _monomials(pts, k, dx, dy)
+    assert got.shape == (7, (k + 1) * (k + 2) // 2)
+    for col, (a, b) in enumerate(_monomial_exponents(k)):
+        d = sympy.lambdify((xs, ys), sympy.diff(xs ** a * ys ** b, xs, dx, ys, dy))
+        want = np.broadcast_to(d(pts[:, 0], pts[:, 1]), (7,))
+        assert np.allclose(got[:, col], want, rtol=1e-14, atol=0.0)
 
 
 class TestLagrange:
@@ -119,6 +136,15 @@ class TestReggeShapes:
         a, b = np.array([1.0, 2.0]), np.array([3.0, -1.0])
         d = voigt_to_matrix(sym_dyad(a, b))
         assert np.allclose(d, 0.5 * (np.outer(a, b) + np.outer(b, a)), atol=1e-15)
+
+    def test_sym_dyad_broadcasts_pair_by_pair(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((4, 1, 2)), rng.standard_normal((1, 5, 2))
+        d = sym_dyad(a, b)
+        assert d.shape == (4, 5, 3)
+        for i in range(4):
+            for j in range(5):
+                assert np.array_equal(d[i, j], sym_dyad(a[i, 0], b[0, j]))
 
     def test_barycentric_gradients(self):
         pts = np.array([[0.3, 0.1], [-0.5, 0.4]])

@@ -59,15 +59,6 @@ class TestSurfaceMaps:
             # normal orthogonal to the tangent plane
             assert np.linalg.norm(ev.nu @ ev.F) < 1e-12
 
-    def test_boundary_determinant(self):
-        mesh, chart = make_benchmark_mesh("cylinder")
-        ev = ElementMap(mesh, chart, 0, geometry_order=2).evaluate((0.0, 0.25))
-        from reggeshell.elements import edge_tangent
-
-        for e in range(3):
-            t, _ = edge_tangent(e)
-            assert ev.Jb(e) == pytest.approx(np.linalg.norm(ev.F @ t), rel=1e-14)
-
 
 def per_point_reference(emap, xi):
     """F, J and normal of one point, one at a time."""

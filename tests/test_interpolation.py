@@ -10,8 +10,6 @@ from reggeshell.interpolation import (
 )
 from reggeshell.mesh import build_mesh, rectangle_mesh
 
-RNG = np.random.default_rng(42)
-
 
 def random_affine_element(rng):
     """One-triangle flat mesh with random, positively oriented vertices."""
@@ -64,8 +62,9 @@ class TestDualMassStructure:
     def test_geometry_free_on_affine_elements(self, k):
         ref = reference_dual_mass(k).full
         scale = np.max(np.abs(ref))
+        rng = np.random.default_rng(400 + k)
         for _ in range(5):
-            emap = random_affine_element(RNG)
+            emap = random_affine_element(rng)
             phys = assemble_dual_mass(emap, k).full
             assert np.max(np.abs(phys - ref)) < 1e-12 * scale
 
@@ -102,7 +101,7 @@ class TestInterpolation:
     @pytest.mark.parametrize("k", range(5))
     def test_projection_property(self, k):
         op = get_operator(k)
-        coeffs = RNG.standard_normal(op.basis.num_shapes)
+        coeffs = np.random.default_rng(500 + k).standard_normal(op.basis.num_shapes)
         alpha = op.interpolate(op.evaluate(coeffs, op.points))
         assert np.allclose(alpha, coeffs, atol=1e-12 * max(1, np.max(np.abs(coeffs))))
 

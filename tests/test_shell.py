@@ -49,6 +49,7 @@ from reggeshell.shell import (
     _reference_gram,
     _shear_B,
     _strain_B,
+    _table_map,
 )
 
 MAT = MaterialParams(youngs_modulus=1000.0, poisson_ratio=0.3)
@@ -487,6 +488,17 @@ class TestReductionMatrices:
         assert W.shape == (1,) + A.shape
         assert c @ W[0] @ c == pytest.approx(a @ A @ a, rel=1e-13)
 
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 4, 2)])
+    def test_table_map_is_the_geometry_table_contraction(self, shape):
+        rng = np.random.default_rng(len(shape))
+        G = rng.standard_normal(shape)
+        K, r, n = int(np.prod(shape[2:])), 7, 5
+        T = rng.standard_normal((K, r * n))
+        want = np.einsum("tck,krs->trcs", G.reshape(6, 3, K), T.reshape(K, r, n))
+        got = _table_map(G, T, r)
+        assert got.shape == (6, r, 3 * n)
+        assert np.allclose(got, want.reshape(6, r, 3 * n), rtol=1e-14, atol=1e-14)
+
     def test_unreduced_maps_are_sampled_at_energy_points(self):
         model = cylinder_model(membrane_reduction="none", shear_reduction="none")
         points = model._rule.points
@@ -717,7 +729,7 @@ class TestFrameInvariance:
             [0.0, 0.0, 1.0],
         ])
         c = np.array([0.2, -0.5, 0.9])
-        X = scalar_node_positions(model)
+        X = node_positions(model)
         ns = model.num_scalar_dofs
         u = x[: 3 * ns].reshape(3, ns)
         u_rot = R @ (X.T + u) + c[:, None] - X.T
@@ -737,7 +749,7 @@ class TestFrameInvariance:
             [np.sin(th), np.cos(th), 0.0],
             [0.0, 0.0, 1.0],
         ])
-        X = scalar_node_positions(model)
+        X = node_positions(model)
         ns = model.num_scalar_dofs
         u_rot = R @ X.T - X.T
         x_rot = x.copy()
@@ -745,14 +757,13 @@ class TestFrameInvariance:
         assert model.energies(x_rot)["membrane"] > 1e-6
 
 
-def scalar_node_positions(model):
+def node_positions(model):
+    """Chart positions (ns, 3) of the scalar nodes, which interpolate the
+    isoparametric geometry."""
     lam = barycentric(model.basis.nodes)
-    X = np.zeros((model.num_scalar_dofs, 3))
-    for t in range(model.mesh.num_triangles):
-        pverts = model.mesh.vertices[model.mesh.triangles[t]]
-        pnodes = lam @ pverts
-        for j, s in enumerate(model.element_scalar_dofs[t]):
-            X[s] = model.chart.phi(pnodes[j])
+    X = np.empty((model.num_scalar_dofs, 3))
+    mesh = model.mesh
+    X[model.element_scalar_dofs] = model.chart.phi(lam @ mesh.vertices[mesh.triangles])
     return X
 
 
@@ -1208,9 +1219,10 @@ class TestWholeMeshMap:
         assert set(np.nonzero(marked)[1]) == {0, 2}
         for t, le in zip(*np.nonzero(marked)):
             emap = ElementMap(mesh, chart, t, 2)
-            _, length = edge_tangent(le)
+            tangent, length = edge_tangent(le)
             pts = edge_point(le, seg.points)
-            w = seg.weights * (length / 2.0) * emap.evaluate(pts).Jb(le)
+            jb = np.linalg.norm(emap.evaluate(pts).F @ tangent, axis=-1)
+            w = seg.weights * (length / 2.0) * jb
             X = lagrange_basis(2).eval(pts) @ emap.control_points
             M = np.array([moment(x) for x in X])
             fe = np.einsum("q,qb,qs->bs", w, M, model.basis.eval(pts))

@@ -17,9 +17,14 @@ from reggeshell.shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 SPANS = (
+    "mesh.rectangle",
+    "shell.build",
     "geometry.evaluate",
     "interpolation.functionals",
     "interpolation.dual_solve",
+    "shell.load_vector",
+    "shell.gradient",
+    "shell.hessian",
     "assembly.assemble",
     "assembly.factor_solve",
     "shell.solve",

@@ -16,13 +16,12 @@ from hypothesis.extra.numpy import arrays
 
 from reggeshell import shell
 from reggeshell.bench import BenchmarkConfig, run_benchmark
-from reggeshell.elements import barycentric
 from reggeshell.geometry import make_benchmark_mesh
 from reggeshell.mesh import build_mesh, read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
 from test_assembly import assert_matches_sort_based
-from test_shell import assert_symmetry_rotations_match_chart
+from test_shell import assert_symmetry_rotations_match_chart, node_positions
 
 MAT = MaterialParams(2.85e4, 0.3)
 MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "tri_edge_signs")
@@ -141,16 +140,6 @@ def test_repeat_runs_are_byte_identical(tmp_path_factory, case):
     first = run_benchmark(config).to_csv()
     assert "nan" not in first
     assert run_benchmark(config).to_csv() == first
-
-
-def node_positions(model):
-    """Chart positions (ns, 3) of the scalar nodes, which interpolate the
-    isoparametric geometry."""
-    lam = barycentric(model.basis.nodes)
-    X = np.empty((model.num_scalar_dofs, 3))
-    mesh = model.mesh
-    X[model.element_scalar_dofs] = model.chart.phi(lam @ mesh.vertices[mesh.triangles])
-    return X
 
 
 def rigid_state(model, rotation, shift, linearized):
