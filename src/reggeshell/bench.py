@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import SolverError
 from .geometry import BENCHMARK_NAMES, BENCHMARKS, ConfigurationError, make_benchmark_mesh
 from .mesh import read_mesh, refine_uniform
-from .shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
+from .shell import LoadSpec, MaterialParams, ShellConfig, ShellModel, _is_integer_at_least
 
 __all__ = [
     "BenchmarkConfig",
@@ -63,13 +63,14 @@ class BenchmarkConfig:
             raise ConfigurationError("thickness list is empty")
         if not all(0.0 < t < math.inf for t in self.thicknesses):
             raise ConfigurationError("thickness values must be positive and finite")
-        orders = (self.order, self.reference_order, self.geometry_order)
-        if any(k is not None and k < 1 for k in orders):
-            raise ConfigurationError("element and geometry orders must be >= 1")
-        if self.levels < 1:
-            raise ConfigurationError("need at least one refinement level")
-        if self.base_refinement is not None and self.base_refinement < 0:
-            raise ConfigurationError("base refinement must be >= 0")
+        orders = (self.order, self.reference_order,
+                  1 if self.geometry_order is None else self.geometry_order)
+        if not all(_is_integer_at_least(k, 1) for k in orders):
+            raise ConfigurationError("element and geometry orders must be integers >= 1")
+        if not _is_integer_at_least(self.levels, 1):
+            raise ConfigurationError("the number of refinement levels must be an integer >= 1")
+        if self.base_refinement is not None and not _is_integer_at_least(self.base_refinement, 0):
+            raise ConfigurationError("base refinement must be an integer >= 0")
 
 
 @dataclass

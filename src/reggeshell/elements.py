@@ -4,10 +4,11 @@ Reference triangle: V1 = (-1, 0), V2 = (1, 0), V3 = (0, 1).  Symmetric
 2x2 tensors are stored in Voigt order (a11, a22, a12) throughout; the
 Frobenius product of two such triples is a11*b11 + a22*b22 + 2*a12*b12;
 ``sym_dyad`` forms the Voigt triple of sym(a b^T) for vectors a, b that
-broadcast over leading axes.  The Lagrange shapes, the interior moments of
-the Regge element and the shear space of ``reggeshell.interpolation`` are
-written in the monomials of ``_monomials(points, k, dx, dy)``, which also
-gives their (dx, dy) partial derivatives.
+broadcast over leading axes, and the pull-backs broadcast the same way.
+The Lagrange shapes, the interior moments of the Regge element and the
+shear space of ``reggeshell.interpolation`` are written in the monomials
+of ``_monomials(points, k, dx, dy)``, which also gives their (dx, dy)
+partial derivatives.
 """
 
 import math
@@ -214,21 +215,22 @@ def pseudo_inverse(F):
 
 
 def covariant_pullback(F, sigma_ref):
-    """Map a reference tensor to the physical element, preserving tt-traces.
+    """Map reference tensors to the physical element, preserving tt-traces.
 
     For flat 2x2 gradients this is F^{-T} sigma F^{-1}; on surfaces the
-    pseudo-inverse replaces the inverse.  Returns the tensor in the basis of
-    the ambient space (2x2 or dxd).
+    pseudo-inverse replaces the inverse.  Gradients F (..., d, 2) and Voigt
+    tensors (..., 3) broadcast over the leading axes; returns the tensors
+    (..., d, d) in the basis of the ambient space.
     """
-    F = np.asarray(F, dtype=float)
     Fd = pseudo_inverse(F)
-    S = voigt_to_matrix(np.asarray(sigma_ref))
-    return Fd.T @ S @ Fd
+    return np.swapaxes(Fd, -1, -2) @ voigt_to_matrix(sigma_ref) @ Fd
 
 
 def dual_volume_pullback(F, J, q_ref):
-    """Dual interior moment transformation q -> (1/J) F q F^T."""
-    if J <= 0:
+    """Dual interior moment transformation q -> (1/J) F q F^T of Voigt
+    tensors (..., 3), gradients F (..., d, 2) and determinants J (...) that
+    broadcast over the leading axes."""
+    F, J = np.asarray(F, dtype=float), np.asarray(J, dtype=float)
+    if np.any(J <= 0):
         raise GeometryError("nonpositive surface determinant")
-    Q = voigt_to_matrix(np.asarray(q_ref))
-    return (np.asarray(F) @ Q @ np.asarray(F).T) / J
+    return F @ voigt_to_matrix(q_ref) @ np.swapaxes(F, -1, -2) / J[..., None, None]

@@ -4,7 +4,8 @@ A chart is a point map that embeds a 2D parameter rectangle into 3D (or is
 the identity for flat tests).  The model reads no other geometry than the
 degree-g nodal interpolant of the chart on each parameter-space triangle:
 every gradient, weight and normal comes from this element map, so curved
-elements of any order are evaluated with the same machinery.
+elements of any order are evaluated with the same machinery, one batch of
+reference points at a time.
 
 Each benchmark is one record of ``BENCHMARKS``: its chart, parameter
 rectangle, level-0 grid and boundary markers, and what the sweep of
@@ -80,12 +81,10 @@ def flat3_chart():
 
 @dataclass
 class MapEvaluation:
-    """Geometry quantities of an element map at reference points: the mapped
-    points X, where a load is evaluated, the gradient F, the determinant J
-    and the unit normal.
-
-    The fields carry the leading axes of the evaluation: an element axis for
-    a map of several triangles, then a point axis for a batch of points."""
+    """Geometry quantities of an element map at a batch of reference points:
+    the mapped points X, where a load is evaluated, the gradient F, the
+    determinant J and the unit normal, each with a point axis after the
+    element axis of a map of several triangles."""
 
     X: np.ndarray        # (..., dim) mapped points
     F: np.ndarray        # (..., dim, 2) gradient w.r.t. reference coordinates
@@ -111,13 +110,12 @@ class ElementMap:
             raise GeometryError(f"chart '{geometry.name}' has non-finite points on the mesh")
 
     def evaluate(self, points):
-        """Evaluate the mapped points, F, J and the normal.
-
-        A single point (2,) gives the fields of one point; a batch (n, 2)
-        adds a point axis of length n after the element axis, if any.  The
-        map is degenerate where J <= 1e-14 |F|^2 (Frobenius norm): the ratio
-        of two areas, so the test reads the same at every length scale."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Evaluate the mapped points, F, J and the normal at a batch of
+        reference points (n, 2): every field has a point axis of length n
+        after the element axis, if any.  The map is degenerate where
+        J <= 1e-14 |F|^2 (Frobenius norm): the ratio of two areas, so the
+        test reads the same at every length scale."""
+        pts = np.asarray(points, dtype=float)
         F = np.swapaxes(self.control_points, -1, -2)[..., None, :, :] @ self._basis.grad(pts)
         # J = |F_0 x F_1| = sqrt(det F^T F) on surfaces, det F on flat charts
         nu = np.cross(F[..., 0], F[..., 1]) if self.ambient_dim == 3 else None
@@ -127,10 +125,6 @@ class ElementMap:
         if nu is not None:
             nu = nu / J[..., None]
         X = self._basis.eval(pts) @ self.control_points
-        if np.ndim(points) == 1:
-            return MapEvaluation(X=X[..., 0, :], F=F[..., 0, :, :],
-                                 J=float(J[0]) if J.ndim == 1 else J[..., 0],
-                                 nu=None if nu is None else nu[..., 0, :])
         return MapEvaluation(X=X, F=F, J=J, nu=nu)
 
 

@@ -260,7 +260,9 @@ def reference_dual_mass(k, quad_degree=None):
 
 
 def assemble_dual_mass(element_map, k, quad_degree=None):
-    """Dual mass matrix assembled on a physical element.
+    """Dual mass matrix assembled on a physical element, from one batch
+    evaluation of the one-triangle ``element_map`` per edge and one at the
+    volume points.
 
     Uses the covariant shape pull-back and the determinant-weighted dual
     pull-backs explicitly; by construction the result equals the reference
@@ -268,30 +270,22 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     """
     op = get_operator(k, quad_degree)
     rule, basis = op.rule, op.basis
-    n = basis.num_shapes
 
     M_edge = []
     for pts, that, weights in zip(rule.edge_points, rule.tangents, rule.edge_weights):
-        shape_vals = basis.eval(pts)
-        tt_phys = np.zeros((len(pts), n))
-        jb = np.zeros(len(pts))
-        for q, xi in enumerate(pts):
-            ev = element_map.evaluate(xi)
-            Ft = ev.F @ that
-            jb[q] = np.linalg.norm(Ft)
-            t_phys = Ft / jb[q]
-            tt_phys[q] = covariant_pullback(ev.F, shape_vals[q]) @ t_phys @ t_phys
-        # q_E pulled back with J_b, arclength measure contributes J_b again
-        M_edge.append((weights * jb * jb) @ tt_phys)
+        F = element_map.evaluate(pts).F
+        sig_phys = covariant_pullback(F[:, None], basis.eval(pts))
+        # q_E pulled back with J_b = |F t| and the arclength measure J_b: the
+        # tt-trace along F t = J_b t_phys carries both
+        M_edge.append(weights @ np.einsum("qsij,qi,qj->qs", sig_phys, F @ that, F @ that))
 
-    shape_vals = basis.eval(rule.vol_points)
-    duals = _interior_dual_basis(k)
-    M_cell = np.zeros((len(duals), n))
-    for q, xi in enumerate(rule.vol_points):
-        ev = element_map.evaluate(xi)
-        sig_phys = covariant_pullback(ev.F, shape_vals[q])
-        for i, (a, b, u) in enumerate(duals):
-            q_phys = dual_volume_pullback(ev.F, ev.J, xi[0] ** a * xi[1] ** b * u)
-            M_cell[i] += rule.vol_weights[q] * ev.J * np.einsum("sij,ij->s", sig_phys, q_phys)
+    xi = rule.vol_points
+    ev = element_map.evaluate(xi)
+    sig_phys = covariant_pullback(ev.F[:, None], basis.eval(xi))
+    # each dual x^a y^b u at every volume point, (m, nv, 3)
+    q_ref = np.array([np.outer(xi[:, 0] ** a * xi[:, 1] ** b, u)
+                      for a, b, u in _interior_dual_basis(k)]).reshape(-1, len(xi), 3)
+    q_phys = dual_volume_pullback(ev.F, ev.J, q_ref)
+    M_cell = np.einsum("q,qsij,mqij->ms", rule.vol_weights * ev.J, sig_phys, q_phys)
 
     return DualMassMatrix(np.vstack(M_edge + [M_cell]), basis.num_edge_shapes)

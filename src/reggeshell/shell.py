@@ -66,11 +66,12 @@ point X (3,) and the unit normal nu (3,) there returns a force density
 calls each once per quadrature point, one block of ``LOAD_POINTS`` points at
 a time, at the points and normals of the model's one element-map
 evaluation (``MapEvaluation.X`` and ``nu``).  A block whose values form no
-array, or have another shape per point, raises ``ValueError`` ("volume load
-returned values of shape (2,) per point, expected (3,)") before the next
-block is called.
+array, are complex or have another shape per point, raises ``ValueError``
+("volume load returned values of shape (2,) per point, expected (3,)")
+before the next block is called.
 """
 
+import operator
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, field
 
@@ -112,6 +113,14 @@ class MaterialParams:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
 
 
+def _is_integer_at_least(value, least):
+    """Whether a value is an integer (``operator.index`` takes it) >= least."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass
 class ShellConfig:
     thickness: float
@@ -134,8 +143,10 @@ class ShellConfig:
         super().__setattr__(name, value)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("displacement order must be >= 1")
+        if not _is_integer_at_least(self.order, 1):
+            raise ValueError("displacement order must be an integer >= 1")
+        if self.geometry_order is not None and not _is_integer_at_least(self.geometry_order, 1):
+            raise ValueError("geometry order must be an integer >= 1")
         if self.membrane_reduction not in ("none", "regge"):
             raise ValueError(f"unknown membrane reduction '{self.membrane_reduction}'")
         if self.shear_reduction not in ("none", "edge_tangential"):
@@ -153,9 +164,9 @@ class LoadSpec:
     there and returns the force density (3,); each ``edge_moments[marker](X)``
     returns the moment density (2,).  They are called once per quadrature
     point, one block of ``shell.LOAD_POINTS`` points at a time; a block whose
-    values form no array, or have another shape per point, raises
-    ``ValueError`` naming the load ("volume load", "edge moment on 'loaded'")
-    and the expected shape before the next block is called."""
+    values form no array, are complex or have another shape per point,
+    raises ``ValueError`` naming the load ("volume load", "edge moment on
+    'loaded'") and the expected shape before the next block is called."""
 
     volume: object = None               # callable (X, nu) -> (3,)
     edge_moments: dict = field(default_factory=dict)  # marker -> callable (X,) -> (2,)
@@ -312,10 +323,15 @@ def _per_point(call, X, nu, c, what):
     for b in (slice(i, i + LOAD_POINTS) for i in range(0, len(flat), LOAD_POINTS)):
         values = [call(x, n) for x, n in zip(X[b], nu[b])]
         try:
-            Vb = np.array(values, dtype=float)
-        except ValueError as exc:
+            # a cast of complex values to float would drop their imaginary parts
+            Vb = np.array(values)
+            if not np.iscomplexobj(Vb):
+                Vb = np.asarray(Vb, dtype=float)
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} returned per-point values that form no array, "
                              f"expected ({c},) per point") from exc
+        if np.iscomplexobj(Vb):
+            raise ValueError(f"{what} returned complex values, expected real ({c},) per point")
         if Vb.shape[1:] != (c,):
             raise ValueError(f"{what} returned values of shape {Vb.shape[1:]} per point, "
                              f"expected ({c},)")
@@ -544,6 +560,13 @@ class ShellModel:
             raise ValueError(f"state of shape {x.shape}, expected ({self.num_dofs},)")
         return x[self.element_dofs]
 
+    def _load(self, f):
+        """An assembled load vector, checked to be of shape (num_dofs,)."""
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.num_dofs,):
+            raise ValueError(f"load vector of shape {f.shape}, expected ({self.num_dofs},)")
+        return f
+
     def _green_membrane(self, U):
         """Green membrane strain vector e (nT, r), sampled in the factored
         form and taken to its coefficients by one product with C, and its
@@ -588,7 +611,7 @@ class ShellModel:
 
     def total_energy(self, x, load_vector=None):
         W = sum(self.energies(x).values())
-        return W if load_vector is None else W - load_vector @ x
+        return W if load_vector is None else W - self._load(load_vector) @ x
 
     # ------------------------------------------------------------------
     # derivatives
@@ -606,7 +629,7 @@ class ShellModel:
             else:
                 g[:, term.cols] += gt
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
-        return grad if load_vector is None else grad - load_vector
+        return grad if load_vector is None else grad - self._load(load_vector)
 
     def hessian(self, x, *, terms=None):
         """Assembled tangent as a sparse matrix with constrained dofs masked;
@@ -653,8 +676,8 @@ class ShellModel:
         rows; an edge moment M(X) is called as one of (X, nu) that reads X.
         ``_per_point`` gets the values V (3,) or (2,) per point, one block of
         LOAD_POINTS points at a time, and raises ``ValueError`` on a block of
-        another shape (see ``LoadSpec``); the work N^T (w V) of every element
-        is summed into f by one ``bincount``."""
+        complex values or of another shape (see ``LoadSpec``); the work
+        N^T (w V) of every element is summed into f by one ``bincount``."""
         m = 3 * self.basis.num_shapes
         sources = []
         if loads.volume is not None:
@@ -689,10 +712,7 @@ class ShellModel:
         elif isinstance(loads, LoadSpec):
             f = self.load_vector(loads)
         else:
-            f = np.asarray(loads, dtype=float)
-            if f.shape != (self.num_dofs,):
-                raise ValueError(f"load vector of shape {f.shape}, "
-                                 f"expected ({self.num_dofs},)")
+            f = self._load(loads)
         if not np.all(np.isfinite(f)):
             raise ValueError("load vector has non-finite entries")
         x = np.zeros(self.num_dofs) if x0 is None else np.array(x0, dtype=float)
@@ -724,15 +744,9 @@ class ShellModel:
     # evaluation
     # ------------------------------------------------------------------
 
-    def locate(self, param_point):
-        """Triangle index and reference coordinates of a parameter point
-        (see ``Mesh.locate``)."""
-        t, lam = self.mesh.locate(param_point)
-        return t, lam @ REF_VERTICES
-
     def evaluate_displacement(self, x, param_point):
         """Displacement vector of a state at a parameter-space point."""
-        t, xi = self.locate(param_point)
-        N = self.basis.eval(np.atleast_2d(xi))[0]
+        t, lam = self.mesh.locate(param_point)
+        N = self.basis.eval(lam @ REF_VERTICES)[0]
         u = self._local(x)[t, : 3 * len(N)]
         return u.reshape(3, -1) @ N

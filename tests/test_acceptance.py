@@ -155,7 +155,7 @@ class TestCommutingDiagram:
             ])
             for tri in range(mesh.num_triangles):
                 verts = mesh.vertices[mesh.triangles[tri]]
-                F = ElementMap(mesh, flat_chart(), tri, 1).evaluate((0.0, 0.3)).F
+                F = ElementMap(mesh, flat_chart(), tri, 1).evaluate([(0.0, 0.3)]).F[0]
 
                 def sg_exact_ref(pts):
                     out = []

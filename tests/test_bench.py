@@ -170,6 +170,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BenchmarkConfig("cylinder", **field)
 
+    @pytest.mark.parametrize("name, value", [
+        ("levels", 1.5), ("levels", 2.0), ("order", 2.0), ("reference_order", 4.0),
+        ("geometry_order", 1.5), ("geometry_order", 0), ("base_refinement", 0.5),
+        ("base_refinement", -1), ("levels", None)])
+    def test_integer_fields_checked_at_construction(self, name, value):
+        # a float level count or order failed inside run_benchmark with a TypeError
+        with pytest.raises(ConfigurationError, match="integer"):
+            BenchmarkConfig("cylinder", **{name: value})
+        BenchmarkConfig("cylinder", **{name: np.int64(1)})
+
     def test_base_refinement_defaults(self, tmp_path):
         def size(config):
             return next(bench._meshes(config))[0].num_triangles

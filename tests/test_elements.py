@@ -191,14 +191,32 @@ class TestPullbacks:
 
     def test_result_symmetric_on_surface(self):
         mesh, chart = make_benchmark_mesh("cylinder")
-        ev = ElementMap(mesh, chart, 0, 2).evaluate((0.1, 0.2))
+        ev = ElementMap(mesh, chart, 0, 2).evaluate([(0.1, 0.2)])
         out = covariant_pullback(ev.F, np.array([0.3, -0.2, 0.7]))
-        assert np.allclose(out, out.T, atol=1e-14)
+        assert out.shape == (1, 3, 3)
+        assert np.allclose(out, np.swapaxes(out, 1, 2), atol=1e-14)
 
     def test_dual_volume_pullback_identity(self):
         q = np.array([0.2, 0.4, -0.1])
         out = dual_volume_pullback(np.eye(2), 1.0, q)
         assert np.allclose(out, voigt_to_matrix(q), atol=1e-15)
+
+    def test_pullbacks_broadcast_over_leading_axes(self):
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((4, 1, 3, 2))
+        J = 1.0 + rng.random((4, 1))
+        tensors = rng.standard_normal((6, 3))
+        cov = covariant_pullback(F, tensors)
+        dual = dual_volume_pullback(F, J, tensors)
+        assert cov.shape == dual.shape == (4, 6, 3, 3)
+        cov_loop = [[covariant_pullback(F[i, 0], s) for s in tensors] for i in range(4)]
+        dual_loop = [[dual_volume_pullback(F[i, 0], J[i, 0], s) for s in tensors]
+                     for i in range(4)]
+        for got, ref in ((cov, np.array(cov_loop)), (dual, np.array(dual_loop))):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        J[2, 0] = 0.0
+        with pytest.raises(GeometryError, match="nonpositive"):
+            dual_volume_pullback(F, J, tensors)
 
     def test_tt_continuity_across_shared_curved_edge(self):
         # two elements sharing an edge on the cylinder: pulled-back tt-traces
@@ -216,20 +234,17 @@ class TestPullbacks:
         traces = []
         for t in (t1, t2):
             local = list(mesh.tri_edges[t]).index(e)
-            emap = ElementMap(mesh, chart, t, 2)
-            svals = []
-            for s in np.linspace(-0.8, 0.8, 5):
-                sign = mesh.tri_edge_signs[t, local]
-                xi = edge_point(local, s * sign)[0]
-                ev = emap.evaluate(xi)
-                that, _ = edge_tangent(local)
-                tphys = ev.F @ that / np.linalg.norm(ev.F @ that)
-                # reference tensor obtained by pulling the global field back
-                sig_ref = ev.F.T @ voigt_to_matrix_3(sig_global(xi)) @ ev.F
-                sig_voigt = np.array([sig_ref[0, 0], sig_ref[1, 1], sig_ref[0, 1]])
-                sig_phys = covariant_pullback(ev.F, sig_voigt)
-                svals.append(tphys @ sig_phys @ tphys)
-            traces.append(svals)
+            sign = mesh.tri_edge_signs[t, local]
+            xi = edge_point(local, sign * np.linspace(-0.8, 0.8, 5))
+            F = ElementMap(mesh, chart, t, 2).evaluate(xi).F
+            that, _ = edge_tangent(local)
+            tphys = F @ that
+            tphys /= np.linalg.norm(tphys, axis=-1, keepdims=True)
+            # reference tensor obtained by pulling the global field back
+            sig_ref = np.swapaxes(F, 1, 2) @ voigt_to_matrix_3(sig_global(xi)) @ F
+            sig_voigt = np.stack([sig_ref[:, 0, 0], sig_ref[:, 1, 1], sig_ref[:, 0, 1]], -1)
+            sig_phys = covariant_pullback(F, sig_voigt)
+            traces.append(np.einsum("qi,qij,qj->q", tphys, sig_phys, tphys))
         assert np.allclose(traces[0], traces[1], atol=1e-12)
 
 

@@ -21,43 +21,43 @@ INTERIOR_POINTS = [(-0.2, 0.3), (0.1, 0.1), (0.4, 0.25)]
 class TestFlatMaps:
     def test_identity_chart_affine(self):
         m = build_mesh([(-1, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-        ev = ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.3))
+        ev = ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.3)])
         assert np.allclose(ev.F, np.eye(2), atol=1e-14)
         assert ev.J == pytest.approx(1.0, abs=1e-14)
 
     def test_scaled_triangle_jacobian(self):
         m = build_mesh([(-2, 0), (2, 0), (0, 2)], [(0, 1, 2)])
-        ev = ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.2))
+        ev = ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.2)])
         assert ev.J == pytest.approx(4.0, abs=1e-13)
         assert np.allclose(pseudo_inverse(ev.F), np.linalg.inv(ev.F), atol=1e-13)
 
     def test_degenerate_triangle_raises(self):
         m = build_mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
         with pytest.raises(GeometryError):
-            ElementMap(m, flat_chart(), 0, 1).evaluate((0.0, 0.2))
+            ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.2)])
 
 
 class TestSurfaceMaps:
     def test_cylinder_pseudo_inverse(self):
         mesh, chart = make_benchmark_mesh("cylinder")
         emap = ElementMap(mesh, chart, 0, geometry_order=2)
-        for pt in INTERIOR_POINTS:
-            ev = emap.evaluate(pt)
-            assert np.linalg.norm(pseudo_inverse(ev.F) @ ev.F - np.eye(2)) < 1e-12
+        F = emap.evaluate(INTERIOR_POINTS).F
+        assert np.max(np.linalg.norm(pseudo_inverse(F) @ F - np.eye(2), axis=(1, 2))) < 1e-12
 
     def test_surface_determinant_definition(self):
         mesh, chart = make_benchmark_mesh("hyperboloid")
-        ev = ElementMap(mesh, chart, 1, geometry_order=3).evaluate((0.1, 0.2))
-        assert ev.J == pytest.approx(math.sqrt(np.linalg.det(ev.F.T @ ev.F)), rel=1e-14)
+        ev = ElementMap(mesh, chart, 1, geometry_order=3).evaluate([(0.1, 0.2)])
+        F = ev.F[0]
+        assert ev.J[0] == pytest.approx(math.sqrt(np.linalg.det(F.T @ F)), rel=1e-14)
 
     @pytest.mark.parametrize("name", ["cylinder", "hemisphere", "hyperbolic_paraboloid"])
     def test_normal_and_projector(self, name):
         mesh, chart = make_benchmark_mesh(name)
         for tri in range(min(4, mesh.num_triangles)):
-            ev = ElementMap(mesh, chart, tri, geometry_order=2).evaluate((0.0, 0.3))
-            assert abs(np.linalg.norm(ev.nu) - 1.0) < 1e-14
+            ev = ElementMap(mesh, chart, tri, geometry_order=2).evaluate([(0.0, 0.3)])
+            assert abs(np.linalg.norm(ev.nu[0]) - 1.0) < 1e-14
             # normal orthogonal to the tangent plane
-            assert np.linalg.norm(ev.nu @ ev.F) < 1e-12
+            assert np.linalg.norm(ev.nu[0] @ ev.F[0]) < 1e-12
 
 
 def per_point_reference(emap, xi):
@@ -101,17 +101,10 @@ class TestBatchedKernel:
     def test_whole_mesh_map_at_one_point(self):
         mesh, chart = make_benchmark_mesh("hyperboloid")
         nT = mesh.num_triangles
-        ev = ElementMap(mesh, chart, np.arange(nT), 2).evaluate((0.1, 0.2))
-        assert ev.F.shape == (nT, 3, 2) and pseudo_inverse(ev.F).shape == (nT, 2, 3)
-        assert ev.J.shape == (nT,)
-        assert ev.nu.shape == (nT, 3)
-
-    def test_single_point_keeps_unbatched_shapes(self):
-        mesh, chart = make_benchmark_mesh("hyperboloid")
-        ev = ElementMap(mesh, chart, 1, geometry_order=2).evaluate((0.1, 0.2))
-        assert ev.F.shape == (3, 2) and pseudo_inverse(ev.F).shape == (2, 3)
-        assert isinstance(ev.J, float)
-        assert ev.nu.shape == (3,)
+        ev = ElementMap(mesh, chart, np.arange(nT), 2).evaluate([(0.1, 0.2)])
+        assert ev.F.shape == (nT, 1, 3, 2) and pseudo_inverse(ev.F).shape == (nT, 1, 2, 3)
+        assert ev.J.shape == (nT, 1)
+        assert ev.nu.shape == (nT, 1, 3)
 
 
 class TestBenchmarkMeshes:

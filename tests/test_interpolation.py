@@ -169,7 +169,7 @@ class TestCommutingDiagram:
             verts = mesh.vertices[mesh.triangles[tri]]
             # affine reference -> physical map of the flat element
             emap = ElementMap(mesh, flat_chart(), tri, 1)
-            F = emap.evaluate((0.0, 0.3)).F
+            F = emap.evaluate([(0.0, 0.3)]).F[0]
 
             def sg_exact_ref(pts):
                 out = []
