@@ -14,6 +14,7 @@ emitted as CSV with a fixed column set, or as a simple SVG error plot.
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from .assembly import SolverError
 from .geometry import BENCHMARK_NAMES, BENCHMARKS, ConfigurationError, make_benchmark_mesh
 from .mesh import read_mesh, refine_uniform
-from .shell import LoadSpec, MaterialParams, ShellConfig, ShellModel, _is_integer_at_least
+from .shell import (LoadSpec, MaterialParams, ShellConfig, ShellModel, _is_integer_at_least,
+                    _is_real)
 
 __all__ = [
     "BenchmarkConfig",
@@ -59,10 +61,12 @@ class BenchmarkConfig:
             raise ConfigurationError(
                 f"unknown benchmark '{self.benchmark}'; choose one of {BENCHMARK_NAMES}"
             )
+        if not isinstance(self.thicknesses, (tuple, list)):
+            raise ConfigurationError("the thicknesses must be a tuple or list of numbers")
         if not self.thicknesses:
             raise ConfigurationError("thickness list is empty")
-        if not all(0.0 < t < math.inf for t in self.thicknesses):
-            raise ConfigurationError("thickness values must be positive and finite")
+        if not all(_is_real(t) and 0.0 < t < math.inf for t in self.thicknesses):
+            raise ConfigurationError("thickness values must be positive finite numbers")
         orders = (self.order, self.reference_order,
                   1 if self.geometry_order is None else self.geometry_order)
         if not all(_is_integer_at_least(k, 1) for k in orders):
@@ -71,6 +75,10 @@ class BenchmarkConfig:
             raise ConfigurationError("the number of refinement levels must be an integer >= 1")
         if self.base_refinement is not None and not _is_integer_at_least(self.base_refinement, 0):
             raise ConfigurationError("base refinement must be an integer >= 0")
+        if not all(isinstance(on, (bool, np.bool_)) for on in (self.regge, self.shear_reduction)):
+            raise ConfigurationError("regge and shear_reduction must be booleans")
+        if self.mesh_file is not None and not isinstance(self.mesh_file, (str, os.PathLike)):
+            raise ConfigurationError("the mesh file must be a path, a str or os.PathLike")
 
 
 @dataclass
@@ -91,7 +99,7 @@ class ResultTable:
 
 def _format_cell(column, value):
     if column in ("value", "reference", "rel_error"):
-        return "nan" if value != value else f"{value:.12e}"
+        return f"{value:.12e}"
     if column == "t":
         return f"{value:g}"
     return str(value)
@@ -174,7 +182,7 @@ def run_benchmark(config, references=None):
     for level, (mesh, chart) in enumerate(_meshes(config)):
         for t, n_dofs, value, iters in _solves(config, mesh, chart, config.order, config.regge):
             ref = references[t]
-            rel = abs(value - ref) / abs(ref) if ref == ref and ref != 0 else math.nan
+            rel = abs(value - ref) / abs(ref) if ref != 0 else math.nan
             table.add(benchmark=config.benchmark, t=t, level=level,
                       n_elements=mesh.num_triangles, n_dofs=n_dofs,
                       reduction="on" if config.regge else "off", value=value,

@@ -153,9 +153,7 @@ class ReggeBasis:
         s = 0
         for (i, j) in LOCAL_EDGES:
             dyad = sym_dyad(BARY_GRADS[i], BARY_GRADS[j])
-            out[:, s, :] = dyad
-            s += 1
-            for l in range(1, self.order + 1):
+            for l in range(self.order + 1):
                 scal = eval_integrated_jacobi_scaled(
                     l, 0.0, lam[:, i] - lam[:, j], lam[:, i] + lam[:, j]
                 )

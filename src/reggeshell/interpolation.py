@@ -103,7 +103,8 @@ class DualMassMatrix:
     It is block lower triangular: ``solve`` factors the two diagonal blocks
     once and substitutes forward through ``full[n_edge:, :n_edge]``, which
     is exact only because the edge-by-cell block ``full[:n_edge, n_edge:]``
-    vanishes."""
+    vanishes.  At order 0 there are no cell shapes: the cell block is 0 x 0,
+    and its factorization and substitution are empty."""
 
     full: np.ndarray
     n_edge: int
@@ -111,19 +112,15 @@ class DualMassMatrix:
     def __post_init__(self):
         n_e = self.n_edge
         self._lu_EE = scipy.linalg.lu_factor(self.full[:n_e, :n_e])
-        if len(self.full) > n_e:
-            self._lu_TT = scipy.linalg.lu_factor(self.full[n_e:, n_e:])
+        self._lu_TT = scipy.linalg.lu_factor(self.full[n_e:, n_e:])
 
     def solve(self, f):
         """Block forward substitution for the coefficient vector."""
         n_e = self.n_edge
         f = np.asarray(f)
         alpha_e = scipy.linalg.lu_solve(self._lu_EE, f[:n_e])
-        if len(self.full) == n_e:
-            return alpha_e
         rhs = f[n_e:] - self.full[n_e:, :n_e] @ alpha_e
-        alpha_t = scipy.linalg.lu_solve(self._lu_TT, rhs)
-        return np.concatenate([alpha_e, alpha_t])
+        return np.concatenate([alpha_e, scipy.linalg.lu_solve(self._lu_TT, rhs)])
 
 
 class InterpolationOperator:
@@ -179,8 +176,10 @@ class ShearSpace:
 
     For p = 0 the lowest-order rotated Whitney space is used (three shapes,
     one tangential moment per edge).  For p >= 1 the local space is the full
-    vector polynomial space of degree p; the 3(p+1) edge moments are matched
-    exactly and the remaining freedom is fixed by least squares in L2."""
+    vector polynomial space of degree p.  Every order takes one constrained
+    L2 fit: the edge moments E are matched exactly and the remaining freedom
+    is fixed by least squares in L2.  With square E (p = 0, 1) this is the
+    edge interpolant inv(E), up to round-off."""
 
     def __init__(self, p, quad_degree):
         self.p = p
@@ -189,22 +188,14 @@ class ShearSpace:
         self.num_shapes = 3 if p == 0 else (p + 1) * (p + 2)
 
         E = self._edge_moments(self.rule.split(np.moveaxis(self.shapes(self.points), 1, 2))[0])
-        if E.shape[0] == E.shape[1]:
-            self._proj_edge = np.linalg.inv(E)
-            self._proj_vol = None
-        else:
-            # KKT system of the constrained L2 fit
-            self._vol_shapes = self.shapes(self.rule.vol_points)  # (nq, ns, 2)
-            M = np.einsum("q,qsd,qtd->st", self.rule.vol_weights,
-                          self._vol_shapes, self._vol_shapes)
-            ns, nc = E.shape[1], E.shape[0]
-            KKT = np.zeros((ns + nc, ns + nc))
-            KKT[:ns, :ns] = M
-            KKT[:ns, ns:] = E.T
-            KKT[ns:, :ns] = E
-            inv = np.linalg.inv(KKT)
-            self._proj_vol = inv[:ns, :ns]   # applied to the L2 load vector
-            self._proj_edge = inv[:ns, ns:]  # applied to the edge moments
+        # KKT system of the constrained L2 fit
+        self._vol_shapes = self.shapes(self.rule.vol_points)  # (nq, ns, 2)
+        M = np.einsum("q,qsd,qtd->st", self.rule.vol_weights,
+                      self._vol_shapes, self._vol_shapes)
+        ns = E.shape[1]
+        inv = np.linalg.inv(np.block([[M, E.T], [E, np.zeros((len(E), len(E)))]]))
+        self._proj_vol = inv[:ns, :ns]   # applied to the L2 load vector
+        self._proj_edge = inv[:ns, ns:]  # applied to the edge moments
 
     def shapes(self, points):
         pts = np.atleast_2d(points)
@@ -233,10 +224,8 @@ class ShearSpace:
         vector values (P, 2, ...) given at ``points``."""
         vals = np.asarray(values)
         edge_vals, vol_vals = self.rule.split(vals.reshape(len(vals), 2, -1))
-        coeff = self._proj_edge @ self._edge_moments(edge_vals)
-        if self._proj_vol is not None:
-            b = np.einsum("q,qsd,qdn->sn", self.rule.vol_weights, self._vol_shapes, vol_vals)
-            coeff = coeff + self._proj_vol @ b
+        b = np.einsum("q,qsd,qdn->sn", self.rule.vol_weights, self._vol_shapes, vol_vals)
+        coeff = self._proj_edge @ self._edge_moments(edge_vals) + self._proj_vol @ b
         return coeff.reshape((self.num_shapes,) + vals.shape[2:])
 
 

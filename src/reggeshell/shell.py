@@ -71,6 +71,7 @@ array, are complex or have another shape per point, raises ``ValueError``
 before the next block is called.
 """
 
+import numbers
 import operator
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -107,18 +108,24 @@ class MaterialParams:
     poisson_ratio: float
 
     def __post_init__(self):
-        if not 0.0 < self.youngs_modulus < np.inf:
-            raise ValueError("Young's modulus must be positive and finite")
-        if not 0.0 <= self.poisson_ratio < 0.5:
-            raise ValueError("Poisson ratio must lie in [0, 0.5)")
+        if not (_is_real(self.youngs_modulus) and 0.0 < self.youngs_modulus < np.inf):
+            raise ValueError("Young's modulus must be a positive finite number")
+        if not (_is_real(self.poisson_ratio) and 0.0 <= self.poisson_ratio < 0.5):
+            raise ValueError("Poisson ratio must be a number in [0, 0.5)")
 
 
 def _is_integer_at_least(value, least):
-    """Whether a value is an integer (``operator.index`` takes it) >= least."""
+    """Whether a value is an integer (``operator.index`` takes it), not a
+    bool, >= least."""
     try:
-        return operator.index(value) >= least
+        return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
+
+
+def _is_real(value):
+    """Whether a value is a real scalar, a NumPy one included, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -135,8 +142,8 @@ class ShellConfig:
         # and is checked on every assignment; a model has built its spaces,
         # maps and tables from the other fields
         if name == "thickness":
-            if not 0.0 < value < np.inf:
-                raise ValueError("thickness must be positive and finite")
+            if not (_is_real(value) and 0.0 < value < np.inf):
+                raise ValueError("thickness must be a positive finite number")
         elif name in vars(self):
             raise FrozenInstanceError(f"cannot assign to field '{name}': only the "
                                       f"thickness of a shell config may change")
@@ -582,7 +589,8 @@ class ShellModel:
 
     def _terms(self, X):
         """The shear, bending and membrane terms at element vectors X (nT, 5n),
-        in the order in which the gradient and the tangent sum them.  With the
+        by name; the gradient and the tangent sum them into zeros, so the
+        sums do not depend on the order of the terms.  With the
         edge-tangential reduction the shear factor is the stabilized
         t^3/(t^2 + c h^2), which matches t as the mesh resolves the shear
         scale and removes the residual coarse-mesh shear stiffness that would
@@ -618,16 +626,13 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def gradient(self, x, load_vector=None, *, terms=None):
-        """Energy gradient at x, less the load vector if one is given;
-        ``terms`` are the ``_terms`` at x when the caller has them."""
-        g = None
+        """Energy gradient at x, less the load vector if one is given, summed
+        over the terms into zeros in any order; ``terms`` are the ``_terms``
+        at x when the caller has them."""
+        g = np.zeros(self.element_dofs.shape)
         for term in (terms or self._terms(self._local(x))).values():
             gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
-            gt *= term.factor[:, None]
-            if g is None:
-                g = gt
-            else:
-                g[:, term.cols] += gt
+            g[:, term.cols] += term.factor[:, None] * gt
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
         return grad if load_vector is None else grad - self._load(load_vector)
 
@@ -639,9 +644,9 @@ class ShellModel:
                         self._tangent_blocks(terms or self._terms(self._local(x))))
 
     def _tangent_blocks(self, terms):
-        """The element tangents (nT, 5n, 5n), summed over the terms, one
-        block of consecutive elements of about BLOCK_BYTES at a time; in a
-        block the first term's G^T W G holds the sum."""
+        """The element tangents (nT, 5n, 5n), summed over the terms into
+        zeros, in any order, one block of consecutive elements of about
+        BLOCK_BYTES at a time."""
         n = self.basis.num_shapes
         nT, m = self.element_dofs.shape
         size = max(1, BLOCK_BYTES // (8 * m * m))
@@ -651,17 +656,14 @@ class ShellModel:
         geometric = {name: (_weighted(t.W, t.e) @ t.K.reshape(-1, n * n)).reshape(-1, n, n)
                      for name, t in terms.items() if t.K is not None}
         for b in (slice(i, i + size) for i in range(0, nT, size)):
-            H = None
+            H = np.zeros((len(self.element_dofs[b]), m, m))
             for name, term in terms.items():
                 Ht = _gram(term.G[b], term.W[b])
                 if name in geometric:
                     for c in range(0, 3 * n, n):
                         Ht[:, c:c + n, c:c + n] += geometric[name][b]
                 Ht *= term.factor[b, None, None]
-                if H is None:
-                    H = Ht
-                else:
-                    H[:, term.cols, term.cols] += Ht
+                H[:, term.cols, term.cols] += Ht
             yield H
 
     # ------------------------------------------------------------------

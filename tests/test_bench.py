@@ -173,12 +173,40 @@ class TestConfig:
     @pytest.mark.parametrize("name, value", [
         ("levels", 1.5), ("levels", 2.0), ("order", 2.0), ("reference_order", 4.0),
         ("geometry_order", 1.5), ("geometry_order", 0), ("base_refinement", 0.5),
-        ("base_refinement", -1), ("levels", None)])
+        ("base_refinement", -1), ("levels", None), ("levels", True), ("order", True),
+        ("geometry_order", True), ("base_refinement", False)])
     def test_integer_fields_checked_at_construction(self, name, value):
-        # a float level count or order failed inside run_benchmark with a TypeError
+        # a float level count or order failed inside run_benchmark with a
+        # TypeError; a bool was taken for 0 or 1
         with pytest.raises(ConfigurationError, match="integer"):
             BenchmarkConfig("cylinder", **{name: value})
         BenchmarkConfig("cylinder", **{name: np.int64(1)})
+
+    @pytest.mark.parametrize("name", ["regge", "shear_reduction"])
+    @pytest.mark.parametrize("value", ["no", "off", 0, 1, None, 1.0])
+    def test_on_off_fields_must_be_booleans(self, name, value):
+        # regge="no" ran with the Regge reduction on, shear_reduction=0 was kept as 0
+        with pytest.raises(ConfigurationError, match="booleans"):
+            BenchmarkConfig("cylinder", **{name: value})
+        for on in (False, True, np.False_, np.True_):
+            assert getattr(BenchmarkConfig("cylinder", **{name: on}), name) == on
+
+    @pytest.mark.parametrize("field", [
+        dict(thicknesses=(0.1, "0.01")), dict(thicknesses="0.1"), dict(thicknesses=0.1),
+        dict(thicknesses=(0.1, None)), dict(thicknesses=(True,)),
+        dict(thicknesses=(np.array([0.1]),)), dict(mesh_file=3), dict(mesh_file=b"mesh.txt")],
+        ids=["str_thickness", "str_thicknesses", "float_thicknesses", "none_thickness",
+             "bool_thickness", "array_thickness", "int_mesh_file", "bytes_mesh_file"])
+    def test_field_types_checked_at_construction(self, field):
+        # the non-numbers raised a bare TypeError from a comparison, a bool
+        # thickness and mesh_file=3 (a file descriptor for read_mesh) were accepted
+        with pytest.raises(ConfigurationError):
+            BenchmarkConfig("cylinder", **field)
+
+    def test_numpy_scalars_and_paths_accepted(self, tmp_path):
+        config = BenchmarkConfig("cylinder", thicknesses=[np.float64(0.1), np.float32(0.01)],
+                                 levels=np.int64(1), mesh_file=tmp_path / "mesh.txt")
+        assert config.mesh_file == tmp_path / "mesh.txt"
 
     def test_base_refinement_defaults(self, tmp_path):
         def size(config):

@@ -163,6 +163,17 @@ class TestMaterial:
             with pytest.raises(ValueError):
                 MaterialParams(youngs_modulus, 0.3)
 
+    @pytest.mark.parametrize("args", [
+        ("1", 0.3), (None, 0.3), (True, 0.3), (np.array([1.0]), 0.3), (1.0, None),
+        (1.0, "0.3"), (1.0, False)],
+        ids=["str_E", "none_E", "bool_E", "array_E", "none_nu", "str_nu", "bool_nu"])
+    def test_parameters_must_be_numbers(self, args):
+        # ("1", 0.3) and (1.0, None) raised a bare TypeError from a
+        # comparison, (True, 0.3) was accepted
+        with pytest.raises(ValueError, match="Young's modulus|Poisson ratio"):
+            MaterialParams(*args)
+        assert MaterialParams(np.float64(1.0), np.float32(0.25)).poisson_ratio == 0.25
+
 
 class TestConfig:
     def test_defaults(self):
@@ -199,10 +210,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("order", 2.0), ("order", "2"), ("order", None), ("geometry_order", 1.5),
-        ("geometry_order", 0), ("geometry_order", np.float64(2.0))])
+        ("geometry_order", 0), ("geometry_order", np.float64(2.0)), ("order", True),
+        ("geometry_order", True)])
     def test_orders_must_be_integers_from_1(self, name, value):
         # a float order failed inside the model build with a TypeError, and
-        # geometry order 0 only inside ElementMap
+        # geometry order 0 only inside ElementMap; a bool was taken for 1
         with pytest.raises(ValueError, match="order must be an integer >= 1"):
             ShellConfig(thickness=0.1, **{name: value})
         assert ShellConfig(thickness=0.1, **{name: np.int64(2)}).order == 2
@@ -213,6 +225,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             c.thickness = thickness
         assert c.thickness == 0.1
+
+    @pytest.mark.parametrize("thickness", ["0.1", None, True, np.array([0.1]), 1j])
+    def test_thickness_must_be_a_number(self, thickness):
+        # "0.1" and None raised a bare TypeError from a comparison, True and
+        # an array were accepted, at construction and on assignment
+        with pytest.raises(ValueError, match="thickness"):
+            ShellConfig(thickness=thickness)
+        c = ShellConfig(thickness=np.float64(0.1))
+        with pytest.raises(ValueError, match="thickness"):
+            c.thickness = thickness
+        c.thickness = np.float32(0.5)
+        assert c.thickness == 0.5
 
     @pytest.mark.parametrize("name, value", [
         ("order", 3), ("geometry_order", 1), ("membrane_reduction", "none"),
@@ -370,6 +394,19 @@ class TestDerivatives:
         fd = (model.gradient(x + h * d) - model.gradient(x - h * d)) / (2 * h)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(H @ d - fd)) < 1e-4 * scale
+
+    @pytest.mark.parametrize("kind", ["linearized_membrane", "full_green"])
+    def test_sums_do_not_depend_on_the_term_order(self, kind, monkeypatch):
+        # each entry sums at most two terms into zeros; with the membrane
+        # first the first term no longer covers every column
+        model = cylinder_model(model=kind, order=1)
+        x = random_state(model, 0.01, seed=5)
+        g, H = model.gradient(x), model.hessian(x).data
+        terms = model._terms
+        monkeypatch.setattr(model, "_terms", lambda X: dict(reversed(terms(X).items())))
+        assert list(model._terms(model._local(x))) == ["membrane", "bending", "shear"]
+        assert model.gradient(x).tobytes() == g.tobytes()
+        assert model.hessian(x).data.tobytes() == H.tobytes()
 
 
 def unibend_green_model():
@@ -861,6 +898,17 @@ class TestShearSpace:
         ss = ShearSpace(p, 10)
         coeff = ss.interpolate(np.moveaxis(ss.shapes(ss.points), 1, 2))
         assert np.allclose(coeff, np.eye(ss.num_shapes), atol=1e-10)
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 10])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_square_edge_moments_give_the_edge_interpolant(self, p, d):
+        # as many edge moments as shapes leave the constrained L2 fit no
+        # freedom: its edge block is inv(E), its volume block vanishes
+        ss = ShearSpace(p, d)
+        E = ss._edge_moments(ss.rule.split(np.moveaxis(ss.shapes(ss.points), 1, 2))[0])
+        inv = np.linalg.inv(E)
+        assert np.max(np.abs(ss._proj_edge - inv)) <= 1e-14 * np.max(np.abs(inv))
+        assert np.max(np.abs(ss._proj_vol)) <= 1e-14
 
 
 def expected_free(model, h=1e-6):
