@@ -119,7 +119,7 @@ class SparsityPattern:
             np.repeat(nodes, n, axis=1).ravel() * ns + np.tile(nodes, (1, n)).ravel(),
             return_inverse=True)
         row, col = np.divmod(keys, ns)
-        sptr = _indptr(row, ns)
+        sptr = np.searchsorted(row, np.arange(ns + 1))
         deg = np.diff(sptr)
         snnz = len(keys)
         # row (f, a) lists the field blocks g * ns + nbr(a): it starts at
@@ -216,12 +216,6 @@ def _supervariable_order(element_nodes, free_nodes, scalar):
     return group.ravel(), lu.perm_c
 
 
-def _indptr(row, n):
-    indptr = np.zeros(n + 1, dtype=int)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr
-
-
 class SparseSymMatrix:
     """Symmetric global matrix with a constrained-dof elimination mask: the
     pattern and the summed value of each entry in the pattern's
@@ -247,14 +241,12 @@ class SparseSymMatrix:
 
 def assemble(pattern, element_matrices):
     """Sum the element matrices (nT, m, m) of the pattern's element dofs into
-    a global sparse symmetric matrix.  ``element_matrices`` is that array or
-    consecutive blocks of it in element order, such as a generator that forms
-    one block at a time; each block is summed through its slice of ``slot``,
-    so every stored value is the same sum in the same order.  Rows and
-    columns of constrained dofs stay in the matrix but are masked out for the
-    solve, which keeps dof numbering stable."""
-    if isinstance(element_matrices, np.ndarray):
-        element_matrices = [element_matrices]
+    a global sparse symmetric matrix.  ``element_matrices`` is any iterable of
+    consecutive blocks of them in element order, such as that array (its
+    element blocks) or a generator that forms one block at a time; each block
+    is summed through its slice of ``slot``, so every stored value is the same
+    sum in the same order.  Rows and columns of constrained dofs stay in the
+    matrix but are masked out for the solve, which keeps dof numbering stable."""
     n = len(pattern.slot)
     data = np.zeros(pattern.nnz)
     start = 0

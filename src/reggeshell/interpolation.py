@@ -34,7 +34,7 @@ from .elements import (
     regge_basis,
 )
 from .mesh import LOCAL_EDGES
-from .polynomials import eval_legendre
+from .polynomials import eval_jacobi
 from .quadrature import segment_rule, triangle_rule
 
 __all__ = [
@@ -77,7 +77,7 @@ def moment_rule(n_moments, quad_degree):
     seg = segment_rule(quad_degree)
     tri = triangle_rule(quad_degree)
     tangents, lengths = zip(*(edge_tangent(e) for e in range(3)))
-    leg = np.array([eval_legendre(l, seg.points) for l in range(n_moments)])
+    leg = np.array([eval_jacobi(l, 0.0, seg.points) for l in range(n_moments)])
     edge_points = np.array([edge_point(e, seg.points) for e in range(3)])
     return MomentRule(
         edge_points=edge_points,

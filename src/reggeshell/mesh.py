@@ -225,7 +225,8 @@ def read_mesh(path):
     Raises MeshError when the line counts disagree with the header, a
     coordinate is not finite, a vertex index is out of range, a marked pair
     is not an edge, a triangle is not positively oriented in the parameter
-    plane, or there is no triangle or a vertex lies in none.
+    plane, the two triangles of an edge lie on the same side of it (a fold),
+    or there is no triangle or a vertex lies in none.
     """
     with open(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
@@ -248,6 +249,14 @@ def read_mesh(path):
     bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
     if bad.size:
         raise MeshError(f"triangle {bad[0]} is not positively oriented")
+    # a counterclockwise triangle runs local edge le in its global direction
+    # times (1, -1, 1); the two triangles of an edge must run it both ways
+    run = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges,
+                      weights=(mesh.tri_edge_signs * (1, -1, 1)).ravel())
+    folded = np.flatnonzero(np.abs(run) == 2)
+    if folded.size:
+        raise MeshError(f"the two triangles of edge {tuple(mesh.edges[folded[0]].tolist())} "
+                        f"lie on the same side of it")
     unused = np.setdiff1d(np.arange(nv), tris)
     if not nt or unused.size:
         raise MeshError("the mesh has no triangles" if not nt

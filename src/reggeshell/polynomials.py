@@ -9,12 +9,13 @@ reference triangle.
 
 import numpy as np
 
+from .quadrature import segment_rule
+
 __all__ = [
     "eval_jacobi",
     "eval_jacobi_scaled",
     "eval_integrated_jacobi",
     "eval_integrated_jacobi_scaled",
-    "eval_legendre",
     "eval_dubiner",
 ]
 
@@ -56,23 +57,12 @@ def eval_jacobi(n, alpha, x):
     return eval_jacobi_scaled(n, alpha, x, 1.0)
 
 
-def eval_legendre(n, x):
-    """Legendre polynomial, i.e. the alpha = 0 member of the family."""
-    return eval_jacobi_scaled(n, 0.0, x, 1.0)
-
-
-def _unit_gauss(npts):
-    # Gauss-Legendre rule mapped to [0, 1]
-    t, w = np.polynomial.legendre.leggauss(max(npts, 1))
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def eval_integrated_jacobi_scaled(n, alpha, x, s):
     """Evaluate s^n * phat_n^{(alpha,0)}(x/s) with phat_n the antiderivative
     of p_{n-1}^{(alpha,0)} vanishing at -1 (phat_0 = 1).
 
-    The antiderivative is realized by an exact Gauss rule applied to the
-    homogenized integrand; no closed-form connection coefficients needed.
+    The antiderivative is realized by the exact Gauss rule ``segment_rule(n - 1)``
+    on the homogenized integrand; no closed-form connection coefficients needed.
     """
     _check(n, alpha)
     x = np.asarray(x, dtype=float)
@@ -81,7 +71,8 @@ def eval_integrated_jacobi_scaled(n, alpha, x, s):
         return np.ones(np.broadcast(x, s).shape)
     # integrate p_{n-1} along [-1, x/s] and homogenize: the sample points
     # (x + s) u - s are polynomial in (x, s)
-    u, w = _unit_gauss((n + 1) // 2)
+    seg = segment_rule(n - 1)
+    u, w = 0.5 * (seg.points + 1.0), 0.5 * seg.weights
     acc = 0.0
     for ui, wi in zip(u, w):
         acc = acc + wi * eval_jacobi_scaled(n - 1, alpha, (x + s) * ui - s, s)
@@ -100,8 +91,6 @@ def eval_dubiner(l1, l2, x, y):
     evaluated through the scaled recurrence so the collapsed coordinate is
     regular up to y = 1.
     """
-    _check(l1, 0.0)
-    _check(l2, 0.0)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return eval_jacobi_scaled(l1, 0.0, x, 1.0 - y) * eval_jacobi(

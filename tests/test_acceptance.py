@@ -17,7 +17,8 @@ from reggeshell import shell
 from reggeshell.assembly import RESIDUAL_TOL, factor_solve, free_block
 from reggeshell.bench import BenchmarkConfig, compute_references, run_benchmark
 from reggeshell.elements import barycentric, edge_point, edge_tangent, regge_basis
-from reggeshell.geometry import BENCHMARK_NAMES, ElementMap, flat_chart, make_benchmark_mesh
+from reggeshell.geometry import (BENCHMARK_NAMES, ElementMap, flat3_chart, flat_chart,
+                                 make_benchmark_mesh)
 from reggeshell.interpolation import assemble_dual_mass, get_operator, reference_dual_mass
 from reggeshell.mesh import count_entities, rectangle_mesh, refine_uniform
 from reggeshell.polynomials import eval_integrated_jacobi, eval_jacobi
@@ -404,6 +405,46 @@ def membrane_rank(name, level, k, regge):
     return rank, (mesh.num_edges, mesh.num_triangles, model.num_scalar_dofs)
 
 
+def weighted_strain_map(model, M, W, cols):
+    """The strain map of an energy sum_T e . W e, e = M x[element_dofs[:, cols]],
+    as one dense matrix whose Gram matrix is the assembled form: the rows of
+    every element are L^T M for W = L L^T, scattered to the columns of its
+    dofs."""
+    L = np.linalg.cholesky(W[:, 0])
+    B = np.swapaxes(L, 1, 2) @ M
+    nT, r, _ = B.shape
+    D = np.zeros((nT * r, model.num_dofs))
+    np.add.at(D, (np.arange(nT * r).reshape(nT, r, 1), model.element_dofs[:, None, cols]), B)
+    return D
+
+
+def relative_singular_values(D):
+    s = np.linalg.svd(D, compute_uv=False)
+    return s / s[0]
+
+
+def gap_rank(s):
+    """The number of relative singular values s above 1e-9, and the ratio of
+    the last of them to the next one (infinite when none is left)."""
+    rank = int(np.sum(s > 1e-9))
+    return rank, s[rank - 1] / s[rank] if rank < len(s) else np.inf
+
+
+@lru_cache(maxsize=None)
+def regge_constraints(name, level, k):
+    """Relative singular values of the weighted Regge membrane map over all
+    displacement dofs and over the free ones, and the counts (nE, nT)."""
+    mesh, chart = make_benchmark_mesh(name, level)
+    cfg = ShellConfig(thickness=0.1, order=k, shear_reduction="none",
+                      membrane_reduction="regge")
+    model = ShellModel(mesh, chart, MAT, cfg)
+    m = 3 * model.num_scalar_dofs
+    D = weighted_strain_map(model, model._Mm, model._Wm, slice(3 * model.basis.num_shapes))
+    s = {"all": relative_singular_values(D[:, :m]),
+         "free": relative_singular_values(D[:, np.flatnonzero(model.free[:m])])}
+    return s, (mesh.num_edges, mesh.num_triangles)
+
+
 class TestMembraneConstraintCount:
     # the paper's claim: Regge interpolation weakens the membrane constraints
     # to the dimension of the tangential-continuous Regge space of order k-1
@@ -428,3 +469,63 @@ class TestMembraneConstraintCount:
     def test_lowest_order_ranks_agree(self, name, level):
         unreduced, _ = membrane_rank(name, level, 1, False)
         assert unreduced == membrane_rank(name, level, 1, True)[0]
+
+    @pytest.mark.parametrize("dofs", ["all", "free"])
+    @pytest.mark.parametrize("name, level, k", [
+        (name, level, k) for name in ("hyperboloid", "cylinder")
+        for level in (0, 1) for k in (1, 2, 3)] + [("hyperboloid", 2, 2)])
+    def test_weighted_map_rank_has_a_clean_gap(self, name, level, k, dofs):
+        # the smallest kept singular value read at least 1.5e-4 of the
+        # largest, the next at most 1.2e-15
+        s, (nE, nT) = regge_constraints(name, level, k)
+        rank, gap = gap_rank(s[dofs])
+        assert rank == k * nE + 3 * k * (k - 1) // 2 * nT
+        assert gap >= 1e8
+
+    # at k = 1 one constraint per edge, against the 3T of one-point reduced
+    # integration: the ratio tends to 1/2, the abstract's "asymptotically halved"
+    @pytest.mark.parametrize("level, edges, one_point", [(0, 16, 24), (1, 56, 96),
+                                                         (2, 208, 384)])
+    def test_lowest_order_count_is_the_edge_count(self, level, edges, one_point):
+        s, (nE, nT) = regge_constraints("hyperboloid", level, 1)
+        assert (nE, 3 * nT) == (edges, one_point)
+        assert gap_rank(s["all"])[0] == edges
+
+
+def shear_constraints(mesh, chart, k, geometry_order=None):
+    """Relative singular values of the weighted edge-tangential shear map over
+    all dofs."""
+    model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=k,
+                                                     geometry_order=geometry_order))
+    return relative_singular_values(weighted_strain_map(model, model._Ms, model._Ws,
+                                                        slice(None)))
+
+
+class TestShearConstraintCount:
+    # on a flat plate the edge-tangential moments of the shear are single
+    # valued, so the constraints span the tangential-continuous space of
+    # order p = k - 1; the smallest kept value read at least 1.1e-2 of the
+    # largest, the next at most 4.9e-16
+    @pytest.mark.parametrize("level, k, count", [(0, 2, 32), (1, 2, 112), (0, 3, 72),
+                                                 (1, 3, 264)])
+    def test_flat_rank_is_tangential_continuous_dimension(self, level, k, count):
+        mesh = rectangle_mesh(2, 2, (0.0, 1.0), (0.0, 1.0))
+        for _ in range(level):
+            mesh = refine_uniform(mesh)
+        p, nE, nT = k - 1, mesh.num_edges, mesh.num_triangles
+        assert (p + 1) * nE + ((p + 1) * (p + 2) - 3 * (p + 1)) * nT == count
+        rank, gap = gap_rank(shear_constraints(mesh, flat3_chart(), k))
+        assert rank == count
+        assert gap >= 1e8
+
+    # on curved meshes the element normals jump across edges, and the extra
+    # constraints come back as weak singular values; at geometry order 4 the
+    # largest of them read 1.2e-5 (hyperboloid) and 2.7e-6 (cylinder).  At
+    # geometry order 2 the values above 1e-3 number 152 (hyperboloid) and
+    # 124 (cylinder): ROADMAP item 16's normal jump
+    @pytest.mark.parametrize("name", ["hyperboloid", "cylinder"])
+    def test_curved_strong_count_is_the_flat_count(self, name):
+        s = shear_constraints(*make_benchmark_mesh(name, 1), 2, geometry_order=4)
+        strong = int(np.sum(s > 1e-3))
+        assert strong == 112
+        assert s[strong] <= 1e-4

@@ -5,6 +5,7 @@ from reggeshell.cli import build_parser, main, parse_thicknesses
 from reggeshell.geometry import ConfigurationError, make_benchmark_mesh
 
 from test_bench import UNFIT_MESHES
+from test_mesh import FOLDED_MESH
 from test_unstructured import write_mesh
 
 
@@ -117,7 +118,8 @@ class TestMain:
     @pytest.mark.parametrize("text, message", [
         ("0 0\n", "the mesh has no triangles"),
         ("4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n", "vertex 3 lies in no triangle"),
-    ], ids=["no_triangles", "unused_vertex"])
+        (FOLDED_MESH, "the two triangles of edge (0, 1) lie on the same side of it"),
+    ], ids=["no_triangles", "unused_vertex", "folded"])
     def test_unmeshable_file_reports_error(self, tmp_path, capsys, text, message):
         mesh = tmp_path / "mesh.txt"
         mesh.write_text(text)

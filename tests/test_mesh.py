@@ -15,6 +15,10 @@ from reggeshell.mesh import (
 )
 
 
+# triangles 0 1 2 and 0 1 4 are both counterclockwise and both run 0 -> 1
+# along their shared edge, so they lie on the same side of it and overlap
+FOLDED_MESH = "5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.9\n0 1 2\n0 1 4\n0 2 3\n"
+
 CROSSED_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
 CROSSED_TRIANGLES = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
 
@@ -306,10 +310,11 @@ class TestImport:
         "3 0\n0 0\n1 0\n0 1\n",
         # vertex 3 lies in no triangle: its dofs would have no stiffness
         "4 1\n0 0\n1 0\n0 1\n1 1\n0 1 2\n",
+        FOLDED_MESH,
     ], ids=["negative_index", "short_vertex_block", "clockwise", "nan_coordinate",
             "inf_coordinate", "aliased_marker_index", "marker_index_too_large",
             "short_triangle_block", "trailing_line_not_a_marker", "empty_header",
-            "no_triangles", "unused_vertex"])
+            "no_triangles", "unused_vertex", "folded"])
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "mesh.txt"
         path.write_text(text)

@@ -7,7 +7,6 @@ from reggeshell.polynomials import (
     eval_integrated_jacobi,
     eval_jacobi,
     eval_jacobi_scaled,
-    eval_legendre,
 )
 
 
@@ -124,7 +123,3 @@ class TestOrthogonality:
             for l in range(9):
                 if abs(j - l) > 2:
                     assert abs(gram[j, l]) < 1e-12
-
-    def test_legendre_shortcut(self):
-        x = np.linspace(-1, 1, 11)
-        assert np.allclose(eval_legendre(5, x), eval_jacobi(5, 0.0, x), atol=1e-15)

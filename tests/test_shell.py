@@ -352,6 +352,48 @@ class TestKernelAndScaling:
             weight(0.1) / weight(0.01), rel=1e-12)
 
 
+def naghdi_parameters(E, t):
+    """Young's modulus and thickness (E sqrt(12), t / sqrt(12)) at which the
+    library's energy, whose bending weighs t^3, has the Naghdi weights of
+    (E, t): the membrane E t, the shear kG t and the bending E t^3 / 12.
+    With the shear reduction on, the stabilization becomes 12 c.  It stands
+    in for ROADMAP item 9, the t^3 / 12 bending weight, which deletes it."""
+    return E * np.sqrt(12.0), t / np.sqrt(12.0)
+
+
+class TestNaghdiParameters:
+    def test_energies_are_the_naghdi_weights(self):
+        # with the shear reduction off; all three read within 4.5e-16
+        mesh, chart = make_benchmark_mesh("cylinder")
+
+        def model(E, t):
+            return ShellModel(mesh, chart, MaterialParams(E, 0.3),
+                              ShellConfig(thickness=t, order=2, membrane_reduction="regge",
+                                          shear_reduction="none"))
+
+        plain, naghdi = model(1000.0, 0.05), model(*naghdi_parameters(1000.0, 0.05))
+        x = random_state(plain, 0.1, seed=5)
+        plain, naghdi = plain.energies(x), naghdi.energies(x)
+        assert naghdi["membrane"] == pytest.approx(plain["membrane"], rel=1e-14)
+        assert naghdi["shear"] == pytest.approx(plain["shear"], rel=1e-14)
+        assert naghdi["bending"] / plain["bending"] == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [0.1, 1e-2, 1e-4])
+    def test_unibend_tip_matches_closed_form(self, t):
+        # a unit covariant end moment is the physical moment m = R, so the
+        # tip moves by (m R^2 / D) (1, 0, pi/2 - 1); x and z read at most
+        # 7.9e-8 and 9.4e-8 off, and y, unasserted, 1.6e-6 of |u| at t = 0.1
+        R, E = 0.1, 2.0e5
+        Eq, tq = naghdi_parameters(E, t)
+        model = ShellModel(*make_benchmark_mesh("unibend_cylinder", 2), MaterialParams(Eq, 0.0),
+                           ShellConfig(thickness=tq, order=2, membrane_reduction="regge"))
+        state, _ = model.solve(LoadSpec(edge_moments={"loaded": lambda X: np.array([1.0, 0.0])}))
+        u = model.evaluate_displacement(state.vector, (np.pi / 2.0, 0.0125))
+        D = E * t ** 3 / 12.0
+        np.testing.assert_allclose(u[[0, 2]], R ** 3 / D * np.array([1.0, np.pi / 2.0 - 1.0]),
+                                   rtol=1e-6)
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("shear", ["none", "edge_tangential"])
     @pytest.mark.parametrize("reduction", ["none", "regge"])
