@@ -35,20 +35,23 @@ edge); the free ones and their free fields form one supervariable.
 SuperLU's minimum degree ordering of A + A^T runs on the small quotient
 graph of the supervariables, the scalar pattern restricted to one
 representative node of each, and each supervariable is expanded into a
-contiguous run of dofs.  The CSC layout of the free block is read off the
-matrix whose values are their own CSR positions: permuted into that order
-by scipy's sparse indexing, its free block has the layout as its structure
-and, as its values, the CSR position of each of its entries.  Inverted,
-that list gives the stored position of every CSR entry, through which the
-element entries are summed; the full CSR matrix is rebuilt from the layout
-and the coordinates of the other entries only when it is asked for.  There
-is no copy of the free block: every factorization scales the stored values
-in place by powers of two, exact to apply and to undo as in LAPACK's
-xGEEQUB, and restores them as soon as SuperLU (natural ordering) returns.
-The scaling, and the row sums of ``norm_inf``, run over the block one run
-of columns at a time, and the factor is released once its one solve
-returns.  Each of these transients, like an assembly's block of element
-matrices, holds about ``BLOCK_BYTES``.
+contiguous run of dofs.  The layout then follows from that graph by index
+arithmetic.  Every free-block column of a supervariable holds the whole
+runs of its neighbours, in run order, so the rows of each column and the
+stored position of each free entry follow from the offsets of the runs in
+the graph's columns.  The entries after the block, in CSR order, follow
+from the constrained rows and the constrained columns of each scalar row.
+No array the size of the matrix or of the element entries is formed but
+the kept row indices and stored positions, written in int32 one run of
+columns or one block of elements at a time.  The full CSR matrix is
+rebuilt from the layout and the coordinates of the other entries only
+when it is asked for.  There is no copy of the free block: every
+factorization scales the stored values in place by powers of two, exact
+to apply and to undo as in LAPACK's xGEEQUB, and restores them as soon as
+SuperLU (natural ordering) returns.  The scaling, and the row sums of
+``norm_inf``, run over the block one run of columns at a time, and the
+factor is released once its one solve returns.  Each of these transients,
+like an assembly's block of element matrices, holds about ``BLOCK_BYTES``.
 """
 
 from functools import cached_property
@@ -92,7 +95,10 @@ class SparsityPattern:
     and ``order`` lists the free dofs in factorization order, the minimum
     degree ordering of the graph of one representative node per group.
     ``block_indices`` and ``block_indptr`` give the CSC layout of the free
-    block in that order, and ``diag`` the positions of its diagonal.
+    block in that order, and ``diag`` the positions of its diagonal.  Each
+    group's free dofs make one run of ``order``, and each block column of a
+    group holds the whole runs of the groups it shares an element with, so
+    the layout is built on the graph of the groups, never on the matrix.
 
     Values are stored in factorization layout: the free block's entries in
     its CSC order, then the other entries in CSR order, at the rows
@@ -119,81 +125,167 @@ class SparsityPattern:
             np.repeat(nodes, n, axis=1).ravel() * ns + np.tile(nodes, (1, n)).ravel(),
             return_inverse=True)
         row, col = np.divmod(keys, ns)
+        del keys
         sptr = np.searchsorted(row, np.arange(ns + 1))
         deg = np.diff(sptr)
-        snnz = len(keys)
+        snnz = len(col)
         # row (f, a) lists the field blocks g * ns + nbr(a): it starts at
         # f * nf * snnz + nf * sptr[a], and column g * ns + b is its entry
         # g * deg(a) + rank_a(b)
         self.nnz = nf * nf * snnz
         indptr = np.append(
-            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(),
-            self.nnz).astype(np.int32)
-        g = np.arange(nf)[:, None]
-        rows = np.empty(nf * snnz, dtype=np.int32)   # field 0; the other fields repeat it
-        rows[nf * sptr[row] + g * deg[row] + np.arange(snnz) - sptr[row]] = g * ns + col
-        indices = np.tile(rows, nf)
+            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(), self.nnz)
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
-        scalar = scipy.sparse.csr_matrix((np.ones(snnz), col, sptr), shape=(ns, ns))
-        group, position = _supervariable_order(nodes, free_nodes, scalar)
+        group, position, graph = _supervariable_order(nodes, free_nodes, sptr, col)
         node_group = np.full(ns, -1)
         node_group[free_nodes] = group
         self.supervariable = node_group[self.free_idx % ns]
         # each supervariable's free dofs stay contiguous, in dof order
         self.order = self.free_idx[np.argsort(position[self.supervariable], kind="stable")]
-        self.block_indices, self.block_indptr, self.diag, layout = _stored_layout(
-            indices, indptr, self.order)
-        # the entries after the free block are stored in CSR order
-        rest = np.flatnonzero(layout >= len(self.block_indices))
-        self.rest_rows = (np.searchsorted(indptr, rest, side="right") - 1).astype(np.int32)
-        self.rest_cols = indices[rest]
-        del rest, indices
+        node_position = np.full(ns, -1)
+        node_position[free_nodes] = position[group]
+        self.block_indptr, self.block_indices, self.diag, near = _free_layout(
+            graph, position, np.bincount(position[self.supervariable], minlength=len(position)),
+            node_position[row], node_position[col])
+        con = ~self.free
+        self.rest_rows, self.rest_cols, before, rank = _rest_layout(
+            con.reshape(nf, ns), row, col, indptr, sptr)
+        del row, col, node_position
+        # the stored position of every row's first entry after the block
+        after = len(self.block_indices) + before
 
         # slot[k] is the stored position of the k-th entry of the stacked
-        # element matrices, (element, field, node, field, node), through its
-        # CSR position; it stays int32, which np.add.at reads without a copy
-        rank = sslot.reshape(nT, n, 1, n) - sptr[nodes][..., None, None]
-        in_row = deg[nodes][..., None, None] * g + rank
-        slot = (indptr[self.element_dofs].reshape(nT, nf, n, 1, 1)
-                + in_row[:, None]).ravel()
-        del rank, in_row
-        self.slot = layout[slot]
+        # element matrices, (element, field, node, field, node), written in
+        # int32, which np.add.at reads without a copy, one block of elements
+        # at a time: free row (f, a) of free column (g, b) at the column's
+        # start, plus near[(b, a)], plus the row's place in the order.  Only
+        # the elements with a constrained dof have entries after the block.
+        m = nf * n
+        place = np.zeros(self.n_dofs, dtype=np.int32)
+        place[self.order] = np.arange(len(self.order))
+        column_start = self.block_indptr[place]
+        sslot = sslot.reshape(nT, n, n)
+        fields = np.arange(nf)[:, None]
+        self.slot = np.empty(nT * m * m, dtype=np.int32)
+        step = max(1, BLOCK_BYTES // max(8 * m * m, 1))
+        for t in range(0, nT, step):
+            dofs, e = self.element_dofs[t:t + step], sslot[t:t + step]
+            b = len(dofs)
+            value = self.slot[t * m * m:(t + b) * m * m].reshape(b, m, m)
+            column = (near[e.swapaxes(1, 2)][:, :, None, :]
+                      + column_start[dofs].reshape(b, 1, nf, n))
+            np.add(place[dofs].reshape(b, nf, n, 1), column.reshape(b, 1, n, m),
+                   out=value.reshape(b, nf, n, m))
+            touched = np.flatnonzero(con[dofs].any(axis=1))
+            if len(touched):
+                dofs, e, a = dofs[touched], e[touched], nodes[t + touched, :, None, None]
+                outside = con[dofs][:, :, None] | con[dofs][:, None, :]
+                # entry (f, a_i; g, b_j) follows its row's first entry after
+                # the block by its CSR offset in a constrained row, and by
+                # the rank of its column among the constrained ones in a free
+                offset = deg[a] * fields + e[:, :, None, :] - sptr[a]
+                stored = np.where(con[dofs].reshape(-1, nf, n, 1),
+                                  offset.reshape(-1, 1, n, m),
+                                  rank[fields, e[:, :, None, :]].reshape(-1, 1, n, m))
+                stored += after[dofs].reshape(-1, nf, n, 1)
+                local = value[touched]
+                local[outside] = stored.reshape(outside.shape)[outside]
+                value[touched] = local
 
 
-def _stored_layout(indices, indptr, order):
-    """CSC layout (indices, indptr) of the free block of a CSR structure in
-    the factorization order ``order``, the positions of the block's diagonal
-    in it, and the stored position of every CSR entry: the block's entries
-    in CSC order, then the others in CSR order.
+def _free_layout(graph, position, run, pb, pa):
+    """CSC layout of the free block, built on the supervariable graph.
 
-    The permuted free block of the matrix whose values are their own CSR
-    positions lists the CSR position of each block entry in CSC order;
-    tocsc sorts the rows of every column, and selecting whole columns keeps
-    them sorted."""
-    nnz, n = len(indices), len(indptr) - 1
-    positions = scipy.sparse.csr_matrix(
-        (np.arange(nnz, dtype=np.int32), indices, indptr), shape=(n, n))
-    block = positions[order].tocsc()[:, order]
-    column = np.repeat(np.arange(len(order)), np.diff(block.indptr))
-    diag = np.flatnonzero(block.indices == column)
-    nb = len(block.data)
-    rest = np.ones(nnz, dtype=bool)
-    rest[block.data] = False
-    layout = np.empty(nnz, dtype=np.int32)
-    layout[block.data] = np.arange(nb, dtype=np.int32)
-    layout[rest] = np.arange(nb, nnz, dtype=np.int32)
-    return block.indices, block.indptr, diag, layout
+    ``graph`` holds the keys column * supervariables + row of the graph's
+    entries, ``position`` the position of every supervariable in the
+    ordering, and ``run`` the length, by position, of its run of free dofs
+    in the order.  Every block column of a supervariable holds the whole
+    runs of its neighbours in the graph, one after another, so the layout
+    follows from per-neighbour offsets.  ``pb`` and ``pa`` give the
+    supervariable positions of the row node b and the column node a of
+    every scalar entry, -1 for a node without free dofs.  Returns the
+    block's indptr and indices, the positions of its diagonal, and ``near``:
+    for every scalar entry (b, a) between free nodes, the offset of a's run
+    in a block column of b, less the run's start in the order."""
+    nsv = len(run)
+    start = np.cumsum(run) - run
+    # the graph in position order, as sorted keys column * nsv + row
+    qkeys = np.sort(position[graph // nsv] * nsv + position[graph % nsv])
+    qcol, qrow = np.divmod(qkeys, nsv)
+    # graph column q lists the runs of rows qrow, which make entries
+    # first[q]:first[q + 1] of the concatenated columns, each at offset `at`
+    ends = np.append(0, np.cumsum(run[qrow]))
+    first = ends[np.searchsorted(qcol, np.arange(nsv + 1))]
+    at = ends[:-1] - first[qcol]
+    column = np.repeat(np.arange(nsv), run)
+    indptr = np.append(0, np.cumsum(np.diff(first)[column])).astype(np.int32)
+    # the concatenated rows, copied into the block columns of their
+    # supervariable one run of columns at a time
+    runs = _ranges(start[qrow], run[qrow]).astype(np.int32)
+    shift = (first[column] - indptr[:-1]).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for cols, entries in _column_runs(indptr):
+        k = np.repeat(shift[cols], np.diff(indptr[cols.start:cols.stop + 1]))
+        k += np.arange(entries.start, entries.stop, dtype=np.int32)
+        indices[entries] = runs[k]
+    # nodes in no element form a supervariable without entries, not even
+    # a diagonal one
+    own = np.full(nsv, -1)
+    own[qcol[qrow == qcol]] = at[qrow == qcol]
+    k = np.flatnonzero(own[column] >= 0)
+    diag = indptr[k] + own[column[k]] + k - start[column[k]]
+    both = np.flatnonzero((pa >= 0) & (pb >= 0))
+    near = np.zeros(len(pa), dtype=np.int32)
+    near[both] = at[np.searchsorted(qkeys, pb[both] * nsv + pa[both])] - start[pa[both]]
+    return indptr, indices, diag, near
 
 
-def _supervariable_order(element_nodes, free_nodes, scalar):
-    """Supervariables of the free nodes and their order.
+def _rest_layout(con, row, col, indptr, sptr):
+    """The entries outside the free block, stored in CSR order after it.
+    ``con`` (fields, nodes) masks the constrained dofs: every entry of a
+    constrained row lies outside, and in a free row those of the constrained
+    columns.  Returns their rows and columns, the number of them before
+    every row, and the rank of constrained column (g, b) among the outside
+    entries of a free row at node a, by field g and scalar entry (a, b)."""
+    nf, ns = con.shape
+    deg = np.diff(sptr)
+    # the outside entries of the free rows: field f at row node a, field g
+    # at column node col[e]
+    touched = np.flatnonzero(con.any(axis=0)[col])
+    f, e, g = np.nonzero(~con[:, row[touched], None] & con[:, col[touched]].T[None])
+    e = touched[e]
+    a = row[e]
+    r = f * ns + a
+    del f, touched
+    crow = np.flatnonzero(con)
+    rest = np.concatenate([_ranges(indptr[crow], nf * deg[crow % ns]),
+                           indptr[r] + g * deg[a] + e - sptr[a]])
+    by_position = np.argsort(rest)
+    rest = rest[by_position]
+    before = np.searchsorted(rest, indptr)
+    index = np.empty(len(rest), dtype=np.int32)
+    index[by_position] = np.arange(len(rest), dtype=np.int32)
+    del by_position
+    rank = np.zeros((nf, len(col)), dtype=np.int32)
+    rank[g, e] = index[len(rest) - len(r):] - before[r]
+    del index, g, e, r
+    r = np.repeat(np.arange(nf * ns, dtype=np.int32), np.diff(before))
+    a = r % ns
+    g, k = np.divmod(rest - indptr[r], deg[a])
+    return r, (g * ns + col[sptr[a] + k]).astype(np.int32), before, rank
 
-    Free nodes with the same element set are one supervariable.  Returns the
-    supervariable of every free node and the position of every supervariable
-    in the minimum degree ordering of the supervariable graph: the scalar
-    pattern restricted to one representative node per supervariable."""
-    ns = scalar.shape[0]
+
+def _supervariable_order(element_nodes, free_nodes, sptr, col):
+    """Supervariables of the free nodes, their order and their graph.
+
+    Free nodes with the same element set are one supervariable; its first
+    node represents it.  The supervariable graph is the scalar pattern
+    (``sptr``, ``col``) restricted to the representatives.  Returns the
+    supervariable of every free node, the position of every supervariable in
+    the minimum degree ordering of the graph, and the graph's entries as
+    sorted keys column * supervariables + row."""
+    ns = len(sptr) - 1
     # the element set of every node in increasing order, padded with -1
     flat = element_nodes.ravel()
     entries = np.argsort(flat, kind="stable")
@@ -201,19 +293,40 @@ def _supervariable_order(element_nodes, free_nodes, scalar):
     sets = np.full((ns, max(count.max(initial=0), 1)), -1)
     sets[flat[entries], np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)] = (
         entries // element_nodes.shape[1])
-    _, first, group = np.unique(sets[free_nodes], axis=0, return_index=True,
-                                return_inverse=True)
-    rep = free_nodes[first]
-    # the graph with every diagonal entry and a diagonally dominant value
-    # set, which SuperLU factors without pivoting
-    graph = scalar[rep].tocsc()[:, rep] + scipy.sparse.identity(len(rep), format="csc")
-    graph.data[:] = -1.0
-    graph.setdiag(np.diff(graph.indptr))
+    # the distinct sets numbered in lexicographic order, as np.unique(axis=0)
+    # numbers them, in a third of its time
+    sets = sets[free_nodes]
+    by_set = np.lexsort(sets.T[::-1])
+    new = np.ones(len(by_set), dtype=bool)
+    new[1:] = (sets[by_set[1:]] != sets[by_set[:-1]]).any(axis=1)
+    group = np.empty(len(by_set), dtype=int)
+    group[by_set] = np.cumsum(new) - 1
+    rep = free_nodes[by_set[new]]
+    nq = len(rep)
+    # the scalar rows of the representatives, restricted to their columns;
+    # the pattern is symmetric, so they are the graph's columns
+    index = np.full(ns, -1)
+    index[rep] = np.arange(nq)
+    deg = sptr[rep + 1] - sptr[rep]
+    rows = index[col[_ranges(sptr[rep], deg)]]
+    keys = np.sort(np.repeat(np.arange(nq), deg)[rows >= 0] * nq + rows[rows >= 0])
+    # SuperLU factors, without pivoting, the graph with every diagonal entry
+    # (a node in no element has none) and a diagonally dominant value set
+    lonely = np.flatnonzero(deg == 0) * (nq + 1)
+    column, row = np.divmod(np.insert(keys, np.searchsorted(keys, lonely), lonely), nq)
+    indptr = np.searchsorted(column, np.arange(nq + 1))
+    graph = scipy.sparse.csc_matrix(
+        (np.where(row == column, np.diff(indptr)[column], -1.0), row, indptr), shape=(nq, nq))
     lu = scipy.sparse.linalg.splu(graph, permc_spec=PERMC_SPEC,
                                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                   options=SUPERLU_OPTIONS)
     # perm_c maps a supervariable to its position in the ordering
-    return group.ravel(), lu.perm_c
+    return group, lu.perm_c, keys
+
+
+def _ranges(starts, lengths):
+    """The ranges starts[i]:starts[i] + lengths[i], one after another."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
 class SparseSymMatrix:

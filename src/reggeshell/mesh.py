@@ -57,9 +57,11 @@ class Mesh:
     boundary_markers: dict
 
     def __post_init__(self):
-        """Check a directly built mesh as ``build_mesh`` builds one: indices
-        in range, sorted unique edge rows, and edges and signs that are the
-        triangles' local edges, each edge in one or two triangles."""
+        """Check a mesh however it was built: indices in range, sorted
+        unique edge rows, edges and signs that are the triangles' local
+        edges, each edge in one or two triangles, every triangle positively
+        oriented in the parameter plane, and the two triangles of an edge on
+        either side of it (no fold)."""
         nv, ne = self.num_vertices, self.num_edges
         tris, edges, tri_edges = self.triangles, self.edges, self.tri_edges
         marked = np.array([e for ids in self.boundary_markers.values() for e in ids], dtype=int)
@@ -83,6 +85,19 @@ class Mesh:
         if bad.size:
             raise MeshError(f"edge {tuple(edges[bad[0]].tolist())} lies in {counts[bad[0]]} "
                             f"triangles, not in one or two")
+        verts = self.vertices
+        d1, d2 = verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]]
+        bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
+        if bad.size:
+            raise MeshError(f"triangle {bad[0]} is not positively oriented")
+        # a counterclockwise triangle runs local edge le in its global direction
+        # times (1, -1, 1); the two triangles of an edge must run it both ways
+        run = np.bincount(tri_edges.ravel(), minlength=ne,
+                          weights=(self.tri_edge_signs * (1, -1, 1)).ravel())
+        folded = np.flatnonzero(np.abs(run) == 2)
+        if folded.size:
+            raise MeshError(f"the two triangles of edge {tuple(edges[folded[0]].tolist())} "
+                            f"lie on the same side of it")
 
     @property
     def num_vertices(self):
@@ -122,8 +137,8 @@ class Mesh:
 def build_mesh(vertices, triangles, boundary_markers=None):
     """Create a mesh from raw arrays and build its edge connectivity;
     ``boundary_markers`` maps a name to vertex pairs that must be edges.
-    ``Mesh`` rejects triangle vertices out of range and edges in more than
-    two triangles."""
+    ``Mesh`` rejects triangle vertices out of range, edges in more than two
+    triangles, triangles that are not positively oriented and folds."""
     # copies, so that the caller's arrays cannot change the mesh afterwards
     vertices = np.array(vertices, dtype=float)
     tris = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -245,18 +260,6 @@ def read_mesh(path):
     names = marks[:, 3]
     mesh = build_mesh(verts, tris, {name: pairs[names == name]
                                     for name in dict.fromkeys(names.tolist())})
-    d1, d2 = verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]]
-    bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
-    if bad.size:
-        raise MeshError(f"triangle {bad[0]} is not positively oriented")
-    # a counterclockwise triangle runs local edge le in its global direction
-    # times (1, -1, 1); the two triangles of an edge must run it both ways
-    run = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges,
-                      weights=(mesh.tri_edge_signs * (1, -1, 1)).ravel())
-    folded = np.flatnonzero(np.abs(run) == 2)
-    if folded.size:
-        raise MeshError(f"the two triangles of edge {tuple(mesh.edges[folded[0]].tolist())} "
-                        f"lie on the same side of it")
     unused = np.setdiff1d(np.arange(nv), tris)
     if not nt or unused.size:
         raise MeshError("the mesh has no triangles" if not nt

@@ -272,6 +272,17 @@ class TestScalarNodePattern:
         assert_matches_sort_based(model._pattern, model.num_dofs, model.element_dofs,
                                   model.free)
 
+    @pytest.mark.parametrize("name, level, order", [("hyperboloid", 3, 2), ("cylinder", 2, 4)],
+                             ids=["thickness_scan", "locking_sweep_reference"])
+    def test_benchmark_models(self, name, level, order):
+        # the 512-element hyperboloid (300,825 entries) and the order-4
+        # cylinder reference (611,225 entries), both with Regge
+        mesh, chart = make_benchmark_mesh(name, level)
+        model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3),
+                           ShellConfig(thickness=0.1, order=order, membrane_reduction="regge"))
+        assert_matches_sort_based(model._pattern, model.num_dofs, model.element_dofs,
+                                  model.free)
+
     @pytest.mark.parametrize("seed", [3, 5, 8])
     def test_random_blocks(self, seed):
         dofs, _, free = random_blocks(seed=seed)

@@ -6,6 +6,7 @@ import pytest
 from reggeshell.elements import GeometryError, barycentric, lagrange_basis, pseudo_inverse
 from reggeshell.geometry import (
     BENCHMARK_NAMES,
+    ChartGeometry,
     ConfigurationError,
     ElementMap,
     flat3_chart,
@@ -32,9 +33,13 @@ class TestFlatMaps:
         assert np.allclose(pseudo_inverse(ev.F), np.linalg.inv(ev.F), atol=1e-13)
 
     def test_degenerate_triangle_raises(self):
-        m = build_mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+        # the mesh rejects a collinear parameter triangle, so a positive one
+        # is collapsed onto the line x = y by the chart
+        m = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+        line = ChartGeometry(name="line", ambient_dim=2,
+                             phi=lambda p: np.repeat(np.asarray(p)[..., :1], 2, axis=-1))
         with pytest.raises(GeometryError):
-            ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.2)])
+            ElementMap(m, line, 0, 1).evaluate([(0.0, 0.2)])
 
 
 class TestSurfaceMaps:

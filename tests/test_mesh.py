@@ -17,6 +17,8 @@ from reggeshell.mesh import (
 
 # triangles 0 1 2 and 0 1 4 are both counterclockwise and both run 0 -> 1
 # along their shared edge, so they lie on the same side of it and overlap
+FOLDED_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.9)]
+FOLDED_TRIANGLES = [(0, 1, 2), (0, 1, 4), (0, 2, 3)]
 FOLDED_MESH = "5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.9\n0 1 2\n0 1 4\n0 2 3\n"
 
 CROSSED_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
@@ -130,6 +132,14 @@ class TestBuildEdges:
         m = crossed_square()
         assert np.all(m.edges[:, 0] < m.edges[:, 1])
 
+    @pytest.mark.parametrize("vertices, triangles, message", [
+        (FOLDED_VERTICES, FOLDED_TRIANGLES, "same side"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)], "positively oriented"),
+    ], ids=["folded", "clockwise"])
+    def test_orientation_checked_in_the_mesh(self, vertices, triangles, message):
+        with pytest.raises(MeshError, match=message):
+            build_mesh(vertices, triangles)
+
     def test_marker_on_non_edge_rejected(self):
         with pytest.raises(MeshError, match=r"unknown edge \(0, 2\)"):
             build_mesh(CROSSED_VERTICES, CROSSED_TRIANGLES, {"diagonal": [(0, 2)]})
@@ -223,8 +233,9 @@ class TestDirectMesh:
         (lambda m: dict(edges=np.vstack([m.edges, [[0, 8]]])), "not in one or two"),
         (lambda m: dict(triangles=m.triangles + 1), "triangle vertex"),
         (lambda m: dict(boundary_markers={"clamped": (m.num_edges,)}), "marker edge"),
+        (lambda m: dict(vertices=m.vertices * (-1.0, 1.0)), "positively oriented"),
     ], ids=["swapped_local_edges", "flipped_sign", "unsorted_edge", "duplicate_edge",
-            "unused_edge", "vertex_out_of_range", "marker_out_of_range"])
+            "unused_edge", "vertex_out_of_range", "marker_out_of_range", "mirrored"])
     def test_inconsistent_mesh_rejected(self, change, message):
         mesh = self.grid()
         with pytest.raises(MeshError, match=message):

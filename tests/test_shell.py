@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse.linalg
 
 from reggeshell import shell
-from reggeshell.assembly import (BACKWARD_TOL, RESIDUAL_TOL, SolverError, assemble,
-                                 factor_solve, norm_inf)
+from reggeshell.assembly import (BACKWARD_TOL, RESIDUAL_TOL, SolverError, SparsityPattern,
+                                 assemble, factor_solve, norm_inf)
 from reggeshell.elements import (
     BARY_GRADS,
     GeometryError,
@@ -826,7 +826,11 @@ class TestModelMemory:
     stack, two scaling gathers of the free block's size and a list of the
     load's 18,432 per-point values took 10.25 MiB in ``hessian``, 11.56 MiB
     in ``hessian`` and ``factor_solve`` and 3.56 MiB in ``load_vector``;
-    formed one block at a time they take 5.35, 5.35 and 0.95 MiB."""
+    formed one block at a time they take 5.35, 5.35 and 0.95 MiB.  The
+    pattern build is bounded from its layout on the supervariable graph:
+    laid out through scipy's permutation of a matrix of the full pattern it
+    peaked at 20.47 MiB and the model build at 26.82 MiB; built on the
+    graph, one block at a time, they peak at 7.20 and 13.61 MiB."""
 
     def test_order_4_reference_arrays(self, order_4_reference):
         model, _ = order_4_reference
@@ -847,7 +851,14 @@ class TestModelMemory:
 
     def test_order_4_reference_build_peak(self, order_4_reference):
         _, peak = order_4_reference
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 14 * 2 ** 20
+
+    def test_order_4_reference_pattern_peak(self, order_4_reference):
+        # the pattern's 5.47 MiB of arrays and the transients of one block
+        model, _ = order_4_reference
+        _, peak = traced_peak(lambda: SparsityPattern(
+            model.num_scalar_dofs, model.element_scalar_dofs, model.free, fields=5))
+        assert peak <= 7.5 * 2 ** 20
 
     def test_order_4_reference_tangent_and_solve_peak(self, order_4_reference):
         model, _ = order_4_reference

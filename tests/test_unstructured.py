@@ -110,7 +110,7 @@ def test_regge_rank_is_regge_space_dimension(tmp_path_factory, case, k):
     assert s[rank] < 1e-13 * s[0]
 
 
-@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 @EXAMPLES
 @given(case=perturbed_meshes())
 def test_pattern_matches_sort_based(tmp_path_factory, case, order):
