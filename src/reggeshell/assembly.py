@@ -4,18 +4,17 @@ The sparsity of an assembled matrix depends only on the element dof sets and
 the constrained dofs, not on any value, so a ``SparsityPattern`` is built once
 per dof map: the fill-reducing layout of the free-by-free block and the
 stored position of every element-matrix entry.  Values are stored in
-factorization layout, the free block in its CSC order followed by the
-constrained entries, so each assembly only sums the element values into
-their stored positions and the free block is a view of them.  The sum is
-an ``np.add.at`` through the int32 stored positions: unlike ``bincount``,
-which copies an int32 index to intp, it reads them as they are, and it adds
-in the same sequential order.  The element matrices may come one block of
-consecutive elements at a time, each summed through its slice of the
-positions, so that no stack of the whole mesh is formed and every stored
-value is still the same sum in the same order.  Every field
-has a dof at each node, so the pattern is built on the scalar node graph,
-which has fields^2 times fewer entries, and the full structure follows by
-index arithmetic: row (f, a) lists the field blocks g * n_scalar + nbr(a).
+factorization layout: the free block in its CSC order, then every element
+entry in a constrained row or column, unsummed, in element order.  So each
+assembly only sums the element values into their stored positions, and the
+free block is a view of them.  The sum is an ``np.add.at`` through the
+int32 stored positions: unlike ``bincount``, which copies an int32 index to
+intp, it reads them as they are, and it adds in the same sequential order.
+The element matrices may come one block of consecutive elements at a time,
+each summed through its slice of the positions, so that no stack of the
+whole mesh is formed and every stored value is still the same sum in the
+same order.  Every field has a dof at each node, so the pattern is built on
+the scalar node graph, which has fields^2 times fewer entries.
 
 Problems stay at desk scale, so a direct sparse LU is used: one factorization
 and one solve, with no iterative refinement and no test of the solution:
@@ -39,13 +38,12 @@ contiguous run of dofs.  The layout then follows from that graph by index
 arithmetic.  Every free-block column of a supervariable holds the whole
 runs of its neighbours, in run order, so the rows of each column and the
 stored position of each free entry follow from the offsets of the runs in
-the graph's columns.  The entries after the block, in CSR order, follow
-from the constrained rows and the constrained columns of each scalar row.
-No array the size of the matrix or of the element entries is formed but
-the kept row indices and stored positions, written in int32 one run of
-columns or one block of elements at a time.  The full CSR matrix is
-rebuilt from the layout and the coordinates of the other entries only
-when it is asked for.  There is no copy of the free block: every
+the graph's columns; the constrained entries of each block of elements take
+the next positions.  No array the size of the matrix or of the element
+entries is formed but the kept row indices and stored positions, written in
+int32 one run of columns or one block of elements at a time.  Only the full
+CSR matrix, rebuilt when it is asked for, reads and sums the constrained
+entries.  There is no copy of the free block on any pattern: every
 factorization scales the stored values in place by powers of two, exact
 to apply and to undo as in LAPACK's xGEEQUB, and restores them as soon as
 SuperLU (natural ordering) returns.  The scaling, and the row sums of
@@ -100,10 +98,12 @@ class SparsityPattern:
     group holds the whole runs of the groups it shares an element with, so
     the layout is built on the graph of the groups, never on the matrix.
 
-    Values are stored in factorization layout: the free block's entries in
-    its CSC order, then the other entries in CSR order, at the rows
-    ``rest_rows`` and columns ``rest_cols``.  ``slot`` gives the stored
-    position of every entry of the stacked element matrices.
+    Values are stored in factorization layout, ``n_stored`` of them: the
+    free block's entries in its CSC order, then, unsummed and in element
+    order, the element entries in a constrained row or column.  ``slot``
+    gives the stored position of every entry of the stacked element
+    matrices; ``nnz`` counts the nonzeros of the full matrix.  Every array
+    a pattern keeps is read-only.
     """
 
     def __init__(self, n_scalar, element_dofs, free=None, fields=1):
@@ -119,22 +119,15 @@ class SparsityPattern:
         self.free = np.ones(self.n_dofs, dtype=bool) if free is None else np.array(free, bool)
         self.free_idx = np.flatnonzero(self.free)
 
-        # scalar pattern: its keys sorted row-major are its CSR order, and
-        # sslot is the CSR position of every entry of the node blocks
+        # scalar pattern: its keys sorted row-major, and sslot, the index of
+        # every entry of the node blocks among them
         keys, sslot = np.unique(
             np.repeat(nodes, n, axis=1).ravel() * ns + np.tile(nodes, (1, n)).ravel(),
             return_inverse=True)
         row, col = np.divmod(keys, ns)
         del keys
         sptr = np.searchsorted(row, np.arange(ns + 1))
-        deg = np.diff(sptr)
-        snnz = len(col)
-        # row (f, a) lists the field blocks g * ns + nbr(a): it starts at
-        # f * nf * snnz + nf * sptr[a], and column g * ns + b is its entry
-        # g * deg(a) + rank_a(b)
-        self.nnz = nf * nf * snnz
-        indptr = np.append(
-            (np.arange(nf)[:, None] * (nf * snnz) + nf * sptr[:-1]).ravel(), self.nnz)
+        self.nnz = nf * nf * len(col)
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
         group, position, graph = _supervariable_order(nodes, free_nodes, sptr, col)
@@ -148,26 +141,22 @@ class SparsityPattern:
         self.block_indptr, self.block_indices, self.diag, near = _free_layout(
             graph, position, np.bincount(position[self.supervariable], minlength=len(position)),
             node_position[row], node_position[col])
-        con = ~self.free
-        self.rest_rows, self.rest_cols, before, rank = _rest_layout(
-            con.reshape(nf, ns), row, col, indptr, sptr)
         del row, col, node_position
-        # the stored position of every row's first entry after the block
-        after = len(self.block_indices) + before
 
         # slot[k] is the stored position of the k-th entry of the stacked
         # element matrices, (element, field, node, field, node), written in
         # int32, which np.add.at reads without a copy, one block of elements
         # at a time: free row (f, a) of free column (g, b) at the column's
-        # start, plus near[(b, a)], plus the row's place in the order.  Only
-        # the elements with a constrained dof have entries after the block.
+        # start, plus near[(b, a)], plus the row's place in the order, and
+        # the entries outside the block at the next stored positions
         m = nf * n
+        con = ~self.free
         place = np.zeros(self.n_dofs, dtype=np.int32)
         place[self.order] = np.arange(len(self.order))
         column_start = self.block_indptr[place]
         sslot = sslot.reshape(nT, n, n)
-        fields = np.arange(nf)[:, None]
         self.slot = np.empty(nT * m * m, dtype=np.int32)
+        stored = len(self.block_indices)
         step = max(1, BLOCK_BYTES // max(8 * m * m, 1))
         for t in range(0, nT, step):
             dofs, e = self.element_dofs[t:t + step], sslot[t:t + step]
@@ -177,21 +166,12 @@ class SparsityPattern:
                       + column_start[dofs].reshape(b, 1, nf, n))
             np.add(place[dofs].reshape(b, nf, n, 1), column.reshape(b, 1, n, m),
                    out=value.reshape(b, nf, n, m))
-            touched = np.flatnonzero(con[dofs].any(axis=1))
-            if len(touched):
-                dofs, e, a = dofs[touched], e[touched], nodes[t + touched, :, None, None]
-                outside = con[dofs][:, :, None] | con[dofs][:, None, :]
-                # entry (f, a_i; g, b_j) follows its row's first entry after
-                # the block by its CSR offset in a constrained row, and by
-                # the rank of its column among the constrained ones in a free
-                offset = deg[a] * fields + e[:, :, None, :] - sptr[a]
-                stored = np.where(con[dofs].reshape(-1, nf, n, 1),
-                                  offset.reshape(-1, 1, n, m),
-                                  rank[fields, e[:, :, None, :]].reshape(-1, 1, n, m))
-                stored += after[dofs].reshape(-1, nf, n, 1)
-                local = value[touched]
-                local[outside] = stored.reshape(outside.shape)[outside]
-                value[touched] = local
+            outside = con[dofs][:, :, None] | con[dofs][:, None, :]
+            k = np.count_nonzero(outside)
+            value[outside] = np.arange(stored, stored + k, dtype=np.int32)
+            stored += k
+        self.n_stored = stored
+        read_only(self)
 
 
 def _free_layout(graph, position, run, pb, pa):
@@ -239,41 +219,6 @@ def _free_layout(graph, position, run, pb, pa):
     near = np.zeros(len(pa), dtype=np.int32)
     near[both] = at[np.searchsorted(qkeys, pb[both] * nsv + pa[both])] - start[pa[both]]
     return indptr, indices, diag, near
-
-
-def _rest_layout(con, row, col, indptr, sptr):
-    """The entries outside the free block, stored in CSR order after it.
-    ``con`` (fields, nodes) masks the constrained dofs: every entry of a
-    constrained row lies outside, and in a free row those of the constrained
-    columns.  Returns their rows and columns, the number of them before
-    every row, and the rank of constrained column (g, b) among the outside
-    entries of a free row at node a, by field g and scalar entry (a, b)."""
-    nf, ns = con.shape
-    deg = np.diff(sptr)
-    # the outside entries of the free rows: field f at row node a, field g
-    # at column node col[e]
-    touched = np.flatnonzero(con.any(axis=0)[col])
-    f, e, g = np.nonzero(~con[:, row[touched], None] & con[:, col[touched]].T[None])
-    e = touched[e]
-    a = row[e]
-    r = f * ns + a
-    del f, touched
-    crow = np.flatnonzero(con)
-    rest = np.concatenate([_ranges(indptr[crow], nf * deg[crow % ns]),
-                           indptr[r] + g * deg[a] + e - sptr[a]])
-    by_position = np.argsort(rest)
-    rest = rest[by_position]
-    before = np.searchsorted(rest, indptr)
-    index = np.empty(len(rest), dtype=np.int32)
-    index[by_position] = np.arange(len(rest), dtype=np.int32)
-    del by_position
-    rank = np.zeros((nf, len(col)), dtype=np.int32)
-    rank[g, e] = index[len(rest) - len(r):] - before[r]
-    del index, g, e, r
-    r = np.repeat(np.arange(nf * ns, dtype=np.int32), np.diff(before))
-    a = r % ns
-    g, k = np.divmod(rest - indptr[r], deg[a])
-    return r, (g * ns + col[sptr[a] + k]).astype(np.int32), before, rank
 
 
 def _supervariable_order(element_nodes, free_nodes, sptr, col):
@@ -324,6 +269,14 @@ def _supervariable_order(element_nodes, free_nodes, sptr, col):
     return group, lu.perm_c, keys
 
 
+def read_only(obj):
+    """Make every array an object keeps, alone or in a tuple, read-only."""
+    for value in vars(obj).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+
 def _ranges(starts, lengths):
     """The ranges starts[i]:starts[i] + lengths[i], one after another."""
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
@@ -331,8 +284,8 @@ def _ranges(starts, lengths):
 
 class SparseSymMatrix:
     """Symmetric global matrix with a constrained-dof elimination mask: the
-    pattern and the summed value of each entry in the pattern's
-    factorization layout, from which ``matrix`` rebuilds the full CSR."""
+    pattern and the values in its factorization layout, from which
+    ``matrix`` rebuilds the full CSR."""
 
     def __init__(self, pattern, data):
         self.pattern = pattern
@@ -340,10 +293,14 @@ class SparseSymMatrix:
 
     @cached_property
     def matrix(self):
-        """The full matrix as CSR, rebuilt from the stored layout when first read."""
+        """The full matrix as CSR, rebuilt when first read; scipy sums the
+        constrained entries, stored one per element entry."""
         p = self.pattern
-        rows = np.concatenate([p.order[p.block_indices], p.rest_rows])
-        cols = np.concatenate([np.repeat(p.order, np.diff(p.block_indptr)), p.rest_cols])
+        con = ~p.free[p.element_dofs]
+        outside = con[:, :, None] | con[:, None, :]
+        rows, cols = np.broadcast_arrays(p.element_dofs[:, :, None], p.element_dofs[:, None, :])
+        rows = np.concatenate([p.order[p.block_indices], rows[outside]])
+        cols = np.concatenate([np.repeat(p.order, np.diff(p.block_indptr)), cols[outside]])
         return scipy.sparse.coo_matrix((self.data, (rows, cols)), shape=(p.n_dofs,) * 2).tocsr()
 
     def reduced(self):
@@ -361,7 +318,7 @@ def assemble(pattern, element_matrices):
     sum in the same order.  Rows and columns of constrained dofs stay in the
     matrix but are masked out for the solve, which keeps dof numbering stable."""
     n = len(pattern.slot)
-    data = np.zeros(pattern.nnz)
+    data = np.zeros(pattern.n_stored)
     start = 0
     for block in element_matrices:
         values = np.asarray(block, dtype=float).ravel()
@@ -382,8 +339,9 @@ def free_block(matrix):
     between displacement and rotation blocks at small thickness."""
     p = matrix.pattern
     n = len(p.order)
-    block = scipy.sparse.csc_matrix(
-        (matrix.data[:len(p.block_indices)], p.block_indices, p.block_indptr), shape=(n, n))
+    data = matrix.data[:len(p.block_indices)]
+    block = scipy.sparse.csc_matrix((data, p.block_indices, p.block_indptr), shape=(n, n))
+    block.data = data   # scipy copies a view of under half of its base array
     diag = np.ones(n)
     diag[p.block_indices[p.diag]] = np.abs(block.data[p.diag])
     diag[diag == 0] = 1.0

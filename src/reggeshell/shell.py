@@ -79,7 +79,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 import numpy as np
 
 from .assembly import (BACKWARD_TOL, BLOCK_BYTES, RESIDUAL_TOL, SolverError, SparsityPattern,
-                       assemble, factor_solve, norm_inf)
+                       assemble, factor_solve, norm_inf, read_only)
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse, sym_dyad
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
@@ -401,6 +401,8 @@ class ShellModel:
         self._pattern = SparsityPattern(self.num_scalar_dofs, self.element_scalar_dofs,
                                         self.free, fields=5)
         self.element_dofs = self._pattern.element_dofs
+        # a load callable that writes into its point arguments raises
+        read_only(self)
 
     # ------------------------------------------------------------------
     # dof management

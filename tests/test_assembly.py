@@ -138,21 +138,31 @@ class TestSparsityPattern:
         oracle = mat.matrix[np.ix_(idx, idx)]
         assert np.array_equal(block.toarray(), oracle.toarray())
 
-    @pytest.mark.parametrize("source", ["random_blocks", "shell"])
+    # the free block holds under half the stored values of the random
+    # blocks (178 of 380) and of the level-0 models, which scipy's
+    # constructor would copy
+    @pytest.mark.parametrize("source", [
+        "random_blocks", ("hyperboloid", 1, 3), ("hemisphere", 0, 2), ("cylinder", 0, 1),
+        ("hyperbolic_paraboloid", 0, 1)],
+        ids=["random_blocks", "shell", "hemisphere", "cylinder", "hyperbolic_paraboloid"])
     def test_stored_layout_reproduces_scaled_free_block(self, source):
         if source == "random_blocks":
             dofs, local, free = random_blocks(seed=5)
             mat = assemble(SparsityPattern(30, dofs, free), local)
         else:
-            model = hyperboloid_model(1, 3)
+            name, level, order = source
+            mesh, chart = make_benchmark_mesh(name, level)
+            model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3), ShellConfig(
+                thickness=0.1, order=order, membrane_reduction="regge"))
             mat = model.hessian(np.zeros(model.num_dofs))
         block, s = free_block(mat)
         oracle = scaled_oracle(mat, np.ones_like(s))
         assert np.array_equal(block.indptr, oracle.indptr)
         assert np.array_equal(block.indices, oracle.indices)
         assert np.array_equal(block.data, oracle.data)
-        # a view of the stored values and a power-of-two scaling, exact to
-        # apply, that brings every nonzero diagonal entry into [0.5, 2)
+        # a view of the stored values on every pattern and a power-of-two
+        # scaling, exact to apply, that brings every nonzero diagonal entry
+        # into [0.5, 2)
         assert np.shares_memory(block.data, mat.data)
         assert np.all(np.frexp(s)[0] == 0.5)
         diag = abs(block.diagonal())
@@ -235,14 +245,16 @@ def assert_matches_sort_based(pattern, n_dofs, dofs, free):
     indptr, indices = oracle.pop("indptr"), oracle.pop("indices")
     nnz = len(indices)
     assert pattern.nnz == nnz
-    # the stored layout: the gathered free block, then the other CSR entries
+    # the stored layout: the gathered free block, then every element entry
+    # in a constrained row or column, unsummed, in element order
     gather = oracle.pop("gather")
-    rest = np.setdiff1d(np.arange(nnz), gather)
     layout = np.empty(nnz, dtype=int)
-    layout[np.concatenate([gather, rest])] = np.arange(nnz)
+    layout[gather] = np.arange(len(gather))
     csr_slot = oracle["slot"]
-    row = np.repeat(np.arange(n_dofs), np.diff(indptr))
-    oracle.update(slot=layout[csr_slot], rest_rows=row[rest], rest_cols=indices[rest])
+    slot = layout[csr_slot]
+    outside = ~(free[dofs][:, :, None] & free[dofs][:, None, :]).ravel()
+    slot[outside] = len(gather) + np.arange(np.count_nonzero(outside))
+    oracle.update(slot=slot, n_stored=len(gather) + np.count_nonzero(outside))
     for name, expected in oracle.items():
         assert np.array_equal(getattr(pattern, name), expected), name
     # distinct values in every element entry: the full matrix read back
@@ -295,6 +307,21 @@ class TestScalarNodePattern:
         full = np.hstack([f * 10 + dofs for f in range(3)])
         assert np.array_equal(pattern.element_dofs, full)
         assert_matches_sort_based(pattern, 30, full, free)
+
+    @pytest.mark.parametrize("fields", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_empty_pattern(self, n, fields):
+        pattern = SparsityPattern(4, np.zeros((0, n), dtype=int), fields=fields)
+        assert_matches_sort_based(pattern, 4 * fields, pattern.element_dofs, pattern.free)
+        assert pattern.n_stored == pattern.nnz == 0
+
+    @pytest.mark.parametrize("free_dofs", [0, 1])
+    def test_all_or_all_but_one_dof_constrained(self, free_dofs):
+        dofs, _, _ = random_blocks(n_dofs=10, seed=6)
+        free = np.arange(20) < free_dofs
+        pattern = SparsityPattern(10, dofs, free, fields=2)
+        assert_matches_sort_based(pattern, 20, pattern.element_dofs, free)
+        assert len(pattern.order) == len(pattern.diag) == free_dofs
 
     @pytest.mark.parametrize("free_node", [None, 0, 2])
     def test_no_or_one_free_dof(self, free_node):

@@ -821,16 +821,19 @@ class TestModelMemory:
     from the bending held as its rotations and coefficient mass: 6.09 MiB,
     where a stored bending form and its point weights took 7.45 MiB.  The
     pattern arrays are bounded from an intp ``slot``: 8.2 MiB, 5.47 MiB
-    with an int32 one.  The tangent, the solve and the load vector
-    are bounded from the whole-mesh transients: the (128, 75, 75) tangent
-    stack, two scaling gathers of the free block's size and a list of the
-    load's 18,432 per-point values took 10.25 MiB in ``hessian``, 11.56 MiB
-    in ``hessian`` and ``factor_solve`` and 3.56 MiB in ``load_vector``;
-    formed one block at a time they take 5.35, 5.35 and 0.95 MiB.  The
-    pattern build is bounded from its layout on the supervariable graph:
-    laid out through scipy's permutation of a matrix of the full pattern it
-    peaked at 20.47 MiB and the model build at 26.82 MiB; built on the
-    graph, one block at a time, they peak at 7.20 and 13.61 MiB."""
+    with an int32 one and 5.20 MiB with the entries in a constrained row or
+    column stored unsummed, without their CSR rows and columns.  The
+    tangent, the solve and the load vector are bounded from the whole-mesh
+    transients: the (128, 75, 75) tangent stack, two scaling gathers of the
+    free block's size and a list of the load's 18,432 per-point values took
+    10.25 MiB in ``hessian``, 11.56 MiB in ``hessian`` and ``factor_solve``
+    and 3.56 MiB in ``load_vector``; formed one block at a time they take
+    5.35, 5.35 and 0.95 MiB.  The pattern build is bounded from its layout
+    on the supervariable graph: laid out through scipy's permutation of a
+    matrix of the full pattern it peaked at 20.47 MiB and the model build
+    at 26.82 MiB; built on the graph, one block at a time, they peak at
+    7.20 and 13.61 MiB, and the pattern at 5.75 MiB with the constrained
+    entries stored unsummed."""
 
     def test_order_4_reference_arrays(self, order_4_reference):
         model, _ = order_4_reference
@@ -838,7 +841,7 @@ class TestModelMemory:
 
     def test_order_4_reference_pattern_arrays(self, order_4_reference):
         model, _ = order_4_reference
-        assert model_nbytes(model._pattern) <= 6 * 2 ** 20
+        assert model_nbytes(model._pattern) <= 5.25 * 2 ** 20
 
     def test_order_4_reference_assembly_makes_no_index_copy(self, order_4_reference):
         # a copy of the int32 slot as intp, as bincount makes, adds 5.49 MiB
@@ -854,11 +857,11 @@ class TestModelMemory:
         assert peak <= 14 * 2 ** 20
 
     def test_order_4_reference_pattern_peak(self, order_4_reference):
-        # the pattern's 5.47 MiB of arrays and the transients of one block
+        # the pattern's 5.20 MiB of arrays and the transients of one block
         model, _ = order_4_reference
         _, peak = traced_peak(lambda: SparsityPattern(
             model.num_scalar_dofs, model.element_scalar_dofs, model.free, fields=5))
-        assert peak <= 7.5 * 2 ** 20
+        assert peak <= 6 * 2 ** 20
 
     def test_order_4_reference_tangent_and_solve_peak(self, order_4_reference):
         model, _ = order_4_reference
@@ -1246,6 +1249,32 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"{what} returned complex values"):
             model.load_vector(spec)
         assert next(calls) == shell.LOAD_POINTS
+
+    def test_volume_load_cannot_write_the_model_points(self):
+        # the callable gets rows of the model's points: one that scaled them
+        # in place moved the next load vector of an unchanged load by 0.217
+        mesh, chart = make_benchmark_mesh("hyperboloid")
+        model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
+        spec = LoadSpec(volume=lambda X, nu: np.array([X[0], X[1], 0.0]))
+        first = model.load_vector(spec)
+
+        def scaling(X, nu):
+            X *= 2.0
+            return nu
+
+        with pytest.raises(ValueError, match="read-only"):
+            model.load_vector(LoadSpec(volume=scaling))
+        assert model.load_vector(spec).tobytes() == first.tobytes()
+
+    def test_kept_arrays_are_read_only_but_the_assembled_values(self):
+        model = cylinder_model(model="full_green")
+        for owner in (model, model._pattern):
+            for name, value in vars(owner).items():
+                for array in value if isinstance(value, tuple) else (value,):
+                    if isinstance(array, np.ndarray):
+                        assert not array.flags.writeable, name
+        # factor_solve scales the assembled values in place
+        assert model.hessian(np.zeros(model.num_dofs)).data.flags.writeable
 
     def test_full_green_matches_linearized_for_small_data(self):
         mesh, chart = make_benchmark_mesh("cylinder")

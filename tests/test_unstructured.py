@@ -20,6 +20,7 @@ from reggeshell.geometry import make_benchmark_mesh
 from reggeshell.mesh import build_mesh, read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
+from test_acceptance import gap_rank, membrane_map, relative_singular_values
 from test_assembly import assert_matches_sort_based
 from test_shell import assert_symmetry_rotations_match_chart, node_positions
 
@@ -108,6 +109,19 @@ def test_regge_rank_is_regge_space_dimension(tmp_path_factory, case, k):
     # (at least 3.4e-7 and at most 2.8e-16 relative on such meshes)
     assert s[rank - 1] > 1e-8 * s[0]
     assert s[rank] < 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@EXAMPLES
+@given(case=perturbed_meshes())
+def test_weighted_map_rank_has_a_clean_gap(case, k):
+    # the Regge count over all displacement dofs, with the gap of the
+    # benchmark grids in tests/test_acceptance.py: the smallest kept value
+    # read at least 7.6e-4 of the largest, the next at most 1.2e-15
+    D, _, (nE, nT) = membrane_map(*case, k)
+    rank, gap = gap_rank(relative_singular_values(D))
+    assert rank == k * nE + 3 * k * (k - 1) // 2 * nT
+    assert gap >= 1e8
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
