@@ -30,26 +30,27 @@ shells, where the bending and membrane stiffnesses differ by t^2: on the
 The column ordering is a property of the pattern, so it is computed once,
 when the pattern is built.  Nodes that lie in the same elements have the
 same graph neighbours (the nodes inside one element or on one boundary
-edge); the free ones and their free fields form one supervariable.
-SuperLU's minimum degree ordering of A + A^T runs on the small quotient
-graph of the supervariables, the scalar pattern restricted to one
-representative node of each, and each supervariable is expanded into a
-contiguous run of dofs.  The layout then follows from that graph by index
-arithmetic.  Every free-block column of a supervariable holds the whole
-runs of its neighbours, in run order, so the rows of each column and the
-stored position of each free entry follow from the offsets of the runs in
-the graph's columns; the constrained entries of each block of elements take
-the next positions.  No array the size of the matrix or of the element
-entries is formed but the kept row indices and stored positions, written in
-int32 one run of columns or one block of elements at a time.  Only the full
-CSR matrix, rebuilt when it is asked for, reads and sums the constrained
-entries.  There is no copy of the free block on any pattern: every
-factorization scales the stored values in place by powers of two, exact
-to apply and to undo as in LAPACK's xGEEQUB, and restores them as soon as
-SuperLU (natural ordering) returns.  The scaling, and the row sums of
-``norm_inf``, run over the block one run of columns at a time, and the
-factor is released once its one solve returns.  Each of these transients,
-like an assembly's block of element matrices, holds about ``BLOCK_BYTES``.
+edge); the free ones and their free fields form one supervariable, as
+``np.unique`` numbers their element sets.  SuperLU's minimum degree ordering
+of A + A^T runs on the small quotient graph of the supervariables, the
+scalar pattern that scipy selects at one representative node of each, and
+each supervariable is expanded into a contiguous run of dofs.  The layout
+then follows from that graph by index arithmetic.  Every free-block column
+of a supervariable holds the whole runs of its neighbours, in run order, so
+the rows of each column and the stored position of each free entry follow
+from the offsets of the runs in the graph's columns; the constrained entries
+of each block of elements take the next positions.  No array the size of the
+matrix or of the element entries is formed but the kept row indices and
+stored positions, written in int32 one run of columns or one block of
+elements at a time.  Only the full CSR matrix, rebuilt when it is asked for,
+reads and sums the constrained entries.  There is no copy of the free block
+on any pattern: every factorization scales the stored values in place by
+powers of two, exact to apply and to undo as in LAPACK's xGEEQUB, and
+restores them as soon as SuperLU (natural ordering) returns.  The scaling,
+and the row sums of ``norm_inf``, run over the block one run of columns at a
+time, and the factor is released once its one solve returns.  Each of these
+transients, like an assembly's block of element matrices, holds about
+``BLOCK_BYTES``.
 """
 
 from functools import cached_property
@@ -93,10 +94,10 @@ class SparsityPattern:
     and ``order`` lists the free dofs in factorization order, the minimum
     degree ordering of the graph of one representative node per group.
     ``block_indices`` and ``block_indptr`` give the CSC layout of the free
-    block in that order, and ``diag`` the positions of its diagonal.  Each
-    group's free dofs make one run of ``order``, and each block column of a
-    group holds the whole runs of the groups it shares an element with, so
-    the layout is built on the graph of the groups, never on the matrix.
+    block in that order.  Each group's free dofs make one run of ``order``,
+    and each block column of a group holds the whole runs of the groups it
+    shares an element with, so the layout is built on the graph of the
+    groups, never on the matrix.
 
     Values are stored in factorization layout, ``n_stored`` of them: the
     free block's entries in its CSC order, then, unsummed and in element
@@ -138,7 +139,7 @@ class SparsityPattern:
         self.order = self.free_idx[np.argsort(position[self.supervariable], kind="stable")]
         node_position = np.full(ns, -1)
         node_position[free_nodes] = position[group]
-        self.block_indptr, self.block_indices, self.diag, near = _free_layout(
+        self.block_indptr, self.block_indices, near = _free_layout(
             graph, position, np.bincount(position[self.supervariable], minlength=len(position)),
             node_position[row], node_position[col])
         del row, col, node_position
@@ -185,9 +186,9 @@ def _free_layout(graph, position, run, pb, pa):
     follows from per-neighbour offsets.  ``pb`` and ``pa`` give the
     supervariable positions of the row node b and the column node a of
     every scalar entry, -1 for a node without free dofs.  Returns the
-    block's indptr and indices, the positions of its diagonal, and ``near``:
-    for every scalar entry (b, a) between free nodes, the offset of a's run
-    in a block column of b, less the run's start in the order."""
+    block's indptr and indices, and ``near``: for every scalar entry (b, a)
+    between free nodes, the offset of a's run in a block column of b, less
+    the run's start in the order."""
     nsv = len(run)
     start = np.cumsum(run) - run
     # the graph in position order, as sorted keys column * nsv + row
@@ -209,27 +210,22 @@ def _free_layout(graph, position, run, pb, pa):
         k = np.repeat(shift[cols], np.diff(indptr[cols.start:cols.stop + 1]))
         k += np.arange(entries.start, entries.stop, dtype=np.int32)
         indices[entries] = runs[k]
-    # nodes in no element form a supervariable without entries, not even
-    # a diagonal one
-    own = np.full(nsv, -1)
-    own[qcol[qrow == qcol]] = at[qrow == qcol]
-    k = np.flatnonzero(own[column] >= 0)
-    diag = indptr[k] + own[column[k]] + k - start[column[k]]
     both = np.flatnonzero((pa >= 0) & (pb >= 0))
     near = np.zeros(len(pa), dtype=np.int32)
     near[both] = at[np.searchsorted(qkeys, pb[both] * nsv + pa[both])] - start[pa[both]]
-    return indptr, indices, diag, near
+    return indptr, indices, near
 
 
 def _supervariable_order(element_nodes, free_nodes, sptr, col):
     """Supervariables of the free nodes, their order and their graph.
 
-    Free nodes with the same element set are one supervariable; its first
-    node represents it.  The supervariable graph is the scalar pattern
-    (``sptr``, ``col``) restricted to the representatives.  Returns the
-    supervariable of every free node, the position of every supervariable in
-    the minimum degree ordering of the graph, and the graph's entries as
-    sorted keys column * supervariables + row."""
+    Free nodes with the same element set are one supervariable, numbered in
+    the lexicographic order of the sets; its first node represents it.  The
+    supervariable graph is the scalar pattern (``sptr``, ``col``) restricted
+    to the representatives.  Returns the supervariable of every free node,
+    the position of every supervariable in the minimum degree ordering of
+    the graph, and the graph's entries as sorted keys column * supervariables
+    + row."""
     ns = len(sptr) - 1
     # the element set of every node in increasing order, padded with -1
     flat = element_nodes.ravel()
@@ -238,35 +234,21 @@ def _supervariable_order(element_nodes, free_nodes, sptr, col):
     sets = np.full((ns, max(count.max(initial=0), 1)), -1)
     sets[flat[entries], np.arange(flat.size) - np.repeat(np.cumsum(count) - count, count)] = (
         entries // element_nodes.shape[1])
-    # the distinct sets numbered in lexicographic order, as np.unique(axis=0)
-    # numbers them, in a third of its time
-    sets = sets[free_nodes]
-    by_set = np.lexsort(sets.T[::-1])
-    new = np.ones(len(by_set), dtype=bool)
-    new[1:] = (sets[by_set[1:]] != sets[by_set[:-1]]).any(axis=1)
-    group = np.empty(len(by_set), dtype=int)
-    group[by_set] = np.cumsum(new) - 1
-    rep = free_nodes[by_set[new]]
-    nq = len(rep)
-    # the scalar rows of the representatives, restricted to their columns;
-    # the pattern is symmetric, so they are the graph's columns
-    index = np.full(ns, -1)
-    index[rep] = np.arange(nq)
-    deg = sptr[rep + 1] - sptr[rep]
-    rows = index[col[_ranges(sptr[rep], deg)]]
-    keys = np.sort(np.repeat(np.arange(nq), deg)[rows >= 0] * nq + rows[rows >= 0])
-    # SuperLU factors, without pivoting, the graph with every diagonal entry
-    # (a node in no element has none) and a diagonally dominant value set
-    lonely = np.flatnonzero(deg == 0) * (nq + 1)
-    column, row = np.divmod(np.insert(keys, np.searchsorted(keys, lonely), lonely), nq)
-    indptr = np.searchsorted(column, np.arange(nq + 1))
-    graph = scipy.sparse.csc_matrix(
-        (np.where(row == column, np.diff(indptr)[column], -1.0), row, indptr), shape=(nq, nq))
-    lu = scipy.sparse.linalg.splu(graph, permc_spec=PERMC_SPEC,
-                                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
+    # the distinct sets in lexicographic order; numpy 2.0.0 returns the
+    # inverse with the extra axes of `axis`, so it is flattened
+    _, first, group = np.unique(sets[free_nodes], axis=0, return_index=True, return_inverse=True)
+    rep, nq = free_nodes[first], len(first)
+    # the pattern is symmetric, so (sptr, col) is its CSC structure as well
+    graph = scipy.sparse.csc_matrix((np.ones(len(col)), col, sptr), shape=(ns, ns))[:, rep][rep]
+    graph.sort_indices()
+    keys = np.repeat(np.arange(nq), np.diff(graph.indptr)) * nq + graph.indices
+    # SuperLU factors, without pivoting, the graph plus a dominant diagonal,
+    # which a node in no element gets too
+    lu = scipy.sparse.linalg.splu(graph + nq * scipy.sparse.identity(nq, format="csc"),
+                                  permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                   options=SUPERLU_OPTIONS)
     # perm_c maps a supervariable to its position in the ordering
-    return group, lu.perm_c, keys
+    return group.ravel(), lu.perm_c, keys
 
 
 def read_only(obj):
@@ -336,16 +318,14 @@ def free_block(matrix):
     """The free block of a ``SparseSymMatrix`` in the pattern's CSC layout,
     a view of the stored values, and its symmetric Jacobi scaling s in powers
     of two, s^2 |diag| in [0.5, 2), which tames the severe scale differences
-    between displacement and rotation blocks at small thickness."""
+    between displacement and rotation blocks at small thickness.  A diagonal
+    entry that is zero or not stored has exponent 0 in ``frexp``, so s = 1."""
     p = matrix.pattern
     n = len(p.order)
     data = matrix.data[:len(p.block_indices)]
     block = scipy.sparse.csc_matrix((data, p.block_indices, p.block_indptr), shape=(n, n))
     block.data = data   # scipy copies a view of under half of its base array
-    diag = np.ones(n)
-    diag[p.block_indices[p.diag]] = np.abs(block.data[p.diag])
-    diag[diag == 0] = 1.0
-    return block, np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
+    return block, np.ldexp(1.0, -(np.frexp(block.diagonal())[1] // 2))
 
 
 def _column_runs(indptr):

