@@ -34,7 +34,10 @@ edge); the free ones and their free fields form one supervariable, as
 ``np.unique`` numbers their element sets.  SuperLU's minimum degree ordering
 of A + A^T runs on the small quotient graph of the supervariables, the
 scalar pattern that scipy selects at one representative node of each, and
-each supervariable is expanded into a contiguous run of dofs.  The layout
+each supervariable is expanded into a contiguous run of dofs.  The ordering
+needs no factorization: SuperLU computes it, and the postorder of its
+elimination tree, before it factors, so an incomplete factorization that
+drops every off-diagonal entry returns the same ``perm_c``.  The layout
 then follows from that graph by index arithmetic.  Every free-block column
 of a supervariable holds the whole runs of its neighbours, in run order, so
 the rows of each column and the stored position of each free entry follow
@@ -43,9 +46,11 @@ of each block of elements take the next positions.  No array the size of the
 matrix or of the element entries is formed but the kept row indices and
 stored positions, written in int32 one run of columns or one block of
 elements at a time.  Only the full CSR matrix, rebuilt when it is asked for,
-reads and sums the constrained entries.  There is no copy of the free block
-on any pattern: every factorization scales the stored values in place by
-powers of two, exact to apply and to undo as in LAPACK's xGEEQUB, and
+reads and sums the constrained entries.  An assembled matrix owns one view of
+its free block, ``SparseSymMatrix.block``, and the factorization, the norm of
+``norm_inf`` and the reduced matrix all read it; there is no copy of the free
+block on any pattern.  Every factorization scales the stored values in place
+by powers of two, exact to apply and to undo as in LAPACK's xGEEQUB, and
 restores them as soon as SuperLU (natural ordering) returns.  The scaling,
 and the row sums of ``norm_inf``, run over the block one run of columns at a
 time, and the factor is released once its one solve returns.  Each of these
@@ -59,8 +64,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = ["SparseSymMatrix", "SparsityPattern", "assemble", "free_block",
-           "norm_inf", "factor_solve", "SolverError"]
+__all__ = ["SparseSymMatrix", "SparsityPattern", "assemble", "norm_inf", "factor_solve",
+           "SolverError"]
 
 RESIDUAL_TOL = 1e-10
 BACKWARD_TOL = 1e-12
@@ -242,11 +247,13 @@ def _supervariable_order(element_nodes, free_nodes, sptr, col):
     graph = scipy.sparse.csc_matrix((np.ones(len(col)), col, sptr), shape=(ns, ns))[:, rep][rep]
     graph.sort_indices()
     keys = np.repeat(np.arange(nq), np.diff(graph.indptr)) * nq + graph.indices
-    # SuperLU factors, without pivoting, the graph plus a dominant diagonal,
-    # which a node in no element gets too
-    lu = scipy.sparse.linalg.splu(graph + nq * scipy.sparse.identity(nq, format="csc"),
-                                  permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                                  options=SUPERLU_OPTIONS)
+    # SuperLU orders the graph plus a dominant diagonal, which a node in no
+    # element gets too, and postorders its elimination tree before it
+    # factors; the incomplete factor drops every off-diagonal entry, so the
+    # ordering costs no fill
+    lu = scipy.sparse.linalg.spilu(graph + nq * scipy.sparse.identity(nq, format="csc"),
+                                   drop_tol=np.inf, fill_factor=1, permc_spec=PERMC_SPEC,
+                                   diag_pivot_thresh=DIAG_PIVOT_THRESH, options=SUPERLU_OPTIONS)
     # perm_c maps a supervariable to its position in the ordering
     return group.ravel(), lu.perm_c, keys
 
@@ -266,12 +273,24 @@ def _ranges(starts, lengths):
 
 class SparseSymMatrix:
     """Symmetric global matrix with a constrained-dof elimination mask: the
-    pattern and the values in its factorization layout, from which
+    pattern and the values in its factorization layout.  ``block``, the one
+    view of the free block, is what every solve, norm and ``reduced`` read;
     ``matrix`` rebuilds the full CSR."""
 
     def __init__(self, pattern, data):
         self.pattern = pattern
         self.data = data
+
+    @cached_property
+    def block(self):
+        """The free block in the pattern's CSC layout, rows and columns in
+        factorization order, a view of the stored values."""
+        p = self.pattern
+        n = len(p.order)
+        data = self.data[:len(p.block_indices)]
+        block = scipy.sparse.csc_matrix((data, p.block_indices, p.block_indptr), shape=(n, n))
+        block.data = data   # scipy copies a view of under half of its base array
+        return block
 
     @cached_property
     def matrix(self):
@@ -286,9 +305,10 @@ class SparseSymMatrix:
         return scipy.sparse.coo_matrix((self.data, (rows, cols)), shape=(p.n_dofs,) * 2).tocsr()
 
     def reduced(self):
-        """Free-by-free block as CSR and the global indices of its dofs."""
-        idx = self.pattern.free_idx
-        return self.matrix[idx][:, idx], idx
+        """Free-by-free block as CSR in global dof order and the global
+        indices of its dofs, permuted from ``block``."""
+        perm = np.argsort(self.pattern.order)
+        return self.block[perm][:, perm].tocsr(), self.pattern.free_idx
 
 
 def assemble(pattern, element_matrices):
@@ -314,20 +334,6 @@ def assemble(pattern, element_matrices):
     return SparseSymMatrix(pattern, data)
 
 
-def free_block(matrix):
-    """The free block of a ``SparseSymMatrix`` in the pattern's CSC layout,
-    a view of the stored values, and its symmetric Jacobi scaling s in powers
-    of two, s^2 |diag| in [0.5, 2), which tames the severe scale differences
-    between displacement and rotation blocks at small thickness.  A diagonal
-    entry that is zero or not stored has exponent 0 in ``frexp``, so s = 1."""
-    p = matrix.pattern
-    n = len(p.order)
-    data = matrix.data[:len(p.block_indices)]
-    block = scipy.sparse.csc_matrix((data, p.block_indices, p.block_indptr), shape=(n, n))
-    block.data = data   # scipy copies a view of under half of its base array
-    return block, np.ldexp(1.0, -(np.frexp(block.diagonal())[1] // 2))
-
-
 def _column_runs(indptr):
     """Runs of consecutive columns of a CSC structure, as slices of the
     columns and of their entries, that hold at most BLOCK_BYTES of float64
@@ -338,6 +344,14 @@ def _column_runs(indptr):
         stop = max(start + 1, int(np.searchsorted(indptr, end, "right")) - 1)
         yield slice(start, stop), slice(indptr[start], indptr[stop])
         start = stop
+
+
+def _jacobi_scaling(block):
+    """The symmetric Jacobi scaling s of a CSC matrix in powers of two,
+    s^2 |diag| in [0.5, 2), which tames the severe scale differences between
+    displacement and rotation blocks at small thickness.  A diagonal entry
+    that is zero or not stored has exponent 0 in ``frexp``, so s = 1."""
+    return np.ldexp(1.0, -(np.frexp(block.diagonal())[1] // 2))
 
 
 def _scale(block, s):
@@ -360,7 +374,7 @@ def _max_row_sum(block):
 
 def norm_inf(matrix):
     """Infinity norm (largest absolute row sum) of a ``SparseSymMatrix``'s free block."""
-    return _max_row_sum(free_block(matrix)[0])
+    return _max_row_sum(matrix.block)
 
 
 def factor_solve(matrix, rhs):
@@ -369,8 +383,8 @@ def factor_solve(matrix, rhs):
     place by s and restored once it returns: its factor reads no value after.
     The factor solves once and is released; the solution is not tested, and
     ``SolverError`` means a failed factorization or a non-finite solution."""
-    p = matrix.pattern
-    block, s = free_block(matrix)
+    p, block = matrix.pattern, matrix.block
+    s = _jacobi_scaling(block)
     b = np.asarray(rhs)[p.order]
     _scale(block, s)
     try:

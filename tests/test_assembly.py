@@ -15,7 +15,6 @@ from reggeshell.assembly import (
     SparsityPattern,
     assemble,
     factor_solve,
-    free_block,
 )
 from reggeshell.geometry import BENCHMARK_NAMES, BENCHMARKS, make_benchmark_mesh
 from reggeshell.shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
@@ -100,10 +99,28 @@ def hyperboloid_model(level, order):
                       ShellConfig(thickness=0.1, order=order, membrane_reduction="regge"))
 
 
+def benchmark_tangent(name, level, order, model="linearized_membrane"):
+    """A benchmark model's tangent: at rest, or for the full Green membrane
+    at a random nonzero state."""
+    mesh, chart = make_benchmark_mesh(name, level)
+    shell_model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3), ShellConfig(
+        thickness=0.1, order=order, membrane_reduction="regge", model=model))
+    x = np.zeros(shell_model.num_dofs)
+    if model == "full_green":
+        x = 1e-2 * np.random.default_rng(4).standard_normal(shell_model.num_dofs)
+    return shell_model.hessian(x)
+
+
+def fancy_reduced(mat):
+    """The free block of the full CSR matrix by fancy indexing, and its dofs."""
+    idx = mat.pattern.free_idx
+    return mat.matrix[idx][:, idx], idx
+
+
 def scaled_oracle(mat, s):
     """P (S A S) P^T of the free block by fancy indexing, as CSC, for the
     scaling s in factorization order."""
-    reduced, idx = mat.reduced()
+    reduced, idx = fancy_reduced(mat)
     perm = np.searchsorted(idx, mat.pattern.order)
     s = s[np.argsort(perm)]
     row = np.repeat(np.arange(len(s)), np.diff(reduced.indptr))
@@ -130,13 +147,28 @@ class TestSparsityPattern:
         mat = assemble(SparsityPattern(30, dofs, free), local)
         assert np.allclose(mat.matrix.toarray(), dense_sum(30, dofs, local), rtol=0, atol=1e-14)
 
-    def test_reduced_matches_fancy_indexing(self):
-        dofs, local, free = random_blocks(seed=5)
-        mat = assemble(SparsityPattern(30, dofs, free), local)
-        block, idx = mat.reduced()
-        assert np.array_equal(idx, np.flatnonzero(free))
-        oracle = mat.matrix[np.ix_(idx, idx)]
-        assert np.array_equal(block.toarray(), oracle.toarray())
+    # the 512-element hyperboloid of thickness_scan, the order-4 cylinder
+    # reference of locking_sweep and a full Green tangent at a nonzero state
+    @pytest.mark.parametrize("source", [
+        3, 5, 8, ("hyperboloid", 3, 2), ("cylinder", 2, 4),
+        ("unibend_cylinder", 1, 2, "full_green")],
+        ids=["random3", "random5", "random8", "thickness_scan", "locking_sweep_reference",
+             "full_green"])
+    def test_reduced_matches_fancy_indexing(self, source):
+        if isinstance(source, int):
+            dofs, local, free = random_blocks(seed=source)
+            mat = assemble(SparsityPattern(30, dofs, free), local)
+        else:
+            mat = benchmark_tangent(*source)
+        reduced, idx = mat.reduced()
+        # read from the free block alone, without the full matrix
+        assert "matrix" not in vars(mat)
+        oracle, free_idx = fancy_reduced(mat)
+        for array, expected in [(reduced.indptr, oracle.indptr),
+                                (reduced.indices, oracle.indices),
+                                (reduced.data, oracle.data), (idx, free_idx)]:
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
 
     # the free block holds under half the stored values of the random
     # blocks (178 of 380) and of the level-0 models, which scipy's
@@ -150,20 +182,18 @@ class TestSparsityPattern:
             dofs, local, free = random_blocks(seed=5)
             mat = assemble(SparsityPattern(30, dofs, free), local)
         else:
-            name, level, order = source
-            mesh, chart = make_benchmark_mesh(name, level)
-            model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3), ShellConfig(
-                thickness=0.1, order=order, membrane_reduction="regge"))
-            mat = model.hessian(np.zeros(model.num_dofs))
-        block, s = free_block(mat)
+            mat = benchmark_tangent(*source)
+        block = mat.block
+        s = assembly._jacobi_scaling(block)
         oracle = scaled_oracle(mat, np.ones_like(s))
         assert np.array_equal(block.indptr, oracle.indptr)
         assert np.array_equal(block.indices, oracle.indices)
         assert np.array_equal(block.data, oracle.data)
-        # a view of the stored values on every pattern and a power-of-two
-        # scaling, exact to apply, that brings every nonzero diagonal entry
-        # into [0.5, 2)
+        # one view of the stored values on every pattern, the same object on
+        # every read, and a power-of-two scaling, exact to apply, that
+        # brings every nonzero diagonal entry into [0.5, 2)
         assert np.shares_memory(block.data, mat.data)
+        assert mat.block is block
         assert np.all(np.frexp(s)[0] == 0.5)
         diag = abs(block.diagonal())
         assert np.all(np.where(diag == 0, s == 1, (s * s * diag >= 0.5) & (s * s * diag < 2)))
@@ -197,6 +227,54 @@ class TestSparsityPattern:
             SparsityPattern(3, [[0, 5]])
         with pytest.raises(IndexError):
             SparsityPattern(3, [[-1, 2]])
+
+
+def record_full_orderings(monkeypatch):
+    """Make scipy's incomplete factorization also factor its matrix
+    completely with the same options; the returned list collects the two
+    ``perm_c`` of every call."""
+    orderings = []
+    incomplete = scipy.sparse.linalg.spilu
+
+    def both(A, drop_tol, fill_factor, **options):
+        ilu = incomplete(A, drop_tol=drop_tol, fill_factor=fill_factor, **options)
+        orderings.append((ilu.perm_c, scipy.sparse.linalg.splu(A, **options).perm_c))
+        return ilu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", both)
+    return orderings
+
+
+class TestSupervariableOrdering:
+    """The incomplete factorization that orders the supervariable graph
+    returns the ordering of the full factorization, the oracle."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_benchmark_patterns(self, name, level, monkeypatch):
+        orders = (1, 2) if level == 2 else (1, 2, 3, 4)
+        mesh, chart = make_benchmark_mesh(name, level)
+        models = [ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3),
+                             ShellConfig(thickness=0.1, order=order)) for order in orders]
+        orderings = record_full_orderings(monkeypatch)
+        for model in models:
+            SparsityPattern(model.num_scalar_dofs, model.element_scalar_dofs, model.free,
+                            fields=5)
+        assert len(orderings) == len(orders)
+        for incomplete, full in orderings:
+            assert np.array_equal(incomplete, full)
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    def test_random_patterns(self, fields, monkeypatch):
+        orderings = record_full_orderings(monkeypatch)
+        # 30 dofs over 30 // fields nodes, some constrained
+        for seed in range(20):
+            dofs, _, _ = random_blocks(n_dofs=30 // fields, seed=seed)
+            free = np.random.default_rng(seed).random(30) > 0.3
+            SparsityPattern(30 // fields, dofs, free, fields=fields)
+        assert len(orderings) == 20
+        for incomplete, full in orderings:
+            assert np.array_equal(incomplete, full)
 
 
 def csr_indptr(row, n):
@@ -345,7 +423,8 @@ class TestScalarNodePattern:
 def off_diagonal_pivot_rows(model, scaled):
     """The rows SuperLU takes off the diagonal in factoring the model's
     tangent at rest as stored, or scaled as ``factor_solve`` scales it."""
-    block, s = free_block(model.hessian(np.zeros(model.num_dofs)))
+    block = model.hessian(np.zeros(model.num_dofs)).block
+    s = assembly._jacobi_scaling(block)
     if scaled:
         block = block.copy()
         assembly._scale(block, s)
@@ -524,7 +603,7 @@ class TestStoredOrdering:
     @pytest.mark.parametrize("size", [8, assembly.BLOCK_BYTES, 2 ** 40])
     def test_backward_error_norm_is_the_max_row_sum(self, hyperboloid, size, monkeypatch):
         H, _ = hyperboloid_system(hyperboloid, 1e-4)
-        block, _ = free_block(H)
+        block = H.block
         monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
         assert assembly._max_row_sum(block) == abs(block).sum(axis=1).max()
         assert assembly.norm_inf(H) == assembly._max_row_sum(block)
