@@ -53,9 +53,11 @@ block on any pattern.  Every factorization scales the stored values in place
 by powers of two, exact to apply and to undo as in LAPACK's xGEEQUB, and
 restores them as soon as SuperLU (natural ordering) returns.  The scaling,
 and the row sums of ``norm_inf``, run over the block one run of columns at a
-time, and the factor is released once its one solve returns.  Each of these
-transients, like an assembly's block of element matrices, holds about
-``BLOCK_BYTES``.
+time, and the factor is released once its one solve returns.
+``BLOCK_BYTES`` is the one byte budget of these transients and of every other
+that grows with the mesh, read when the blocks are cut: the column runs, and
+the slices of ``item_blocks``, which cut the pattern's ``slot`` and a shell
+model's element tangents and load points.
 """
 
 from functools import cached_property
@@ -77,8 +79,9 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
 SUPERLU_OPTIONS = {"SymmetricMode": True}
 
-# every transient of an assembly or a factorization that grows with the
-# mesh is formed one block of about this many bytes at a time
+# every transient that grows with the mesh, in an assembly, a factorization,
+# a tangent or a load vector, is formed one block of about this many bytes
+# at a time
 BLOCK_BYTES = 2 ** 18
 
 
@@ -163,11 +166,10 @@ class SparsityPattern:
         sslot = sslot.reshape(nT, n, n)
         self.slot = np.empty(nT * m * m, dtype=np.int32)
         stored = len(self.block_indices)
-        step = max(1, BLOCK_BYTES // max(8 * m * m, 1))
-        for t in range(0, nT, step):
-            dofs, e = self.element_dofs[t:t + step], sslot[t:t + step]
+        for t in item_blocks(nT, 8 * m * m):
+            dofs, e = self.element_dofs[t], sslot[t]
             b = len(dofs)
-            value = self.slot[t * m * m:(t + b) * m * m].reshape(b, m, m)
+            value = self.slot[t.start * m * m:t.stop * m * m].reshape(b, m, m)
             column = (near[e.swapaxes(1, 2)][:, :, None, :]
                       + column_start[dofs].reshape(b, 1, nf, n))
             np.add(place[dofs].reshape(b, nf, n, 1), column.reshape(b, 1, n, m),
@@ -332,6 +334,13 @@ def assemble(pattern, element_matrices):
     if start != n:
         raise ValueError(f"element matrices hold {start} entries, the pattern {n}")
     return SparseSymMatrix(pattern, data)
+
+
+def item_blocks(n, item_bytes):
+    """Consecutive slices of n items of ``item_bytes`` bytes each, each of
+    at most BLOCK_BYTES, as read at this call, or of one item."""
+    size = max(1, BLOCK_BYTES // max(item_bytes, 1))
+    return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
 def _column_runs(indptr):

@@ -60,15 +60,8 @@ sym((F + grad u/2)^T grad u) and reduced as one vector per element: summed
 after the reduction, its two parts would cancel on rigid motions only to
 the rounding of the reduced maps.
 
-Loads are per-point callables (``LoadSpec``): a volume load P(X, nu) of a
-point X (3,) and the unit normal nu (3,) there returns a force density
-(3,), an edge moment M(X) returns a moment density (2,).  ``load_vector``
-calls each once per quadrature point, one block of ``LOAD_POINTS`` points at
-a time, at the points and normals of the model's one element-map
-evaluation (``MapEvaluation.X`` and ``nu``).  A block whose values form no
-array, are complex or have another shape per point, raises ``ValueError``
-("volume load returned values of shape (2,) per point, expected (3,)")
-before the next block is called.
+Loads are per-point callables, called at the points and normals of the
+model's one element-map evaluation; ``LoadSpec`` states their contract.
 """
 
 import numbers
@@ -78,8 +71,8 @@ from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
-from .assembly import (BACKWARD_TOL, BLOCK_BYTES, RESIDUAL_TOL, SolverError, SparsityPattern,
-                       assemble, factor_solve, norm_inf, read_only)
+from .assembly import (BACKWARD_TOL, RESIDUAL_TOL, SolverError, SparsityPattern, assemble,
+                       factor_solve, item_blocks, norm_inf, read_only)
 from .elements import BARY_GRADS, REF_VERTICES, lagrange_basis, pseudo_inverse, sym_dyad
 from .geometry import ElementMap
 from .interpolation import get_operator, get_shear_space, moment_rule
@@ -97,9 +90,6 @@ __all__ = [
 NEWTON_MAX_ITER = 20
 SHEAR_CORRECTION = 5.0 / 6.0
 SHEAR_STABILIZATION = 0.002
-# points per call block of a volume load: its values at these points, array
-# objects of about 144 bytes each, take BLOCK_BYTES
-LOAD_POINTS = BLOCK_BYTES // 144
 
 
 @dataclass(frozen=True)
@@ -169,11 +159,15 @@ class LoadSpec:
 
     ``volume(X, nu)`` takes a point X (3,) and the unit normal nu (3,)
     there and returns the force density (3,); each ``edge_moments[marker](X)``
-    returns the moment density (2,).  They are called once per quadrature
-    point, one block of ``shell.LOAD_POINTS`` points at a time; a block whose
-    values form no array, are complex or have another shape per point,
-    raises ``ValueError`` naming the load ("volume load", "edge moment on
-    'loaded'") and the expected shape before the next block is called."""
+    returns the moment density (2,).  ``ShellModel.load_vector`` calls them
+    once per quadrature point, at the read-only points (``MapEvaluation.X``)
+    and normals of the model's one element-map evaluation, in blocks of
+    points whose values, array objects of about 144 bytes each, take at most
+    ``assembly.BLOCK_BYTES``.  A block whose values form no array, are
+    complex or have another shape per point raises ``ValueError`` naming the
+    load ("volume load", "edge moment on 'loaded'") and the expected shape,
+    e.g. "volume load returned values of shape (2,) per point, expected
+    (3,)", before the next block is called."""
 
     volume: object = None               # callable (X, nu) -> (3,)
     edge_moments: dict = field(default_factory=dict)  # marker -> callable (X,) -> (2,)
@@ -323,11 +317,10 @@ def _reduced_shear_map(C, nu, A, N, dN):
 
 def _per_point(call, X, nu, c, what):
     """Values (..., c) of a load callable at points X (..., 3) with normals nu
-    (..., 3): one call ``call(X_i, nu_i)`` per point, one block of LOAD_POINTS
-    points at a time, each block checked before the next is called."""
+    (..., 3), one call ``call(X_i, nu_i)`` per point, as ``LoadSpec`` states."""
     V = np.empty(X.shape[:-1] + (c,))
     X, nu, flat = X.reshape(-1, 3), nu.reshape(-1, 3), V.reshape(-1, c)
-    for b in (slice(i, i + LOAD_POINTS) for i in range(0, len(flat), LOAD_POINTS)):
+    for b in item_blocks(len(flat), 144):
         values = [call(x, n) for x, n in zip(X[b], nu[b])]
         try:
             # a cast of complex values to float would drop their imaginary parts
@@ -647,18 +640,17 @@ class ShellModel:
 
     def _tangent_blocks(self, terms):
         """The element tangents (nT, 5n, 5n), summed over the terms into
-        zeros, in any order, one block of consecutive elements of about
-        BLOCK_BYTES at a time."""
+        zeros, in any order, one block of consecutive elements of
+        ``item_blocks`` at a time."""
         n = self.basis.num_shapes
         nT, m = self.element_dofs.shape
-        size = max(1, BLOCK_BYTES // (8 * m * m))
         # geometric term (W e) . K of a Green strain, K shared by the
         # displacement components: one product for the whole mesh, n^2 values
         # per element, as a product of fewer rows need not round the same
         geometric = {name: (_weighted(t.W, t.e) @ t.K.reshape(-1, n * n)).reshape(-1, n, n)
                      for name, t in terms.items() if t.K is not None}
-        for b in (slice(i, i + size) for i in range(0, nT, size)):
-            H = np.zeros((len(self.element_dofs[b]), m, m))
+        for b in item_blocks(nT, 8 * m * m):
+            H = np.zeros((b.stop - b.start, m, m))
             for name, term in terms.items():
                 Ht = _gram(term.G[b], term.W[b])
                 if name in geometric:
@@ -678,9 +670,7 @@ class ShellModel:
         Each load is a source: a callable of (X, nu), its points X and
         normals nu, quadrature weights w, shape values N and element dof
         rows; an edge moment M(X) is called as one of (X, nu) that reads X.
-        ``_per_point`` gets the values V (3,) or (2,) per point, one block of
-        LOAD_POINTS points at a time, and raises ``ValueError`` on a block of
-        complex values or of another shape (see ``LoadSpec``); the work
+        ``_per_point`` gets the values V (3,) or (2,) per point, and the work
         N^T (w V) of every element is summed into f by one ``bincount``."""
         m = 3 * self.basis.num_shapes
         sources = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from reggeshell import shell
+from reggeshell import assembly, shell
 from reggeshell.assembly import (BACKWARD_TOL, RESIDUAL_TOL, SolverError, SparsityPattern,
                                  assemble, factor_solve, norm_inf)
 from reggeshell.elements import (
@@ -290,6 +290,26 @@ class TestKernelAndScaling:
             shear.append(energies["shear"])
         assert all(coarse >= 0.8 * 4 ** order * fine
                    for coarse, fine in zip(shear, shear[1:]))
+
+    @pytest.mark.parametrize("name", ["hemisphere", "hyperboloid", "cylinder"])
+    def test_lowest_order_rigid_rotation_on_quadratic_geometry(self, name):
+        # at k = 1 and geometry order 2 the nodal interpolant of a rotation is
+        # not rigid on the quadratic surface, so the unreduced membrane does
+        # not vanish (4.15, 0.048 and 0.030 at level 0, falling about 4 times
+        # per level); the Regge membrane does (at most 3.6e-28), as the
+        # degree-0 moment of d_s X . (omega x (X_b - X_a)) along an edge is
+        # (X_b - X_a) . (omega x (X_b - X_a)) = 0
+        omega = np.array([0.3, -0.5, 0.81])
+        for level in range(3):
+            mesh, chart = make_benchmark_mesh(name, level)
+            for reduction in ("regge", "none"):
+                model = ShellModel(mesh, chart, MaterialParams(1.0, 0.3), ShellConfig(
+                    thickness=1.0, order=1, geometry_order=2, membrane_reduction=reduction))
+                membrane = model.energies(rigid_rotation(model, omega))["membrane"]
+                if reduction == "regge":
+                    assert membrane <= 1.2e-26
+                else:
+                    assert membrane >= 1e-6
 
     @pytest.mark.parametrize("poisson_ratio", [0.0, 0.3])
     def test_plate_energies_of_affine_states(self, poisson_ratio):
@@ -790,18 +810,46 @@ class TestElementBlocks:
         ("unibend_cylinder", dict(membrane_reduction="regge", model="full_green")),
     ])
     def test_block_sizes_give_the_same_tangent_and_load(self, name, cfg, monkeypatch):
-        # one element or point per block, the default blocks and the whole
-        # mesh as one block give the same values bit for bit
+        # the one budget sizes every block: one element or point per block,
+        # the default blocks and the whole mesh as one block give the same
+        # tangent, load vector and freshly built pattern bit for bit
         mesh, chart = make_benchmark_mesh(name, 1)
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2, **cfg))
         x = random_state(model, 1e-3) * model.free
         load = LoadSpec(volume=lambda X, nu: np.cos(X[0]) * nu)
         results = set()
-        for size in (1, shell.BLOCK_BYTES, 2 ** 40):
-            monkeypatch.setattr(shell, "BLOCK_BYTES", size)
-            monkeypatch.setattr(shell, "LOAD_POINTS", max(1, size // 144))
-            results.add((model.hessian(x).data.tobytes(), model.load_vector(load).tobytes()))
+        for size in (1, assembly.BLOCK_BYTES, 2 ** 40):
+            monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
+            pattern = SparsityPattern(model.num_scalar_dofs, model.element_scalar_dofs,
+                                      model.free, fields=5)
+            results.add((model.hessian(x).data.tobytes(), model.load_vector(load).tobytes())
+                        + tuple(getattr(pattern, attr).tobytes() for attr in (
+                            "slot", "order", "block_indptr", "block_indices")))
         assert len(results) == 1
+
+    def test_default_budget_block_sizes(self, order_4_reference):
+        # 36 elements per tangent block on the hyperboloid, 5 on the order-4
+        # reference, and 1,820 points per load block
+        mesh, chart = make_benchmark_mesh("hyperboloid", 2)
+        hyperboloid = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01, order=2))
+        for model, size in ((hyperboloid, 36), (order_4_reference[0], 5)):
+            terms = model._terms(model._local(np.zeros(model.num_dofs)))
+            assert len(next(model._tangent_blocks(terms))) == size
+        assert [b.stop - b.start for b in assembly.item_blocks(4000, 144)] == [1820, 1820, 360]
+
+    @pytest.mark.parametrize("size", [1, 143])
+    def test_budget_below_one_point_calls_one_point_per_block(self, size, monkeypatch):
+        # a wrong value at the second point raises before the third is called
+        model = cylinder_model()
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", size)
+        calls = itertools.count()
+
+        def volume(X, nu):
+            return nu[:2] if next(calls) == 1 else nu
+
+        with pytest.raises(ValueError, match=r"volume load .* expected \(3,\)"):
+            model.load_vector(LoadSpec(volume=volume))
+        assert next(calls) == 2
 
 
 def model_nbytes(model):
@@ -1198,8 +1246,11 @@ class TestSolve:
             model.load_vector(LoadSpec(volume=volume))
 
     def test_volume_load_of_wrong_shape_in_a_later_block_rejected(self, order_4_reference):
+        # at the default budget a block of the load's values takes 1,820
+        # points of about 144 bytes each
         model, _ = order_4_reference
-        bad = shell.LOAD_POINTS + 5
+        points = assembly.BLOCK_BYTES // 144
+        bad = points + 5
         assert model._X.size // 3 > bad
         calls = itertools.count()
 
@@ -1208,7 +1259,7 @@ class TestSolve:
 
         with pytest.raises(ValueError, match=r"volume load .* expected \(3,\)"):
             model.load_vector(LoadSpec(volume=volume))
-        assert next(calls) == shell.LOAD_POINTS * 2
+        assert next(calls) == points * 2
 
     def test_edge_moment_of_wrong_shape_rejected(self):
         mesh, chart = make_benchmark_mesh("unibend_cylinder")
@@ -1219,8 +1270,9 @@ class TestSolve:
     def test_edge_moment_of_wrong_shape_in_a_later_block_rejected(self, monkeypatch):
         mesh, chart = make_benchmark_mesh("unibend_cylinder", 1)
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
-        monkeypatch.setattr(shell, "LOAD_POINTS", 3)
-        bad = shell.LOAD_POINTS + 1
+        block = 3   # points per block, under a budget of their values' bytes
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", block * 144)
+        bad = block + 1
         calls = itertools.count()
 
         def moment(X):
@@ -1228,10 +1280,10 @@ class TestSolve:
 
         points = itertools.count()
         model.load_vector(LoadSpec(edge_moments={"loaded": lambda X: next(points) * np.ones(2)}))
-        assert next(points) > 2 * shell.LOAD_POINTS
+        assert next(points) > 2 * block
         with pytest.raises(ValueError, match=r"edge moment on 'loaded' .* expected \(2,\)"):
             model.load_vector(LoadSpec(edge_moments={"loaded": moment}))
-        assert next(calls) == shell.LOAD_POINTS * 2
+        assert next(calls) == block * 2
 
     @pytest.mark.parametrize("load", ["volume", "edge_moment"])
     def test_ragged_per_point_values_rejected(self, load):
@@ -1257,7 +1309,8 @@ class TestSolve:
         # per point, so the load (0, 0, 1j) assembled a zero load vector
         mesh, chart = make_benchmark_mesh("unibend_cylinder", 1)
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.1, order=2))
-        monkeypatch.setattr(shell, "LOAD_POINTS", 3)
+        block = 3   # points per block, under a budget of their values' bytes
+        monkeypatch.setattr(assembly, "BLOCK_BYTES", block * 144)
         calls = itertools.count()
 
         def value(real, complex_value):
@@ -1272,7 +1325,7 @@ class TestSolve:
             what = "edge moment on 'loaded'"
         with pytest.raises(ValueError, match=f"{what} returned complex values"):
             model.load_vector(spec)
-        assert next(calls) == shell.LOAD_POINTS
+        assert next(calls) == block
 
     def test_volume_load_cannot_write_the_model_points(self):
         # the callable gets rows of the model's points: one that scaled them
