@@ -3,18 +3,19 @@
 The sparsity of an assembled matrix depends only on the element dof sets and
 the constrained dofs, not on any value, so a ``SparsityPattern`` is built once
 per dof map: the fill-reducing layout of the free-by-free block and the
-stored position of every element-matrix entry.  Values are stored in
-factorization layout: the free block in its CSC order, then every element
-entry in a constrained row or column, unsummed, in element order.  So each
-assembly only sums the element values into their stored positions, and the
-free block is a view of them.  The sum is an ``np.add.at`` through the
-int32 stored positions: unlike ``bincount``, which copies an int32 index to
-intp, it reads them as they are, and it adds in the same sequential order.
-The element matrices may come one block of consecutive elements at a time,
-each summed through its slice of the positions, so that no stack of the
-whole mesh is formed and every stored value is still the same sum in the
-same order.  Every field has a dof at each node, so the pattern is built on
-the scalar node graph, which has fields^2 times fewer entries.
+stored position of every element-matrix entry.  The constrained dofs are
+eliminated before the solve, so only the free block is stored, in its CSC
+order, and then one sink, never read, that sums every element entry in a
+constrained row or column.  So each assembly only sums the element values
+into their stored positions, and the free block is a view of them.  The
+sum is an ``np.add.at`` through the int32 stored positions: unlike
+``bincount``, which copies an int32 index to intp, it reads them as they
+are, and it adds in the same sequential order.  The element matrices may
+come one block of consecutive elements at a time, each summed through its
+slice of the positions, so that no stack of the whole mesh is formed and
+every stored value is still the same sum in the same order.  Every field
+has a dof at each node, so the pattern is built on the scalar node graph,
+which has fields^2 times fewer entries.
 
 Problems stay at desk scale, so a direct sparse LU is used: one factorization
 and one solve, with no iterative refinement and no test of the solution:
@@ -42,14 +43,13 @@ then follows from that graph by index arithmetic.  Every free-block column
 of a supervariable holds the whole runs of its neighbours, in run order, so
 the rows of each column and the stored position of each free entry follow
 from the offsets of the runs in the graph's columns; the constrained entries
-of each block of elements take the next positions.  No array the size of the
-matrix or of the element entries is formed but the kept row indices and
-stored positions, written in int32 one run of columns or one block of
-elements at a time.  Only the full CSR matrix, rebuilt when it is asked for,
-reads and sums the constrained entries.  An assembled matrix owns one view of
-its free block, ``SparseSymMatrix.block``, and the factorization, the norm of
-``norm_inf`` and the reduced matrix all read it; there is no copy of the free
-block on any pattern.  Every factorization scales the stored values in place
+all take the sink's position.  No array the size of the matrix or of the
+element entries is formed but the kept row indices and stored positions,
+written in int32 one run of columns or one block of elements at a time.  An
+assembled matrix owns one view of its free block, ``SparseSymMatrix.block``,
+and the factorization, the norm of ``norm_inf``, the reduced matrix and the
+free block in dof numbering all read it; there is no copy of the free block
+on any pattern.  Every factorization scales the stored values in place
 by powers of two, exact to apply and to undo as in LAPACK's xGEEQUB, and
 restores them as soon as SuperLU (natural ordering) returns.  The scaling,
 and the row sums of ``norm_inf``, run over the block one run of columns at a
@@ -107,12 +107,11 @@ class SparsityPattern:
     shares an element with, so the layout is built on the graph of the
     groups, never on the matrix.
 
-    Values are stored in factorization layout, ``n_stored`` of them: the
-    free block's entries in its CSC order, then, unsummed and in element
-    order, the element entries in a constrained row or column.  ``slot``
-    gives the stored position of every entry of the stacked element
-    matrices; ``nnz`` counts the nonzeros of the full matrix.  Every array
-    a pattern keeps is read-only.
+    Values are stored in factorization layout: the free block's entries in
+    its CSC order, then one sink at position ``len(block_indices)``, which
+    sums every element entry in a constrained row or column and is never
+    read.  ``slot`` gives the stored position of every entry of the stacked
+    element matrices.  Every array a pattern keeps is read-only.
     """
 
     def __init__(self, n_scalar, element_dofs, free=None, fields=1):
@@ -136,7 +135,6 @@ class SparsityPattern:
         row, col = np.divmod(keys, ns)
         del keys
         sptr = np.searchsorted(row, np.arange(ns + 1))
-        self.nnz = nf * nf * len(col)
 
         free_nodes = np.flatnonzero(self.free.reshape(nf, ns).any(axis=0))
         group, position, graph = _supervariable_order(nodes, free_nodes, sptr, col)
@@ -157,15 +155,14 @@ class SparsityPattern:
         # int32, which np.add.at reads without a copy, one block of elements
         # at a time: free row (f, a) of free column (g, b) at the column's
         # start, plus near[(b, a)], plus the row's place in the order, and
-        # the entries outside the block at the next stored positions
+        # every entry outside the block at the sink
         m = nf * n
-        con = ~self.free
         place = np.zeros(self.n_dofs, dtype=np.int32)
         place[self.order] = np.arange(len(self.order))
         column_start = self.block_indptr[place]
         sslot = sslot.reshape(nT, n, n)
         self.slot = np.empty(nT * m * m, dtype=np.int32)
-        stored = len(self.block_indices)
+        sink = len(self.block_indices)
         for t in item_blocks(nT, 8 * m * m):
             dofs, e = self.element_dofs[t], sslot[t]
             b = len(dofs)
@@ -174,11 +171,7 @@ class SparsityPattern:
                       + column_start[dofs].reshape(b, 1, nf, n))
             np.add(place[dofs].reshape(b, nf, n, 1), column.reshape(b, 1, n, m),
                    out=value.reshape(b, nf, n, m))
-            outside = con[dofs][:, :, None] | con[dofs][:, None, :]
-            k = np.count_nonzero(outside)
-            value[outside] = np.arange(stored, stored + k, dtype=np.int32)
-            stored += k
-        self.n_stored = stored
+            value[~(self.free[dofs][:, :, None] & self.free[dofs][:, None, :])] = sink
         read_only(self)
 
 
@@ -274,10 +267,10 @@ def _ranges(starts, lengths):
 
 
 class SparseSymMatrix:
-    """Symmetric global matrix with a constrained-dof elimination mask: the
-    pattern and the values in its factorization layout.  ``block``, the one
-    view of the free block, is what every solve, norm and ``reduced`` read;
-    ``matrix`` rebuilds the full CSR."""
+    """Symmetric global matrix with the constrained dofs eliminated: the
+    pattern and the values in its factorization layout, the free block and
+    the sink.  ``block``, the one view of the free block, is what every
+    solve, norm, ``reduced`` and ``matrix`` read."""
 
     def __init__(self, pattern, data):
         self.pattern = pattern
@@ -289,22 +282,20 @@ class SparseSymMatrix:
         factorization order, a view of the stored values."""
         p = self.pattern
         n = len(p.order)
-        data = self.data[:len(p.block_indices)]
-        block = scipy.sparse.csc_matrix((data, p.block_indices, p.block_indptr), shape=(n, n))
-        block.data = data   # scipy copies a view of under half of its base array
-        return block
+        # all values but the sink: a view of over half its base, which scipy keeps
+        return scipy.sparse.csc_matrix((self.data[:-1], p.block_indices, p.block_indptr),
+                                       shape=(n, n))
 
     @cached_property
     def matrix(self):
-        """The full matrix as CSR, rebuilt when first read; scipy sums the
-        constrained entries, stored one per element entry."""
+        """The free block as CSR in dof numbering, with the constrained rows
+        and columns empty, copied from ``block`` when first read.  Kept only
+        because the benchmark's tracer (``perfbench/tracer.py``) reads
+        ``matrix.nnz``."""
         p = self.pattern
-        con = ~p.free[p.element_dofs]
-        outside = con[:, :, None] | con[:, None, :]
-        rows, cols = np.broadcast_arrays(p.element_dofs[:, :, None], p.element_dofs[:, None, :])
-        rows = np.concatenate([p.order[p.block_indices], rows[outside]])
-        cols = np.concatenate([np.repeat(p.order, np.diff(p.block_indptr)), cols[outside]])
-        return scipy.sparse.coo_matrix((self.data, (rows, cols)), shape=(p.n_dofs,) * 2).tocsr()
+        rows, cols = p.order[p.block_indices], np.repeat(p.order, np.diff(p.block_indptr))
+        return scipy.sparse.coo_matrix((self.block.data, (rows, cols)),
+                                       shape=(p.n_dofs,) * 2).tocsr()
 
     def reduced(self):
         """Free-by-free block as CSR in global dof order and the global
@@ -319,10 +310,10 @@ def assemble(pattern, element_matrices):
     consecutive blocks of them in element order, such as that array (its
     element blocks) or a generator that forms one block at a time; each block
     is summed through its slice of ``slot``, so every stored value is the same
-    sum in the same order.  Rows and columns of constrained dofs stay in the
-    matrix but are masked out for the solve, which keeps dof numbering stable."""
+    sum in the same order.  The entries in a constrained row or column are
+    summed into the sink and discarded; the matrix stores the free block."""
     n = len(pattern.slot)
-    data = np.zeros(pattern.n_stored)
+    data = np.zeros(len(pattern.block_indices) + 1)
     start = 0
     for block in element_matrices:
         values = np.asarray(block, dtype=float).ravel()

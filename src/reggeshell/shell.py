@@ -339,6 +339,14 @@ def _per_point(call, X, nu, c, what):
     return V
 
 
+def _real(a, what):
+    """``a`` as a float array, not copied if it is one; complex raises ``ValueError``."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{what} has complex entries, expected real")
+    return np.asarray(a, dtype=float)
+
+
 # energy term (factor/2) sum_T e . W e of a strain vector e of the dofs ``cols``, with
 # one thickness factor per element, the derivative G of e and the second derivative K
 # of a Green strain
@@ -556,15 +564,15 @@ class ShellModel:
     # ------------------------------------------------------------------
 
     def _local(self, x):
-        """Element vectors (nT, 5n) of a global coefficient vector."""
-        x = np.asarray(x)
+        """Element vectors (nT, 5n) of a real global coefficient vector."""
+        x = _real(x, "state")
         if x.shape != (self.num_dofs,):
             raise ValueError(f"state of shape {x.shape}, expected ({self.num_dofs},)")
         return x[self.element_dofs]
 
     def _load(self, f):
-        """An assembled load vector, checked to be of shape (num_dofs,)."""
-        f = np.asarray(f, dtype=float)
+        """An assembled load vector, checked to be real and of shape (num_dofs,)."""
+        f = _real(f, "load vector")
         if f.shape != (self.num_dofs,):
             raise ValueError(f"load vector of shape {f.shape}, expected ({self.num_dofs},)")
         return f
@@ -632,9 +640,9 @@ class ShellModel:
         return grad if load_vector is None else grad - self._load(load_vector)
 
     def hessian(self, x, *, terms=None):
-        """Assembled tangent as a sparse matrix with constrained dofs masked;
-        ``terms`` as in ``gradient``.  The element tangents are summed into
-        it block by block, as ``_tangent_blocks`` forms them."""
+        """Assembled tangent, a ``SparseSymMatrix`` that stores its free block
+        alone; ``terms`` as in ``gradient``.  The element tangents are summed
+        into it block by block, as ``_tangent_blocks`` forms them."""
         return assemble(self._pattern,
                         self._tangent_blocks(terms or self._terms(self._local(x))))
 
@@ -709,7 +717,7 @@ class ShellModel:
             f = self._load(loads)
         if not np.all(np.isfinite(f)):
             raise ValueError("load vector has non-finite entries")
-        x = np.zeros(self.num_dofs) if x0 is None else np.array(x0, dtype=float)
+        x = np.zeros(self.num_dofs) if x0 is None else _real(x0, "initial state").copy()
         if x.shape != (self.num_dofs,):
             raise ValueError(f"initial state of shape {x.shape}, expected ({self.num_dofs},)")
         if not np.all(np.isfinite(x)):

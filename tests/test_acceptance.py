@@ -26,6 +26,7 @@ from reggeshell.polynomials import eval_integrated_jacobi, eval_jacobi
 from reggeshell.quadrature import triangle_rule
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
+from test_assembly import assert_is_free_part, full_tangent
 from test_interpolation import random_affine_element
 from test_shell import node_positions
 
@@ -273,9 +274,11 @@ class TestEnergyDerivatives:
                            ShellConfig(thickness=0.05, order=2))
         rng = np.random.default_rng(13)
         x = rng.standard_normal(model.num_dofs)
-        H = model.hessian(x)
+        full = full_tangent(model, x)
+        assert_is_free_part(model.hessian(x).matrix, full, model.free)
         g = model.gradient(x)
-        diff = (H.matrix @ x - g)[model.free]
+        # on every dof, the constrained ones included
+        diff = full @ x - g
         assert np.max(np.abs(diff)) < 1e-10 * np.max(np.abs(g))
 
 

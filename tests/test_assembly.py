@@ -15,6 +15,7 @@ from reggeshell.assembly import (
     SparsityPattern,
     assemble,
     factor_solve,
+    norm_inf,
 )
 from reggeshell.geometry import BENCHMARK_NAMES, BENCHMARKS, make_benchmark_mesh
 from reggeshell.shell import LoadSpec, MaterialParams, ShellConfig, ShellModel
@@ -35,6 +36,45 @@ def dense_sum(n_dofs, dofs, local):
     return dense
 
 
+def element_sum(n_dofs, dofs, local):
+    """The full matrix, as CSR, of the element matrices (nT, m, m) on the
+    element dofs (nT, m), constrained rows and columns included: every
+    entry summed by ``np.add.at`` in element order, as ``assemble`` sums
+    the free ones."""
+    m = dofs.shape[1]
+    keys, k = np.unique(
+        np.repeat(dofs, m, axis=1).ravel() * n_dofs + np.tile(dofs, (1, m)).ravel(),
+        return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, k, np.asarray(local, dtype=float).ravel())
+    row, col = np.divmod(keys, n_dofs)
+    return scipy.sparse.csr_matrix((data, col, csr_indptr(row, n_dofs)), shape=(n_dofs, n_dofs))
+
+
+def element_tangents(model, x):
+    """The element tangents (nT, m, m) of a shell model at the state x."""
+    return np.concatenate(list(model._tangent_blocks(model._terms(model._local(x)))))
+
+
+def full_tangent(model, x):
+    """A shell model's tangent at x on every dof, constrained rows and
+    columns included, summed from its element tangents on the test side."""
+    return element_sum(model.num_dofs, model.element_dofs, element_tangents(model, x))
+
+
+def assert_is_free_part(matrix, full, free):
+    """``matrix`` is the CSR matrix ``full`` with the entries of every
+    constrained row and column dropped, structure and values to the bit."""
+    full = full.tocoo()
+    keep = free[full.row] & free[full.col]
+    expected = scipy.sparse.csr_matrix((full.data[keep], (full.row[keep], full.col[keep])),
+                                       shape=full.shape)
+    assert matrix.shape == full.shape
+    for array, oracle in [(matrix.indptr, expected.indptr), (matrix.indices, expected.indices),
+                          (matrix.data, expected.data)]:
+        assert array.tobytes() == oracle.astype(array.dtype).tobytes()
+
+
 class TestAssemble:
     def test_matches_dense_sum(self):
         n = 6
@@ -51,6 +91,7 @@ class TestAssemble:
         pattern = SparsityPattern(4, np.zeros((0, 2), dtype=int))
         mat = assemble(pattern, np.zeros((0, 2, 2)))
         assert mat.matrix.nnz == 0
+        assert mat.data.tolist() == [0.0]   # the sink alone
 
     @pytest.mark.parametrize("split", ["random", "one_element", "empty_block", "generator"])
     def test_consecutive_blocks_sum_bit_for_bit(self, split):
@@ -99,28 +140,40 @@ def hyperboloid_model(level, order):
                       ShellConfig(thickness=0.1, order=order, membrane_reduction="regge"))
 
 
-def benchmark_tangent(name, level, order, model="linearized_membrane"):
-    """A benchmark model's tangent: at rest, or for the full Green membrane
-    at a random nonzero state."""
+def benchmark_elements(name, level, order, model="linearized_membrane"):
+    """A benchmark model's pattern and element tangents: at rest, or for the
+    full Green membrane at a random nonzero state."""
     mesh, chart = make_benchmark_mesh(name, level)
     shell_model = ShellModel(mesh, chart, MaterialParams(2.85e4, 0.3), ShellConfig(
         thickness=0.1, order=order, membrane_reduction="regge", model=model))
     x = np.zeros(shell_model.num_dofs)
     if model == "full_green":
         x = 1e-2 * np.random.default_rng(4).standard_normal(shell_model.num_dofs)
-    return shell_model.hessian(x)
+    return shell_model._pattern, element_tangents(shell_model, x)
 
 
-def fancy_reduced(mat):
+def assembled(source):
+    """The matrix assembled from random blocks (a seed) or from a benchmark
+    model's element tangents (``benchmark_elements`` arguments), and its
+    full matrix summed on the test side."""
+    if isinstance(source, int):
+        dofs, local, free = random_blocks(seed=source)
+        pattern = SparsityPattern(30, dofs, free)
+    else:
+        pattern, local = benchmark_elements(*source)
+    return assemble(pattern, local), element_sum(pattern.n_dofs, pattern.element_dofs, local)
+
+
+def fancy_reduced(mat, full):
     """The free block of the full CSR matrix by fancy indexing, and its dofs."""
     idx = mat.pattern.free_idx
-    return mat.matrix[idx][:, idx], idx
+    return full[idx][:, idx], idx
 
 
-def scaled_oracle(mat, s):
+def scaled_oracle(mat, full, s):
     """P (S A S) P^T of the free block by fancy indexing, as CSC, for the
     scaling s in factorization order."""
-    reduced, idx = fancy_reduced(mat)
+    reduced, idx = fancy_reduced(mat, full)
     perm = np.searchsorted(idx, mat.pattern.order)
     s = s[np.argsort(perm)]
     row = np.repeat(np.arange(len(s)), np.diff(reduced.indptr))
@@ -143,9 +196,12 @@ def element_sets(pattern):
 
 class TestSparsityPattern:
     def test_random_blocks_match_dense_sum(self):
+        # the constrained rows and columns are not stored
         dofs, local, free = random_blocks()
         mat = assemble(SparsityPattern(30, dofs, free), local)
-        assert np.allclose(mat.matrix.toarray(), dense_sum(30, dofs, local), rtol=0, atol=1e-14)
+        dense = dense_sum(30, dofs, local) * np.outer(free, free)
+        assert np.allclose(mat.matrix.toarray(), dense, rtol=0, atol=1e-14)
+        assert_is_free_part(mat.matrix, element_sum(30, dofs, local), free)
 
     # the 512-element hyperboloid of thickness_scan, the order-4 cylinder
     # reference of locking_sweep and a full Green tangent at a nonzero state
@@ -155,37 +211,26 @@ class TestSparsityPattern:
         ids=["random3", "random5", "random8", "thickness_scan", "locking_sweep_reference",
              "full_green"])
     def test_reduced_matches_fancy_indexing(self, source):
-        if isinstance(source, int):
-            dofs, local, free = random_blocks(seed=source)
-            mat = assemble(SparsityPattern(30, dofs, free), local)
-        else:
-            mat = benchmark_tangent(*source)
+        mat, full = assembled(source)
         reduced, idx = mat.reduced()
-        # read from the free block alone, without the full matrix
+        # read from the free block alone, without the matrix in dof numbering
         assert "matrix" not in vars(mat)
-        oracle, free_idx = fancy_reduced(mat)
+        oracle, free_idx = fancy_reduced(mat, full)
         for array, expected in [(reduced.indptr, oracle.indptr),
                                 (reduced.indices, oracle.indices),
                                 (reduced.data, oracle.data), (idx, free_idx)]:
             assert array.dtype == expected.dtype
             assert array.tobytes() == expected.tobytes()
 
-    # the free block holds under half the stored values of the random
-    # blocks (178 of 380) and of the level-0 models, which scipy's
-    # constructor would copy
     @pytest.mark.parametrize("source", [
-        "random_blocks", ("hyperboloid", 1, 3), ("hemisphere", 0, 2), ("cylinder", 0, 1),
+        5, ("hyperboloid", 1, 3), ("hemisphere", 0, 2), ("cylinder", 0, 1),
         ("hyperbolic_paraboloid", 0, 1)],
         ids=["random_blocks", "shell", "hemisphere", "cylinder", "hyperbolic_paraboloid"])
     def test_stored_layout_reproduces_scaled_free_block(self, source):
-        if source == "random_blocks":
-            dofs, local, free = random_blocks(seed=5)
-            mat = assemble(SparsityPattern(30, dofs, free), local)
-        else:
-            mat = benchmark_tangent(*source)
+        mat, full = assembled(source)
         block = mat.block
         s = assembly._jacobi_scaling(block)
-        oracle = scaled_oracle(mat, np.ones_like(s))
+        oracle = scaled_oracle(mat, full, np.ones_like(s))
         assert np.array_equal(block.indptr, oracle.indptr)
         assert np.array_equal(block.indices, oracle.indices)
         assert np.array_equal(block.data, oracle.data)
@@ -198,7 +243,8 @@ class TestSparsityPattern:
         diag = abs(block.diagonal())
         assert np.all(np.where(diag == 0, s == 1, (s * s * diag >= 0.5) & (s * s * diag < 2)))
         col = np.repeat(s, np.diff(block.indptr))
-        assert np.array_equal(block.data * s[block.indices] * col, scaled_oracle(mat, s).data)
+        assert np.array_equal(block.data * s[block.indices] * col,
+                              scaled_oracle(mat, full, s).data)
 
     def test_supervariables_have_equal_element_sets(self):
         model = hyperboloid_model(1, 3)
@@ -221,6 +267,35 @@ class TestSparsityPattern:
         # the factorization order keeps every group contiguous
         runs = np.count_nonzero(np.diff(group[p.order])) + 1
         assert runs == len(group_of_set)
+
+    # random blocks on every dof (680 of 1,440 entries in a constrained row
+    # or column), a clamped order-2 hyperboloid and the full Green unibend at
+    # a nonzero state
+    @pytest.mark.parametrize("source", [5, ("hyperboloid", 1, 2),
+                                        ("unibend_cylinder", 0, 2, "full_green")],
+                             ids=["random_blocks", "hyperboloid", "full_green"])
+    def test_constrained_entries_are_discarded(self, source):
+        if isinstance(source, int):
+            dofs, local, free = random_blocks(n_elements=40, seed=source)
+            pattern = SparsityPattern(30, dofs, free)
+            local = local + 10 * np.eye(6)   # a regular free block
+        else:
+            pattern, local = benchmark_elements(*source)
+        mat = assemble(pattern, local)
+        assert len(mat.data) == len(pattern.block_indices) + 1
+        free = pattern.free[pattern.element_dofs]
+        outside = ~(free[:, :, None] & free[:, None, :])
+        assert outside.any()
+        poisoned = local.copy()
+        poisoned[outside] = np.resize([np.nan, np.inf, -np.inf], np.count_nonzero(outside))
+        # the sink sums inf and -inf, which sets the invalid flag; it is never read
+        with np.errstate(invalid="ignore"):
+            junk = assemble(pattern, poisoned)
+        assert np.isnan(junk.data[-1])
+        assert junk.block.data.tobytes() == mat.block.data.tobytes()
+        assert norm_inf(junk) == norm_inf(mat)
+        rhs = np.random.default_rng(1).standard_normal(pattern.n_dofs)
+        assert factor_solve(junk, rhs).tobytes() == factor_solve(mat, rhs).tobytes()
 
     def test_out_of_range_dof_rejected(self):
         with pytest.raises(IndexError):
@@ -312,35 +387,35 @@ def sort_based_pattern(n_dofs, dofs, free):
     in_block = np.flatnonzero(free[row] & free[col])
     pr, pc = position[row[in_block]], position[col[in_block]]
     csc = np.argsort(pc * len(order) + pr)
-    return dict(slot=slot, indptr=csr_indptr(row, n_dofs), indices=col,
-                supervariable=group, order=order, gather=in_block[csc],
-                block_indices=pr[csc], block_indptr=csr_indptr(pc[csc], len(order)))
+    return dict(slot=slot, row=row, col=col, supervariable=group, order=order,
+                gather=in_block[csc], block_indices=pr[csc],
+                block_indptr=csr_indptr(pc[csc], len(order)))
 
 
 def assert_matches_sort_based(pattern, n_dofs, dofs, free):
     oracle = sort_based_pattern(n_dofs, dofs, free)
-    indptr, indices = oracle.pop("indptr"), oracle.pop("indices")
-    nnz = len(indices)
-    assert pattern.nnz == nnz
-    # the stored layout: the gathered free block, then every element entry
-    # in a constrained row or column, unsummed, in element order
-    gather = oracle.pop("gather")
-    layout = np.empty(nnz, dtype=int)
+    row, col, gather = oracle.pop("row"), oracle.pop("col"), oracle.pop("gather")
+    # the stored layout: the gathered free block, then the sink, which every
+    # element entry in a constrained row or column goes to
+    layout = np.full(len(row), len(gather))
     layout[gather] = np.arange(len(gather))
     csr_slot = oracle["slot"]
-    slot = layout[csr_slot]
-    outside = ~(free[dofs][:, :, None] & free[dofs][:, None, :]).ravel()
-    slot[outside] = len(gather) + np.arange(np.count_nonzero(outside))
-    oracle.update(slot=slot, n_stored=len(gather) + np.count_nonzero(outside))
+    oracle["slot"] = layout[csr_slot]
     for name, expected in oracle.items():
         assert np.array_equal(getattr(pattern, name), expected), name
-    # distinct values in every element entry: the full matrix read back
-    # through the layout is the CSR sum of the element entries
+    # distinct values in every element entry: the free block read back in
+    # dof numbering through the layout is the CSR sum of the element
+    # entries between free dofs, and the sink holds the rest
     values = np.arange(1.0, csr_slot.size + 1).reshape(len(dofs), *(dofs.shape[1],) * 2)
-    matrix = assemble(pattern, values).matrix
-    assert np.array_equal(matrix.indptr, indptr)
-    assert np.array_equal(matrix.indices, indices)
-    assert np.array_equal(matrix.data, np.bincount(csr_slot, values.ravel(), minlength=nnz))
+    mat = assemble(pattern, values)
+    assert len(mat.data) == len(gather) + 1
+    kept = np.sort(gather)
+    matrix = mat.matrix
+    assert np.array_equal(matrix.indptr, csr_indptr(row[kept], n_dofs))
+    assert np.array_equal(matrix.indices, col[kept])
+    sums = np.bincount(csr_slot, values.ravel(), minlength=len(row))
+    assert np.array_equal(matrix.data, sums[kept])
+    assert mat.data[-1] == sums.sum() - sums[kept].sum()
 
 
 class TestScalarNodePattern:
@@ -390,7 +465,7 @@ class TestScalarNodePattern:
     def test_empty_pattern(self, n, fields):
         pattern = SparsityPattern(4, np.zeros((0, n), dtype=int), fields=fields)
         assert_matches_sort_based(pattern, 4 * fields, pattern.element_dofs, pattern.free)
-        assert pattern.n_stored == pattern.nnz == 0
+        assert len(pattern.slot) == len(pattern.block_indices) == 0
 
     @pytest.mark.parametrize("free_dofs", [0, 1])
     def test_all_or_all_but_one_dof_constrained(self, free_dofs):
@@ -402,8 +477,8 @@ class TestScalarNodePattern:
 
     @pytest.mark.parametrize("free_node", [None, 0, 2])
     def test_no_or_one_free_dof(self, free_node):
-        # with node 0 free alone, the one gathered position is CSR position
-        # 0, an explicit zero of the index-valued matrix that must be kept
+        # with node 0 free alone, its one entry is CSR position 0 of the
+        # pattern and stored position 0
         n = 4
         free = np.zeros(n + 1, dtype=bool)
         if free_node is not None:

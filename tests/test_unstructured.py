@@ -22,7 +22,7 @@ from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
 from test_acceptance import (gap_rank, membrane_edge_mismatch, membrane_map,
                              relative_singular_values)
-from test_assembly import assert_matches_sort_based
+from test_assembly import assert_is_free_part, assert_matches_sort_based, full_tangent
 from test_shell import assert_symmetry_rotations_match_chart, node_positions
 
 MAT = MaterialParams(2.85e4, 0.3)
@@ -226,6 +226,8 @@ def test_green_hessian_matches_gradient_differences(case):
     d /= np.linalg.norm(d)
     h = 1e-6
     fd = (model.gradient(x + h * d) - model.gradient(x - h * d)) / (2 * h)
-    Hd = model.hessian(x).matrix @ d
-    # the bound of tests/test_shell.py::TestGreenTangent
+    full = full_tangent(model, x)
+    assert_is_free_part(model.hessian(x).matrix, full, model.free)
+    Hd = full @ d
+    # on every dof, with the bound of tests/test_shell.py::TestGreenTangent
     assert np.max(np.abs(Hd - fd)) <= 1e-6 * np.max(np.abs(fd))
