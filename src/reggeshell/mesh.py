@@ -1,24 +1,24 @@
 """Triangulations with oriented global edge lists.
 
-Edges are stored as sorted vertex-index pairs; the edge tangent always runs
-from the lower to the higher global vertex index, which removes every sign
-ambiguity for degrees of freedom shared between elements.  Local edges of a
-triangle (v0, v1, v2) are (v0,v1), (v0,v2), (v1,v2), matching the edge
-ordering of the reference element.
+A mesh is its vertices, triangles and marked vertex pairs; ``Mesh`` derives
+the rest.  Edges are stored as sorted vertex-index pairs; the edge tangent
+always runs from the lower to the higher global vertex index, which removes
+every sign ambiguity for degrees of freedom shared between elements.  Local
+edges of a triangle (v0, v1, v2) are (v0,v1), (v0,v2), (v1,v2), matching the
+edge ordering of the reference element.
 
-``build_mesh`` finds the edges with one ``np.unique`` of the keys min·nV + max
-and numbers them in the order the triangles first reach them; that numbering
+``Mesh`` finds the edges with one ``np.unique`` of the keys min·nV + max and
+numbers them in the order the triangles first reach them; that numbering
 fixes the dof numbering, and with it the round-off of every solve.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Mesh",
     "LOCAL_EDGES",
-    "build_mesh",
     "refine_uniform",
     "count_entities",
     "rectangle_mesh",
@@ -35,13 +35,16 @@ class MeshError(Exception):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation of a 2D parameter domain; ``build_mesh`` copies
-    its input arrays and makes every array read-only.
+    """Immutable triangulation of a 2D parameter domain, built from its
+    vertices, triangles and ``marker_pairs``, a map of names to vertex pairs
+    that must be edges.  It copies them, derives the edge connectivity, and
+    makes every array read-only; ``dataclasses.replace`` derives it anew.
 
     Attributes
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array
+    marker_pairs : dict mapping a name to an (n, 2) int array of vertex pairs
     edges : (ne, 2) int array, each row sorted ascending
     tri_edges : (nt, 3) int array, global edge index per local edge
     tri_edge_signs : (nt, 3) int array, +1 if the local edge direction
@@ -51,53 +54,75 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    edges: np.ndarray
-    tri_edges: np.ndarray
-    tri_edge_signs: np.ndarray
-    boundary_markers: dict
+    marker_pairs: dict = field(default_factory=dict)
+    edges: np.ndarray = field(init=False)
+    tri_edges: np.ndarray = field(init=False)
+    tri_edge_signs: np.ndarray = field(init=False)
+    boundary_markers: dict = field(init=False)
 
     def __post_init__(self):
-        """Check a mesh however it was built: indices in range, sorted
-        unique edge rows, edges and signs that are the triangles' local
-        edges, each edge in one or two triangles, every triangle positively
-        oriented in the parameter plane, and the two triangles of an edge on
-        either side of it (no fold)."""
-        nv, ne = self.num_vertices, self.num_edges
-        tris, edges, tri_edges = self.triangles, self.edges, self.tri_edges
-        marked = np.array([e for ids in self.boundary_markers.values() for e in ids], dtype=int)
-        for what, index, bound in (("triangle vertex", tris, nv), ("edge vertex", edges, nv),
-                                   ("triangle edge", tri_edges, ne), ("marker edge", marked, ne)):
-            if index.size and (index.min() < 0 or index.max() >= bound):
-                raise MeshError(f"{what} index outside [0, {bound})")
-        # in range, a sorted row (i, j) is its key i·nv + j
-        keys = edges[:, 0] * nv + edges[:, 1]
-        ordered = np.sort(keys)
-        if (edges[:, 0] >= edges[:, 1]).any() or (ordered[1:] == ordered[:-1]).any():
-            raise MeshError("edge rows must be sorted ascending and unique")
+        """Derive the edges and check the mesh: finite coordinates, vertex
+        indices in range, at least one triangle and every vertex in one,
+        marked pairs that are edges, each edge in one or two triangles, every
+        triangle positively oriented in the parameter plane, and the two
+        triangles of an edge on either side of it (no fold)."""
+        # copies, so that the caller's arrays cannot change the mesh afterwards
+        verts = np.array(self.vertices, dtype=float)
+        tris = np.array(self.triangles, dtype=int).reshape(-1, 3)
+        nv = len(verts)
+        pairs = {name: np.array(p, dtype=int).reshape(-1, 2)
+                 for name, p in (self.marker_pairs or {}).items()}
+        if not np.all(np.isfinite(verts)):
+            raise MeshError("vertex coordinates must be finite")
+        # outside [0, nv) the keys min·nv + max alias valid edges
+        for what, index in [("triangle", tris), *(("marker", p) for p in pairs.values())]:
+            if index.size and (index.min() < 0 or index.max() >= nv):
+                raise MeshError(f"{what} vertex index outside [0, {nv})")
+        unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=nv) == 0)
+        if not len(tris) or unused.size:
+            raise MeshError("the mesh has no triangles" if not len(tris)
+                            else f"vertex {unused[0]} lies in no triangle")
         a, b = np.moveaxis(tris[:, LOCAL_EDGES], -1, 0)
-        wrong = ((keys[tri_edges] != np.minimum(a, b) * nv + np.maximum(a, b))
-                 | (self.tri_edge_signs != np.where(a < b, 1, -1)))
-        if wrong.any():
-            raise MeshError(f"tri_edges or tri_edge_signs of triangle {wrong.argmax() // 3} "
-                            f"disagree with its local edges")
-        counts = np.bincount(tri_edges.ravel(), minlength=ne)
-        bad = np.flatnonzero((counts < 1) | (counts > 2))
-        if bad.size:
-            raise MeshError(f"edge {tuple(edges[bad[0]].tolist())} lies in {counts[bad[0]]} "
+        keys, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                         return_index=True, return_inverse=True)
+        # number the edges by first appearance, not by key
+        order = np.argsort(first)
+        rank = np.argsort(order)
+
+        markers = {}
+        for name, p in pairs.items():
+            pk = p.min(axis=1) * nv + p.max(axis=1)
+            pos = np.searchsorted(keys, pk)
+            unknown = pk[np.append(keys, -1)[pos] != pk]  # -1 is no key
+            if unknown.size:
+                raise MeshError(f"marker '{name}' references unknown edge "
+                                f"{divmod(int(unknown[0]), nv)}")
+            markers[name] = tuple(np.sort(rank[pos]).tolist())
+
+        edges = np.column_stack(divmod(keys[order], nv))
+        tri_edges, signs = rank[inverse].reshape(-1, 3), np.where(a < b, 1, -1)
+        counts = np.bincount(tri_edges.ravel())
+        if counts.max() > 2:
+            bad = counts.argmax()
+            raise MeshError(f"edge {tuple(edges[bad].tolist())} lies in {counts[bad]} "
                             f"triangles, not in one or two")
-        verts = self.vertices
         d1, d2 = verts[tris[:, 1]] - verts[tris[:, 0]], verts[tris[:, 2]] - verts[tris[:, 0]]
         bad = np.flatnonzero(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0)
         if bad.size:
             raise MeshError(f"triangle {bad[0]} is not positively oriented")
         # a counterclockwise triangle runs local edge le in its global direction
         # times (1, -1, 1); the two triangles of an edge must run it both ways
-        run = np.bincount(tri_edges.ravel(), minlength=ne,
-                          weights=(self.tri_edge_signs * (1, -1, 1)).ravel())
+        run = np.bincount(tri_edges.ravel(), weights=(signs * (1, -1, 1)).ravel())
         folded = np.flatnonzero(np.abs(run) == 2)
         if folded.size:
             raise MeshError(f"the two triangles of edge {tuple(edges[folded[0]].tolist())} "
                             f"lie on the same side of it")
+        for array in (verts, tris, edges, tri_edges, signs, *pairs.values()):
+            array.flags.writeable = False
+        for name, value in dict(vertices=verts, triangles=tris, marker_pairs=pairs, edges=edges,
+                                tri_edges=tri_edges, tri_edge_signs=signs,
+                                boundary_markers=markers).items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_vertices(self):
@@ -134,49 +159,6 @@ class Mesh:
         return t, lam[t]
 
 
-def build_mesh(vertices, triangles, boundary_markers=None):
-    """Create a mesh from raw arrays and build its edge connectivity;
-    ``boundary_markers`` maps a name to vertex pairs that must be edges.
-    ``Mesh`` rejects triangle vertices out of range, edges in more than two
-    triangles, triangles that are not positively oriented and folds."""
-    # copies, so that the caller's arrays cannot change the mesh afterwards
-    vertices = np.array(vertices, dtype=float)
-    tris = np.array(triangles, dtype=int).reshape(-1, 3)
-    nv = len(vertices)
-    pairs = {name: np.asarray(p, dtype=int).reshape(-1, 2)
-             for name, p in (boundary_markers or {}).items()}
-    # outside [0, nv) the keys min·nv + max alias valid edges
-    if any(np.any((p < 0) | (p >= nv)) for p in pairs.values()):
-        raise MeshError(f"marker vertex index outside [0, {nv})")
-    a, b = np.moveaxis(tris[:, LOCAL_EDGES], -1, 0)
-    keys, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                     return_index=True, return_inverse=True)
-    # number the edges by first appearance, not by key
-    order = np.argsort(first)
-    rank = np.argsort(order)
-
-    markers = {}
-    for name, p in pairs.items():
-        pk = p.min(axis=1) * nv + p.max(axis=1)
-        pos = np.searchsorted(keys, pk)
-        unknown = pk[np.append(keys, -1)[pos] != pk]  # -1 is no key
-        if unknown.size:
-            raise MeshError(f"marker '{name}' references unknown edge "
-                            f"{divmod(int(unknown[0]), nv)}")
-        markers[name] = tuple(np.sort(rank[pos]).tolist())
-
-    arrays = dict(
-        vertices=vertices,
-        triangles=tris,
-        edges=np.column_stack(divmod(keys[order], nv)),
-        tri_edges=rank[inverse].reshape(-1, 3),
-        tri_edge_signs=np.where(a < b, 1, -1),
-    )
-    for array in arrays.values():
-        array.flags.writeable = False
-    return Mesh(boundary_markers=markers, **arrays)
-
-
 def refine_uniform(mesh):
     """Split every triangle into four by its edge midpoints.
 
@@ -194,7 +176,7 @@ def refine_uniform(mesh):
     halves = np.stack([mesh.edges[:, 0], mid, mid, mesh.edges[:, 1]], axis=1).reshape(-1, 2, 2)
     marker_pairs = {name: halves[mesh.edges_with_marker(name)].reshape(-1, 2)
                     for name in mesh.boundary_markers}
-    return build_mesh(np.vstack([mesh.vertices, midpoints]), tris, marker_pairs)
+    return Mesh(np.vstack([mesh.vertices, midpoints]), tris, marker_pairs)
 
 
 def count_entities(mesh):
@@ -229,7 +211,7 @@ def rectangle_mesh(nx, ny, xlim, ylim, side_markers=None):
     for side, name in (side_markers or {}).items():
         pairs = np.column_stack([sides[side][:-1], sides[side][1:]])
         markers[name] = np.vstack([markers.get(name, np.empty((0, 2), int)), pairs])
-    return build_mesh(np.column_stack([X.ravel(), Y.ravel()]), tris, markers)
+    return Mesh(np.column_stack([X.ravel(), Y.ravel()]), tris, markers)
 
 
 def read_mesh(path):
@@ -237,11 +219,8 @@ def read_mesh(path):
 
     Header line ``#V #T``, then #V vertex lines ``x y``, then #T triangle
     lines ``i j k`` (0-based), then optional lines ``edge i j name``.
-    Raises MeshError when the line counts disagree with the header, a
-    coordinate is not finite, a vertex index is out of range, a marked pair
-    is not an edge, a triangle is not positively oriented in the parameter
-    plane, the two triangles of an edge lie on the same side of it (a fold),
-    or there is no triangle or a vertex lies in none.
+    Raises MeshError when the line counts disagree with the header or a
+    trailing line is not a marker, and where ``Mesh`` rejects the mesh.
     """
     with open(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
@@ -255,16 +234,8 @@ def read_mesh(path):
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
     if np.any(marks[:, 0] != "edge"):
         raise MeshError("trailing lines must read 'edge i j name'")
-    if not np.all(np.isfinite(verts)):
-        raise MeshError("vertex coordinates must be finite")
     names = marks[:, 3]
-    mesh = build_mesh(verts, tris, {name: pairs[names == name]
-                                    for name in dict.fromkeys(names.tolist())})
-    unused = np.setdiff1d(np.arange(nv), tris)
-    if not nt or unused.size:
-        raise MeshError("the mesh has no triangles" if not nt
-                        else f"vertex {unused[0]} lies in no triangle")
-    return mesh
+    return Mesh(verts, tris, {name: pairs[names == name] for name in dict.fromkeys(names.tolist())})
 
 
 def _block(lines, count, width, kind):

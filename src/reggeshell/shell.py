@@ -339,14 +339,6 @@ def _per_point(call, X, nu, c, what):
     return V
 
 
-def _real(a, what):
-    """``a`` as a float array, not copied if it is one; complex raises ``ValueError``."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise ValueError(f"{what} has complex entries, expected real")
-    return np.asarray(a, dtype=float)
-
-
 # energy term (factor/2) sum_T e . W e of a strain vector e of the dofs ``cols``, with
 # one thickness factor per element, the derivative G of e and the second derivative K
 # of a Green strain
@@ -563,19 +555,22 @@ class ShellModel:
     # energies
     # ------------------------------------------------------------------
 
-    def _local(self, x):
-        """Element vectors (nT, 5n) of a real global coefficient vector."""
-        x = _real(x, "state")
-        if x.shape != (self.num_dofs,):
-            raise ValueError(f"state of shape {x.shape}, expected ({self.num_dofs},)")
-        return x[self.element_dofs]
+    def _vector(self, a, what):
+        """``a`` as a float array, not copied if it is one; ``ValueError``
+        unless it is real, of shape (num_dofs,) and finite."""
+        a = np.asarray(a)
+        if np.iscomplexobj(a):
+            raise ValueError(f"{what} has complex entries, expected real")
+        a = np.asarray(a, dtype=float)
+        if a.shape != (self.num_dofs,):
+            raise ValueError(f"{what} of shape {a.shape}, expected ({self.num_dofs},)")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} has non-finite entries")
+        return a
 
-    def _load(self, f):
-        """An assembled load vector, checked to be real and of shape (num_dofs,)."""
-        f = _real(f, "load vector")
-        if f.shape != (self.num_dofs,):
-            raise ValueError(f"load vector of shape {f.shape}, expected ({self.num_dofs},)")
-        return f
+    def _local(self, x):
+        """Element vectors (nT, 5n) of a checked global coefficient vector."""
+        return self._vector(x, "state")[self.element_dofs]
 
     def _green_membrane(self, U):
         """Green membrane strain vector e (nT, r), sampled in the factored
@@ -622,7 +617,7 @@ class ShellModel:
 
     def total_energy(self, x, load_vector=None):
         W = sum(self.energies(x).values())
-        return W if load_vector is None else W - self._load(load_vector) @ x
+        return W if load_vector is None else W - self._vector(load_vector, "load vector") @ x
 
     # ------------------------------------------------------------------
     # derivatives
@@ -637,7 +632,7 @@ class ShellModel:
             gt = (_weighted(term.W, term.e)[:, None] @ term.G)[:, 0]
             g[:, term.cols] += term.factor[:, None] * gt
         grad = np.bincount(self.element_dofs.ravel(), g.ravel(), minlength=self.num_dofs)
-        return grad if load_vector is None else grad - self._load(load_vector)
+        return grad if load_vector is None else grad - self._vector(load_vector, "load vector")
 
     def hessian(self, x, *, terms=None):
         """Assembled tangent, a ``SparseSymMatrix`` that stores its free block
@@ -709,27 +704,18 @@ class ShellModel:
         no constrained dof (a constant translation costs no energy), on a
         failed factorization, and when ``_newton_converged`` accepts no
         iterate in ``NEWTON_MAX_ITER`` steps."""
-        if loads is None:
-            f = np.zeros(self.num_dofs)
-        elif isinstance(loads, LoadSpec):
-            f = self.load_vector(loads)
-        else:
-            f = self._load(loads)
-        if not np.all(np.isfinite(f)):
-            raise ValueError("load vector has non-finite entries")
-        x = np.zeros(self.num_dofs) if x0 is None else _real(x0, "initial state").copy()
-        if x.shape != (self.num_dofs,):
-            raise ValueError(f"initial state of shape {x.shape}, expected ({self.num_dofs},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("initial state has non-finite entries")
+        f = np.zeros(self.num_dofs) if loads is None else self._vector(
+            self.load_vector(loads) if isinstance(loads, LoadSpec) else loads, "load vector")
+        x = np.zeros(self.num_dofs) if x0 is None else self._vector(x0, "initial state").copy()
         x[~self.free] = 0.0
         unfixed = [f"u_{c}" for c, on in zip("xyz", self.free.reshape(5, -1)) if on.all()]
         if unfixed:
             raise SolverError(f"singular model: no dof of {', '.join(unfixed)} is constrained")
         history, H = [], None
         for iterations in range(NEWTON_MAX_ITER + 1):
-            # one evaluation of the terms serves the iterate's residual and tangent
-            terms = self._terms(self._local(x))
+            # one evaluation of the terms serves the iterate's residual and
+            # tangent; x and f were checked above
+            terms = self._terms(x[self.element_dofs])
             r = self.gradient(x, f, terms=terms)
             history.append(np.linalg.norm(r[self.free]))
             if H is not None and _newton_converged(history, x[self.free], f[self.free], H):

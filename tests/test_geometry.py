@@ -13,7 +13,7 @@ from reggeshell.geometry import (
     flat_chart,
     make_benchmark_mesh,
 )
-from reggeshell.mesh import LOCAL_EDGES, build_mesh, count_entities, refine_uniform
+from reggeshell.mesh import LOCAL_EDGES, Mesh, count_entities, refine_uniform
 from reggeshell.quadrature import triangle_rule
 
 INTERIOR_POINTS = [(-0.2, 0.3), (0.1, 0.1), (0.4, 0.25)]
@@ -21,13 +21,13 @@ INTERIOR_POINTS = [(-0.2, 0.3), (0.1, 0.1), (0.4, 0.25)]
 
 class TestFlatMaps:
     def test_identity_chart_affine(self):
-        m = build_mesh([(-1, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+        m = Mesh([(-1, 0), (1, 0), (0, 1)], [(0, 1, 2)])
         ev = ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.3)])
         assert np.allclose(ev.F, np.eye(2), atol=1e-14)
         assert ev.J == pytest.approx(1.0, abs=1e-14)
 
     def test_scaled_triangle_jacobian(self):
-        m = build_mesh([(-2, 0), (2, 0), (0, 2)], [(0, 1, 2)])
+        m = Mesh([(-2, 0), (2, 0), (0, 2)], [(0, 1, 2)])
         ev = ElementMap(m, flat_chart(), 0, 1).evaluate([(0.0, 0.2)])
         assert ev.J == pytest.approx(4.0, abs=1e-13)
         assert np.allclose(pseudo_inverse(ev.F), np.linalg.inv(ev.F), atol=1e-13)
@@ -35,7 +35,7 @@ class TestFlatMaps:
     def test_degenerate_triangle_raises(self):
         # the mesh rejects a collinear parameter triangle, so a positive one
         # is collapsed onto the line x = y by the chart
-        m = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+        m = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
         line = ChartGeometry(name="line", ambient_dim=2,
                              phi=lambda p: np.repeat(np.asarray(p)[..., :1], 2, axis=-1))
         with pytest.raises(GeometryError):
@@ -220,7 +220,7 @@ class TestChartBatches:
 class TestTangentConvention:
     def test_shared_edge_tangent_dyad_agrees(self):
         # t (x) t must not depend on which adjacent triangle evaluates it
-        m = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+        m = Mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
         shared = [e for e in range(m.num_edges)
                   if sorted(m.edges[e]) == [0, 2]][0]
         dyads = []

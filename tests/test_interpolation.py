@@ -8,7 +8,7 @@ from reggeshell.interpolation import (
     get_operator,
     reference_dual_mass,
 )
-from reggeshell.mesh import build_mesh, rectangle_mesh
+from reggeshell.mesh import Mesh, rectangle_mesh
 
 
 def random_affine_element(rng):
@@ -19,7 +19,7 @@ def random_affine_element(rng):
         area2 = d1[0] * d2[1] - d1[1] * d2[0]
         if area2 > 0.3:
             break
-    m = build_mesh(verts, [(0, 1, 2)])
+    m = Mesh(verts, [(0, 1, 2)])
     return ElementMap(m, flat_chart(), 0, 1)
 
 

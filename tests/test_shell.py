@@ -34,7 +34,7 @@ from reggeshell.interpolation import (
     ShearSpace,
     get_operator,
 )
-from reggeshell.mesh import Mesh, MeshError, rectangle_mesh
+from reggeshell.mesh import MeshError, rectangle_mesh
 from reggeshell.quadrature import segment_rule, triangle_rule
 from reggeshell.shell import (
     REF_VERTICES,
@@ -1099,19 +1099,12 @@ class TestBoundaryConditions:
         # on u = 0 of phi(u, v) = (u, v + u d(v), 0), d(v) = 4v, the
         # contravariant basis is a^1 = (1, 0, 0) and a^2 = (-d, 1, 0), so the
         # fixed rotation switches from theta_1 to theta_2 where |d| passes 1;
-        # the four sym:x edges have mean d 0.5, 1.5, 2.5 and 3.5.  The edges
-        # are numbered backwards, so that the marker's edge order differs
-        # from the (triangle, local edge) order of its pairs
+        # the four sym:x edges have mean d 0.5, 1.5, 2.5 and 3.5
         def phi(p):
             u, v = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
             return np.stack([u, v + 4.0 * u * v, np.zeros_like(u)], axis=-1)
 
-        grid = rectangle_mesh(2, 4, (0.0, 1.0), (0.0, 1.0), {"left": "sym:x"})
-        last = grid.num_edges - 1
-        marked = tuple(sorted(last - grid.edges_with_marker("sym:x")))
-        mesh = Mesh(vertices=grid.vertices, triangles=grid.triangles, edges=grid.edges[::-1],
-                    tri_edges=last - grid.tri_edges, tri_edge_signs=grid.tri_edge_signs,
-                    boundary_markers={"sym:x": marked})
+        mesh = rectangle_mesh(2, 4, (0.0, 1.0), (0.0, 1.0), {"left": "sym:x"})
         model = ShellModel(mesh, ChartGeometry("skew", 3, phi), MAT,
                            ShellConfig(thickness=0.01, order=2))
         free, (comp,) = expected_free(model)
@@ -1216,11 +1209,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_load_vector_rejected(self, entry):
+        # gradient and total_energy returned non-finite values silently
         model = cylinder_model()
-        f = np.zeros(model.num_dofs)
+        x, f = np.zeros(model.num_dofs), np.zeros(model.num_dofs)
         f[7] = entry
-        with pytest.raises(ValueError, match="load vector has non-finite"):
-            model.solve(f)
+        for use in (lambda f: model.gradient(x, f), lambda f: model.total_energy(x, f),
+                    model.solve):
+            with pytest.raises(ValueError, match="load vector has non-finite"):
+                use(f)
 
     def test_load_spec_returning_nan_rejected(self):
         model = cylinder_model()
@@ -1263,6 +1259,19 @@ class TestSolve:
                 with pytest.raises(ValueError, match=rf"state of shape \({n},\), "
                                                      rf"expected \({model.num_dofs},\)"):
                     evaluate(x)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, entry):
+        # energies, total_energy, gradient and hessian returned non-finite
+        # values silently
+        model = cylinder_model()
+        x = np.zeros(model.num_dofs)
+        x[np.flatnonzero(model.free)[0]] = entry
+        p = model.mesh.vertices[4]
+        for evaluate in (model.energies, model.total_energy, model.gradient, model.hessian,
+                         lambda x: model.evaluate_displacement(x, p)):
+            with pytest.raises(ValueError, match="state has non-finite entries"):
+                evaluate(x)
 
     def test_complex_state_rejected(self):
         # energies were complex, and gradient and hessian raised numpy's
@@ -1448,8 +1457,8 @@ class TestSolve:
             free = "u_x, u_y, u_z"
         else:
             mesh, chart = make_benchmark_mesh("hemisphere")
-            mesh = dataclasses.replace(mesh, boundary_markers={
-                name: edges for name, edges in mesh.boundary_markers.items() if name != "clamped"})
+            mesh = dataclasses.replace(mesh, marker_pairs={
+                name: pairs for name, pairs in mesh.marker_pairs.items() if name != "clamped"})
             free = "u_z"
         model = ShellModel(mesh, chart, MAT, ShellConfig(thickness=0.01))
 

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from reggeshell import shell
 from reggeshell.bench import BenchmarkConfig, run_benchmark
 from reggeshell.geometry import make_benchmark_mesh
-from reggeshell.mesh import build_mesh, read_mesh
+from reggeshell.mesh import Mesh, read_mesh
 from reggeshell.shell import MaterialParams, ShellConfig, ShellModel
 
 from test_acceptance import (gap_rank, membrane_edge_mismatch, membrane_map,
@@ -55,7 +55,7 @@ def perturbed_meshes(draw, names=("hyperboloid", "hemisphere", "cylinder")):
     triangles = np.take_along_axis(triangles, (np.arange(3) + shifts[:, None]) % 3, axis=1)
     markers = {name: new_index[mesh.edges[mesh.edges_with_marker(name)]]
                for name in mesh.boundary_markers}
-    return build_mesh(vertices[vertex_order], triangles, markers), chart
+    return Mesh(vertices[vertex_order], triangles, markers), chart
 
 
 def write_mesh(mesh, directory):
